@@ -7,7 +7,7 @@ Subcommands:
   slopes    Slope/sign table over a range of weights.
 
 Exit codes: 0 success, 2 result undecidable at the working precision,
-3 invalid parameters, 4 time budget exceeded.
+3 invalid parameters or malformed arguments, 4 time budget exceeded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .pipeline import (
     BudgetExceeded,
     UsageError,
     build_context,
-    cache_dir_default,
     cached_l_result,
     render_table,
     validate,
@@ -42,13 +41,13 @@ def _add_common(sp):
     sp.add_argument("--nplus", type=int, default=1, help="auxiliary level")
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.add_argument("--budget-secs", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cache-dir", default=None,
                     help="result cache directory (default: $CACHE_DIR or "
                          "~/.cache/linvariant)")
 
 
-def _parse_weights(spec: str):
+def weight_list(spec: str):
+    """Weights from a range a..b (its even members) or a comma list."""
     if ".." in spec:
         a, b = spec.split("..", 1)
         lo, hi = int(a), int(b)
@@ -56,8 +55,17 @@ def _parse_weights(spec: str):
     return [int(w) for w in spec.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments exit EXIT_DOMAIN: argparse's own code, 2, means an
+    undecidable result here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="linvariant",
         description="p-adic L-operators on harmonic cocycles for definite "
                     "quaternion orders",
@@ -79,7 +87,7 @@ def build_parser():
 
     sp = sub.add_parser("slopes", help="slope table over a weight range")
     _add_common(sp)
-    sp.add_argument("--weights", required=True,
+    sp.add_argument("--weights", type=weight_list, required=True,
                     help="range a..b (even weights) or comma list")
     sp.add_argument("--prec", type=int, default=10)
     return ap
@@ -157,26 +165,13 @@ def _cmd_linv(args, budget: Budget) -> int:
 
 
 def _cmd_slopes(args, budget: Budget) -> int:
-    weights = _parse_weights(args.weights)
-    results = []
-    for w in weights:
-        results.append(
-            cached_l_result(args.p, args.nminus, args.nplus, w, args.prec,
-                            cache_dir=args.cache_dir, budget=budget)
-        )
+    results = [cached_l_result(args.p, args.nminus, args.nplus, w, args.prec,
+                               cache_dir=args.cache_dir, budget=budget)
+               for w in args.weights]
     if args.format == "json":
         print(json.dumps(results, indent=1))
-        return EXIT_OK
-
-    class Row:
-        def __init__(self, d):
-            self.weight = d["weight"]
-            self.dim = d["dim"]
-            self.slopes_plus = d.get("slopes_plus")
-            self.slopes_minus = d.get("slopes_minus")
-            self.eps_w = d.get("eps_w")
-
-    print(render_table([Row(r) for r in results]))
+    else:
+        print(render_table(results))
     return EXIT_OK
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .domain import EdgeReducer, FundamentalDomain, _is_pm_one
+from .domain import EdgeReducer, FundamentalDomain, _is_pm_one, gamma_matrix
 from .padics import PadicNumber, PrecisionError, solve_linear
 from .quaternions import Quat, enumerate_norm
-from .tree import Edge, frac_val, mat_adj, star
+from .tree import Edge, frac_val, mat_adj, mat_mul, normalize_edge, star
 
 
 def weight_coeff_rows(mat, k: int):
@@ -72,12 +72,7 @@ def vk_act(p: int, k: int, mat, det_exact: Fraction, omega, prec: int):
 def act_by_gamma(dom: FundamentalDomain, k: int, x: Quat, r: int, omega, prec: int):
     """Action of gamma = x/p^r through the splitting (scalars act trivially,
     so iota(x) with exact determinant nrd(x) is used)."""
-    X = dom.spl.apply(x)
-    den = 1
-    for t in X:
-        den = max(den, t.denominator)
-    Xi = tuple(int(t * den) for t in X)
-    det = Fraction(x.nrd()) * den * den
+    Xi, det = gamma_matrix(dom, x, r)
     return vk_act(dom.p, k, Xi, det, omega, prec)
 
 
@@ -132,16 +127,13 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int, prec: int) -> list[Harmon
     def one():
         return PadicNumber.one(p, prec)
 
+    basisvecs = [[one() if i == m else zero() for i in range(k + 1)]
+                 for m in range(k + 1)]
     # stabilizer invariance
     for jg, stab in enumerate(dom.edge_stabs):
         for x, r in stab:
             if _is_pm_one(x, r):
                 continue
-            basisvecs = []
-            for m in range(k + 1):
-                unit = [zero() for _ in range(k + 1)]
-                unit[m] = one()
-                basisvecs.append(unit)
             cols = [act_by_gamma(dom, k, x, r, u, prec) for u in basisvecs]
             for i in range(k + 1):
                 row = [zero() for _ in range(nun)]
@@ -154,11 +146,6 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int, prec: int) -> list[Harmon
         for e in star(v):
             j, x, r = reducer.locate(e)
             geo, sign = j // 2, (1 if j % 2 == 0 else -1)
-            basisvecs = []
-            for m in range(k + 1):
-                unit = [zero() for _ in range(k + 1)]
-                unit[m] = one()
-                basisvecs.append(unit)
             if _is_pm_one(x, r):
                 cols = basisvecs
             else:
@@ -226,15 +213,8 @@ def involution_action(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
                       w: Quat, coc: HarmonicCocycle, prec: int) -> HarmonicCocycle:
     """(w . c)(e) = w . c(w^{-1} e), evaluated on the geometric reps."""
     p = dom.p
-    W = dom.spl.apply(w)
-    den = 1
-    for t in W:
-        den = max(den, t.denominator)
-    Wi = tuple(int(t * den) for t in W)
-    det_exact = Fraction(w.nrd()) * den * den
+    Wi, det_exact = gamma_matrix(dom, w, 0)
     newvals = []
-    from .tree import normalize_edge, mat_mul
-
     for e in dom.geo_edges:
         pre = normalize_edge(mat_mul(mat_adj(Wi), e.matrix()), p)
         val = coc.value(pre, reducer, prec)

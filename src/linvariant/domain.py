@@ -26,7 +26,6 @@ from .tree import (
     mat_adj,
     mat_mul,
     normalize_edge,
-    normalize_vertex,
     star,
 )
 
@@ -197,6 +196,16 @@ class FundamentalDomain:
         return gens
 
 
+def gamma_matrix(dom: FundamentalDomain, x, r: int):
+    """Integer residue matrix for gamma = x/p^r together with its exact
+    determinant (a power of p times a p-unit)."""
+    X = dom.spl.apply(x)
+    den = max(t.denominator for t in X)
+    Xi = tuple(int(t * den) for t in X)
+    det = Fraction(x.nrd()) * den * den
+    return Xi, det
+
+
 def _is_pm_one(x: Quat, r: int) -> bool:
     """Whether x/p^r is a central +-1 (scalar part only)."""
     return all(c == 0 for c in x.co[1:])
@@ -268,20 +277,22 @@ class EdgeReducer:
     """Reduces arbitrary directed edges (given by matrices with exactly known
     determinant valuation) to the domain's directed representatives.
 
-    The (edge -> gamma, j) part of the answer is cached by canonical edge."""
+    The (edge -> gamma, j) part of the answer is cached by canonical edge in
+    `located`, which a reducer for the same domain under a more precise
+    splitting may share: its entries are exact."""
 
-    def __init__(self, dom: FundamentalDomain):
+    def __init__(self, dom: FundamentalDomain, located: dict | None = None):
         self.dom = dom
         self.eq = EquivalenceFinder(dom.order, dom.spl)
         self.reps = dom.directed_reps()
         self.rep_mats = [e.matrix() for e in self.reps]
         self.rep_detvals = [_det_val_exact(m, dom.p) for m in self.rep_mats]
-        self._cache = {}
+        self.located = {} if located is None else located
 
     def locate(self, e: Edge):
         """(j, x, r) with iota(x/p^r) . reps[j] = e."""
-        if e in self._cache:
-            return self._cache[e]
+        if e in self.located:
+            return self.located[e]
         d_e = _edge_dist(e)
         for j, f in enumerate(self.reps):
             res = self.eq.search(
@@ -289,7 +300,7 @@ class EdgeReducer:
             )
             if res is not None:
                 out = (j, res[0], res[1])
-                self._cache[e] = out
+                self.located[e] = out
                 return out
         raise RuntimeError("edge not equivalent to any representative")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import weight_coeff_rows
-from .domain import EdgeReducer, FundamentalDomain
+from .domain import EdgeReducer, FundamentalDomain, gamma_matrix
 from .lifting import Lift
 from .padics import (
     PadicNumber,
@@ -33,7 +33,6 @@ from .tree import (
     Vertex,
     base_vertex,
     edges_leaving_geodesic,
-    frac_val,
     normalize_vertex,
 )
 
@@ -70,16 +69,6 @@ def _mobius(mat, z: UnramifiedElement) -> UnramifiedElement:
     K = z.field
     conv = lambda t: t if isinstance(t, UnramifiedElement) else K.element(Fraction(t))
     return (conv(a) * z + conv(b)) / (conv(c) * z + conv(d))
-
-
-def gamma_matrix(dom: FundamentalDomain, x, r: int):
-    """Integer residue matrix for gamma = x/p^r together with its exact
-    determinant (a power of p times a p-unit)."""
-    X = dom.spl.apply(x)
-    den = max(t.denominator for t in X)
-    Xi = tuple(int(t * den) for t in X)
-    det = Fraction(x.nrd()) * den * den
-    return Xi, det
 
 
 def reduction_vertex(dom: FundamentalDomain, x, r: int) -> Vertex:

@@ -13,7 +13,7 @@ p^t making every stored moment integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .cocycles import HarmonicCocycle, weight_coeff_rows

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from .cocycles import HarmonicCocycle, act_by_gamma
 from .domain import EdgeReducer, FundamentalDomain
-from .integration import lambda_values, reduction_vertex
+from .integration import lambda_values
 from .padics import (
     PadicNumber,
     PrecisionError,
     charpoly,
     hensel_root,
-    newton_slopes,
     solve_linear,
 )
 from .tree import base_vertex, edge_between, geodesic
@@ -152,12 +151,6 @@ def eigenspace(M, eig: int, prec: int):
     ]
     _, kern = solve_linear(rows)
     return kern
-
-
-def slopes_of(A, prec_min: int = 1):
-    """Newton slopes (with multiplicity) of the characteristic polynomial."""
-    cp = charpoly(A)
-    return newton_slopes(cp)
 
 
 def l_invariant_simple(A, slope, prec: int):

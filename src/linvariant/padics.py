@@ -160,9 +160,6 @@ class PadicNumber:
         """True when indistinguishable from zero at this precision."""
         return self.unit == 0
 
-    def known_nonzero(self) -> bool:
-        return self.unit != 0
-
     def eq_at_prec(self, other: "PadicNumber") -> bool:
         return (self - other).is_zero()
 
@@ -253,14 +250,6 @@ class PadicNumber:
             return Fraction(self.unit * self.p**self.val)
         return Fraction(self.unit, self.p ** (-self.val))
 
-    def lift_int(self) -> int:
-        """Canonical integer representative (requires val >= 0)."""
-        if self.unit == 0:
-            return 0
-        if self.val < 0:
-            raise ValueError("negative valuation has no integer lift")
-        return self.unit * self.p**self.val
-
     def residue(self, modexp: int) -> int:
         """Integer representative modulo p^modexp (requires val >= 0, prec >= modexp)."""
         if self.unit == 0:
@@ -347,9 +336,6 @@ class UnramifiedField:
 
     def one(self) -> "UnramifiedElement":
         return self.element(1, 0)
-
-    def gen(self) -> "UnramifiedElement":
-        return self.element(0, 1)
 
     def teichmuller(self, a0: int, b0: int) -> "UnramifiedElement":
         """Teichmuller lift of the residue a0 + b0*w (must be a unit)."""
@@ -703,66 +689,3 @@ def hensel_root(coeffs, p: int, slope: int, prec: int) -> PadicNumber:
     for _ in range(prec.bit_length() + 3):
         y = y - poly_eval(g, y) / poly_eval(dg, y)
     return y * PadicNumber.from_fraction(Fraction(p) ** slope, p, prec + abs(slope) + 4)
-
-
-# ----------------------------------------------------------------------
-# weight-k Mobius substitution on polynomials / series
-# ----------------------------------------------------------------------
-
-
-def _series_mul(a, b, order, zero):
-    out = [zero for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def mobius_weight_substitute(coeffs, g, k: int, order: int, p: int, prec: int):
-    """Coefficients of f |_k sigma truncated at `order`, for sigma = [[a,b],[c,d]]
-    with a a unit and p | c:
-
-        (f |_k sigma)(x) = det(sigma)^(-k/2) (-c x + a)^k f((d x - b)/(-c x + a)).
-
-    coeffs are PadicNumber (low to high); g is a 4-tuple of integers (or
-    PadicNumber); returns a list of length order+1.
-    """
-    a, b, c, d = [
-        x if isinstance(x, PadicNumber) else PadicNumber.from_fraction(x, p, prec)
-        for x in g
-    ]
-    det = a * d - b * c
-    if a.is_zero() or a.val != 0:
-        raise ValueError("substitution requires the (1,1) entry to be a unit")
-    if not c.is_zero() and c.val < 1:
-        raise ValueError("substitution requires p | c")
-    zero = PadicNumber.zero(p, prec)
-    one = PadicNumber.one(p, prec)
-    # inv(a - c x) = a^{-1} sum (c/a)^m x^m
-    ainv = a.inverse()
-    ratio = c * ainv
-    inv_series = []
-    pw = one
-    for _ in range(order + 1):
-        inv_series.append(ainv * pw)
-        pw = pw * ratio
-    s_lin = [-b, d]  # d x - b
-    s = _series_mul(s_lin, inv_series, order, zero)
-    # f(s(x)) by Horner
-    comp = [zero for _ in range(order + 1)]
-    for cf in reversed(coeffs):
-        comp = _series_mul(comp, s, order, zero)
-        comp[0] = comp[0] + cf
-    # multiply by (a - c x)^k
-    lin = [a, -c]
-    for _ in range(k):
-        comp = _series_mul(comp, lin, order, zero)
-    # det^{-k/2}
-    if k % 2:
-        raise ValueError("weight action requires even k")
-    dfac = (det.inverse()) ** (k // 2)
-    return [cf * dfac for cf in comp]

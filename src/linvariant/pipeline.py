@@ -20,8 +20,10 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+
+from sympy import factorint, isprime
 
 from .cocycles import (
     harmonic_basis,
@@ -38,10 +40,16 @@ from .loperator import (
     restrict_operator,
     sample_elements,
 )
-from .padics import PadicNumber, PrecisionError, charpoly, newton_slopes
+from .padics import (
+    PadicNumber,
+    PrecisionError,
+    charpoly,
+    mat_mul,
+    newton_slopes,
+    val_int,
+)
 from .quaternions import build_algebra, eichler_order, maximal_order
 from .splitting import splitting_map
-from .tree import star, base_vertex
 
 SCHEMA_VERSION = 2
 
@@ -65,17 +73,7 @@ class Budget:
 
 
 def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
-    def is_prime(n):
-        if n < 2:
-            return False
-        i = 2
-        while i * i <= n:
-            if n % i == 0:
-                return False
-            i += 1
-        return True
-
-    if not is_prime(p):
+    if not isprime(p):
         raise UsageError(f"p = {p} is not prime")
     if nminus < 2 or nplus < 1:
         raise UsageError("Nminus must be >= 2 and Nplus >= 1")
@@ -83,17 +81,8 @@ def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
         raise UsageError("p must be coprime to Nminus*Nplus")
     if math.gcd(nminus, nplus) != 1:
         raise UsageError("Nminus and Nplus must be coprime")
-    fac = []
-    n = nminus
-    q = 2
-    while q * q <= n:
-        while n % q == 0:
-            fac.append(q)
-            n //= q
-        q += 1
-    if n > 1:
-        fac.append(n)
-    if len(set(fac)) != len(fac):
+    fac = factorint(nminus)
+    if any(e > 1 for e in fac.values()):
         raise UsageError("Nminus must be squarefree")
     if len(fac) % 2 != 1:
         raise UsageError(
@@ -108,9 +97,7 @@ class Context:
     p: int
     nminus: int
     nplus: int
-    order: object
-    spl: object
-    dom: FundamentalDomain
+    dom: FundamentalDomain  # holds the order and the splitting
     reducer: EdgeReducer
 
 
@@ -119,10 +106,30 @@ def build_context(p: int, nminus: int, nplus: int, split_prec: int,
     alg = build_algebra(nminus)
     order = maximal_order(alg)
     if nplus > 1:
-        order = eichler_order(order, nplus)
+        order = eichler_order(alg, order, nplus)
     spl = splitting_map(order, p, split_prec, variant=variant)
     dom = compute_fundamental_domain(order, spl)
-    return Context(p, nminus, nplus, order, spl, dom, EdgeReducer(dom))
+    return Context(p, nminus, nplus, dom, EdgeReducer(dom))
+
+
+def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
+    """ctx with its splitting recomputed at precision split_prec.
+
+    The domain depends only on the order and p, and the reducer's cache of
+    edge locations holds exact data, so both carry over when the new
+    splitting agrees with the old one to the old precision; otherwise the
+    domain is computed afresh."""
+    dom = ctx.dom
+    spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
+    mod = ctx.p ** min(split_prec, dom.spl.prec)
+    if all((a - b) % mod == 0 for old, new in zip(dom.spl.images, spl.images)
+           for a, b in zip(old, new)):
+        dom = replace(dom, spl=spl)
+        reducer = EdgeReducer(dom, located=ctx.reducer.located)
+    else:
+        dom = compute_fundamental_domain(dom.order, spl)
+        reducer = EdgeReducer(dom)
+    return Context(ctx.p, ctx.nminus, ctx.nplus, dom, reducer)
 
 
 @dataclass
@@ -135,8 +142,16 @@ class Sizing:
     out_prec: int
 
 
-def size_parameters(ctx: Context, k: int, M: int) -> Sizing:
+# Splitting precision of the context a row is sized on, and precision of
+# the weight-k basis that probes the dimension and bounds the moments.
+SIZING_SPLIT_PREC = 60
+SIZING_BASIS_PREC = 40
+
+
+def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     """Choose scale, truncation and iteration counts for M output digits.
+
+    basis0 is the weight-k harmonic basis of ctx at SIZING_BASIS_PREC.
 
     The series term pairing moment i has valuation at least
     (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
@@ -150,9 +165,6 @@ def size_parameters(ctx: Context, k: int, M: int) -> Sizing:
     p = ctx.p
     margin = 6 + (1 if p == 2 else 0)
     Mt = M + margin
-    basis0 = harmonic_basis(ctx.dom, k, 40)
-    if not basis0:
-        raise ValueError("empty cocycle space")
     maxD = 0
     for x, r in sample_elements(ctx.dom):
         for ball in covering(ctx.dom, ctx.reducer, x, r):
@@ -163,8 +175,6 @@ def size_parameters(ctx: Context, k: int, M: int) -> Sizing:
             for t in row:
                 if not t.is_zero():
                     minv = min(minv, t.val)
-    from .padics import val_int
-
     a_s = max(val_int(len(st), p) if len(st) % p == 0 else 0
               for st in ctx.dom.edge_stabs)
     t_sc = max(0, -minv) + a_s + k // 2 + 1
@@ -267,54 +277,57 @@ def _min_entry_val(A) -> int:
 
 
 def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
-                     seed: int = 0, budget: Budget | None = None,
+                     budget: Budget | None = None,
                      base_vertex_override=None, tau_variant: int = 0,
                      split_variant: int = 0) -> LResult:
     """The L-operator row for (p, nminus, nplus, weight) with M output digits.
 
-    The stages from `size_parameters` to the L-matrix A run at a working
-    precision Mw, first Mw = M.  The invariants read off A (characteristic
+    The algebra, the order, the fundamental domain and the weight-k basis at
+    SIZING_BASIS_PREC are computed once.  The stages from `size_parameters`
+    to the L-matrix A run at a working precision Mw, first Mw = M; each
+    attempt recomputes only the splitting, at the precision the sizing asks
+    for (see `resplit`).  The invariants read off A (characteristic
     polynomial, Newton slopes, Atkin-Lehner eigenspaces and traces, Hensel
     lifts) lose about (d-1)*v absolute digits when the entries of the d x d
     matrix A have valuation -v, which the sizing does not foresee.  When one
-    of them raises PrecisionError, every stage from the sizing onward is
-    rerun with Mw raised by max(1, d-1)*max(1, v), where -v is the lowest
-    entry valuation of A, at most MAX_PRECISION_RETRIES times and never past
-    Mw = 4M; past that cap the error propagates.  The budget is checked
-    between attempts.  The result is reported at the requested M: `prec` is
-    M and the L-invariants are Hensel-lifted at precision M.
+    of them raises PrecisionError, the attempt is rerun with Mw raised by
+    max(1, d-1)*max(1, v), where -v is the lowest entry valuation of A, at
+    most MAX_PRECISION_RETRIES times and never past Mw = 4M; past that cap
+    the error propagates.  The budget is checked between attempts.  The
+    result is reported at the requested M: `prec` is M and the L-invariants
+    are Hensel-lifted at precision M.
     """
     validate(p, nminus, nplus, weight)
     budget = budget or Budget()
     k = weight - 2
-    ctx0 = build_context(p, nminus, nplus, 60, variant=split_variant)
+    ctx = build_context(p, nminus, nplus, SIZING_SPLIT_PREC,
+                        variant=split_variant)
     budget.check()
-    dim_probe = harmonic_basis(ctx0.dom, k, 40)
-    if not dim_probe:
+    basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
+    if not basis0:
         return LResult(p, nminus, nplus, weight, M, 0)
     Mw = M
     retries = 0
     while True:
-        sz = size_parameters(ctx0, k, Mw)
+        sz = size_parameters(ctx, k, Mw, basis0)
         budget.check()
-        ctx = build_context(p, nminus, nplus, sz.split_prec,
-                            variant=split_variant)
-        basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
+        actx = resplit(ctx, sz.split_prec, variant=split_variant)
+        basis = harmonic_basis(actx.dom, k, sz.basis_prec)
         d = len(basis)
         budget.check()
         lifts = []
         for c in basis:
             lifts.append(
-                make_lift(ctx.dom, ctx.reducer, c, sz.lift,
+                make_lift(actx.dom, actx.reducer, c, sz.lift,
                           progress=lambda it: budget.check())
             )
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
         budget.check()
-        A = l_matrix(ctx.dom, ctx.reducer, basis, lifts, tau, sz.n_terms,
+        A = l_matrix(actx.dom, actx.reducer, basis, lifts, tau, sz.n_terms,
                      sz.out_prec, base_vertex_override=base_vertex_override)
         budget.check()
         try:
-            res = _invariants(ctx, basis, A, M, sz.out_prec, budget)
+            res = _invariants(actx, basis, A, M, sz.out_prec, budget)
         except PrecisionError:
             if retries == MAX_PRECISION_RETRIES or Mw >= 4 * M:
                 raise
@@ -323,8 +336,9 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
             retries += 1
             budget.check()
         else:
+            # nothing is random; "seed" keeps schema v2 rows unchanged
             res.choices = {"tau_variant": tau_variant,
-                           "split_variant": split_variant, "seed": seed}
+                           "split_variant": split_variant, "seed": 0}
             return res
 
 
@@ -341,8 +355,6 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
     Mp = _negate(involution_matrix(ctx.dom, ctx.reducer, k, wp, basis, out_prec))
     budget.check()
     # commutation of A with W_N, within the available precision
-    from .padics import mat_mul
-
     diff = mat_mul(A, MN)
     diff2 = mat_mul(MN, A)
     commutes = all(
@@ -377,33 +389,18 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
     )
 
 
-def slope_table(p: int, nminus: int, nplus: int, weights, M: int,
-                budget: Budget | None = None):
-    budget = budget or Budget()
-    rows = []
-    for w in weights:
-        rows.append(compute_l_result(p, nminus, nplus, w, M, budget=budget))
-    return rows
-
-
 def render_table(rows) -> str:
-    def fmt_slopes(sl):
-        if not sl:
-            return ""
-        return ", ".join(f"{s}_{m}" for s, m in sl)
-
-    def fmt_eps(eps):
-        if not eps:
-            return ""
-        return ", ".join(f"{e}_{m}" for e, m in eps)
+    """The slope/sign table of row dicts as `cached_l_result` returns them."""
+    def fmt(pairs):
+        return ", ".join(f"{a}_{m}" for a, m in pairs or [])
 
     out = [f"{'k':>4} {'d':>3}  {'alpha+':<22} {'alpha-':<22} {'eps_W':<12}"]
     for r in rows:
         out.append(
-            f"{r.weight:>4} {r.dim:>3}  "
-            f"{fmt_slopes(r.slopes_plus or []):<22} "
-            f"{fmt_slopes(r.slopes_minus or []):<22} "
-            f"{fmt_eps(r.eps_w or []):<12}"
+            f"{r['weight']:>4} {r['dim']:>3}  "
+            f"{fmt(r.get('slopes_plus')):<22} "
+            f"{fmt(r.get('slopes_minus')):<22} "
+            f"{fmt(r.get('eps_w')):<12}"
         )
     return "\n".join(out)
 
@@ -421,18 +418,31 @@ def cache_dir_default():
 
 def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None,
                     budget=None, **kw):
+    """The row as a JSON dict, read from the cache directory or computed and
+    stored there.  Rows computed with keyword choices bypass the cache.  An
+    entry that cannot be read counts as a miss; a new entry is written to a
+    temporary file and renamed, so a killed run leaves no partial entry."""
     cdir = cache_dir or cache_dir_default()
     os.makedirs(cdir, exist_ok=True)
     key = f"lresult_{p}_{nminus}_{nplus}_{weight}_{M}_v{SCHEMA_VERSION}.json"
     path = os.path.join(cdir, key)
-    if os.path.exists(path) and not kw:
-        with open(path) as f:
-            data = json.load(f)
-        if data.get("schema_version") == SCHEMA_VERSION:
-            return data
-    res = compute_l_result(p, nminus, nplus, weight, M, budget=budget, **kw)
-    data = res.to_json()
     if not kw:
-        with open(path, "w") as f:
-            json.dump(data, f, indent=1)
+        try:
+            with open(path) as f:
+                data = json.load(f)
+        except (OSError, ValueError):
+            data = None
+        if isinstance(data, dict) and data.get("schema_version") == SCHEMA_VERSION:
+            return data
+    data = compute_l_result(p, nminus, nplus, weight, M, budget=budget,
+                            **kw).to_json()
+    if not kw:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as f:
+                json.dump(data, f, indent=1)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return data

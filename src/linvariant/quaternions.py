@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import Matrix
+from sympy import Matrix, primefactors
 from sympy.matrices.normalforms import hermite_normal_form
 
 
@@ -133,23 +133,8 @@ def hilbert_symbol(a: int, b: int, p) -> int:
     return s
 
 
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def ramified_primes(a: int, b: int) -> list[int]:
-    cand = sorted(set([2] + _prime_factors(a) + _prime_factors(b)))
+    cand = sorted(set([2] + primefactors(a) + primefactors(b)))
     return [q for q in cand if hilbert_symbol(a, b, q) == -1]
 
 
@@ -179,19 +164,21 @@ _SYMBOL_TABLE = {2: (-1, -1), 3: (-1, -3), 5: (-2, -5), 7: (-1, -7), 11: (-1, -1
 
 
 def build_algebra(disc: int) -> QuaternionAlgebra:
-    """The definite quaternion algebra over Q ramified exactly at disc and
-    infinity.  disc must be a prime (the squarefree products of an odd number
-    of primes would also make sense; only the prime case is needed here)."""
+    """The definite quaternion algebra over Q ramified exactly at the primes
+    dividing disc and at infinity; disc is squarefree with an odd number of
+    prime factors.  The symbol (a, b) with a, b < 0 is searched by growing
+    max(-a, -b), up to disc: every such disc up to 373 has one there."""
     if disc in _SYMBOL_TABLE:
         a, b = _SYMBOL_TABLE[disc]
         assert ramified_primes(a, b) == [disc]
         return QuaternionAlgebra(a, b, disc)
-    for bound in range(2, 60):
+    primes = primefactors(disc)
+    for bound in range(2, disc + 2):
         for a in range(-1, -bound - 1, -1):
             for b in range(-1, -bound - 1, -1):
                 if max(-a, -b) != bound - 1:
                     continue
-                if ramified_primes(a, b) == [disc]:
+                if ramified_primes(a, b) == primes:
                     return QuaternionAlgebra(a, b, disc)
     raise ValueError(f"no symbol found for discriminant {disc}")
 
@@ -356,7 +343,7 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
             return order
         f = rd // alg.disc
         assert rd % alg.disc == 0
-        q = _prime_factors(f)[0]
+        q = primefactors(f)[0]
         enlarged = _enlarge_at(order, q)
         if enlarged is None:
             raise RuntimeError(f"saturation stuck at prime {q}")
@@ -397,7 +384,7 @@ def eichler_order(alg: QuaternionAlgebra, maxorder: Order, level: int) -> Order:
     order = Order(alg, list(maxorder.basis), 1)
     lev = level
     basis_rows = [[Fraction(x) for x in b.co] for b in maxorder.basis]
-    for q in _prime_factors(level):
+    for q in primefactors(level):
         e = 0
         while lev % q == 0:
             lev //= q

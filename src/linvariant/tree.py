@@ -171,45 +171,6 @@ def normalize_edge(m: Mat, p: int) -> Edge:
     return Edge(p, "compl", center, n)
 
 
-def vertex_witness(m: Mat, v: Vertex):
-    """(u_exp, sigma) with m * p^u_exp * sigma = v.matrix(), sigma in GL_2(Z_p).
-
-    Asserts integrality and that det(sigma) is a unit."""
-    p = v.p
-    det_m = mat_det(m)
-    diff = (v.a + v.c) - frac_val(det_m, p)
-    assert diff % 2 == 0
-    u_exp = diff // 2
-    inv = tuple(Fraction(x, 1) / det_m for x in mat_adj(m))
-    sigma = mat_mul(inv, v.matrix())
-    sigma = tuple(Fraction(x) / Fraction(p) ** u_exp for x in sigma)
-    for x in sigma:
-        if x != 0:
-            assert frac_val(x, p) >= 0
-    assert frac_val(mat_det(sigma), p) == 0
-    return u_exp, sigma
-
-
-def edge_witness(m: Mat, e: Edge):
-    """(u_exp, sigma) with m * p^u_exp * sigma = e.matrix(), sigma in the
-    Iwahori subgroup (integral, unit determinant, lower-left entry in pZ_p)."""
-    p = e.p
-    em = e.matrix()
-    det_m = mat_det(m)
-    diff = frac_val(mat_det(em), p) - frac_val(det_m, p)
-    assert diff % 2 == 0
-    u_exp = diff // 2
-    inv = tuple(Fraction(x, 1) / det_m for x in mat_adj(m))
-    sigma = mat_mul(inv, em)
-    sigma = tuple(Fraction(x) / Fraction(p) ** u_exp for x in sigma)
-    for x in sigma:
-        if x != 0:
-            assert frac_val(x, p) >= 0
-    assert frac_val(mat_det(sigma), p) == 0
-    assert sigma[2] == 0 or frac_val(sigma[2], p) >= 1
-    return u_exp, sigma
-
-
 def distance(v: Vertex, w: Vertex) -> int:
     if v == w:
         return 0

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -8,9 +9,12 @@ CACHE = os.path.join(os.path.dirname(__file__), "..", ".cache")
 
 
 @pytest.fixture(scope="session")
-def cache_dir():
-    os.makedirs(CACHE, exist_ok=True)
-    return CACHE
+def cache_dir(tmp_path_factory):
+    """A copy of the committed rows, so that the CLI tests read them but
+    never write into the repository."""
+    path = tmp_path_factory.mktemp("cache") / "rows"
+    shutil.copytree(CACHE, path)
+    return str(path)
 
 
 @pytest.fixture(scope="session")

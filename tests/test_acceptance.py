@@ -31,8 +31,11 @@ from linvariant.lifting import LiftParams, make_lift
 from linvariant.loperator import psi_values
 from linvariant.padics import PadicNumber
 from linvariant.pipeline import (
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
     build_context,
     compute_l_result,
+    resplit,
     size_parameters,
 )
 from linvariant.tree import (
@@ -180,10 +183,11 @@ class TestSlopeTables:
 @pytest.fixture(scope="module")
 def prop32():
     """Shared (3, 2, 1) weight-4 data for the property and oracle suites."""
-    ctx = build_context(3, 2, 1, 60)
+    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
     k, M = 2, 8
-    sz = size_parameters(ctx, k, M)
-    ctx = build_context(3, 2, 1, sz.split_prec)
+    sz = size_parameters(ctx, k, M,
+                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
     lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
     tau = base_point(3, sz.tau_prec)

@@ -43,6 +43,19 @@ class TestBasis:
         assert code == 0
         assert json.loads(out)["dim"] == 0
 
+    def test_eichler_level(self, capsys):
+        code, out, _ = run_cli(capsys, "basis", "--p", "3", "--nminus", "2",
+                               "--nplus", "5", "--weight", "4",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dim"] == 4
+
+    def test_three_prime_discriminant(self, capsys):
+        code, out, _ = run_cli(capsys, "basis", "--p", "7", "--nminus", "30",
+                               "--weight", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dim"] == 5
+
 
 class TestValidation:
     @pytest.mark.parametrize("argv", [
@@ -56,6 +69,24 @@ class TestValidation:
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert "error" in err
+
+    def test_even_prime_count_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "basis", "--p", "5", "--nminus", "6",
+                               "--weight", "4")
+        assert code == 3
+        assert "odd number of prime factors" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("linv", "--p", "3", "--nminus", "2", "--weight", "four"),
+        ("slopes", "--p", "3", "--nminus", "2", "--weights", "x..y"),
+        ("basis", "--p", "3", "--nminus", "2"),
+        ("linv", "--p", "3", "--nminus", "2", "--weight", "4", "--seed", "1"),
+    ])
+    def test_malformed_arguments_exit_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 3
+        assert "error" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_4(self, capsys, cache_dir, tmp_path):
         code, _, err = run_cli(
@@ -96,6 +127,21 @@ class TestLinv:
                 "--prec", "10", "--cache-dir", cache_dir)
         names = os.listdir(cache_dir)
         assert any(n.startswith("lresult_3_2_1_4_10") for n in names)
+
+    def test_truncated_entry_is_recomputed(self, capsys, cache_dir, tmp_path):
+        name = "lresult_3_2_1_4_10_v2.json"
+        with open(os.path.join(cache_dir, name)) as f:
+            committed = f.read()
+        with open(tmp_path / name, "w") as f:
+            f.write(committed[:len(committed) // 2])
+        code, out, _ = run_cli(
+            capsys, "linv", "--p", "3", "--nminus", "2", "--weight", "4",
+            "--prec", "10", "--format", "json", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out) == json.loads(committed)
+        assert os.listdir(tmp_path) == [name]
+        with open(tmp_path / name) as f:
+            assert f.read() == committed
 
     def test_cache_dir_env(self, capsys, cache_dir, monkeypatch):
         monkeypatch.setenv("CACHE_DIR", cache_dir)

@@ -14,6 +14,7 @@ from linvariant.cocycles import (
     weight_coeff_rows,
 )
 from linvariant.padics import PadicNumber
+from linvariant.pipeline import build_context
 from linvariant.tree import star
 
 PREC = 25
@@ -83,6 +84,14 @@ class TestDimensions:
     @pytest.mark.parametrize("w,dim", sorted(FROZEN_DIMS[(3, 2)].items()))
     def test_dims_32(self, ctx32, w, dim):
         assert len(harmonic_basis(ctx32.dom, w - 2, PREC)) == dim
+
+    # Eichler orders of level N^+ > 1; each dimension equals the count of
+    # weight-k newforms of level p N^- N^+ new at p N^- (Cohen-Oesterle).
+    @pytest.mark.parametrize("p,nminus,nplus,w,dim", [
+        (3, 2, 5, 4, 4), (3, 2, 5, 2, 1), (5, 3, 2, 4, 6), (3, 2, 7, 4, 4)])
+    def test_dims_eichler(self, p, nminus, nplus, w, dim):
+        ctx = build_context(p, nminus, nplus, 40)
+        assert len(harmonic_basis(ctx.dom, w - 2, PREC)) == dim
 
     def test_weight_2_runs(self, ctx23):
         """k = 0 is a legal degree (no extra scaling conditions)."""

@@ -127,6 +127,6 @@ class TestEdgeReducer:
         red = ctx23.reducer
         e = red.reps[0]
         red.locate(e)
-        n0 = len(red._cache)
+        n0 = len(red.located)
         red.locate(e)
-        assert len(red._cache) == n0
+        assert len(red.located) == n0

@@ -9,7 +9,13 @@ from linvariant.cocycles import act_by_gamma, harmonic_basis
 from linvariant.integration import base_point, covering, lambda_values
 from linvariant.lifting import make_lift
 from linvariant.padics import PadicNumber
-from linvariant.pipeline import build_context, size_parameters
+from linvariant.pipeline import (
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
+    build_context,
+    resplit,
+    size_parameters,
+)
 from linvariant.tree import (
     ball_contains,
     base_vertex,
@@ -21,10 +27,11 @@ from linvariant.tree import (
 
 @pytest.fixture(scope="module")
 def lam32():
-    ctx = build_context(3, 2, 1, 60)
+    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
     k, M = 2, 8
-    sz = size_parameters(ctx, k, M)
-    ctx = build_context(3, 2, 1, sz.split_prec)
+    sz = size_parameters(ctx, k, M,
+                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
     lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
     tau = base_point(3, sz.tau_prec)

@@ -6,16 +6,23 @@ import pytest
 
 from linvariant.cocycles import harmonic_basis
 from linvariant.lifting import LiftParams, make_lift, sigma_series_matrix
-from linvariant.pipeline import build_context, size_parameters
+from linvariant.pipeline import (
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
+    build_context,
+    resplit,
+    size_parameters,
+)
 from linvariant.tree import mat_mul
 
 
 @pytest.fixture(scope="module")
 def setup32():
-    ctx = build_context(3, 2, 1, 60)
+    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
     k, M = 2, 6
-    sz = size_parameters(ctx, k, M)
-    ctx = build_context(3, 2, 1, sz.split_prec)
+    sz = size_parameters(ctx, k, M,
+                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
     return ctx, k, M, sz, basis
 

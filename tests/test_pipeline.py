@@ -1,4 +1,4 @@
-"""Precision escalation in compute_l_result."""
+"""compute_l_result: what a row computes once, and precision escalation."""
 
 import pytest
 
@@ -11,9 +11,9 @@ def _record_working_precisions(monkeypatch):
     seen = []
     sizing = pipeline.size_parameters
 
-    def recording(ctx, k, M):
+    def recording(ctx, k, M, basis0):
         seen.append(M)
-        return sizing(ctx, k, M)
+        return sizing(ctx, k, M, basis0)
 
     monkeypatch.setattr(pipeline, "size_parameters", recording)
     return seen
@@ -48,6 +48,73 @@ def test_retry_then_report_at_requested_precision(monkeypatch):
     assert res.slopes == [(0, 1)]
     # criterion 1 of the acceptance suite: 1 + 3^2 + O(3^4)
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_artefact_once_per_row(monkeypatch):
+    """A row that retries once computes its domain once, the weight-k basis
+    once for the sizing plus once per attempt, and sizes each attempt."""
+    domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
+    bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
+    sizings = _count_calls(monkeypatch, pipeline, "size_parameters")
+    invariants = pipeline._invariants
+    attempts = []
+
+    def short_once(*args):
+        attempts.append(args)
+        if len(attempts) == 1:
+            raise PrecisionError("simulated shortfall")
+        return invariants(*args)
+
+    monkeypatch.setattr(pipeline, "_invariants", short_once)
+    res = compute_l_result(3, 2, 1, 4, 4)
+    assert len(attempts) == 2
+    assert len(domains) == 1
+    assert len(bases) == 1 + len(attempts)
+    assert len(sizings) == len(attempts)
+    # every attempt sizes with the one probe basis
+    assert sizings[0][3] is sizings[1][3]
+    assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
+
+
+DOMAIN_FIELDS = ("vertices", "geo_edges", "pairings", "edge_stabs",
+                 "vertex_stabs")
+
+
+def test_resplit_keeps_domain_and_located_edges(ctx32):
+    """A more precise splitting agrees with the sizing one modulo its
+    precision, so the domain's exact data and the located edges carry over."""
+    ctx = pipeline.resplit(ctx32, 90)
+    assert ctx.dom.spl.prec == 90
+    assert ctx.dom.vertices is ctx32.dom.vertices
+    assert ctx.dom.edge_stabs is ctx32.dom.edge_stabs
+    assert ctx.reducer.located is ctx32.reducer.located
+    fresh = pipeline.build_context(3, 2, 1, 90)
+    assert fresh.dom.spl.images == ctx.dom.spl.images
+    for field in DOMAIN_FIELDS:
+        assert getattr(fresh.dom, field) == getattr(ctx.dom, field)
+
+
+def test_resplit_rebuilds_domain_for_another_splitting(ctx32):
+    """A splitting that disagrees with the context's own (here the other
+    variant) gets a domain of its own."""
+    ctx = pipeline.resplit(ctx32, 90, variant=1)
+    assert ctx.reducer.located is not ctx32.reducer.located
+    fresh = pipeline.build_context(3, 2, 1, 90, variant=1)
+    assert fresh.dom.spl.images == ctx.dom.spl.images
+    for field in DOMAIN_FIELDS:
+        assert getattr(fresh.dom, field) == getattr(ctx.dom, field)
 
 
 def _fake_l_matrix(monkeypatch, val):

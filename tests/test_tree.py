@@ -15,7 +15,6 @@ from linvariant.tree import (
     base_vertex,
     distance,
     edge_between,
-    edge_witness,
     edges_leaving_geodesic,
     geodesic,
     mat_adj,
@@ -25,8 +24,36 @@ from linvariant.tree import (
     normalize_edge,
     normalize_vertex,
     star,
-    vertex_witness,
 )
+
+
+def _witness(m, target, p):
+    """(u_exp, sigma) with m * p^u_exp * sigma = target; asserts that sigma
+    is integral with unit determinant."""
+    det_m = mat_det(m)
+    diff = tree.frac_val(mat_det(target), p) - tree.frac_val(det_m, p)
+    assert diff % 2 == 0
+    u_exp = diff // 2
+    inv = tuple(Fraction(x) / det_m for x in mat_adj(m))
+    sigma = tuple(x / Fraction(p) ** u_exp for x in mat_mul(inv, target))
+    assert all(x == 0 or tree.frac_val(x, p) >= 0 for x in sigma)
+    assert tree.frac_val(mat_det(sigma), p) == 0
+    return u_exp, sigma
+
+
+def vertex_witness(m, v):
+    """Oracle for normalize_vertex: (u_exp, sigma) with
+    m * p^u_exp * sigma = v.matrix() and sigma in GL_2(Z_p)."""
+    return _witness(m, v.matrix(), v.p)
+
+
+def edge_witness(m, e):
+    """Oracle for normalize_edge: (u_exp, sigma) with
+    m * p^u_exp * sigma = e.matrix() and sigma in the Iwahori subgroup
+    (integral, unit determinant, lower-left entry in pZ_p)."""
+    u_exp, sigma = _witness(m, e.matrix(), e.p)
+    assert sigma[2] == 0 or tree.frac_val(sigma[2], e.p) >= 1
+    return u_exp, sigma
 
 
 def random_glq(rng, p, size=30):
