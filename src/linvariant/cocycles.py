@@ -222,26 +222,16 @@ def involution_action(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
     return HarmonicCocycle(dom, k, newvals)
 
 
-def cocycle_coordinates(basis: list[HarmonicCocycle], target: HarmonicCocycle, prec: int):
-    """Coordinates of `target` in the given basis (values-stack solve)."""
-    dom = basis[0].dom
-    k = basis[0].k
-    p = dom.p
-    rows = []
-    rhs = []
+def involution_matrix(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
+                      w: Quat, basis: list[HarmonicCocycle], prec: int):
+    """Matrix M with w . c_i = sum_l M[l][i] c_l, solved on the stacked
+    values of the cocycles on the geometric reps."""
+    images = [involution_action(dom, reducer, k, w, c, prec) for c in basis]
+    rows, rhs = [], [[] for _ in basis]
     for jg in range(len(dom.geo_edges)):
         for i in range(k + 1):
             rows.append([b.values[jg][i] for b in basis])
-            rhs.append(target.values[jg][i])
-    x, _ = solve_linear(rows, rhs)
-    return x
-
-
-def involution_matrix(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
-                      w: Quat, basis: list[HarmonicCocycle], prec: int):
-    """Matrix M with w . c_i = sum_l M[l][i] c_l."""
-    cols = []
-    for c in basis:
-        wc = involution_action(dom, reducer, k, w, c, prec)
-        cols.append(cocycle_coordinates(basis, wc, prec))
+            for col, wc in zip(rhs, images):
+                col.append(wc.values[jg][i])
+    cols, _ = solve_linear(rows, rhs)
     return [[cols[i][l] for i in range(len(basis))] for l in range(len(basis))]

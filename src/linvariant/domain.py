@@ -26,6 +26,7 @@ from .tree import (
     mat_adj,
     mat_mul,
     normalize_edge,
+    normalize_vertex,
     star,
 )
 
@@ -178,6 +179,10 @@ class FundamentalDomain:
     pairings: list[Pairing] = field(default_factory=list)
     edge_stabs: list[list] = field(default_factory=list)  # per geometric edge
     vertex_stabs: list[list] = field(default_factory=list)
+    # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
+    # by EdgeReducer.locate; exact, so a copy of the domain under a more
+    # precise splitting that agrees with this one shares it
+    located: dict = field(default_factory=dict, compare=False, repr=False)
 
     def directed_reps(self) -> list[Edge]:
         out = []
@@ -204,6 +209,13 @@ def gamma_matrix(dom: FundamentalDomain, x, r: int):
     Xi = tuple(int(t * den) for t in X)
     det = Fraction(x.nrd()) * den * den
     return Xi, det
+
+
+def gamma_vertex(dom: FundamentalDomain, x, r: int, v: Vertex) -> Vertex:
+    """gamma = x/p^r applied to the vertex v."""
+    Xi, _ = gamma_matrix(dom, x, r)
+    m = mat_mul(tuple(Fraction(t) for t in Xi), v.matrix())
+    return normalize_vertex(m, dom.p)
 
 
 def _is_pm_one(x: Quat, r: int) -> bool:
@@ -278,21 +290,20 @@ class EdgeReducer:
     determinant valuation) to the domain's directed representatives.
 
     The (edge -> gamma, j) part of the answer is cached by canonical edge in
-    `located`, which a reducer for the same domain under a more precise
-    splitting may share: its entries are exact."""
+    the domain's `located`, shared by every reducer of the domain."""
 
-    def __init__(self, dom: FundamentalDomain, located: dict | None = None):
+    def __init__(self, dom: FundamentalDomain):
         self.dom = dom
         self.eq = EquivalenceFinder(dom.order, dom.spl)
         self.reps = dom.directed_reps()
         self.rep_mats = [e.matrix() for e in self.reps]
         self.rep_detvals = [_det_val_exact(m, dom.p) for m in self.rep_mats]
-        self.located = {} if located is None else located
 
     def locate(self, e: Edge):
         """(j, x, r) with iota(x/p^r) . reps[j] = e."""
-        if e in self.located:
-            return self.located[e]
+        located = self.dom.located
+        if e in located:
+            return located[e]
         d_e = _edge_dist(e)
         for j, f in enumerate(self.reps):
             res = self.eq.search(
@@ -300,7 +311,7 @@ class EdgeReducer:
             )
             if res is not None:
                 out = (j, res[0], res[1])
-                self.located[e] = out
+                located[e] = out
                 return out
         raise RuntimeError("edge not equivalent to any representative")
 

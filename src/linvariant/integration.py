@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import weight_coeff_rows
-from .domain import EdgeReducer, FundamentalDomain, gamma_matrix
-from .lifting import Lift
+from .domain import EdgeReducer, FundamentalDomain, gamma_matrix, gamma_vertex
+from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
     UnramifiedElement,
@@ -29,12 +29,7 @@ from .padics import (
     iwasawa_log,
     val_int,
 )
-from .tree import (
-    Vertex,
-    base_vertex,
-    edges_leaving_geodesic,
-    normalize_vertex,
-)
+from .tree import base_vertex, edges_leaving_geodesic
 
 
 def base_point(p: int, prec: int, variant: int = 0) -> UnramifiedElement:
@@ -71,12 +66,6 @@ def _mobius(mat, z: UnramifiedElement) -> UnramifiedElement:
     return (conv(a) * z + conv(b)) / (conv(c) * z + conv(d))
 
 
-def reduction_vertex(dom: FundamentalDomain, x, r: int) -> Vertex:
-    """Reduction of gamma tau: gamma applied to the standard vertex."""
-    Xi, _ = gamma_matrix(dom, x, r)
-    return normalize_vertex(tuple(Fraction(t) for t in Xi), dom.p)
-
-
 @dataclass
 class CoveringBall:
     matrix: tuple  # integer matrix g with ball = g Z_p
@@ -88,9 +77,8 @@ def covering(dom: FundamentalDomain, reducer: EdgeReducer, x, r: int):
     """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau."""
     p = dom.p
     v0 = base_vertex(p)
-    v1 = reduction_vertex(dom, x, r)
     balls = []
-    for e in edges_leaving_geodesic(v0, v1):
+    for e in edges_leaving_geodesic(v0, gamma_vertex(dom, x, r, v0)):
         m = e.matrix()
         det = m[0] * m[3] - m[1] * m[2]
         dv = val_int(det, p) if det % p == 0 else 0
@@ -130,40 +118,52 @@ def log_kernel_series(K: UnramifiedField, ball: CoveringBall,
     return out
 
 
-def lambda_values(dom: FundamentalDomain, reducer: EdgeReducer, lift: Lift,
+def lambda_values(dom: FundamentalDomain, reducer: EdgeReducer, lifts: list[Lift],
                   x, r: int, tau: UnramifiedElement, n_terms: int,
                   target_prec: int, raw: bool = False):
-    """lam(c)(gamma) in V_k: entry m is lam(c)(gamma)(x^m).
+    """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
+    their parameters): entry m of each vector is lam(c)(gamma)(x^m).
 
-    With raw=True the untraced field elements are returned instead; their
-    second coordinate vanishes to precision (the integrals lie in Q_p)."""
-    p, k = dom.p, lift.params.k
+    The covering, the kernel series, the weight rows and the substitution
+    rows of each ball are computed once for all lifts; only the moments and
+    the final pairing are per lift.  With raw=True the untraced field
+    elements are returned instead; their second coordinate vanishes to
+    precision (the integrals lie in Q_p)."""
+    p, pr = dom.p, lifts[0].params
+    k = pr.k
     K = tau.field
     Xi, _ = gamma_matrix(dom, x, r)
     tau2 = _mobius(Xi, tau)
-    balls = covering(dom, reducer, x, r)
-    total = [K.zero() for _ in range(k + 1)]
-    for ball in balls:
+    totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
+    for ball in covering(dom, reducer, x, r):
         lser = log_kernel_series(K, ball, tau, tau2, n_terms)
-        moms = lift.moments(ball.reduction, n_terms)
-        momK = [K.element(m) for m in moms]
+        T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
+                                n_rows=n_terms)
         # P |_k g for P = x^m: exact coefficient rows times det^(-k/2)
         W = weight_coeff_rows(ball.matrix, k)
         det = ball.matrix[0] * ball.matrix[3] - ball.matrix[1] * ball.matrix[2]
         dv = ball.det_val
         sgn = 1 if det > 0 else -1
-        dfac = PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
-                           -dv * (k // 2) + target_prec + abs(dv) * k + 8)
+        dfac = K.element(PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
+                                     -dv * (k // 2) + target_prec + abs(dv) * k + 8))
+        # series product of (P|_k g)(z) (degree <= k) and the log kernel
+        cfs = []
         for m in range(k + 1):
-            acc = K.zero()
-            # series product of (P|_k g)(z) (degree <= k) and the log kernel
+            row = []
             for i in range(n_terms):
                 cf = K.zero()
                 for u in range(min(k, i) + 1):
                     if W[m][u]:
                         cf = cf + W[m][u] * lser[i - u]
-                acc = acc + cf * momK[i]
-            total[m] = total[m] + K.element(dfac) * acc
+                row.append(cf)
+            cfs.append(row)
+        for lift, total in zip(lifts, totals):
+            momK = [K.element(t) for t in lift.moments(ball.reduction, T)]
+            for m in range(k + 1):
+                acc = K.zero()
+                for cf, mom in zip(cfs[m], momK):
+                    acc = acc + cf * mom
+                total[m] = total[m] + dfac * acc
     if raw:
-        return total
-    return [half_trace(t) for t in total]
+        return totals
+    return [[half_trace(t) for t in total] for total in totals]

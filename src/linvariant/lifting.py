@@ -19,7 +19,7 @@ from math import comb
 from .cocycles import HarmonicCocycle, weight_coeff_rows
 from .domain import EdgeReducer, EdgeReduction, FundamentalDomain, build_up_table
 from .padics import PadicNumber, inv_mod, val_int
-from .tree import frac_val, mat_adj
+from .tree import frac_val, mat_adj, mat_mul
 
 
 def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int, n_rows=None):
@@ -96,20 +96,20 @@ class Lift:
             return pr.W
         return min(pr.W - pr.k // 2, pr.n_it + 1 - (i - pr.k))
 
-    def moments(self, reduction: EdgeReduction, n_terms: int):
-        """Phi(g)(x^i) for i < n_terms as PadicNumber, given the reduction of
-        the edge g.e0 produced by the reducer."""
+    def moments(self, reduction: EdgeReduction, T):
+        """Phi(g)(x^i) for i < len(T) as PadicNumber, given the reduction of
+        the edge g.e0 produced by the reducer and the rows
+        T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, len(T))."""
         p = self.dom.p
         pr = self.params
-        T = sigma_series_matrix(reduction.sigma, pr.k, pr.i_max, p, pr.W, n_rows=n_terms)
         vec = self.vecs[reduction.j]
         mod = p**pr.W
         out = []
-        for i in range(n_terms):
+        for i, Ti in enumerate(T):
             acc = 0
             for m in range(pr.i_max + 1):
-                if T[i][m]:
-                    acc += T[i][m] * vec[m]
+                if Ti[m]:
+                    acc += Ti[m] * vec[m]
             prec = min(self.moment_prec(i), reduction.sigma_prec)
             out.append(PadicNumber(p, -pr.t, acc % mod, prec - pr.t))
         return out
@@ -149,8 +149,6 @@ def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
     den = max(t.denominator for t in X)
     Xi = tuple(int(t * den) for t in X)
     e_den = frac_val(den, p)
-    from .tree import mat_mul
-
     raw = mat_mul(mat_adj(B), mat_mul(Xi, B))
     dv = p ** (vB + r + e_den)
     out = []
@@ -160,54 +158,62 @@ def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
     return tuple(out), dom.spl.prec - (vB + r + e_den)
 
 
-def make_lift(dom: FundamentalDomain, reducer: EdgeReducer, coc: HarmonicCocycle,
-              params: LiftParams, progress=None) -> Lift:
-    """Initial stabilizer-averaged lift followed by params.n_it sweeps of the
-    normalized U_p operator, resetting the exactly-known moments 0..k."""
+def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
+              basis: list[HarmonicCocycle], params: LiftParams,
+              progress=None) -> list[Lift]:
+    """The lifts of every cocycle of the basis: an initial stabilizer-averaged
+    lift followed by params.n_it sweeps of the normalized U_p operator,
+    resetting the exactly-known moments 0..k.  The substitution matrices of
+    the stabilizers and of the U_p cosets are built once for the whole basis;
+    progress(it) runs after each sweep."""
     p, k = dom.p, params.k
     W, i_max, t = params.W, params.i_max, params.t
     mod = p**W
-    phi = _phi_scaled(dom, coc, k)
-    # scale to integers
-    phis = []
-    for row in phi:
-        srow = []
-        for c in row:
-            v = c.val + t
-            assert v >= 0, "scale exponent too small for the cocycle moments"
-            assert c.prec + t >= W, "cocycle basis precision too small"
-            srow.append(c.unit * p**v % mod if not c.is_zero() else 0)
-        phis.append(srow)
+    all_phis = []
+    for coc in basis:
+        # scale to integers
+        phis = []
+        for row in _phi_scaled(dom, coc, k):
+            srow = []
+            for c in row:
+                v = c.val + t
+                assert v >= 0, "scale exponent too small for the cocycle moments"
+                assert c.prec + t >= W, "cocycle basis precision too small"
+                srow.append(c.unit * p**v % mod if not c.is_zero() else 0)
+            phis.append(srow)
+        all_phis.append(phis)
     reps = dom.directed_reps()
     # initial lift: average phi over the edge stabilizer
-    vecs = []
+    all_vecs = [[] for _ in basis]
     for j, e in enumerate(reps):
         B = e.matrix()
         det = B[0] * B[3] - B[1] * B[2]
         vB = val_int(det, p) if det % p == 0 else 0
         det_unit = 1 if det > 0 else -1
         stab = dom.edge_stabs[j // 2]
-        acc = [0] * (i_max + 1)
-        for x, r in stab:
-            sigma, _ = _stab_sigma(dom, B, vB, det_unit, x, r)
-            T = sigma_series_matrix(sigma, k, i_max, p, W)
-            for m in range(i_max + 1):
-                s = 0
-                for i in range(k + 1):
-                    if T[m][i]:
-                        s += T[m][i] * phis[j][i]
-                acc[m] += s
+        Ts = [sigma_series_matrix(_stab_sigma(dom, B, vB, det_unit, x, r)[0],
+                                  k, i_max, p, W)
+              for x, r in stab]
         ns = len(stab)
         a = val_int(ns, p) if ns % p == 0 else 0
         uinv = inv_mod(ns // p**a, mod)
-        vec = []
-        for m in range(i_max + 1):
-            q = acc[m] % mod
-            assert q % p**a == 0, "stabilizer average is not p-integral"
-            vec.append((q // p**a) * uinv % mod)
-        for i in range(k + 1):
-            vec[i] = phis[j][i]
-        vecs.append(vec)
+        for phis, vecs in zip(all_phis, all_vecs):
+            acc = [0] * (i_max + 1)
+            for T in Ts:
+                for m in range(i_max + 1):
+                    s = 0
+                    for i in range(k + 1):
+                        if T[m][i]:
+                            s += T[m][i] * phis[j][i]
+                    acc[m] += s
+            vec = []
+            for m in range(i_max + 1):
+                q = acc[m] % mod
+                assert q % p**a == 0, "stabilizer average is not p-integral"
+                vec.append((q // p**a) * uinv % mod)
+            for i in range(k + 1):
+                vec[i] = phis[j][i]
+            vecs.append(vec)
     # precompute the combined sweep matrices C[(j, l)] = P_l * T_sigma
     table = build_up_table(dom, reducer)
     combined = []
@@ -231,27 +237,34 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer, coc: HarmonicCocycle
         combined.append(row)
     half = p ** (k // 2)
     for it in range(params.n_it):
-        new = []
-        for j in range(len(reps)):
-            acc = [0] * (i_max + 1)
-            for jp, C in combined[j]:
-                src = vecs[jp]
-                for i in range(i_max + 1):
-                    Ci = C[i]
-                    s = 0
-                    for m in range(i_max + 1):
-                        if Ci[m]:
-                            s += Ci[m] * src[m]
-                    acc[i] += s
-            vec = []
-            for i in range(i_max + 1):
-                q = acc[i] % mod
-                assert q % half == 0, "U_p value not divisible by p^(k/2)"
-                vec.append(q // half)
-            for i in range(k + 1):
-                vec[i] = phis[j][i]
-            new.append(vec)
-        vecs = new
+        for n, (phis, vecs) in enumerate(zip(all_phis, all_vecs)):
+            all_vecs[n] = _up_sweep(combined, phis, vecs, i_max, k, mod, half)
         if progress is not None:
             progress(it)
-    return Lift(dom, reducer, params, vecs, phis)
+    return [Lift(dom, reducer, params, vecs, phis)
+            for phis, vecs in zip(all_phis, all_vecs)]
+
+
+def _up_sweep(combined, phis, vecs, i_max: int, k: int, mod: int, half: int):
+    """One normalized U_p sweep of the moment vectors of one lift."""
+    new = []
+    for j in range(len(vecs)):
+        acc = [0] * (i_max + 1)
+        for jp, C in combined[j]:
+            src = vecs[jp]
+            for i in range(i_max + 1):
+                Ci = C[i]
+                s = 0
+                for m in range(i_max + 1):
+                    if Ci[m]:
+                        s += Ci[m] * src[m]
+                acc[i] += s
+        vec = []
+        for i in range(i_max + 1):
+            q = acc[i] % mod
+            assert q % half == 0, "U_p value not divisible by p^(k/2)"
+            vec.append(q // half)
+        for i in range(k + 1):
+            vec[i] = phis[j][i]
+        new.append(vec)
+    return new

@@ -13,7 +13,7 @@ polynomial, optionally restricted to Atkin-Lehner eigenspaces.
 from __future__ import annotations
 
 from .cocycles import HarmonicCocycle, act_by_gamma
-from .domain import EdgeReducer, FundamentalDomain
+from .domain import EdgeReducer, FundamentalDomain, gamma_vertex
 from .integration import lambda_values
 from .padics import (
     PadicNumber,
@@ -42,55 +42,23 @@ def psi_values(dom: FundamentalDomain, reducer: EdgeReducer,
     return total
 
 
-def sample_elements(dom: FundamentalDomain, extra: int = 0):
-    """Group elements used to pin down the cohomology relation: the domain's
-    generators, with pairwise products appended when more relations are
-    needed."""
-    gens = [g for g in dom.generators()]
-    out = list(gens)
-    n = 0
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if n >= extra:
-                break
-            x1, r1 = gens[i]
-            x2, r2 = gens[j]
-            out.append((x1 * x2, r1 + r2))
-            n += 1
-    return out
-
-
-def gamma_vertex(dom: FundamentalDomain, x, r: int, v):
-    """gamma applied to an arbitrary vertex."""
-    from .tree import mat_mul, normalize_vertex
-    from .integration import gamma_matrix
-    from fractions import Fraction
-
-    Xi, _ = gamma_matrix(dom, x, r)
-    m = mat_mul(tuple(Fraction(t) for t in Xi), v.matrix())
-    return normalize_vertex(m, dom.p)
-
-
 def l_matrix(dom: FundamentalDomain, reducer: EdgeReducer,
              basis: list[HarmonicCocycle], lifts, tau, n_terms: int,
-             prec: int, extra: int = 0, base_vertex_override=None):
+             prec: int, base_vertex_override=None, progress=None):
     """The matrix A with [lam(c_i)] = sum_l A[l][i] [psi(c_l)] in cohomology.
 
-    Solved jointly with the coboundary ambiguity: for each sampled gamma,
-    lam_i(gamma) = sum_l A[l][i] psi_l(gamma) + (gamma.u_i - u_i)."""
+    Solved jointly with the coboundary ambiguity: for each generator gamma
+    of the domain, lam_i(gamma) = sum_l A[l][i] psi_l(gamma) + (gamma.u_i - u_i).
+    progress(n) runs after the n-th generator."""
     p, k = dom.p, basis[0].k
     d = len(basis)
-    samples = sample_elements(dom, extra)
     rows = []
     rhs = [[] for _ in range(d)]
     zero = lambda: PadicNumber.zero(p, prec)
     one = lambda: PadicNumber.one(p, prec)
-    for x, r in samples:
+    for n, (x, r) in enumerate(dom.generators()):
         psis = [psi_values(dom, reducer, c, x, r, prec, v0=base_vertex_override) for c in basis]
-        lams = [
-            lambda_values(dom, reducer, lf, x, r, tau, n_terms, prec)
-            for lf in lifts
-        ]
+        lams = lambda_values(dom, reducer, lifts, x, r, tau, n_terms, prec)
         # coboundary columns: gamma.e_t - e_t for the k+1 unit functionals
         cob = []
         for tt in range(k + 1):
@@ -105,16 +73,14 @@ def l_matrix(dom: FundamentalDomain, reducer: EdgeReducer,
             rows.append(row)
             for i in range(d):
                 rhs[i].append(lams[i][m])
-    A = [[None] * d for _ in range(d)]
-    for i in range(d):
-        sol, kern = solve_linear([r[:] for r in rows], rhs[i][:])
-        if kern:
-            raise ValueError(
-                "underdetermined cohomology solve; need more sample elements"
-            )
-        for l in range(d):
-            A[l][i] = sol[l]
-    return A
+        if progress is not None:
+            progress(n)
+    sols, kern = solve_linear(rows, rhs)
+    if kern:
+        raise ValueError(
+            "underdetermined cohomology solve; need more sample elements"
+        )
+    return [[sols[i][l] for i in range(d)] for l in range(d)]
 
 
 def restrict_operator(A, sub_basis, prec: int):
@@ -124,21 +90,18 @@ def restrict_operator(A, sub_basis, prec: int):
     precision, so that the coordinates are not determined."""
     d = len(A)
     s = len(sub_basis)
-    out = [[None] * s for _ in range(s)]
-    for j in range(s):
-        img = [
-            sum((A[i][m] * sub_basis[j][m] for m in range(d)),
-                PadicNumber.zero(A[0][0].p, prec))
-            for i in range(d)
-        ]
-        rows = [[sub_basis[t][i] for t in range(s)] for i in range(d)]
-        sol, kern = solve_linear(rows, img)
-        if kern:
-            raise PrecisionError(
-                "sub-basis columns are dependent at working precision")
-        for t in range(s):
-            out[t][j] = sol[t]
-    return out
+    imgs = [
+        [sum((A[i][m] * col[m] for m in range(d)),
+             PadicNumber.zero(A[0][0].p, prec))
+         for i in range(d)]
+        for col in sub_basis
+    ]
+    rows = [[sub_basis[t][i] for t in range(s)] for i in range(d)]
+    sols, kern = solve_linear(rows, imgs)
+    if kern:
+        raise PrecisionError(
+            "sub-basis columns are dependent at working precision")
+    return [[sols[j][t] for j in range(s)] for t in range(s)]
 
 
 def eigenspace(M, eig: int, prec: int):

@@ -491,19 +491,21 @@ def _entry_key(x: PadicNumber):
     return x.val
 
 
-def solve_linear(A, b=None):
-    """Solve A x = b over Q_p with max-unit pivoting.
+def solve_linear(A, rhs=()):
+    """Solve A x = b over Q_p with max-unit pivoting, for every b in rhs.
 
-    A is a list of rows of PadicNumber; b a list of PadicNumber (or None to
-    just compute the kernel).  Returns (x, kernel_basis) where x is a
-    particular solution (None when b is None) and kernel_basis a list of
-    vectors spanning the kernel at working precision.  Raises PrecisionError
-    when the system is inconsistent beyond precision noise.
+    A is a list of rows of PadicNumber; rhs a list of right-hand sides, each
+    a list of PadicNumber (empty to just compute the kernel).  The pivots
+    depend on A alone, so A is eliminated once for all of them.  Returns
+    (xs, kernel_basis) where xs holds a particular solution per right-hand
+    side and kernel_basis a list of vectors spanning the kernel at working
+    precision.  Raises PrecisionError when a system is inconsistent beyond
+    precision noise.
     """
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
     M = [row[:] for row in A]
-    rhs = list(b) if b is not None else None
+    bs = [list(b) for b in rhs]
     pivots = []  # (row, col)
     used_rows = set()
     used_cols = set()
@@ -534,34 +536,33 @@ def solve_linear(A, b=None):
             # caps the precision of the remaining entries.
             for j in range(ncols):
                 M[i][j] = M[i][j] - f * M[pi][j]
-            if rhs is not None:
-                rhs[i] = rhs[i] - f * rhs[pi]
+            for b in bs:
+                b[i] = b[i] - f * b[pi]
     colpiv = {j: i for i, j in pivots}
-    x = None
-    if rhs is not None:
+    p = A[0][0].p if nrows and ncols else None
+    defprec = A[0][0].prec if nrows and ncols else 0
+    xs = []
+    for b in bs:
         for i in range(nrows):
-            if i not in used_rows and not rhs[i].is_zero():
+            if i not in used_rows and not b[i].is_zero():
                 raise PrecisionError("inconsistent linear system")
-        p0 = A[0][0].p
-        defprec = A[0][0].prec
         x = []
         for j in range(ncols):
             if j in colpiv:
                 i = colpiv[j]
-                x.append(rhs[i] * M[i][j].inverse())
+                x.append(b[i] * M[i][j].inverse())
             else:
-                x.append(PadicNumber.zero(p0, defprec))
+                x.append(PadicNumber.zero(p, defprec))
+        xs.append(x)
     kernel = []
     free_cols = [j for j in range(ncols) if j not in colpiv]
-    p = A[0][0].p if nrows and ncols else None
-    defprec = A[0][0].prec if nrows and ncols else 0
     for f in free_cols:
         vec = [PadicNumber.zero(p, defprec) for _ in range(ncols)]
         vec[f] = PadicNumber.one(p, defprec)
         for j, i in colpiv.items():
             vec[j] = -(M[i][f] * M[i][j].inverse())
         kernel.append(vec)
-    return x, kernel
+    return xs, kernel
 
 
 def mat_mul(A, B):

@@ -38,7 +38,6 @@ from .loperator import (
     l_matrix,
     l_invariant_simple,
     restrict_operator,
-    sample_elements,
 )
 from .padics import (
     PadicNumber,
@@ -115,21 +114,18 @@ def build_context(p: int, nminus: int, nplus: int, split_prec: int,
 def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
     """ctx with its splitting recomputed at precision split_prec.
 
-    The domain depends only on the order and p, and the reducer's cache of
-    edge locations holds exact data, so both carry over when the new
-    splitting agrees with the old one to the old precision; otherwise the
-    domain is computed afresh."""
+    The domain, with its cache of edge locations, depends only on the order
+    and p, so it carries over when the new splitting agrees with the old one
+    to the old precision; otherwise the domain is computed afresh."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
     mod = ctx.p ** min(split_prec, dom.spl.prec)
     if all((a - b) % mod == 0 for old, new in zip(dom.spl.images, spl.images)
            for a, b in zip(old, new)):
         dom = replace(dom, spl=spl)
-        reducer = EdgeReducer(dom, located=ctx.reducer.located)
     else:
         dom = compute_fundamental_domain(dom.order, spl)
-        reducer = EdgeReducer(dom)
-    return Context(ctx.p, ctx.nminus, ctx.nplus, dom, reducer)
+    return Context(ctx.p, ctx.nminus, ctx.nplus, dom, EdgeReducer(dom))
 
 
 @dataclass
@@ -166,7 +162,7 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     margin = 6 + (1 if p == 2 else 0)
     Mt = M + margin
     maxD = 0
-    for x, r in sample_elements(ctx.dom):
+    for x, r in ctx.dom.generators():
         for ball in covering(ctx.dom, ctx.reducer, x, r):
             maxD = max(maxD, abs(ball.det_val))
     minv = 0
@@ -308,6 +304,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
         return LResult(p, nminus, nplus, weight, M, 0)
     Mw = M
     retries = 0
+    progress = lambda n: budget.check()
     while True:
         sz = size_parameters(ctx, k, Mw, basis0)
         budget.check()
@@ -315,16 +312,12 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
         basis = harmonic_basis(actx.dom, k, sz.basis_prec)
         d = len(basis)
         budget.check()
-        lifts = []
-        for c in basis:
-            lifts.append(
-                make_lift(actx.dom, actx.reducer, c, sz.lift,
-                          progress=lambda it: budget.check())
-            )
+        lifts = make_lift(actx.dom, actx.reducer, basis, sz.lift, progress)
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
         budget.check()
         A = l_matrix(actx.dom, actx.reducer, basis, lifts, tau, sz.n_terms,
-                     sz.out_prec, base_vertex_override=base_vertex_override)
+                     sz.out_prec, base_vertex_override=base_vertex_override,
+                     progress=progress)
         budget.check()
         try:
             res = _invariants(actx, basis, A, M, sz.out_prec, budget)
@@ -417,32 +410,29 @@ def cache_dir_default():
 
 
 def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None,
-                    budget=None, **kw):
+                    budget=None):
     """The row as a JSON dict, read from the cache directory or computed and
-    stored there.  Rows computed with keyword choices bypass the cache.  An
-    entry that cannot be read counts as a miss; a new entry is written to a
-    temporary file and renamed, so a killed run leaves no partial entry."""
+    stored there.  An entry that cannot be read counts as a miss; a new entry
+    is written to a temporary file and renamed, so a killed run leaves no
+    partial entry."""
     cdir = cache_dir or cache_dir_default()
     os.makedirs(cdir, exist_ok=True)
     key = f"lresult_{p}_{nminus}_{nplus}_{weight}_{M}_v{SCHEMA_VERSION}.json"
     path = os.path.join(cdir, key)
-    if not kw:
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except (OSError, ValueError):
-            data = None
-        if isinstance(data, dict) and data.get("schema_version") == SCHEMA_VERSION:
-            return data
-    data = compute_l_result(p, nminus, nplus, weight, M, budget=budget,
-                            **kw).to_json()
-    if not kw:
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as f:
-                json.dump(data, f, indent=1)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError):
+        data = None
+    if isinstance(data, dict) and data.get("schema_version") == SCHEMA_VERSION:
+        return data
+    data = compute_l_result(p, nminus, nplus, weight, M, budget=budget).to_json()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(data, f, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return data

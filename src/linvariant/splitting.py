@@ -71,12 +71,6 @@ class SplittingMap:
             return tuple(Fraction(v) for v in mat)
         return tuple(Fraction(v, self.p**e) for v in mat)
 
-    def apply_int(self, x: Quat) -> tuple:
-        """iota(x) mod p^prec for x with p-integral coordinates."""
-        m = self.apply(x)
-        assert all(v.denominator == 1 for v in m)
-        return tuple(int(v) for v in m)
-
 
 def _lattice_basis(vecs, p, prec):
     """Column basis (2x2, PadicNumber) of the Z_p-lattice spanned by the

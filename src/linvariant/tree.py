@@ -123,10 +123,6 @@ def base_vertex(p: int) -> Vertex:
     return Vertex(p, 0, 0, 0)
 
 
-def base_edge(p: int) -> Edge:
-    return Edge(p, "ball", Fraction(0), 0)
-
-
 def normalize_vertex(m: Mat, p: int) -> Vertex:
     """Normal form of the lattice class spanned by the columns of m."""
     a, b, c, d = (Fraction(x) for x in m)
@@ -243,16 +239,3 @@ def edges_leaving_geodesic(v: Vertex, w: Vertex) -> list[Edge]:
                     raise RuntimeError("geodesic is not simple")
                 out.append(edge_between(x, u))
     return out
-
-
-def ball_contains(e: Edge, x) -> bool:
-    """Whether the rational point x of P^1(Q_p) lies in the set of e.
-
-    x is a Fraction, or the string 'inf' for the point at infinity."""
-    p = e.p
-    if x == "inf":
-        inside = False  # infinity is never in a ball of finite radius
-    else:
-        v = frac_val(Fraction(x) - e.center, p)
-        inside = v is None or v >= e.n
-    return inside if e.kind == "ball" else not inside

@@ -23,23 +23,14 @@ import os
 import random
 from fractions import Fraction
 
-import pytest
-
-from linvariant.cocycles import act_by_gamma, harmonic_basis
-from linvariant.integration import base_point, gamma_matrix, lambda_values
+from linvariant.cocycles import act_by_gamma
+from linvariant.domain import gamma_matrix
+from linvariant.integration import lambda_values
 from linvariant.lifting import LiftParams, make_lift
 from linvariant.loperator import psi_values
 from linvariant.padics import PadicNumber
-from linvariant.pipeline import (
-    SIZING_BASIS_PREC,
-    SIZING_SPLIT_PREC,
-    build_context,
-    compute_l_result,
-    resplit,
-    size_parameters,
-)
+from linvariant.pipeline import compute_l_result
 from linvariant.tree import (
-    ball_contains,
     base_vertex,
     edge_between,
     edges_leaving_geodesic,
@@ -53,7 +44,7 @@ from linvariant.tree import (
 )
 
 from test_lifting import riemann_moments
-from test_tree import random_glq
+from test_tree import ball_contains, random_glq
 
 CACHE = os.path.join(os.path.dirname(__file__), "..", ".cache")
 
@@ -180,20 +171,6 @@ class TestSlopeTables:
                not (bad5 or bad7))
 
 
-@pytest.fixture(scope="module")
-def prop32():
-    """Shared (3, 2, 1) weight-4 data for the property and oracle suites."""
-    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
-    k, M = 2, 8
-    sz = size_parameters(ctx, k, M,
-                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
-    ctx = resplit(ctx, sz.split_prec)
-    basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
-    lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
-    tau = base_point(3, sz.tau_prec)
-    return ctx, k, M, sz, basis, lift, tau
-
-
 def _translated_edge(dom, x, r, e):
     Xi, _ = gamma_matrix(dom, x, r)
     return normalize_edge(mat_mul(tuple(Fraction(t) for t in Xi),
@@ -210,8 +187,9 @@ def _random_iwahori_unit(rng, p):
 class TestProperties:
     """Criterion 5: structural laws only, no frozen numerical data."""
 
-    def test_criterion_5_property_suite(self, prop32):
-        ctx, k, M, sz, basis, lift, tau = prop32
+    def test_criterion_5_property_suite(self, row32_m8):
+        ctx, k, M, sz, basis, lifts, tau = row32_m8
+        [lift] = lifts
         dom, red = ctx.dom, ctx.reducer
         p = dom.p
         op = sz.out_prec
@@ -281,8 +259,8 @@ class TestProperties:
 
         def lam(x, r, key):
             if key not in lam_cache:
-                lam_cache[key] = lambda_values(dom, red, lift, x, r, tau,
-                                               sz.n_terms, op)
+                [lam_cache[key]] = lambda_values(dom, red, lifts, x, r, tau,
+                                                 sz.n_terms, op)
             return lam_cache[key]
 
         for _ in range(50):
@@ -295,8 +273,8 @@ class TestProperties:
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gp2, p1, p12))
             l1, l2 = lam(x1, r1, i1), lam(x2, r2, i2)
-            l12 = lambda_values(dom, red, lift, x1 * x2, r1 + r2, tau,
-                                sz.n_terms, op)
+            [l12] = lambda_values(dom, red, lifts, x1 * x2, r1 + r2, tau,
+                                  sz.n_terms, op)
             gl2 = act_by_gamma(dom, k, x1, r1, l2, op)
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gl2, l1, l12))
@@ -308,7 +286,7 @@ class TestProperties:
         for extra in (1, 3):
             pr_x = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max,
                               n_it=pr.n_it + extra, W=pr.W)
-            lift_x = make_lift(dom, red, basis[0], pr_x)
+            [lift_x] = make_lift(dom, red, basis, pr_x)
             for j in range(len(lift.vecs)):
                 for i in range(pr.i_max + 1):
                     mp = lift.moment_prec(i)
@@ -343,8 +321,8 @@ class TestProperties:
 
         # (i) the auxiliary field coordinate of the raw integrals vanishes
         for x, r in gens[:6]:
-            raws = lambda_values(dom, red, lift, x, r, tau, sz.n_terms, op,
-                                 raw=True)
+            [raws] = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms,
+                                   op, raw=True)
             for t in raws:
                 assert t.b.is_zero() or t.b.val >= M - 2
 
@@ -353,9 +331,10 @@ class TestProperties:
 
 
 class TestMomentOracle:
-    def test_criterion_6_riemann_refinement(self, prop32):
+    def test_criterion_6_riemann_refinement(self, row32_m8):
         """Low moments agree with a direct depth-3 Riemann refinement."""
-        ctx, k, M, sz, basis, lift, tau = prop32
+        ctx, k, M, sz, basis, lifts, tau = row32_m8
+        [lift] = lifts
         p = ctx.p
         t = sz.lift.t
         tol = 3 + t  # mod 3^3 after removing the scaling by 3^t

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.domain import build_up_table
+from linvariant.domain import EdgeReducer, build_up_table
 from linvariant.tree import (
     mat_adj,
     mat_mul,
@@ -123,10 +123,14 @@ class TestEdgeReducer:
                 assert ent.sigma[3] % dom.p != 0
 
     def test_locate_cache_hit(self, ctx23):
-        """Repeated location of the same edge does no new search."""
+        """Repeated location of the same edge does no new search, also from
+        another reducer of the same domain."""
         red = ctx23.reducer
         e = red.reps[0]
-        red.locate(e)
-        n0 = len(red.located)
-        red.locate(e)
-        assert len(red.located) == n0
+        found = red.locate(e)
+        n0 = len(ctx23.dom.located)
+        other = EdgeReducer(ctx23.dom)
+        other.eq.search = None  # any search would fail
+        assert other.locate(e) == found
+        assert red.locate(e) == found
+        assert len(ctx23.dom.located) == n0

@@ -2,42 +2,22 @@
 
 from math import comb
 
-import pytest
-
 from linvariant.cocycles import harmonic_basis
 from linvariant.lifting import LiftParams, make_lift, sigma_series_matrix
-from linvariant.pipeline import (
-    SIZING_BASIS_PREC,
-    SIZING_SPLIT_PREC,
-    build_context,
-    resplit,
-    size_parameters,
-)
+from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import mat_mul
 
 
-@pytest.fixture(scope="module")
-def setup32():
-    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
-    k, M = 2, 6
-    sz = size_parameters(ctx, k, M,
-                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
-    ctx = resplit(ctx, sz.split_prec)
-    basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
-    return ctx, k, M, sz, basis
-
-
 class TestFixedPoint:
-    def test_up_fixed_point_per_index(self, setup32):
+    def test_up_fixed_point_per_index(self, row32_m6):
         """One extra normalized-U_p sweep changes no moment beyond its
         guaranteed precision."""
-        ctx, k, M, sz, basis = setup32
+        ctx, k, M, sz, basis, [lift0], tau = row32_m6
         p = ctx.p
         pr = sz.lift
-        lift0 = make_lift(ctx.dom, ctx.reducer, basis[0], pr)
         pr1 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 1,
                         W=pr.W)
-        lift1 = make_lift(ctx.dom, ctx.reducer, basis[0], pr1)
+        [lift1] = make_lift(ctx.dom, ctx.reducer, basis, pr1)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):
                 mp = lift0.moment_prec(i)
@@ -46,14 +26,13 @@ class TestFixedPoint:
                 diff = (lift0.vecs[j][i] - lift1.vecs[j][i]) % p**mp
                 assert diff == 0, (j, i, mp)
 
-    def test_stability_three_extra_iterations(self, setup32):
-        ctx, k, M, sz, basis = setup32
+    def test_stability_three_extra_iterations(self, row32_m6):
+        ctx, k, M, sz, basis, [lift0], tau = row32_m6
         p = ctx.p
         pr = sz.lift
-        lift0 = make_lift(ctx.dom, ctx.reducer, basis[0], pr)
         pr3 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 3,
                         W=pr.W)
-        lift3 = make_lift(ctx.dom, ctx.reducer, basis[0], pr3)
+        [lift3] = make_lift(ctx.dom, ctx.reducer, basis, pr3)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):
                 mp = lift0.moment_prec(i)
@@ -61,13 +40,27 @@ class TestFixedPoint:
                     continue
                 assert (lift0.vecs[j][i] - lift3.vecs[j][i]) % p**mp == 0
 
-    def test_low_moments_are_exact_cocycle_moments(self, setup32):
+    def test_low_moments_are_exact_cocycle_moments(self, row32_m6):
         """Moments 0..k of the lift equal the scaled cocycle moments."""
-        ctx, k, M, sz, basis = setup32
-        lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
+        ctx, k, M, sz, basis, [lift], tau = row32_m6
         for j in range(len(lift.vecs)):
             for i in range(k + 1):
                 assert lift.vecs[j][i] == lift.phis[j][i]
+
+
+def test_basis_lift_equals_each_member_lift(ctx27):
+    """The lifts of a whole basis ((2,7,1), weight 4, two cocycles) are the
+    one-cocycle lifts of its members."""
+    k = 2
+    sz = size_parameters(ctx27, k, 4,
+                         harmonic_basis(ctx27.dom, k, SIZING_BASIS_PREC))
+    ctx = resplit(ctx27, sz.split_prec)
+    basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
+    assert len(basis) == 2
+    lifts = make_lift(ctx.dom, ctx.reducer, basis, sz.lift)
+    for c, lift in zip(basis, lifts):
+        [own] = make_lift(ctx.dom, ctx.reducer, [c], sz.lift)
+        assert own.vecs == lift.vecs and own.phis == lift.phis
 
 
 def riemann_moments(ctx, lift, j, depth, n_moments):
@@ -110,12 +103,11 @@ def riemann_moments(ctx, lift, j, depth, n_moments):
 
 
 class TestRiemannOracle:
-    def test_riemann_oracle_depth3(self, setup32):
+    def test_riemann_oracle_depth3(self, row32_m6):
         """Moments i <= 4 agree mod 3^3 with depth-3 Riemann sums
         ((3,2,1), weight 4)."""
-        ctx, k, M, sz, basis = setup32
+        ctx, k, M, sz, basis, [lift], tau = row32_m6
         p = ctx.p
-        lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
         t = sz.lift.t
         tol = 3 + t  # mod 3^3 on unscaled moments
         for j in range(len(lift.vecs)):
@@ -123,12 +115,10 @@ class TestRiemannOracle:
             for i in range(5):
                 assert (lift.vecs[j][i] - rie[i]) % p**tol == 0, (j, i)
 
-    def test_riemann_converges_with_depth(self, setup32):
+    def test_riemann_converges_with_depth(self, row32_m6):
         """Agreement improves by p^2 per extra refinement level (k = 2)."""
-        ctx, k, M, sz, basis = setup32
+        ctx, k, M, sz, basis, [lift], tau = row32_m6
         p = ctx.p
-        lift = make_lift(ctx.dom, ctx.reducer, basis[0], sz.lift)
-        t = sz.lift.t
         j = 0
         i = 4
         vals = []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.cocycles import act_by_gamma, harmonic_basis
+from linvariant.cocycles import act_by_gamma
 from linvariant.loperator import (
     eigenspace,
     psi_values,
@@ -16,13 +16,6 @@ from linvariant.padics import (
     PrecisionError,
     charpoly,
     newton_slopes,
-)
-from linvariant.pipeline import (
-    SIZING_BASIS_PREC,
-    SIZING_SPLIT_PREC,
-    build_context,
-    resplit,
-    size_parameters,
 )
 
 
@@ -143,38 +136,27 @@ class TestCharpolySlopes:
         assert s1 == s2
 
 
-@pytest.fixture(scope="module")
-def psi32():
-    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
-    k, M = 2, 6
-    sz = size_parameters(ctx, k, M,
-                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
-    ctx = resplit(ctx, sz.split_prec)
-    basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
-    return ctx, k, sz, basis
-
-
 class TestPsi:
-    def test_vertex_stabilizer_maps_to_zero(self, psi32):
+    def test_vertex_stabilizer_maps_to_zero(self, row32_m6):
         """A stabilizer of the base vertex has an empty geodesic, so psi
         vanishes on it."""
-        ctx, k, sz, basis = psi32
+        ctx, k, M, sz, basis, lifts, tau = row32_m6
         dom, red = ctx.dom, ctx.reducer
         for x, r in dom.vertex_stabs[0][:4]:
             vals = psi_values(dom, red, basis[0], x, r, sz.out_prec)
             assert all(v.is_zero() for v in vals)
 
-    def test_nonzero_on_some_generator(self, psi32):
-        ctx, k, sz, basis = psi32
+    def test_nonzero_on_some_generator(self, row32_m6):
+        ctx, k, M, sz, basis, lifts, tau = row32_m6
         dom, red = ctx.dom, ctx.reducer
         assert any(
             any(not v.is_zero()
                 for v in psi_values(dom, red, basis[0], x, r, sz.out_prec))
             for x, r in dom.generators())
 
-    def test_z1_law_on_products(self, psi32):
+    def test_z1_law_on_products(self, row32_m6):
         """psi(g1 g2) = psi(g1) + g1 . psi(g2)."""
-        ctx, k, sz, basis = psi32
+        ctx, k, M, sz, basis, lifts, tau = row32_m6
         dom, red = ctx.dom, ctx.reducer
         rng = random.Random(7)
         gens = dom.generators()
@@ -189,9 +171,9 @@ class TestPsi:
             for a, b, c in zip(g_p2, p1, p12):
                 assert (a + b - c).is_zero()
 
-    def test_antisymmetry(self, psi32):
+    def test_antisymmetry(self, row32_m6):
         """psi(g) + g . psi(g^-1) = 0."""
-        ctx, k, sz, basis = psi32
+        ctx, k, M, sz, basis, lifts, tau = row32_m6
         dom, red = ctx.dom, ctx.reducer
         op = sz.out_prec
         for x, r in dom.generators()[:4]:
@@ -204,7 +186,7 @@ class TestPsi:
 
 
 class TestInvolutionSplitting:
-    def test_eigenspaces_span(self, psi32):
+    def test_eigenspaces_span(self, row32_m6):
         """For a +-1 involution the +/- eigenspaces together span."""
         p, prec = 3, 20
         # small synthetic involution: swap matrix

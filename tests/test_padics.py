@@ -181,7 +181,7 @@ class TestLinearAlgebra:
     def test_solve_exact(self):
         A = [[Q3(2), Q3(1)], [Q3(1), Q3(1)]]
         b = [Q3(5), Q3(3)]
-        x, ker = solve_linear(A, b)
+        [x], ker = solve_linear(A, [b])
         assert x[0].eq_at_prec(Q3(2)) and x[1].eq_at_prec(Q3(1))
         assert ker == []
 
@@ -198,7 +198,7 @@ class TestLinearAlgebra:
         # the naive pivot 3 would cost a digit; max-unit pivoting avoids it
         A = [[Q3(3), Q3(1)], [Q3(1), Q3(0)]]
         b = [Q3(1), Q3(1)]
-        x, _ = solve_linear(A, b)
+        [x], _ = solve_linear(A, [b])
         assert x[0].eq_at_prec(Q3(1)) and x[1].eq_at_prec(Q3(-2))
         assert min(xx.prec for xx in x) >= 11
 
@@ -206,7 +206,49 @@ class TestLinearAlgebra:
         A = [[Q3(1)], [Q3(1)]]
         b = [Q3(0), Q3(1)]
         with pytest.raises(PrecisionError):
-            solve_linear(A, b)
+            solve_linear(A, [b])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_many_equals_solve_each(self, data):
+        """One elimination for several right-hand sides gives each column
+        the digits of its own solve, and raises exactly when one of them
+        does; A = U V has rank at most r, so rank-deficient and
+        inconsistent systems both come up."""
+        ent = st.integers(-9, 9)
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(1, min(n, m)))
+        U = data.draw(st.lists(st.lists(ent, min_size=r, max_size=r),
+                               min_size=n, max_size=n))
+        V = data.draw(st.lists(st.lists(ent, min_size=m, max_size=m),
+                               min_size=r, max_size=r))
+        A = [[sum(U[i][t] * V[t][j] for t in range(r)) for j in range(m)]
+             for i in range(n)]
+        bs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            if data.draw(st.booleans()):
+                y = data.draw(st.lists(ent, min_size=m, max_size=m))
+                bs.append([sum(a * t for a, t in zip(row, y)) for row in A])
+            else:
+                bs.append(data.draw(st.lists(ent, min_size=n, max_size=n)))
+        A = [[Q3(a) for a in row] for row in A]
+        bs = [[Q3(b) for b in col] for col in bs]
+
+        def digits(vec):
+            return [(x.val, x.unit, x.prec) for x in vec]
+
+        each = []
+        try:
+            for b in bs:
+                [x], ker = solve_linear(A, [b])
+                each.append(digits(x))
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                solve_linear(A, bs)
+            return
+        xs, ker_all = solve_linear(A, bs)
+        assert [digits(x) for x in xs] == each
+        assert [digits(v) for v in ker_all] == [digits(v) for v in ker]
 
     def test_charpoly_vs_hand(self):
         # [DERIVED] companion matrix of x^2 - 7x + 12

@@ -1,10 +1,21 @@
 """compute_l_result: what a row computes once, and precision escalation."""
 
+import json
+import os
+
 import pytest
 
+import linvariant.loperator as loperator
 import linvariant.pipeline as pipeline
 from linvariant.padics import PadicNumber, PrecisionError
-from linvariant.pipeline import Budget, BudgetExceeded, compute_l_result
+from linvariant.pipeline import (
+    SCHEMA_VERSION,
+    Budget,
+    BudgetExceeded,
+    compute_l_result,
+)
+
+from conftest import CACHE
 
 
 def _record_working_precisions(monkeypatch):
@@ -64,10 +75,12 @@ def _count_calls(monkeypatch, module, name):
 
 def test_each_artefact_once_per_row(monkeypatch):
     """A row that retries once computes its domain once, the weight-k basis
-    once for the sizing plus once per attempt, and sizes each attempt."""
+    once for the sizing plus once per attempt, and sizes and lifts each
+    attempt once."""
     domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
     bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
     sizings = _count_calls(monkeypatch, pipeline, "size_parameters")
+    lifts = _count_calls(monkeypatch, pipeline, "make_lift")
     invariants = pipeline._invariants
     attempts = []
 
@@ -83,6 +96,7 @@ def test_each_artefact_once_per_row(monkeypatch):
     assert len(domains) == 1
     assert len(bases) == 1 + len(attempts)
     assert len(sizings) == len(attempts)
+    assert len(lifts) == len(attempts)
     # every attempt sizes with the one probe basis
     assert sizings[0][3] is sizings[1][3]
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
@@ -99,7 +113,7 @@ def test_resplit_keeps_domain_and_located_edges(ctx32):
     assert ctx.dom.spl.prec == 90
     assert ctx.dom.vertices is ctx32.dom.vertices
     assert ctx.dom.edge_stabs is ctx32.dom.edge_stabs
-    assert ctx.reducer.located is ctx32.reducer.located
+    assert ctx.dom.located is ctx32.dom.located
     fresh = pipeline.build_context(3, 2, 1, 90)
     assert fresh.dom.spl.images == ctx.dom.spl.images
     for field in DOMAIN_FIELDS:
@@ -110,7 +124,7 @@ def test_resplit_rebuilds_domain_for_another_splitting(ctx32):
     """A splitting that disagrees with the context's own (here the other
     variant) gets a domain of its own."""
     ctx = pipeline.resplit(ctx32, 90, variant=1)
-    assert ctx.reducer.located is not ctx32.reducer.located
+    assert ctx.dom.located is not ctx32.dom.located
     fresh = pipeline.build_context(3, 2, 1, 90, variant=1)
     assert fresh.dom.spl.images == ctx.dom.spl.images
     for field in DOMAIN_FIELDS:
@@ -162,3 +176,32 @@ def test_budget_checked_between_attempts(monkeypatch):
     with pytest.raises(BudgetExceeded):
         compute_l_result(3, 2, 1, 4, 4, budget=budget)
     assert seen == [4]
+
+
+def test_budget_checked_between_sample_elements(monkeypatch):
+    """A budget that runs out while the first generator is integrated stops
+    the row before the second one is."""
+    budget = Budget(seconds=1e6)
+    lambda_values = loperator.lambda_values
+    calls = []
+
+    def exhausting(*args, **kwargs):
+        calls.append(args)
+        budget.seconds = 0.0
+        return lambda_values(*args, **kwargs)
+
+    monkeypatch.setattr(loperator, "lambda_values", exhausting)
+    with pytest.raises(BudgetExceeded):
+        compute_l_result(3, 2, 1, 4, 4, budget=budget)
+    assert len(calls) == 1
+    assert len(calls[0][0].generators()) > 1
+
+
+@pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12)])
+def test_row_matches_committed_file(row):
+    """Rows with a basis of 2 and 3 cocycles recompute cold to the bytes of
+    their committed files."""
+    name = "_".join(map(str, row))
+    with open(os.path.join(CACHE, f"lresult_{name}_v{SCHEMA_VERSION}.json")) as f:
+        want = f.read()
+    assert json.dumps(compute_l_result(*row).to_json(), indent=1) == want

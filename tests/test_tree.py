@@ -10,8 +10,6 @@ from linvariant import tree
 from linvariant.tree import (
     Edge,
     Vertex,
-    ball_contains,
-    base_edge,
     base_vertex,
     distance,
     edge_between,
@@ -25,6 +23,24 @@ from linvariant.tree import (
     normalize_vertex,
     star,
 )
+
+
+def base_edge(p):
+    """The edge of the ball Z_p, pointing to the standard vertex."""
+    return Edge(p, "ball", Fraction(0), 0)
+
+
+def ball_contains(e: Edge, x) -> bool:
+    """Whether the rational point x of P^1(Q_p) lies in the set of e.
+
+    x is a Fraction, or the string 'inf' for the point at infinity."""
+    p = e.p
+    if x == "inf":
+        inside = False  # infinity is never in a ball of finite radius
+    else:
+        v = tree.frac_val(Fraction(x) - e.center, p)
+        inside = v is None or v >= e.n
+    return inside if e.kind == "ball" else not inside
 
 
 def _witness(m, target, p):
