@@ -11,15 +11,32 @@ is evaluated by covering P^1(Q_p) with the balls of the edges pointing away
 from the geodesic between the reductions of tau and gamma tau, expanding the
 logarithmic kernel as a power series on each ball, and pairing with the
 moments of the overconvergent lift.  The log is the Iwasawa branch.
+
+The pairing is integer arithmetic.  On each ball the kernel coefficients
+are split into their two Q_p coordinates on (1, w) and held as integers
+under one scale p^s; their products with the exact weight rows W[m][u] are
+formed once per (gamma, ball) and contracted with the integer moment
+residues of every lift (scale p^t, see `lifting`), which are computed once
+per distinct ball reduction.  The ball totals are multiplied by det^(-k/2),
+summed, and (1/2) Tr is applied only to the k+1 totals at the end.
+
+Precision follows the PadicNumber rules term by term, from the actual
+valuations: a product c*m is known to min(v(c) + P(m), v(m) + P(c)), where
+a value that vanishes at its precision has that precision as valuation; a
+sum is known to the lowest precision among its terms and that of K_p.  Each
+entry is then capped at the requested target precision, so no entry claims
+more digits than the same sums evaluated in field elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .cocycles import weight_coeff_rows
-from .domain import EdgeReducer, FundamentalDomain, gamma_matrix, gamma_vertex
+from .domain import (EdgeReducer, EdgeReduction, FundamentalDomain,
+                     gamma_matrix, gamma_vertex)
 from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
@@ -118,52 +135,131 @@ def log_kernel_series(K: UnramifiedField, ball: CoveringBall,
     return out
 
 
+def _ival(n: int, p: int, cap: int) -> int:
+    """min(v_p(n), cap) for an integer n, with v_p(0) infinite."""
+    if n == 0:
+        return cap
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return min(v, cap)
+
+
+def _kernel_products(lser, W, k: int, p: int, cap: int):
+    """The series products sum_u W[m][u] lser[i-u] in the two Q_p
+    coordinates of K_p on (1, w), as integers under one scale p^s making
+    every kernel coefficient integral.  Returns s and, per coordinate and m,
+    the numerators, valuations and precisions (unscaled) of the products;
+    cap is the precision of the field, which bounds every sum."""
+    n_terms = len(lser)
+    coords = ([c.a for c in lser], [c.b for c in lser])
+    s = max(0, -min(c.val for co in coords for c in co))
+    vW = [[val_int(w, p) if w else None for w in row] for row in W]
+    out = []
+    for co in coords:
+        num = [c.unit * p ** (c.val + s) for c in co]
+        prc = [c.prec for c in co]
+        rows = []
+        for m in range(k + 1):
+            nums, vals, precs = [], [], []
+            for i in range(n_terms):
+                acc, P = 0, cap
+                for u in range(min(k, i) + 1):
+                    if W[m][u]:
+                        acc += W[m][u] * num[i - u]
+                        P = min(P, vW[m][u] + prc[i - u])
+                acc %= p ** max(P + s, 0)
+                nums.append(acc)
+                vals.append(_ival(acc, p, P + s) - s)
+                precs.append(P)
+            rows.append((nums, vals, precs))
+        out.append(rows)
+    return s, out
+
+
+def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
+    """Per lift, the moments Phi(g)(x^i), i < n_terms, of the ball with this
+    reduction: numerators under the lift scale p^t, and unscaled valuations
+    and precisions.  Each lift keeps them per (rep, sigma mod p^W, sigma
+    precision), so the substitution rows are built once per distinct
+    reduction and attempt and then dropped."""
+    pr = lifts[0].params
+    p, mod = lifts[0].dom.p, lifts[0].dom.p ** pr.W
+    key = (reduction.j, tuple(c % mod for c in reduction.sigma),
+           reduction.sigma_prec, n_terms)
+    todo = [lift for lift in lifts if key not in lift.memo]
+    if todo:
+        T = sigma_series_matrix(reduction.sigma, pr.k, pr.i_max, p, pr.W,
+                                n_rows=n_terms)
+        for lift in todo:
+            res, precs = lift.moments(reduction, T)
+            lift.memo[key] = (res,
+                              [_ival(r, p, P) - pr.t for r, P in zip(res, precs)],
+                              [P - pr.t for P in precs])
+    return [lift.memo[key] for lift in lifts]
+
+
 def lambda_values(dom: FundamentalDomain, reducer: EdgeReducer, lifts: list[Lift],
                   x, r: int, tau: UnramifiedElement, n_terms: int,
                   target_prec: int, raw: bool = False):
     """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
     their parameters): entry m of each vector is lam(c)(gamma)(x^m).
 
-    The covering, the kernel series, the weight rows and the substitution
-    rows of each ball are computed once for all lifts; only the moments and
-    the final pairing are per lift.  With raw=True the untraced field
-    elements are returned instead; their second coordinate vanishes to
-    precision (the integrals lie in Q_p)."""
+    The covering, the kernel series and its products with the weight rows
+    are computed once per ball, the moments once per distinct ball
+    reduction (see `_ball_moments`); the pairing is an integer contraction
+    per lift.  With raw=True the untraced field elements are returned
+    instead; their second coordinate vanishes to precision (the integrals
+    lie in Q_p)."""
     p, pr = dom.p, lifts[0].params
-    k = pr.k
+    k, t = pr.k, pr.t
     K = tau.field
     Xi, _ = gamma_matrix(dom, x, r)
     tau2 = _mobius(Xi, tau)
-    totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
+    # per lift, m and coordinate: the balls' (numerator, scale, precision)
+    parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, reducer, x, r):
         lser = log_kernel_series(K, ball, tau, tau2, n_terms)
-        T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
-                                n_rows=n_terms)
-        # P |_k g for P = x^m: exact coefficient rows times det^(-k/2)
         W = weight_coeff_rows(ball.matrix, k)
+        s, cfs = _kernel_products(lser, W, k, p, K.prec)
+        moms = _ball_moments(lifts, ball.reduction, n_terms)
+        # P |_k g for P = x^m: the coefficient rows W times
+        # det^(-k/2) = sgn * p^-e, a factor known to dprec
         det = ball.matrix[0] * ball.matrix[3] - ball.matrix[1] * ball.matrix[2]
         dv = ball.det_val
-        sgn = 1 if det > 0 else -1
-        dfac = K.element(PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
-                                     -dv * (k // 2) + target_prec + abs(dv) * k + 8))
-        # series product of (P|_k g)(z) (degree <= k) and the log kernel
-        cfs = []
+        e = dv * (k // 2)
+        sgn = (1 if det > 0 else -1) ** (k // 2)
+        dprec = -e + target_prec + abs(dv) * k + 8
+        Pm = moms[0][2]
+        # lift-independent half of the product precisions
+        low = [[min(map(add, vals, Pm)) for _, vals, _ in rows] for rows in cfs]
+        for (res, vm, _), part in zip(moms, parts):
+            for co, rows in enumerate(cfs):
+                for m, (nums, _, precs) in enumerate(rows):
+                    P = min(K.prec, low[co][m], min(map(add, vm, precs)))
+                    S = sum(map(mul, nums, res)) % p ** max(P + s + t, 0)
+                    v = _ival(S, p, P + s + t) - s - t
+                    part[m][co].append((sgn * S, s + t + e,
+                                        min(P - e, v + dprec)))
+    out = []
+    for part in parts:
+        vec = []
         for m in range(k + 1):
-            row = []
-            for i in range(n_terms):
-                cf = K.zero()
-                for u in range(min(k, i) + 1):
-                    if W[m][u]:
-                        cf = cf + W[m][u] * lser[i - u]
-                row.append(cf)
-            cfs.append(row)
-        for lift, total in zip(lifts, totals):
-            momK = [K.element(t) for t in lift.moments(ball.reduction, T)]
-            for m in range(k + 1):
-                acc = K.zero()
-                for cf, mom in zip(cfs[m], momK):
-                    acc = acc + cf * mom
-                total[m] = total[m] + dfac * acc
-    if raw:
-        return totals
-    return [[half_trace(t) for t in total] for total in totals]
+            a, b = (_sum_parts(p, terms, K.prec) for terms in part[m])
+            if raw:
+                vec.append(UnramifiedElement(K, a.with_prec(target_prec),
+                                             b.with_prec(target_prec)))
+            else:
+                vec.append(half_trace(UnramifiedElement(K, a, b))
+                           .with_prec(target_prec))
+        out.append(vec)
+    return out
+
+
+def _sum_parts(p: int, terms, cap: int) -> PadicNumber:
+    """The sum of the balls' numerator * p^-scale, known to the lowest of
+    their precisions and cap."""
+    E = max(sc for _, sc, _ in terms)
+    num = sum(n * p ** (E - sc) for n, sc, _ in terms)
+    return PadicNumber(p, -E, num, min(cap, *(P for _, _, P in terms)))

@@ -13,8 +13,9 @@ p^t making every stored moment integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 
 from .cocycles import HarmonicCocycle, weight_coeff_rows
 from .domain import EdgeReducer, EdgeReduction, FundamentalDomain, build_up_table
@@ -88,6 +89,9 @@ class Lift:
     params: LiftParams
     vecs: list
     phis: list  # scaled exact low moments, per directed rep
+    # moments of this lift per distinct ball reduction, filled by the
+    # Coleman integration and dropped with the lift
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def moment_prec(self, i: int) -> int:
         """Absolute precision (scaled world) of vecs[.][i]."""
@@ -97,22 +101,19 @@ class Lift:
         return min(pr.W - pr.k // 2, pr.n_it + 1 - (i - pr.k))
 
     def moments(self, reduction: EdgeReduction, T):
-        """Phi(g)(x^i) for i < len(T) as PadicNumber, given the reduction of
-        the edge g.e0 produced by the reducer and the rows
-        T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, len(T))."""
+        """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their
+        absolute precisions (scaled world), given the reduction of the edge
+        g.e0 produced by the reducer and the rows
+        T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, len(T)).
+        Each residue is reduced modulo p^prec."""
         p = self.dom.p
-        pr = self.params
         vec = self.vecs[reduction.j]
-        mod = p**pr.W
-        out = []
+        res, precs = [], []
         for i, Ti in enumerate(T):
-            acc = 0
-            for m in range(pr.i_max + 1):
-                if Ti[m]:
-                    acc += Ti[m] * vec[m]
             prec = min(self.moment_prec(i), reduction.sigma_prec)
-            out.append(PadicNumber(p, -pr.t, acc % mod, prec - pr.t))
-        return out
+            res.append(sum(map(mul, Ti, vec)) % p ** max(prec, 0))
+            precs.append(prec)
+        return res, precs
 
 
 def _phi_scaled(dom: FundamentalDomain, coc: HarmonicCocycle, k: int):

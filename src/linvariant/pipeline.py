@@ -91,6 +91,15 @@ def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
         raise UsageError("weight must be even and >= 2")
 
 
+def validate_row(p: int, nminus: int, nplus: int, weight: int):
+    """validate, and reject weight 2: at k = 0 every coboundary gamma.u - u
+    vanishes, so the cohomology solve in l_matrix cannot determine A."""
+    validate(p, nminus, nplus, weight)
+    if weight == 2:
+        raise UsageError("L-operator rows need weight >= 4; at weight 2 "
+                         "every coboundary vanishes")
+
+
 @dataclass
 class Context:
     p: int
@@ -293,7 +302,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     result is reported at the requested M: `prec` is M and the L-invariants
     are Hensel-lifted at precision M.
     """
-    validate(p, nminus, nplus, weight)
+    validate_row(p, nminus, nplus, weight)
     budget = budget or Budget()
     k = weight - 2
     ctx = build_context(p, nminus, nplus, SIZING_SPLIT_PREC,
@@ -415,6 +424,7 @@ def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None,
     stored there.  An entry that cannot be read counts as a miss; a new entry
     is written to a temporary file and renamed, so a killed run leaves no
     partial entry."""
+    validate_row(p, nminus, nplus, weight)
     cdir = cache_dir or cache_dir_default()
     os.makedirs(cdir, exist_ok=True)
     key = f"lresult_{p}_{nminus}_{nplus}_{weight}_{M}_v{SCHEMA_VERSION}.json"

@@ -48,25 +48,31 @@ def ctx27():
     return build_context(2, 7, 1, 60)
 
 
-def _row32(M):
-    """(3, 2, 1) at weight 4 (k = 2), sized for M digits through the
+def _row(p, nminus, k, M):
+    """(p, nminus, 1) at weight k + 2, sized for M digits through the
     production path: the sizing context and probe basis, the resplit
     context, its basis, the lifts of the whole basis and the base point."""
-    ctx = build_context(3, 2, 1, SIZING_SPLIT_PREC)
-    k = 2
+    ctx = build_context(p, nminus, 1, SIZING_SPLIT_PREC)
     sz = size_parameters(ctx, k, M,
                          harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
     ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
     lifts = make_lift(ctx.dom, ctx.reducer, basis, sz.lift)
-    return ctx, k, M, sz, basis, lifts, base_point(3, sz.tau_prec)
+    return ctx, k, M, sz, basis, lifts, base_point(p, sz.tau_prec)
 
 
 @pytest.fixture(scope="session")
 def row32_m6():
-    return _row32(6)
+    """(3, 2, 1) at weight 4 (k = 2), sized for M = 6."""
+    return _row(3, 2, 2, 6)
 
 
 @pytest.fixture(scope="session")
 def row32_m8():
-    return _row32(8)
+    return _row(3, 2, 2, 8)
+
+
+@pytest.fixture(scope="session")
+def row27_m12():
+    """(2, 7, 1) at weight 4, sized for M = 12: a basis of two cocycles."""
+    return _row(2, 7, 2, 12)

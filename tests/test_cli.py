@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -88,6 +89,19 @@ class TestValidation:
         assert exc.value.code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("linv", "--p", "2", "--nminus", "7", "--weight", "2", "--prec", "12"),
+        ("linv", "--p", "5", "--nminus", "3", "--weight", "2"),
+        ("slopes", "--p", "2", "--nminus", "3", "--weights", "2..4"),
+    ])
+    def test_weight_two_rows_exit_3(self, capsys, tmp_path, argv):
+        """Weight-2 L-operator rows are rejected before any computation;
+        `basis` still accepts weight 2 (TestBasis)."""
+        code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 3
+        assert "weight >= 4" in err
+        assert os.listdir(tmp_path) == []
+
     def test_budget_exceeded_exit_4(self, capsys, cache_dir, tmp_path):
         code, _, err = run_cli(
             capsys, "linv", "--p", "3", "--nminus", "2", "--weight", "6",
@@ -168,3 +182,33 @@ class TestSlopes:
         assert code == 0
         rows = json.loads(out)
         assert [r["weight"] for r in rows] == [4, 6]
+
+
+def _fuzz_cases():
+    """(p, Nminus, Nplus, weight) cases with p <= 7 and Nminus <= 30: one of
+    each invalid kind, two small valid rows, then six seeded random ones."""
+    rng = random.Random(2017)
+    cases = [(4, 3, 1, 4),    # composite p
+             (3, 15, 1, 4),   # p | Nminus
+             (5, 6, 1, 4),    # even number of primes in Nminus
+             (2, 3, 1, 5),    # odd weight
+             (3, 2, 1, 4),
+             (2, 3, 1, 6)]
+    for _ in range(6):
+        cases.append((rng.choice([2, 3, 5, 7]), rng.randint(2, 30),
+                      rng.choice([1, 1, 1, 2, 5]),
+                      rng.choice([2, 4, 4, 6, 8])))
+    return cases
+
+
+@pytest.mark.parametrize("p, nminus, nplus, weight", _fuzz_cases())
+def test_fuzz_exit_codes(capsys, tmp_path, p, nminus, nplus, weight):
+    """Any input gives a documented exit code (ok, undecidable, invalid,
+    budget), never an uncaught exception."""
+    code = main(["linv", "--p", str(p), "--nminus", str(nminus),
+                 "--nplus", str(nplus), "--weight", str(weight),
+                 "--prec", "6", "--budget-secs", "2",
+                 "--cache-dir", str(tmp_path / "rows")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or err.startswith("error")

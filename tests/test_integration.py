@@ -5,12 +5,63 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.cocycles import act_by_gamma
-from linvariant.integration import covering, lambda_values
-from linvariant.padics import PadicNumber
+from linvariant.cocycles import act_by_gamma, weight_coeff_rows
+from linvariant.domain import gamma_matrix
+from linvariant.integration import (
+    _mobius,
+    covering,
+    lambda_values,
+    log_kernel_series,
+)
+from linvariant.lifting import sigma_series_matrix
+from linvariant.padics import PadicNumber, half_trace
 from linvariant.tree import base_vertex, edges_leaving_geodesic, neighbors, star
 
 from test_tree import ball_contains
+
+
+def reference_lambda_values(dom, reducer, lifts, x, r, tau, n_terms,
+                            target_prec):
+    """The untraced totals of lambda_values evaluated term by term in field
+    elements: every kernel coefficient, weight-row product, moment and
+    pairing is a PadicNumber or UnramifiedElement, so each digit's
+    precision follows the PadicNumber rules."""
+    p, pr = dom.p, lifts[0].params
+    k = pr.k
+    K = tau.field
+    Xi, _ = gamma_matrix(dom, x, r)
+    tau2 = _mobius(Xi, tau)
+    totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
+    for ball in covering(dom, reducer, x, r):
+        lser = log_kernel_series(K, ball, tau, tau2, n_terms)
+        T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
+                                n_rows=n_terms)
+        W = weight_coeff_rows(ball.matrix, k)
+        det = ball.matrix[0] * ball.matrix[3] - ball.matrix[1] * ball.matrix[2]
+        dv = ball.det_val
+        sgn = 1 if det > 0 else -1
+        dfac = K.element(PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
+                                     -dv * (k // 2) + target_prec + abs(dv) * k + 8))
+        cfs = []
+        for m in range(k + 1):
+            row = []
+            for i in range(n_terms):
+                cf = K.zero()
+                for u in range(min(k, i) + 1):
+                    if W[m][u]:
+                        cf = cf + W[m][u] * lser[i - u]
+                row.append(cf)
+            cfs.append(row)
+        for lift, total in zip(lifts, totals):
+            res, precs = lift.moments(ball.reduction, T)
+            momK = [K.element(PadicNumber(p, -pr.t, a, P - pr.t))
+                    for a, P in zip(res, precs)]
+            for m in range(k + 1):
+                acc = K.zero()
+                for cf, mom in zip(cfs[m], momK):
+                    acc = acc + cf * mom
+                total[m] = total[m] + dfac * acc
+    return totals
 
 
 def _random_point(p, rng):
@@ -134,3 +185,37 @@ class TestLambdaCocycle:
         x, r = dom.vertex_stabs[0][0]
         balls = covering(dom, red, x, r)
         assert len(balls) == dom.p + 1
+
+
+class TestIntegerPairing:
+    @pytest.mark.parametrize("row, n_gens, v_min", [
+        ("row32_m8", 12, None),  # p = 3, w^2 = n: one cocycle
+        ("row27_m12", None, -3),  # p = 2, d = 2: entries down to 2^-3
+    ])
+    def test_matches_field_element_reference(self, request, row, n_gens,
+                                             v_min):
+        """The integer contraction agrees with the term-by-term field
+        evaluation in value, and each entry is known to exactly
+        min(target_prec, reference precision): traced entries and both
+        coordinates of the raw ones."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        dom, red = ctx.dom, ctx.reducer
+        op = sz.out_prec
+        vals = []
+        for x, r in dom.generators()[:n_gens]:
+            ref = reference_lambda_values(dom, red, lifts, x, r, tau,
+                                          sz.n_terms, op)
+            got = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op)
+            raw = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op,
+                                raw=True)
+            pairs = []
+            for ref_v, got_v, raw_v in zip(ref, got, raw):
+                for want, traced, untraced in zip(ref_v, got_v, raw_v):
+                    pairs += [(half_trace(want), traced),
+                              (want.a, untraced.a), (want.b, untraced.b)]
+            for want, have in pairs:
+                assert have.prec == min(op, want.prec)
+                assert (have - want).is_zero()
+            vals += [t.val for v in got for t in v if not t.is_zero()]
+        if v_min is not None:
+            assert min(vals) == v_min

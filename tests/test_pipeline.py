@@ -197,10 +197,11 @@ def test_budget_checked_between_sample_elements(monkeypatch):
     assert len(calls[0][0].generators()) > 1
 
 
-@pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12)])
+@pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12),
+                                 (3, 2, 1, 4, 10), (2, 3, 1, 4, 12)])
 def test_row_matches_committed_file(row):
-    """Rows with a basis of 2 and 3 cocycles recompute cold to the bytes of
-    their committed files."""
+    """Rows recompute cold to the bytes of their committed files: bases of
+    2 and 3 cocycles, and an odd p, where K_p = Q_p(w) with w^2 = n."""
     name = "_".join(map(str, row))
     with open(os.path.join(CACHE, f"lresult_{name}_v{SCHEMA_VERSION}.json")) as f:
         want = f.read()
