@@ -6,10 +6,20 @@ Gamma-equivariance c(gamma e) = gamma . c(e), where the left action on V_k is
 (gamma . w)(P) = w(P |_k gamma) and (P |_k g)(x) = det(g)^(-k/2) (cx+d)^k
 P((ax+b)/(cx+d)).
 
+The action of gamma = x/p^r is one integer matrix, `gamma_action`, built once
+per (x, r, k) and domain: the weight rows of iota(x) with the unit part of
+det^(-k/2) folded in, under one scale p^e, e = v k/2 for v the valuation of
+the determinant.  The residues of iota(x) are known modulo p^P for P the
+splitting's precision, so every entry of the action is known only modulo
+p^(P - e); a splitting too coarse for the weight shows up as lost digits,
+and the basis solve raises PrecisionError instead of losing rank.
+
 A cocycle is stored by its values on the geometric edge representatives of a
-fundamental domain; the space is computed as the kernel of the stabilizer-
-invariance and harmonicity conditions.  Also provides the two Atkin-Lehner
-involutions given by normalizing elements of reduced norms N and p.
+fundamental domain, as integer residues with one precision per cocycle (the
+normalization makes every value p-integral, so the scale is p^0); the space
+is computed as the kernel of the stabilizer-invariance and harmonicity
+conditions.  Also provides the two Atkin-Lehner involutions given by
+normalizing elements of reduced norms N and p.
 """
 
 from __future__ import annotations
@@ -17,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
+from typing import NamedTuple
 
 from .domain import EdgeReducer, FundamentalDomain, _is_pm_one, gamma_matrix
-from .padics import PadicNumber, PrecisionError, solve_linear
+from .padics import PadicNumber, PrecisionError, solve_linear, val_int
 from .quaternions import Quat, enumerate_norm
-from .tree import Edge, frac_val, mat_adj, mat_mul, normalize_edge, star
+from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
 
 
 def weight_coeff_rows(mat, k: int):
@@ -45,134 +57,146 @@ def weight_coeff_rows(mat, k: int):
     return rows
 
 
-def vk_act(p: int, k: int, mat, det_exact: Fraction, omega, prec: int):
-    """gamma . omega for omega in V_k (list of k+1 PadicNumber).
+class Action(NamedTuple):
+    """The action of a matrix g on V_k: (g . w)(x^i) is
+    sum_m rows[i][m] w(x^m) * p^-scale, each entry known modulo
+    p^(prec - scale); rows holds residues modulo p^prec."""
 
-    mat: matrix entries (integers, possibly residues); det_exact: the exact
-    determinant of the true matrix (its valuation and unit part are used, so
-    residue entries are fine as long as det_exact is exact)."""
-    det_exact = Fraction(det_exact)
-    v = frac_val(det_exact, p)
-    unit = det_exact / Fraction(p) ** v
-    W = weight_coeff_rows(tuple(int(x) for x in mat), k)
-    dfac = (
-        PadicNumber.from_fraction(unit, p, prec).inverse() ** (k // 2)
-        * PadicNumber(p, -v * (k // 2), 1, -v * (k // 2) + prec)
-    )
-    out = []
-    for i in range(k + 1):
-        acc = PadicNumber.zero(p, prec + abs(v) * k)
-        for m in range(k + 1):
-            if W[i][m]:
-                acc = acc + PadicNumber.from_int(W[i][m], p, prec) * omega[m]
-        out.append(acc * dfac)
-    return out
+    rows: list
+    scale: int
+    prec: int
 
 
-def act_by_gamma(dom: FundamentalDomain, k: int, x: Quat, r: int, omega, prec: int):
-    """Action of gamma = x/p^r through the splitting (scalars act trivially,
-    so iota(x) with exact determinant nrd(x) is used)."""
-    Xi, det = gamma_matrix(dom, x, r)
-    return vk_act(dom.p, k, Xi, det, omega, prec)
+def weight_action(p: int, mat, det: int, k: int, prec: int) -> Action:
+    """The action on V_k of the integer matrix mat, known modulo p^prec, whose
+    true determinant is det (exact; mat may hold residues)."""
+    v = val_int(det, p)
+    mod = p**prec
+    unit = pow(det // p**v, -(k // 2), mod)
+    return Action([[w * unit % mod for w in row]
+                   for row in weight_coeff_rows(mat, k)], v * (k // 2), prec)
+
+
+def gamma_action(dom: FundamentalDomain, x: Quat, r: int, k: int) -> Action:
+    """The action of gamma = x/p^r, memoized on the domain.  Scalars act
+    trivially, so iota(x) with exact determinant nrd(x) is used; its residues
+    are known modulo p^spl.prec, which bounds every entry."""
+    key = (x, r, k)
+    if key not in dom.actions:
+        Xi, det = gamma_matrix(dom, x, r)
+        dom.actions[key] = weight_action(dom.p, Xi, int(det), k, dom.spl.prec)
+    return dom.actions[key]
+
+
+def act_on(p: int, act: Action, vec, prec: int):
+    """act applied to a V_k value vec = (residues, scale, precision), in the
+    convention of `Action`.  The value's absolute precision is first capped
+    at prec; the action's scale then costs its digits."""
+    res, s, P = vec
+    P = min(P, act.prec, prec + s)
+    mod = p ** max(P, 0)
+    return [sum(map(mul, row, res)) % mod for row in act.rows], s + act.scale, P
+
+
+def as_padics(p: int, vec) -> list[PadicNumber]:
+    """The entries of a V_k value (residues, scale, precision)."""
+    res, s, P = vec
+    return [PadicNumber(p, -s, a, P - s) for a in res]
 
 
 @dataclass
 class HarmonicCocycle:
-    """Values on the geometric edge representatives of the domain."""
+    """Values on the geometric edge representatives of the domain:
+    c(e_j)(x^m) = values[j][m], known modulo p^prec."""
 
     dom: FundamentalDomain
     k: int
-    values: list  # per geometric rep: list of k+1 PadicNumber
+    values: list  # per geometric rep: k+1 integer residues modulo p^prec
+    prec: int
 
     def value(self, e: Edge, reducer: EdgeReducer, prec: int):
-        """c(e) for an arbitrary directed edge."""
+        """c(e) for an arbitrary directed edge, as (residues, scale,
+        precision) in the convention of `Action`, capped at prec digits
+        before the action's scale."""
         j, x, r = reducer.locate(e)
-        geo, sign = j // 2, (1 if j % 2 == 0 else -1)
-        base = self.values[geo]
-        if sign < 0:
+        base = self.values[j // 2]
+        if j % 2:
             base = [-t for t in base]
+        vec = (base, 0, min(prec, self.prec))
         if _is_pm_one(x, r):
-            return [t.with_prec(min(prec, t.prec)) for t in base]
-        return act_by_gamma(self.dom, self.k, x, r, base, prec)
+            return vec
+        return act_on(self.dom.p, gamma_action(self.dom, x, r, self.k), vec, prec)
 
 
-def harmonic_basis(dom: FundamentalDomain, k: int, prec: int) -> list[HarmonicCocycle]:
+def harmonic_basis(dom: FundamentalDomain, k: int, prec: int,
+                   progress=None) -> list[HarmonicCocycle]:
     """Basis of the space of Gamma-invariant harmonic cocycles of weight k.
 
-    Every value of every returned cocycle carries at least `prec` digits; the
-    kernel solve runs at a padded working precision until that holds."""
+    Every returned cocycle carries at least `prec` digits; the kernel solve
+    runs at a padded working precision until that holds.  Padding cannot
+    raise the digits of the action past the splitting's precision, so once
+    the working precision reaches it a shortfall raises PrecisionError.
+    progress(n) runs after each stabilizer element and each star edge taken
+    into the conditions (n blocks of conditions set up so far)."""
     pad = 0
     while True:
-        out = _harmonic_basis_at(dom, k, prec + pad)
+        out = _harmonic_basis_at(dom, k, prec + pad, progress)
         if not out:
             return out
-        got = min(v.prec for c in out for row in c.values for v in row)
+        got = min(c.prec for c in out)
         if got >= prec:
             return out
+        if prec + pad >= dom.spl.prec:
+            raise PrecisionError(
+                f"harmonic basis needs a splitting beyond p^{dom.spl.prec}")
         pad += max(10, prec - got)
         if pad > 40 * (k + 2):
             raise PrecisionError("harmonic basis solve keeps losing precision")
 
 
-def _harmonic_basis_at(dom: FundamentalDomain, k: int, prec: int) -> list[HarmonicCocycle]:
-    p = dom.p
+def _harmonic_basis_at(dom: FundamentalDomain, k: int, prec: int,
+                       progress) -> list[HarmonicCocycle]:
+    p, n = dom.p, k + 1
     ngeo = len(dom.geo_edges)
-    nun = ngeo * (k + 1)
     reducer = EdgeReducer(dom)
-    rows = []
-
-    def zero():
-        return PadicNumber.zero(p, prec)
-
-    def one():
-        return PadicNumber.one(p, prec)
-
-    basisvecs = [[one() if i == m else zero() for i in range(k + 1)]
-                 for m in range(k + 1)]
-    # stabilizer invariance
+    ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0, prec)
+    # each block of k+1 conditions: the sum over its (rep, sign, action)
+    # terms of sign * action on the values of the geometric rep
+    blocks = []
+    tick = progress or (lambda n: None)
     for jg, stab in enumerate(dom.edge_stabs):
         for x, r in stab:
-            if _is_pm_one(x, r):
-                continue
-            cols = [act_by_gamma(dom, k, x, r, u, prec) for u in basisvecs]
-            for i in range(k + 1):
-                row = [zero() for _ in range(nun)]
-                for m in range(k + 1):
-                    row[jg * (k + 1) + m] = cols[m][i] - (one() if m == i else zero())
-                rows.append(row)
-    # harmonicity at vertex representatives
+            if not _is_pm_one(x, r):
+                blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
+                               (jg, -1, ident)])
+                tick(len(blocks))
     for v in dom.vertices:
-        blocks = [[zero() for _ in range(nun)] for _ in range(k + 1)]
+        block = []
         for e in star(v):
             j, x, r = reducer.locate(e)
-            geo, sign = j // 2, (1 if j % 2 == 0 else -1)
-            if _is_pm_one(x, r):
-                cols = basisvecs
-            else:
-                cols = [act_by_gamma(dom, k, x, r, u, prec) for u in basisvecs]
-            for i in range(k + 1):
-                for m in range(k + 1):
-                    blocks[i][geo * (k + 1) + m] = (
-                        blocks[i][geo * (k + 1) + m] + sign * cols[m][i]
-                    )
-        rows.extend(blocks)
+            block.append((j // 2, 1 - 2 * (j % 2),
+                          ident if _is_pm_one(x, r) else gamma_action(dom, x, r, k)))
+            tick(len(blocks))
+        blocks.append(block)
+    rows = []
+    for block in blocks:
+        acc = [[PadicNumber.zero(p, prec)] * (ngeo * n) for _ in range(n)]
+        for geo, sign, act in block:
+            P = min(prec, act.prec) - act.scale
+            for num, row in zip(acc, act.rows):
+                for m, a in enumerate(row):
+                    num[geo * n + m] += PadicNumber(p, -act.scale, sign * a, P)
+        rows += acc
     _, kernel = solve_linear(rows)
     out = []
-    for vec in kernel:
-        vals = [c for c in vec]
+    for vals in kernel:
         # normalize: first minimal-valuation entry becomes exactly 1
-        piv = None
-        for c in vals:
-            if not c.is_zero() and (piv is None or c.val < piv.val):
-                piv = c
-        assert piv is not None
-        inv = piv.inverse()
+        inv = min((c for c in vals if not c.is_zero()), key=lambda c: c.val).inverse()
         vals = [c * inv for c in vals]
-        out.append(
-            HarmonicCocycle(
-                dom, k, [vals[j * (k + 1): (j + 1) * (k + 1)] for j in range(ngeo)]
-            )
-        )
+        P = min(c.prec for c in vals)
+        res = [c.residue(P) for c in vals]
+        out.append(HarmonicCocycle(
+            dom, k, [res[j * n: (j + 1) * n] for j in range(ngeo)], P))
     return out
 
 
@@ -209,29 +233,20 @@ def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool 
     raise RuntimeError(f"no normalizing element of reduced norm {nrd_target}")
 
 
-def involution_action(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
-                      w: Quat, coc: HarmonicCocycle, prec: int) -> HarmonicCocycle:
-    """(w . c)(e) = w . c(w^{-1} e), evaluated on the geometric reps."""
-    p = dom.p
-    Wi, det_exact = gamma_matrix(dom, w, 0)
-    newvals = []
-    for e in dom.geo_edges:
-        pre = normalize_edge(mat_mul(mat_adj(Wi), e.matrix()), p)
-        val = coc.value(pre, reducer, prec)
-        newvals.append(vk_act(p, k, Wi, det_exact, val, prec))
-    return HarmonicCocycle(dom, k, newvals)
-
-
 def involution_matrix(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
                       w: Quat, basis: list[HarmonicCocycle], prec: int):
     """Matrix M with w . c_i = sum_l M[l][i] c_l, solved on the stacked
-    values of the cocycles on the geometric reps."""
-    images = [involution_action(dom, reducer, k, w, c, prec) for c in basis]
+    values of the cocycles on the geometric reps, where
+    (w . c)(e) = w . c(w^-1 e)."""
+    p = dom.p
+    Wi, _ = gamma_matrix(dom, w, 0)
+    act = gamma_action(dom, w, 0, k)
     rows, rhs = [], [[] for _ in basis]
-    for jg in range(len(dom.geo_edges)):
+    for jg, e in enumerate(dom.geo_edges):
+        pre = normalize_edge(mat_mul(mat_adj(Wi), e.matrix()), p)
+        for c, col in zip(basis, rhs):
+            col += as_padics(p, act_on(p, act, c.value(pre, reducer, prec), prec))
         for i in range(k + 1):
-            rows.append([b.values[jg][i] for b in basis])
-            for col, wc in zip(rhs, images):
-                col.append(wc.values[jg][i])
+            rows.append([PadicNumber(p, 0, c.values[jg][i], c.prec) for c in basis])
     cols, _ = solve_linear(rows, rhs)
     return [[cols[i][l] for i in range(len(basis))] for l in range(len(basis))]

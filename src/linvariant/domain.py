@@ -132,25 +132,14 @@ class EquivalenceFinder:
             rmax = _edge_dist(e) + _edge_dist(f) + 1
         return self.search(e.matrix(), f.matrix(), "edge", rmax)
 
-    def edge_stabilizer(self, e: Edge):
-        """All gamma in Gamma with gamma.e = e (directed; includes +-1)."""
-        rmax = 2 * _edge_dist(e) + 1
-        sols = self.search(e.matrix(), e.matrix(), "edge", rmax,
+    def stabilizer(self, obj, kind: str, dist: int):
+        """All gamma in Gamma fixing the vertex or directed edge obj at
+        distance dist from the base vertex (includes +-1)."""
+        sols = self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
                            all_solutions=True, trace_bound=True)
         out = {}
         for x, r in sols:
-            key = tuple(c / Fraction(self.p) ** r for c in x.co)
-            out[key] = (x, r)
-        return list(out.values())
-
-    def vertex_stabilizer(self, v: Vertex):
-        rmax = 2 * v.dist_to_base() + 1
-        sols = self.search(v.matrix(), v.matrix(), "vertex", rmax,
-                           all_solutions=True, trace_bound=True)
-        out = {}
-        for x, r in sols:
-            key = tuple(c / Fraction(self.p) ** r for c in x.co)
-            out[key] = (x, r)
+            out[tuple(c / Fraction(self.p) ** r for c in x.co)] = (x, r)
         return list(out.values())
 
 
@@ -183,6 +172,10 @@ class FundamentalDomain:
     # by EdgeReducer.locate; exact, so a copy of the domain under a more
     # precise splitting that agrees with this one shares it
     located: dict = field(default_factory=dict, compare=False, repr=False)
+    # (x, r, k) -> cocycles.gamma_action; it depends on the splitting, so a
+    # copy of the domain under another splitting starts without it
+    actions: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def directed_reps(self) -> list[Edge]:
         out = []
@@ -224,16 +217,22 @@ def _is_pm_one(x: Quat, r: int) -> bool:
 
 
 def compute_fundamental_domain(order: Order, spl: SplittingMap,
-                               max_vertices: int = 200) -> FundamentalDomain:
+                               max_vertices: int = 200,
+                               progress=None) -> FundamentalDomain:
+    """The domain by breadth-first search from the base vertex.  progress(n)
+    runs before each edge of a vertex star taken from the queue is examined
+    (n edges found so far) and after the n-th edge and vertex stabilizer."""
     p = spl.p
     eq = EquivalenceFinder(order, spl)
     dom = FundamentalDomain(p, order, spl)
     v0 = base_vertex(p)
     dom.vertices.append(v0)
     queue = [v0]
+    tick = progress or (lambda n: None)
     while queue:
         v = queue.pop(0)
         for e in star(v):
+            tick(len(dom.geo_edges))
             known = False
             for f in dom.geo_edges:
                 if eq.edge_equiv(e, f) is not None or eq.edge_equiv(e, f.opposite()) is not None:
@@ -257,13 +256,15 @@ def compute_fundamental_domain(order: Order, spl: SplittingMap,
                 queue.append(u)
                 if len(dom.vertices) > max_vertices:
                     raise RuntimeError("fundamental domain larger than expected")
-    for e in dom.geo_edges:
-        stab = eq.edge_stabilizer(e)
+    for n, e in enumerate(dom.geo_edges):
+        stab = eq.stabilizer(e, "edge", _edge_dist(e))
         # closed under negation (contains the central -1), so of even order
         assert len(stab) >= 2 and len(stab) % 2 == 0
         dom.edge_stabs.append(stab)
-    for v in dom.vertices:
-        dom.vertex_stabs.append(eq.vertex_stabilizer(v))
+        tick(n)
+    for n, v in enumerate(dom.vertices):
+        dom.vertex_stabs.append(eq.stabilizer(v, "vertex", v.dist_to_base()))
+        tick(n)
     return dom
 
 
@@ -323,20 +324,17 @@ class EdgeReducer:
         j, x, r = self.locate(e)
         Bj = self.rep_mats[j]
         vB = self.rep_detvals[j]
-        X = self.dom.spl.apply(x)
         # sigma_raw = adj(B_j) adj(X) g ; sigma = sigma_raw / (det(B_j) p^(r+u))
-        den = 1
-        for t in X:
-            den = max(den, t.denominator)
-        Xint = tuple(int(t * den) for t in X)  # den is a p-power only
-        e_den = frac_val(Fraction(den), p)
+        # for X = iota(x) = Xint / den, den = p^e_den and nrd(x) = p^(2r)
+        Xint, det = gamma_matrix(self.dom, x, r)
+        e_den = frac_val(det, p) // 2 - r
         g_int = tuple(int(t) for t in g)
         raw = mat_mul(mat_adj(Bj), mat_mul(mat_adj(Xint), g_int))
         assert (det_val - vB) % 2 == 0
         u_exp = (det_val - vB) // 2
         # adj(Xint) = den * adj(X); so raw = den * adj(Bj) adj(X) g and the
         # true sigma = raw / (den * detB * p^(r+u)).
-        detB_unit = -1 if _det_exact_sign(Bj) < 0 else 1
+        detB_unit = 1 if Bj[0] * Bj[3] - Bj[1] * Bj[2] > 0 else -1
         divisor_exp = e_den + vB + r + u_exp
         out = []
         if divisor_exp >= 0:
@@ -354,11 +352,6 @@ class EdgeReducer:
         assert sigma[0] % p != 0
         sign = 1 if j % 2 == 0 else -1
         return EdgeReduction(j, x, r, sigma, sigma_prec, u_exp, sign)
-
-
-def _det_exact_sign(m) -> int:
-    d = m[0] * m[3] - m[1] * m[2]
-    return 1 if d > 0 else -1
 
 
 # ----------------------------------------------------------------------

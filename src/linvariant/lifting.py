@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 
-from .cocycles import HarmonicCocycle, weight_coeff_rows
-from .domain import EdgeReducer, EdgeReduction, FundamentalDomain, build_up_table
-from .padics import PadicNumber, inv_mod, val_int
+from .cocycles import HarmonicCocycle, act_on, weight_action
+from .domain import (EdgeReducer, EdgeReduction, FundamentalDomain, build_up_table,
+                     gamma_matrix)
+from .padics import inv_mod, val_int
 from .tree import frac_val, mat_adj, mat_mul
 
 
@@ -117,46 +118,32 @@ class Lift:
 
 
 def _phi_scaled(dom: FundamentalDomain, coc: HarmonicCocycle, k: int):
-    """Unscaled low moments phi(B_j)(x^i) of the cocycle measure, per directed
-    rep, as PadicNumber: phi(B_j)(x^i) = c(B_j e0)(x^i |_k B_j^{-1})."""
-    p = dom.p
+    """The low moments phi(B_j)(x^i) = c(B_j e0)(x^i |_k B_j^{-1}) of the
+    cocycle measure per directed rep j, as (residues, scale, precision) in
+    the convention of `cocycles.Action`."""
     out = []
     for j, e in enumerate(dom.directed_reps()):
         B = e.matrix()
-        det = B[0] * B[3] - B[1] * B[2]
-        vB = val_int(det, p) if det % p == 0 else 0
-        sgn = 1 if det > 0 else -1
-        assert abs(det) == p**vB
-        Wadj = weight_coeff_rows(mat_adj(B), k)
-        geo, s = j // 2, (1 if j % 2 == 0 else -1)
-        cval = coc.values[geo]
-        prec = cval[0].prec
-        dfac = PadicNumber(p, -vB * (k // 2), sgn ** (k // 2), prec)
-        row = []
-        for i in range(k + 1):
-            acc = PadicNumber.zero(p, prec + vB * k)
-            for m in range(k + 1):
-                if Wadj[i][m]:
-                    acc = acc + Wadj[i][m] * cval[m]
-            row.append(s * (acc * dfac))
-        out.append(row)
+        act = weight_action(dom.p, mat_adj(B), B[0] * B[3] - B[1] * B[2], k,
+                            coc.prec)
+        base = coc.values[j // 2]
+        if j % 2:
+            base = [-t for t in base]
+        out.append(act_on(dom.p, act, (base, 0, coc.prec), coc.prec))
     return out
 
 
 def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
     """Iwahori witness sigma with iota(x/p^r) B = B sigma, as residue matrix."""
     p = dom.p
-    X = dom.spl.apply(x)
-    den = max(t.denominator for t in X)
-    Xi = tuple(int(t * den) for t in X)
-    e_den = frac_val(den, p)
+    Xi, det = gamma_matrix(dom, x, r)  # Xi = p^e_den iota(x), nrd(x) = p^(2r)
+    e = vB + frac_val(det, p) // 2
     raw = mat_mul(mat_adj(B), mat_mul(Xi, B))
-    dv = p ** (vB + r + e_den)
     out = []
     for t in raw:
-        assert t % dv == 0
-        out.append((det_unit * (t // dv)) % p ** (dom.spl.prec - (vB + r + e_den)))
-    return tuple(out), dom.spl.prec - (vB + r + e_den)
+        assert t % p**e == 0
+        out.append((det_unit * (t // p**e)) % p ** (dom.spl.prec - e))
+    return tuple(out), dom.spl.prec - e
 
 
 def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
@@ -172,16 +159,16 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
     mod = p**W
     all_phis = []
     for coc in basis:
-        # scale to integers
+        # to the lift's scale p^t
         phis = []
-        for row in _phi_scaled(dom, coc, k):
-            srow = []
-            for c in row:
-                v = c.val + t
-                assert v >= 0, "scale exponent too small for the cocycle moments"
-                assert c.prec + t >= W, "cocycle basis precision too small"
-                srow.append(c.unit * p**v % mod if not c.is_zero() else 0)
-            phis.append(srow)
+        for res, e, P in _phi_scaled(dom, coc, k):
+            assert P - e + t >= W, "cocycle basis precision too small"
+            if t >= e:
+                phis.append([a * p ** (t - e) % mod for a in res])
+            else:
+                assert all(a % p ** (e - t) == 0 for a in res), \
+                    "scale exponent too small for the cocycle moments"
+                phis.append([a // p ** (e - t) % mod for a in res])
         all_phis.append(phis)
     reps = dom.directed_reps()
     # initial lift: average phi over the edge stabilizer

@@ -12,7 +12,7 @@ polynomial, optionally restricted to Atkin-Lehner eigenspaces.
 
 from __future__ import annotations
 
-from .cocycles import HarmonicCocycle, act_by_gamma
+from .cocycles import HarmonicCocycle, as_padics, gamma_action
 from .domain import EdgeReducer, FundamentalDomain, gamma_vertex
 from .integration import lambda_values
 from .padics import (
@@ -32,13 +32,11 @@ def psi_values(dom: FundamentalDomain, reducer: EdgeReducer,
     p, k = dom.p, coc.k
     if v0 is None:
         v0 = base_vertex(p)
-    v1 = gamma_vertex(dom, x, r, v0)
-    path = geodesic(v0, v1)
-    total = [PadicNumber.zero(p, prec) for _ in range(k + 1)]
-    for i in range(len(path) - 1):
-        e = edge_between(path[i], path[i + 1])
-        val = coc.value(e, reducer, prec)
-        total = [a + b for a, b in zip(total, val)]
+    path = geodesic(v0, gamma_vertex(dom, x, r, v0))
+    total = [PadicNumber.zero(p, prec)] * (k + 1)
+    for a, b in zip(path, path[1:]):
+        val = as_padics(p, coc.value(edge_between(a, b), reducer, prec))
+        total = [s + t for s, t in zip(total, val)]
     return total
 
 
@@ -54,22 +52,16 @@ def l_matrix(dom: FundamentalDomain, reducer: EdgeReducer,
     d = len(basis)
     rows = []
     rhs = [[] for _ in range(d)]
-    zero = lambda: PadicNumber.zero(p, prec)
-    one = lambda: PadicNumber.one(p, prec)
     for n, (x, r) in enumerate(dom.generators()):
         psis = [psi_values(dom, reducer, c, x, r, prec, v0=base_vertex_override) for c in basis]
         lams = lambda_values(dom, reducer, lifts, x, r, tau, n_terms, prec)
         # coboundary columns: gamma.e_t - e_t for the k+1 unit functionals
-        cob = []
-        for tt in range(k + 1):
-            u = [zero() for _ in range(k + 1)]
-            u[tt] = one()
-            gu = act_by_gamma(dom, k, x, r, u, prec)
-            gu[tt] = gu[tt] - one()
-            cob.append(gu)
+        act = gamma_action(dom, x, r, k)
+        P, one = min(prec, act.prec) - act.scale, p**act.scale
         for m in range(k + 1):
             row = [psis[l][m] for l in range(d)]
-            row += [cob[tt][m] for tt in range(k + 1)]
+            row += [PadicNumber(p, -act.scale, act.rows[m][t] - one * (m == t), P)
+                    for t in range(k + 1)]
             rows.append(row)
             for i in range(d):
                 rhs[i].append(lams[i][m])

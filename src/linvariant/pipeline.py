@@ -110,22 +110,26 @@ class Context:
 
 
 def build_context(p: int, nminus: int, nplus: int, split_prec: int,
-                  variant: int = 0) -> Context:
+                  variant: int = 0, progress=None) -> Context:
+    """progress is passed to `compute_fundamental_domain`."""
     alg = build_algebra(nminus)
     order = maximal_order(alg)
     if nplus > 1:
         order = eichler_order(alg, order, nplus)
     spl = splitting_map(order, p, split_prec, variant=variant)
-    dom = compute_fundamental_domain(order, spl)
+    dom = compute_fundamental_domain(order, spl, progress=progress)
     return Context(p, nminus, nplus, dom, EdgeReducer(dom))
 
 
-def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
+def resplit(ctx: Context, split_prec: int, variant: int = 0,
+            progress=None) -> Context:
     """ctx with its splitting recomputed at precision split_prec.
 
     The domain, with its cache of edge locations, depends only on the order
     and p, so it carries over when the new splitting agrees with the old one
-    to the old precision; otherwise the domain is computed afresh."""
+    to the old precision; otherwise the domain is computed afresh.  The
+    actions of group elements depend on the splitting, so the new domain
+    starts without them."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
     mod = ctx.p ** min(split_prec, dom.spl.prec)
@@ -133,7 +137,7 @@ def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
            for a, b in zip(old, new)):
         dom = replace(dom, spl=spl)
     else:
-        dom = compute_fundamental_domain(dom.order, spl)
+        dom = compute_fundamental_domain(dom.order, spl, progress=progress)
     return Context(ctx.p, ctx.nminus, ctx.nplus, dom, EdgeReducer(dom))
 
 
@@ -176,10 +180,10 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
             maxD = max(maxD, abs(ball.det_val))
     minv = 0
     for c in basis0:
-        for row in _phi_scaled(ctx.dom, c, k):
-            for t in row:
-                if not t.is_zero():
-                    minv = min(minv, t.val)
+        for res, e, P in _phi_scaled(ctx.dom, c, k):
+            for a in res:
+                if a:
+                    minv = min(minv, val_int(a, p) - e)
     a_s = max(val_int(len(st), p) if len(st) % p == 0 else 0
               for st in ctx.dom.edge_stabs)
     t_sc = max(0, -minv) + a_s + k // 2 + 1
@@ -304,21 +308,22 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     """
     validate_row(p, nminus, nplus, weight)
     budget = budget or Budget()
+    progress = lambda n: budget.check()
     k = weight - 2
     ctx = build_context(p, nminus, nplus, SIZING_SPLIT_PREC,
-                        variant=split_variant)
+                        variant=split_variant, progress=progress)
     budget.check()
-    basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
+    basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC, progress)
     if not basis0:
         return LResult(p, nminus, nplus, weight, M, 0)
     Mw = M
     retries = 0
-    progress = lambda n: budget.check()
     while True:
         sz = size_parameters(ctx, k, Mw, basis0)
         budget.check()
-        actx = resplit(ctx, sz.split_prec, variant=split_variant)
-        basis = harmonic_basis(actx.dom, k, sz.basis_prec)
+        actx = resplit(ctx, sz.split_prec, variant=split_variant,
+                       progress=progress)
+        basis = harmonic_basis(actx.dom, k, sz.basis_prec, progress)
         d = len(basis)
         budget.check()
         lifts = make_lift(actx.dom, actx.reducer, basis, sz.lift, progress)

@@ -3,9 +3,10 @@ import shutil
 
 import pytest
 
-from linvariant.cocycles import harmonic_basis
+from linvariant.cocycles import as_padics, gamma_action, harmonic_basis
 from linvariant.integration import base_point
 from linvariant.lifting import make_lift
+from linvariant.padics import PadicNumber
 from linvariant.pipeline import (
     SIZING_BASIS_PREC,
     SIZING_SPLIT_PREC,
@@ -15,6 +16,26 @@ from linvariant.pipeline import (
 )
 
 CACHE = os.path.join(os.path.dirname(__file__), "..", ".cache")
+
+
+def act(dom, k, x, r, omega, prec):
+    """gamma . omega for gamma = x/p^r and omega a list of k+1 PadicNumber,
+    through the integer action; entries known to prec digits before the
+    action's scale."""
+    p = dom.p
+    rows, e, P = gamma_action(dom, x, r, k)
+    out = []
+    for row in rows:
+        acc = PadicNumber.zero(p, prec - e)
+        for a, w in zip(row, omega):
+            acc = acc + PadicNumber(p, -e, a, min(prec, P) - e) * w
+        out.append(acc)
+    return out
+
+
+def value(c, e, reducer, prec):
+    """c(e) as a list of PadicNumber."""
+    return as_padics(c.dom.p, c.value(e, reducer, prec))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ import os
 import random
 from fractions import Fraction
 
-from linvariant.cocycles import act_by_gamma
 from linvariant.domain import gamma_matrix
 from linvariant.integration import lambda_values
 from linvariant.lifting import LiftParams, make_lift
@@ -43,6 +42,7 @@ from linvariant.tree import (
     star,
 )
 
+from conftest import act, value
 from test_lifting import riemann_moments
 from test_tree import ball_contains, random_glq
 
@@ -231,14 +231,14 @@ class TestProperties:
                 v = rand_vertex()
                 total = [PadicNumber.zero(p, op) for _ in range(k + 1)]
                 for e in star(v):
-                    val = c.value(e, red, op)
+                    val = value(c, e, red, op)
                     total = [a + b for a, b in zip(total, val)]
                 assert all(t.is_zero() for t in total)
             for _ in range(100):
                 e = star(rand_vertex())[rng.randrange(p + 1)]
                 x, r = gens[rng.randrange(len(gens))]
-                lhs = c.value(_translated_edge(dom, x, r, e), red, op)
-                rhs = act_by_gamma(dom, k, x, r, c.value(e, red, op), op)
+                lhs = value(c, _translated_edge(dom, x, r, e), red, op)
+                rhs = act(dom, k, x, r, value(c, e, red, op), op)
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
         # (d) covering sums to zero over 20 random geodesics
@@ -249,7 +249,7 @@ class TestProperties:
                 continue
             total = [PadicNumber.zero(p, op) for _ in range(k + 1)]
             for e in edges_leaving_geodesic(a, b):
-                val = basis[0].value(e, red, op)
+                val = value(basis[0], e, red, op)
                 total = [s + t for s, t in zip(total, val)]
             assert all(t.is_zero() for t in total)
             done += 1
@@ -269,13 +269,13 @@ class TestProperties:
             p1 = psi_values(dom, red, basis[0], x1, r1, op)
             p2 = psi_values(dom, red, basis[0], x2, r2, op)
             p12 = psi_values(dom, red, basis[0], x1 * x2, r1 + r2, op)
-            gp2 = act_by_gamma(dom, k, x1, r1, p2, op)
+            gp2 = act(dom, k, x1, r1, p2, op)
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gp2, p1, p12))
             l1, l2 = lam(x1, r1, i1), lam(x2, r2, i2)
             [l12] = lambda_values(dom, red, lifts, x1 * x2, r1 + r2, tau,
                                   sz.n_terms, op)
-            gl2 = act_by_gamma(dom, k, x1, r1, l2, op)
+            gl2 = act(dom, k, x1, r1, l2, op)
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gl2, l1, l12))
 
@@ -300,7 +300,7 @@ class TestProperties:
             pth = geodesic(u, v)
             tot = [PadicNumber.zero(p, op) for _ in range(k + 1)]
             for s, t in zip(pth, pth[1:]):
-                val = basis[0].value(edge_between(s, t), red, op)
+                val = value(basis[0], edge_between(s, t), red, op)
                 tot = [x + y for x, y in zip(tot, val)]
             return tot
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,34 @@ class TestValidation:
             "--prec", "10", "--budget-secs", "0.0",
             "--cache-dir", str(tmp_path))
         assert code == 4
+
+    def test_budget_checked_in_domain_and_basis(self, capsys, tmp_path):
+        """The domain search and the basis conditions check the budget: a
+        row whose domain and sizing basis take about a minute exits 4 soon
+        after its budget of 2 s runs out (it took 17.6 s when only later
+        stages checked)."""
+        start = time.monotonic()
+        code, _, err = run_cli(
+            capsys, "linv", "--p", "5", "--nminus", "19", "--nplus", "2",
+            "--weight", "8", "--prec", "6", "--budget-secs", "2",
+            "--cache-dir", str(tmp_path))
+        assert code == 4
+        assert "budget" in err
+        assert time.monotonic() - start < 2 + 3
+        assert os.listdir(tmp_path) == []
+
+    def test_coarse_sizing_splitting_exits_2(self, capsys, tmp_path):
+        """(2, 11) at weight 20 needs more splitting digits than the sizing
+        context has: the row is undecidable (exit 2), never reported with
+        dimension 0, and nothing is written; its dimension is 15."""
+        code, out, _ = run_cli(
+            capsys, "linv", "--p", "2", "--nminus", "11", "--weight", "20",
+            "--prec", "6", "--format", "json", "--cache-dir", str(tmp_path))
+        assert code in (0, 2)
+        if code == 0:
+            assert json.loads(out)["dim"] == 15
+        else:
+            assert os.listdir(tmp_path) == []
 
 
 class TestLinv:

@@ -1,62 +1,105 @@
 """Harmonic cocycle spaces: dimensions, harmonicity, invariance, involutions."""
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linvariant.cocycles import (
-    act_by_gamma,
+    act_on,
+    as_padics,
     harmonic_basis,
     involution_matrix,
     normalizing_element,
-    vk_act,
-    weight_coeff_rows,
+    weight_action,
 )
-from linvariant.padics import PadicNumber
+from linvariant.lifting import sigma_series_matrix
+from linvariant.padics import PadicNumber, PrecisionError
 from linvariant.pipeline import build_context
-from linvariant.tree import star
+from linvariant.tree import mat_adj, star
+
+from conftest import act, value
 
 PREC = 25
+
+_spec = importlib.util.spec_from_file_location(
+    "oracle", os.path.join(os.path.dirname(__file__), "..", "benchmark",
+                           "oracle.py"))
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+def _det(g):
+    return g[0] * g[3] - g[1] * g[2]
 
 
 class TestWeightAction:
     def test_identity(self):
-        rows = weight_coeff_rows((1, 0, 0, 1), 4)
+        rows, e, P = weight_action(5, (1, 0, 0, 1), 1, 4, PREC)
+        assert e == 0 and P == PREC
         for i, row in enumerate(rows):
             assert row == [1 if j == i else 0 for j in range(5)]
 
     def test_scalar_acts_trivially(self):
+        """s I acts trivially, its unit part folded into the rows and its
+        p-part into the scale."""
         p, k = 3, 2
-        omega = [PadicNumber.from_int(n, p, PREC) for n in (5, 7, 11)]
-        out = vk_act(p, k, (2, 0, 0, 2), Fraction(4), omega, PREC)
-        for a, b in zip(out, omega):
-            assert (a - b).is_zero()
+        vec = ([5, 7, 11], 0, PREC)
+        for s in (2, 3, 9):
+            out = act_on(p, weight_action(p, (s, 0, 0, s), s * s, k, PREC),
+                         vec, PREC)
+            for a, b in zip(as_padics(p, out), as_padics(p, vec)):
+                assert (a - b).is_zero()
 
     def test_composition(self):
-        """act(g1, act(g2, w)) = act(g2 g1, w) for the right action."""
+        """act(g1, act(g2, w)) = act(g1 g2, w) for the left action
+        (g . w)(P) = w(P |_k g), also when p divides a determinant."""
         rng = random.Random(11)
         p, k = 3, 2
-        for _ in range(20):
+        for _ in range(40):
             g1 = tuple(rng.randrange(-9, 10) for _ in range(4))
             g2 = tuple(rng.randrange(-9, 10) for _ in range(4))
-            d1 = g1[0] * g1[3] - g1[1] * g1[2]
-            d2 = g2[0] * g2[3] - g2[1] * g2[2]
-            if d1 % p == 0 or d2 % p == 0 or d1 == 0 or d2 == 0:
+            if _det(g1) == 0 or _det(g2) == 0:
                 continue
-            g21 = (
+            g12 = (
                 g1[0] * g2[0] + g1[1] * g2[2],
                 g1[0] * g2[1] + g1[1] * g2[3],
                 g1[2] * g2[0] + g1[3] * g2[2],
                 g1[2] * g2[1] + g1[3] * g2[3],
             )
-            omega = [PadicNumber.from_int(rng.randrange(-50, 50), p, PREC)
-                     for _ in range(k + 1)]
-            a = vk_act(p, k, g1, Fraction(d1),
-                       vk_act(p, k, g2, Fraction(d2), omega, PREC), PREC)
-            b = vk_act(p, k, g21, Fraction(d1 * d2), omega, PREC)
-            for u, v in zip(a, b):
+            vec = ([rng.randrange(-50, 50) for _ in range(k + 1)], 0, PREC)
+            act1, act2, act12 = (weight_action(p, g, _det(g), k, PREC)
+                                 for g in (g1, g2, g12))
+            a = act_on(p, act1, act_on(p, act2, vec, PREC), PREC)
+            b = act_on(p, act12, vec, PREC)
+            assert a[1] == b[1]
+            for u, v in zip(as_padics(p, a), as_padics(p, b)):
                 assert (u - v).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 4),
+           W=st.integers(1, 20), extra=st.integers(0, 4),
+           a=st.integers(-40, 40), b=st.integers(-40, 40),
+           c=st.integers(-8, 8), d=st.integers(-40, 40))
+    def test_sigma_series_rows_are_the_adjugate_action(self, p, half_k, W,
+                                                       extra, a, b, c, d):
+        """Rows 0..k of the substitution matrix of an Iwahori sigma are the
+        action of adj(sigma) on V_k modulo p^W, extended by zeros: the
+        distribution action restricts to the V_k action."""
+        if a % p == 0 or d % p == 0:
+            return
+        sigma = (a, b, p * c, d)
+        k = 2 * half_k
+        T = sigma_series_matrix(sigma, k, k + extra, p, W)
+        adj = mat_adj(sigma)
+        rows, e, _ = weight_action(p, adj, _det(adj), k, W)
+        assert e == 0
+        for m in range(k + 1):
+            assert T[m][:k + 1] == rows[m]
+            assert not any(T[m][k + 1:])
 
 
 FROZEN_DIMS = {
@@ -98,6 +141,19 @@ class TestDimensions:
         basis = harmonic_basis(ctx23.dom, 0, PREC)
         assert isinstance(basis, list)
 
+    def test_coarse_splitting_never_loses_rank(self):
+        """(2, 31) at weight 8 needs more splitting digits than 40: the
+        basis raises PrecisionError or has the oracle's dimension, never a
+        smaller one."""
+        ctx = build_context(2, 31, 1, 40)
+        want = oracle.harmonic_dim(2, 31, 1, 8)
+        assert want == 18
+        try:
+            basis = harmonic_basis(ctx.dom, 6, PREC)
+        except PrecisionError:
+            return
+        assert len(basis) == want
+
 
 def _random_vertex(p, rng, depth=3):
     from linvariant.tree import base_vertex, neighbors
@@ -121,7 +177,7 @@ class TestHarmonicityInvariance:
                 v = _random_vertex(dom.p, rng)
                 total = [PadicNumber.zero(dom.p, PREC) for _ in range(k + 1)]
                 for e in star(v):
-                    val = c.value(e, red, PREC)
+                    val = value(c, e, red, PREC)
                     total = [a + b for a, b in zip(total, val)]
                 assert all(t.is_zero() for t in total)
 
@@ -143,8 +199,8 @@ class TestHarmonicityInvariance:
                 Xi, _ = gamma_matrix(dom, x, r)
                 ge = normalize_edge(
                     mat_mul(tuple(Fraction(t) for t in Xi), e.matrix()), dom.p)
-                lhs = c.value(ge, red, PREC)
-                rhs = act_by_gamma(dom, k, x, r, c.value(e, red, PREC), PREC)
+                lhs = value(c, ge, red, PREC)
+                rhs = act(dom, k, x, r, value(c, e, red, PREC), PREC)
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.cocycles import act_by_gamma, weight_coeff_rows
+from linvariant.cocycles import weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
     _mobius,
@@ -17,6 +17,7 @@ from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import PadicNumber, half_trace
 from linvariant.tree import base_vertex, edges_leaving_geodesic, neighbors, star
 
+from conftest import act, value
 from test_tree import ball_contains
 
 
@@ -125,7 +126,7 @@ class TestCoveringSumZero:
                 w = nb[rng.randrange(len(nb))]
             total = [PadicNumber.zero(dom.p, prec) for _ in range(k + 1)]
             for e in edges_leaving_geodesic(v, w):
-                val = c.value(e, red, prec)
+                val = value(c, e, red, prec)
                 total = [a + b for a, b in zip(total, val)]
             assert all(t.is_zero() for t in total)
 
@@ -145,7 +146,7 @@ class TestLambdaCocycle:
             l1 = lam(x1, r1)
             l2 = lam(x2, r2)
             l12 = lam(x1 * x2, r1 + r2)
-            g_l2 = act_by_gamma(dom, k, x1, r1, l2, op)
+            g_l2 = act(dom, k, x1, r1, l2, op)
             for a, b, c in zip(g_l2, l1, l12):
                 assert (a + b - c).is_zero()
 
@@ -159,7 +160,7 @@ class TestLambdaCocycle:
             xinv = x.conj()  # x * conj(x) = nrd(x) = p^{2r}, central
             [l1] = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op)
             [l2] = lambda_values(dom, red, lifts, xinv, r, tau, sz.n_terms, op)
-            g_l2 = act_by_gamma(dom, k, x, r, l2, op)
+            g_l2 = act(dom, k, x, r, l2, op)
             for a, b in zip(l1, g_l2):
                 assert (a + b).is_zero()
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.cocycles import act_by_gamma
 from linvariant.loperator import (
     eigenspace,
     psi_values,
@@ -17,6 +16,8 @@ from linvariant.padics import (
     charpoly,
     newton_slopes,
 )
+
+from conftest import act
 
 
 def _pad(n, p, prec):
@@ -167,7 +168,7 @@ class TestPsi:
             p1 = psi_values(dom, red, basis[0], x1, r1, op)
             p2 = psi_values(dom, red, basis[0], x2, r2, op)
             p12 = psi_values(dom, red, basis[0], x1 * x2, r1 + r2, op)
-            g_p2 = act_by_gamma(dom, k, x1, r1, p2, op)
+            g_p2 = act(dom, k, x1, r1, p2, op)
             for a, b, c in zip(g_p2, p1, p12):
                 assert (a + b - c).is_zero()
 
@@ -180,7 +181,7 @@ class TestPsi:
             xinv = x.conj()
             p1 = psi_values(dom, red, basis[0], x, r, op)
             p2 = psi_values(dom, red, basis[0], xinv, r, op)
-            g_p2 = act_by_gamma(dom, k, x, r, p2, op)
+            g_p2 = act(dom, k, x, r, p2, op)
             for a, b in zip(p1, g_p2):
                 assert (a + b).is_zero()
 

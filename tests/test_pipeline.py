@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import linvariant.cocycles as cocycles
 import linvariant.loperator as loperator
 import linvariant.pipeline as pipeline
 from linvariant.padics import PadicNumber, PrecisionError
@@ -76,11 +77,31 @@ def _count_calls(monkeypatch, module, name):
 def test_each_artefact_once_per_row(monkeypatch):
     """A row that retries once computes its domain once, the weight-k basis
     once for the sizing plus once per attempt, and sizes and lifts each
-    attempt once."""
+    attempt once.  The action of each (x, r, k) is built once per domain: a
+    domain under a new splitting starts without the actions but shares the
+    located edges."""
     domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
     bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
     sizings = _count_calls(monkeypatch, pipeline, "size_parameters")
     lifts = _count_calls(monkeypatch, pipeline, "make_lift")
+    actions = _count_calls(monkeypatch, cocycles, "weight_action")
+    doms = []
+    build, split = pipeline.build_context, pipeline.resplit
+
+    def building(*args, **kwargs):
+        ctx = build(*args, **kwargs)
+        doms.append(ctx.dom)
+        return ctx
+
+    def splitting(ctx, *args, **kwargs):
+        new = split(ctx, *args, **kwargs)
+        assert new.dom.actions == {} and ctx.dom.actions
+        assert new.dom.located is ctx.dom.located
+        doms.append(new.dom)
+        return new
+
+    monkeypatch.setattr(pipeline, "build_context", building)
+    monkeypatch.setattr(pipeline, "resplit", splitting)
     invariants = pipeline._invariants
     attempts = []
 
@@ -99,6 +120,8 @@ def test_each_artefact_once_per_row(monkeypatch):
     assert len(lifts) == len(attempts)
     # every attempt sizes with the one probe basis
     assert sizings[0][3] is sizings[1][3]
+    assert len(doms) == 1 + len(attempts)
+    assert len(actions) == sum(len(dom.actions) for dom in doms) > 0
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
 
 
