@@ -139,6 +139,8 @@ def _ival(n: int, p: int, cap: int) -> int:
     """min(v_p(n), cap) for an integer n, with v_p(0) infinite."""
     if n == 0:
         return cap
+    if p == 2:
+        return min((n & -n).bit_length() - 1, cap)
     v = 0
     while v < cap and n % p == 0:
         n //= p

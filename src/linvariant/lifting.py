@@ -9,6 +9,21 @@ the extra moments k+1.. to any target precision by choosing n large.
 
 All heavy arithmetic is plain integers modulo p^W, with a single global scale
 p^t making every stored moment integral.
+
+The integer kernels run on packed big integers (Kronecker substitution): a
+vector v_0..v_(n-1) of residues mod p^W is the integer sum_i v_i 2^(B i),
+one field of B bits per entry.  A field width
+
+    B = 2 bitlen(p^W - 1) + bitlen(terms) + 1
+
+holds a sum of `terms` products of two residues, so in a product or a
+linear combination of packed vectors no carry crosses into the next field;
+unpacking reads each field and reduces it mod p^W.  `sigma_series_matrix`
+computes each row as the previous row times the packed series s in one
+multiplication (terms = i_max + 1).  `make_lift` stores each sweep matrix
+C = P_l T_sigma by columns, cols[m] = sum_i C[i][m] 2^(B i), so that one
+U_p sweep is a sum of residue-times-column products followed by a single
+unpack (terms = p (i_max + 1)).
 """
 
 from __future__ import annotations
@@ -24,12 +39,35 @@ from .padics import inv_mod, val_int
 from .tree import frac_val, mat_adj, mat_mul
 
 
+def _field_width(mod: int, terms: int) -> int:
+    """Bits per packed field holding a sum of `terms` products of two
+    residues mod `mod`."""
+    return 2 * (mod - 1).bit_length() + terms.bit_length() + 1
+
+
+def _pack(vals, B: int) -> int:
+    """sum_i vals[i] 2^(B i) for nonnegative vals[i] < 2^B."""
+    X = 0
+    for v in reversed(vals):
+        X = X << B | v
+    return X
+
+
+def _unpack(X: int, B: int, n: int, mod: int) -> list:
+    """Fields 0..n-1 of X, each reduced mod `mod`."""
+    mask = (1 << B) - 1
+    X &= (1 << B * n) - 1  # shorter shifts below
+    return [(X >> B * i & mask) % mod for i in range(n)]
+
+
 def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int, n_rows=None):
     """Rows T[m] (m = 0..n_rows-1, default i_max+1) of the substitution x^m -> sigma-transformed
     series, entries mod p^W: row m holds the coefficients of
     det^(-k/2) (a - c x)^(k - m) (d x - b)^m expanded to degree i_max.
 
-    sigma must be Iwahori: a a unit, p | c."""
+    sigma must be Iwahori: a a unit, p | c.  Row 0 is det^(-k/2) (a - c x)^k
+    and row m+1 is row m times s = (d x - b)/(a - c x), one packed product
+    each."""
     a, b, c, d = (int(t) for t in sigma)
     mod = p**W
     assert a % p != 0 and c % p == 0
@@ -41,32 +79,24 @@ def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int, n_rows=None):
     for n in range(1, i_max + 1):
         inv[n] = inv[n - 1] * q % mod
     # s = (d x - b) * inv
-    s = [0] * (i_max + 1)
-    for n in range(i_max + 1):
-        acc = d * inv[n - 1] if n >= 1 else 0
-        acc -= b * inv[n]
-        s[n] = acc % mod
-    # base = (a - c x)^k, exact polynomial
-    base = [comb(k, n) * (-c) ** n * a ** (k - n) % mod for n in range(min(k, i_max) + 1)]
-    base += [0] * (i_max + 1 - len(base))
+    s = [(-b * inv[0]) % mod]
+    s += [(d * inv[n - 1] - b * inv[n]) % mod for n in range(1, i_max + 1)]
     det = a * d - b * c
     dv = val_int(det, p) if det % p == 0 else 0
     assert dv == 0, "sigma must have unit determinant"
     dfac = pow(inv_mod(det % mod, mod), k // 2, mod)
+    # det^(-k/2) (a - c x)^k, an exact polynomial
+    row = [dfac * comb(k, n) * (-c) ** n * a ** (k - n) % mod
+           for n in range(min(k, i_max) + 1)]
+    row += [0] * (i_max + 1 - len(row))
     if n_rows is None:
         n_rows = i_max + 1
-    rows = [[t * dfac % mod for t in base]]
-    cur = base
+    B = _field_width(mod, i_max + 1)
+    S = _pack(s, B)
+    rows = [row]
     for _ in range(n_rows - 1):
-        nxt = [0] * (i_max + 1)
-        for n in range(i_max + 1):
-            acc = 0
-            for u in range(n + 1):
-                if cur[u]:
-                    acc += cur[u] * s[n - u]
-            nxt[n] = acc % mod
-        cur = nxt
-        rows.append([t * dfac % mod for t in cur])
+        row = _unpack(_pack(row, B) * S, B, i_max + 1, mod)
+        rows.append(row)
     return rows
 
 
@@ -186,23 +216,21 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
         a = val_int(ns, p) if ns % p == 0 else 0
         uinv = inv_mod(ns // p**a, mod)
         for phis, vecs in zip(all_phis, all_vecs):
-            acc = [0] * (i_max + 1)
-            for T in Ts:
-                for m in range(i_max + 1):
-                    s = 0
-                    for i in range(k + 1):
-                        if T[m][i]:
-                            s += T[m][i] * phis[j][i]
-                    acc[m] += s
             vec = []
             for m in range(i_max + 1):
-                q = acc[m] % mod
+                q = sum(sum(map(mul, T[m], phis[j])) for T in Ts) % mod
                 assert q % p**a == 0, "stabilizer average is not p-integral"
                 vec.append((q // p**a) * uinv % mod)
-            for i in range(k + 1):
-                vec[i] = phis[j][i]
+            vec[:k + 1] = phis[j]
             vecs.append(vec)
-    # precompute the combined sweep matrices C[(j, l)] = P_l * T_sigma
+    # the combined sweep matrices C[(j, l)] = P_l * T_sigma, column-packed;
+    # P_l[i][nu] = C(i, nu) p^nu l^(i - nu) is the substitution x -> l + p x
+    n = i_max + 1
+    width = _field_width(mod, p * n)
+    binom = [[_pack([0] * nu + [comb(i, nu) * p**nu * ell ** (i - nu) % mod
+                                for i in range(nu, n)], width)
+              for nu in range(n)]
+             for ell in range(p)]
     table = build_up_table(dom, reducer)
     combined = []
     for j in range(len(reps)):
@@ -210,49 +238,35 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
         for ell in range(p):
             ent = table[j][ell]
             T = sigma_series_matrix(ent.sigma, k, i_max, p, W)
-            C = []
-            for i in range(i_max + 1):
-                acc = [0] * (i_max + 1)
-                for nu in range(i + 1):
-                    cf = comb(i, nu) * p**nu * ell ** (i - nu) % mod
-                    if cf:
-                        Tn = T[nu]
-                        for m in range(i_max + 1):
-                            if Tn[m]:
-                                acc[m] += cf * Tn[m]
-                C.append([v % mod for v in acc])
-            row.append((ent.jprime, C))
+            cols = [_pack(_unpack(sum(map(mul, (Tn[m] for Tn in T), binom[ell])),
+                                  width, n, mod), width)
+                    for m in range(n)]
+            row.append((ent.jprime, cols))
         combined.append(row)
     half = p ** (k // 2)
     for it in range(params.n_it):
-        for n, (phis, vecs) in enumerate(zip(all_phis, all_vecs)):
-            all_vecs[n] = _up_sweep(combined, phis, vecs, i_max, k, mod, half)
+        all_vecs = [_up_sweep(combined, phis, vecs, k, mod, half, width)
+                    for phis, vecs in zip(all_phis, all_vecs)]
         if progress is not None:
             progress(it)
     return [Lift(dom, reducer, params, vecs, phis)
             for phis, vecs in zip(all_phis, all_vecs)]
 
 
-def _up_sweep(combined, phis, vecs, i_max: int, k: int, mod: int, half: int):
-    """One normalized U_p sweep of the moment vectors of one lift."""
+def _up_sweep(combined, phis, vecs, k: int, mod: int, half: int, B: int):
+    """One normalized U_p sweep of the moment vectors of one lift: per rep j,
+    the packed sum of src[m] * cols[m] over its cosets (j', cols) and the
+    moments m of src = vecs[j'], unpacked once."""
+    n = len(vecs[0])
     new = []
-    for j in range(len(vecs)):
-        acc = [0] * (i_max + 1)
-        for jp, C in combined[j]:
-            src = vecs[jp]
-            for i in range(i_max + 1):
-                Ci = C[i]
-                s = 0
-                for m in range(i_max + 1):
-                    if Ci[m]:
-                        s += Ci[m] * src[m]
-                acc[i] += s
-        vec = []
-        for i in range(i_max + 1):
-            q = acc[i] % mod
+    for j, row in enumerate(combined):
+        X = 0
+        for jp, cols in row:
+            X += sum(map(mul, vecs[jp], cols))
+        vec = _unpack(X, B, n, mod)
+        for i, q in enumerate(vec):
             assert q % half == 0, "U_p value not divisible by p^(k/2)"
-            vec.append(q // half)
-        for i in range(k + 1):
-            vec[i] = phis[j][i]
+            vec[i] = q // half
+        vec[:k + 1] = phis[j]
         new.append(vec)
     return new

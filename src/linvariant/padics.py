@@ -25,6 +25,8 @@ def val_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer (raises on 0)."""
     if n == 0:
         raise ValueError("valuation of zero is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -105,10 +107,14 @@ class PadicNumber:
             self.prec = prec
             return
         # normalize: strip p-powers the reduction may have revealed
-        w = 0
-        while unit % p == 0:
-            unit //= p
-            w += 1
+        if p == 2:
+            w = (unit & -unit).bit_length() - 1
+            unit >>= w
+        else:
+            w = 0
+            while unit % p == 0:
+                unit //= p
+                w += 1
         val += w
         rel -= w
         if rel <= 0:
@@ -193,6 +199,9 @@ class PadicNumber:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
+        if type(other) is int and other % self.p:
+            # exact: `_coerce` gives other 64 spare digits, so only the unit changes
+            return PadicNumber(self.p, self.val, self.unit * other, self.prec)
         other = self._coerce(other)
         if self.unit == 0 or other.unit == 0:
             # O(p^a) * (u p^v + O(p^b)) = O(p^(a+v)) at best

@@ -157,10 +157,12 @@ SIZING_SPLIT_PREC = 60
 SIZING_BASIS_PREC = 40
 
 
-def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
+def size_parameters(ctx: Context, k: int, M: int, basis0,
+                    progress=None) -> Sizing:
     """Choose scale, truncation and iteration counts for M output digits.
 
     basis0 is the weight-k harmonic basis of ctx at SIZING_BASIS_PREC.
+    progress(n), if given, runs after the covering of the n-th generator.
 
     The series term pairing moment i has valuation at least
     (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
@@ -175,9 +177,11 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     margin = 6 + (1 if p == 2 else 0)
     Mt = M + margin
     maxD = 0
-    for x, r in ctx.dom.generators():
+    for n, (x, r) in enumerate(ctx.dom.generators()):
         for ball in covering(ctx.dom, ctx.reducer, x, r):
             maxD = max(maxD, abs(ball.det_val))
+        if progress is not None:
+            progress(n)
     minv = 0
     for c in basis0:
         for res, e, P in _phi_scaled(ctx.dom, c, k):
@@ -319,7 +323,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     Mw = M
     retries = 0
     while True:
-        sz = size_parameters(ctx, k, Mw, basis0)
+        sz = size_parameters(ctx, k, Mw, basis0, progress)
         budget.check()
         actx = resplit(ctx, sz.split_prec, variant=split_variant,
                        progress=progress)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linvariant.integration import _ival
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import (
     PadicNumber,
@@ -65,6 +66,20 @@ class TestBasicArithmetic:
         z = x * y
         assert z.val == 2 and z.prec == 6
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), val=st.integers(-20, 20),
+           unit=st.integers(0, 10**30), rel=st.integers(-5, 40),
+           n=st.integers(-10**30, 10**30))
+    def test_mul_by_int_unit(self, p, val, unit, rel, n):
+        """Multiplying by an integer p-unit gives what multiplying by its
+        coercion gives, zero and negative valuations included."""
+        if n % p == 0:
+            n += 1
+        x = PadicNumber(p, val, unit, val + rel)
+        y = x * PadicNumber.from_fraction(n, p, x.prec - min(x.val, 0) + 64)
+        for z in (x * n, n * x):
+            assert (z.val, z.unit, z.prec) == (y.val, y.unit, y.prec)
+
     def test_expansion_str(self):
         x = Q3(1 + 9, 5)
         assert x.expansion_str() == "1 + 3^2 + O(3^5)"
@@ -73,9 +88,39 @@ class TestBasicArithmetic:
         assert Q3(14, 10).residue(3) == 14 % 27
 
 
+def _division_val(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 class TestIntHelpers:
     def test_val_int(self):
         assert val_int(54, 3) == 3 and val_int(7, 3) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), n=st.integers(-10**40, 10**40),
+           shift=st.integers(0, 80), cap=st.integers(0, 100),
+           prec=st.integers(1, 60))
+    def test_valuations_match_division_loop(self, p, n, shift, cap, prec):
+        """val_int, integration._ival and the normalisation of PadicNumber
+        agree with repeated division, negative n included."""
+        n *= p**shift
+        if n == 0:
+            with pytest.raises(ValueError):
+                val_int(n, p)
+            assert _ival(n, p, cap) == cap
+            return
+        v = _division_val(n, p)
+        assert val_int(n, p) == v
+        assert _ival(n, p, cap) == min(v, cap)
+        x = PadicNumber(p, 0, n, prec)
+        if v < prec:
+            assert (x.val, x.unit) == (v, n // p**v % p ** (prec - v))
+        else:
+            assert x.is_zero() and x.val == prec
 
     def test_inv_mod(self):
         assert inv_mod(5, 81) * 5 % 81 == 1

@@ -23,9 +23,9 @@ def _record_working_precisions(monkeypatch):
     seen = []
     sizing = pipeline.size_parameters
 
-    def recording(ctx, k, M, basis0):
+    def recording(ctx, k, M, basis0, progress=None):
         seen.append(M)
-        return sizing(ctx, k, M, basis0)
+        return sizing(ctx, k, M, basis0, progress)
 
     monkeypatch.setattr(pipeline, "size_parameters", recording)
     return seen
@@ -218,6 +218,41 @@ def test_budget_checked_between_sample_elements(monkeypatch):
         compute_l_result(3, 2, 1, 4, 4, budget=budget)
     assert len(calls) == 1
     assert len(calls[0][0].generators()) > 1
+
+
+def test_sizing_scan_calls_the_hook_per_generator(ctx32, monkeypatch):
+    """A raising progress hook stops the covering scan of size_parameters
+    after the first generator."""
+    coverings = _count_calls(monkeypatch, pipeline, "covering")
+
+    class Stop(Exception):
+        pass
+
+    def stop(n):
+        raise Stop
+
+    assert len(ctx32.dom.generators()) > 1
+    with pytest.raises(Stop):
+        pipeline.size_parameters(ctx32, 2, 6, [], stop)
+    assert len(coverings) == 1
+
+
+def test_budget_checked_in_sizing_scan(monkeypatch):
+    """A budget that runs out during the covering of the first generator in
+    the sizing stops the row there."""
+    budget = Budget(seconds=1e6)
+    covering = pipeline.covering
+    calls = []
+
+    def exhausting(*args):
+        calls.append(args)
+        budget.seconds = 0.0
+        return covering(*args)
+
+    monkeypatch.setattr(pipeline, "covering", exhausting)
+    with pytest.raises(BudgetExceeded):
+        compute_l_result(3, 2, 1, 4, 4, budget=budget)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12),
