@@ -16,11 +16,12 @@ import argparse
 import json
 import sys
 
+from .budget import Budget, BudgetExceeded
 from .cocycles import harmonic_basis
 from .padics import PrecisionError
 from .pipeline import (
-    Budget,
-    BudgetExceeded,
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
     UsageError,
     build_context,
     cached_l_result,
@@ -95,7 +96,7 @@ def build_parser():
 
 def _cmd_fdomain(args) -> int:
     validate(args.p, args.nminus, args.nplus)
-    ctx = build_context(args.p, args.nminus, args.nplus, 40)
+    ctx = build_context(args.p, args.nminus, args.nplus, SIZING_SPLIT_PREC)
     dom = ctx.dom
     info = {
         "p": args.p,
@@ -122,8 +123,8 @@ def _cmd_fdomain(args) -> int:
 def _cmd_basis(args) -> int:
     validate(args.p, args.nminus, args.nplus, args.weight)
     k = args.weight - 2
-    ctx = build_context(args.p, args.nminus, args.nplus, 40)
-    basis = harmonic_basis(ctx.dom, k, 25)
+    ctx = build_context(args.p, args.nminus, args.nplus, SIZING_SPLIT_PREC)
+    basis = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     info = {
         "p": args.p,
         "nminus": args.nminus,
@@ -138,9 +139,9 @@ def _cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _cmd_linv(args, budget: Budget) -> int:
+def _cmd_linv(args) -> int:
     data = cached_l_result(args.p, args.nminus, args.nplus, args.weight,
-                           args.prec, cache_dir=args.cache_dir, budget=budget)
+                           args.prec, cache_dir=args.cache_dir)
     if args.format == "json":
         print(json.dumps(data, indent=1))
         return EXIT_OK
@@ -164,9 +165,9 @@ def _cmd_linv(args, budget: Budget) -> int:
     return EXIT_OK
 
 
-def _cmd_slopes(args, budget: Budget) -> int:
+def _cmd_slopes(args) -> int:
     results = [cached_l_result(args.p, args.nminus, args.nplus, w, args.prec,
-                               cache_dir=args.cache_dir, budget=budget)
+                               cache_dir=args.cache_dir)
                for w in args.weights]
     if args.format == "json":
         print(json.dumps(results, indent=1))
@@ -175,19 +176,15 @@ def _cmd_slopes(args, budget: Budget) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"fdomain": _cmd_fdomain, "basis": _cmd_basis,
+            "linv": _cmd_linv, "slopes": _cmd_slopes}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = Budget(seconds=getattr(args, "budget_secs", None))
     try:
-        if args.cmd == "fdomain":
-            return _cmd_fdomain(args)
-        if args.cmd == "basis":
-            return _cmd_basis(args)
-        if args.cmd == "linv":
-            return _cmd_linv(args, budget)
-        if args.cmd == "slopes":
-            return _cmd_slopes(args, budget)
-        raise UsageError(f"unknown command {args.cmd}")
+        with Budget(seconds=args.budget_secs).active():
+            return COMMANDS[args.cmd](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

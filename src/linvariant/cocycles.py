@@ -30,7 +30,8 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .domain import EdgeReducer, FundamentalDomain, _is_pm_one, gamma_matrix
+from .budget import checkpoint
+from .domain import FundamentalDomain, _is_pm_one, gamma_matrix
 from .padics import PadicNumber, PrecisionError, solve_linear, val_int
 from .quaternions import Quat, enumerate_norm
 from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
@@ -114,11 +115,11 @@ class HarmonicCocycle:
     values: list  # per geometric rep: k+1 integer residues modulo p^prec
     prec: int
 
-    def value(self, e: Edge, reducer: EdgeReducer, prec: int):
+    def value(self, e: Edge, prec: int):
         """c(e) for an arbitrary directed edge, as (residues, scale,
         precision) in the convention of `Action`, capped at prec digits
         before the action's scale."""
-        j, x, r = reducer.locate(e)
+        j, x, r = self.dom.locate(e)
         base = self.values[j // 2]
         if j % 2:
             base = [-t for t in base]
@@ -128,19 +129,19 @@ class HarmonicCocycle:
         return act_on(self.dom.p, gamma_action(self.dom, x, r, self.k), vec, prec)
 
 
-def harmonic_basis(dom: FundamentalDomain, k: int, prec: int,
-                   progress=None) -> list[HarmonicCocycle]:
+def harmonic_basis(dom: FundamentalDomain, k: int,
+                   prec: int) -> list[HarmonicCocycle]:
     """Basis of the space of Gamma-invariant harmonic cocycles of weight k.
 
     Every returned cocycle carries at least `prec` digits; the kernel solve
     runs at a padded working precision until that holds.  Padding cannot
     raise the digits of the action past the splitting's precision, so once
     the working precision reaches it a shortfall raises PrecisionError.
-    progress(n) runs after each stabilizer element and each star edge taken
-    into the conditions (n blocks of conditions set up so far)."""
+    The time budget is checked after each stabilizer element and each star
+    edge taken into the conditions."""
     pad = 0
     while True:
-        out = _harmonic_basis_at(dom, k, prec + pad, progress)
+        out = _harmonic_basis_at(dom, k, prec + pad)
         if not out:
             return out
         got = min(c.prec for c in out)
@@ -154,29 +155,27 @@ def harmonic_basis(dom: FundamentalDomain, k: int, prec: int,
             raise PrecisionError("harmonic basis solve keeps losing precision")
 
 
-def _harmonic_basis_at(dom: FundamentalDomain, k: int, prec: int,
-                       progress) -> list[HarmonicCocycle]:
+def _harmonic_basis_at(dom: FundamentalDomain, k: int,
+                       prec: int) -> list[HarmonicCocycle]:
     p, n = dom.p, k + 1
     ngeo = len(dom.geo_edges)
-    reducer = EdgeReducer(dom)
     ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0, prec)
     # each block of k+1 conditions: the sum over its (rep, sign, action)
     # terms of sign * action on the values of the geometric rep
     blocks = []
-    tick = progress or (lambda n: None)
     for jg, stab in enumerate(dom.edge_stabs):
         for x, r in stab:
             if not _is_pm_one(x, r):
                 blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
                                (jg, -1, ident)])
-                tick(len(blocks))
+                checkpoint()
     for v in dom.vertices:
         block = []
         for e in star(v):
-            j, x, r = reducer.locate(e)
+            j, x, r = dom.locate(e)
             block.append((j // 2, 1 - 2 * (j % 2),
                           ident if _is_pm_one(x, r) else gamma_action(dom, x, r, k)))
-            tick(len(blocks))
+            checkpoint()
         blocks.append(block)
     rows = []
     for block in blocks:
@@ -233,8 +232,8 @@ def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool 
     raise RuntimeError(f"no normalizing element of reduced norm {nrd_target}")
 
 
-def involution_matrix(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
-                      w: Quat, basis: list[HarmonicCocycle], prec: int):
+def involution_matrix(dom: FundamentalDomain, k: int, w: Quat,
+                      basis: list[HarmonicCocycle], prec: int):
     """Matrix M with w . c_i = sum_l M[l][i] c_l, solved on the stacked
     values of the cocycles on the geometric reps, where
     (w . c)(e) = w . c(w^-1 e)."""
@@ -245,7 +244,7 @@ def involution_matrix(dom: FundamentalDomain, reducer: EdgeReducer, k: int,
     for jg, e in enumerate(dom.geo_edges):
         pre = normalize_edge(mat_mul(mat_adj(Wi), e.matrix()), p)
         for c, col in zip(basis, rhs):
-            col += as_padics(p, act_on(p, act, c.value(pre, reducer, prec), prec))
+            col += as_padics(p, act_on(p, act, c.value(pre, prec), prec))
         for i in range(k + 1):
             rows.append([PadicNumber(p, 0, c.values[jg][i], c.prec) for c in basis])
     cols, _ = solve_linear(rows, rhs)

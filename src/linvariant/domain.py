@@ -8,14 +8,20 @@ Fincke-Pohst enumeration on that sublattice.
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
-elements and edge/vertex stabilizers.
+elements and edge/vertex stabilizers.  The domain then reduces arbitrary
+edges to its directed representatives (`FundamentalDomain.locate` and
+`FundamentalDomain.reduce_matrix`) with one cached EquivalenceFinder.  Every
+search checks the active time budget once per exponent r (see `budget`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
+from .budget import checkpoint
 from .quaternions import Order, Quat, congruence_kernel, enumerate_norm
 from .splitting import SplittingMap
 from .tree import (
@@ -43,7 +49,11 @@ class EquivalenceFinder:
         self.order = order
         self.spl = spl
         self.p = spl.p
-        self.gram = order.gram()
+        # the norm form scaled to integers by the lcm of its denominators
+        # (2 for every order in use); targets are scaled alike
+        gram = order.gram()
+        self.den = lcm(*(g.denominator for row in gram for g in row))
+        self.gram = [[int(g * self.den) for g in row] for row in gram]
         self.images = spl.images  # iota of the order basis, mod p^prec
         self.mod = spl.p**spl.prec
 
@@ -71,6 +81,7 @@ class EquivalenceFinder:
         forms = self._forms(m1, m2)
         found = []
         for r in range(rmax + 1):
+            checkpoint()
             V = v1 + v2 + 2 * r
             if V % 2:
                 continue
@@ -94,19 +105,10 @@ class EquivalenceFinder:
                 K = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
             else:
                 K = congruence_kernel(rows, modulus)
-            GK = [
-                [
-                    sum(
-                        Fraction(K[i][a]) * self.gram[a][b] * K[j][b]
-                        for a in range(4)
-                        for b in range(4)
-                    )
-                    for j in range(4)
-                ]
-                for i in range(4)
-            ]
-            target = Fraction(p) ** (2 * r)
-            for cvec in enumerate_norm(GK, target):
+            GK = [[sum(ki[a] * self.gram[a][b] * kj[b]
+                       for a in range(4) for b in range(4)) for kj in K]
+                  for ki in K]
+            for cvec in enumerate_norm(GK, self.den * p ** (2 * r)):
                 c = [sum(K[j][m] * cvec[j] for j in range(4)) for m in range(4)]
                 x = self.order.element(c)
                 if r > 0 and all(ci % p == 0 for ci in c):
@@ -122,14 +124,12 @@ class EquivalenceFinder:
 
     # convenience wrappers ------------------------------------------------
 
-    def vertex_equiv(self, v: Vertex, w: Vertex, rmax=None):
-        if rmax is None:
-            rmax = v.dist_to_base() + w.dist_to_base() + 1
+    def vertex_equiv(self, v: Vertex, w: Vertex):
+        rmax = v.dist_to_base() + w.dist_to_base() + 1
         return self.search(v.matrix(), w.matrix(), "vertex", rmax)
 
-    def edge_equiv(self, e: Edge, f: Edge, rmax=None):
-        if rmax is None:
-            rmax = _edge_dist(e) + _edge_dist(f) + 1
+    def edge_equiv(self, e: Edge, f: Edge):
+        rmax = _edge_dist(e) + _edge_dist(f) + 1
         return self.search(e.matrix(), f.matrix(), "edge", rmax)
 
     def stabilizer(self, obj, kind: str, dist: int):
@@ -159,6 +159,18 @@ class Pairing:
 
 
 @dataclass
+class EdgeReduction:
+    """g = p^u_exp * (x/p^r) * B_j * sigma with sigma Iwahori mod p^sigma_prec."""
+
+    j: int  # index into directed_reps()
+    x: Quat
+    r: int
+    sigma: tuple  # 4 ints
+    sigma_prec: int
+    u_exp: int
+
+
+@dataclass
 class FundamentalDomain:
     p: int
     order: Order
@@ -169,20 +181,32 @@ class FundamentalDomain:
     edge_stabs: list[list] = field(default_factory=list)  # per geometric edge
     vertex_stabs: list[list] = field(default_factory=list)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
-    # by EdgeReducer.locate; exact, so a copy of the domain under a more
-    # precise splitting that agrees with this one shares it
+    # by locate; exact, so a copy of the domain under a more precise
+    # splitting that agrees with this one shares it
     located: dict = field(default_factory=dict, compare=False, repr=False)
     # (x, r, k) -> cocycles.gamma_action; it depends on the splitting, so a
     # copy of the domain under another splitting starts without it
     actions: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
+    # Cached on first use (the rep matrices only once the domain is
+    # complete); dataclasses.replace copies none of them, so a domain under
+    # a new splitting builds its own finder.
+
+    @cached_property
+    def finder(self) -> EquivalenceFinder:
+        return EquivalenceFinder(self.order, self.spl)
+
+    @cached_property
+    def rep_mats(self) -> list[tuple]:
+        return [e.matrix() for e in self.directed_reps()]
+
+    @cached_property
+    def rep_detvals(self) -> list[int]:
+        return [_det_val_exact(m, self.p) for m in self.rep_mats]
+
     def directed_reps(self) -> list[Edge]:
-        out = []
-        for e in self.geo_edges:
-            out.append(e)
-            out.append(e.opposite())
-        return out
+        return [f for e in self.geo_edges for f in (e, e.opposite())]
 
     def generators(self):
         """Pairing elements plus nontrivial vertex-stabilizer elements."""
@@ -192,6 +216,58 @@ class FundamentalDomain:
                 if not _is_pm_one(x, r):
                     gens.append((x, r))
         return gens
+
+    def locate(self, e: Edge):
+        """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e, cached by
+        canonical edge in `located`."""
+        if e in self.located:
+            return self.located[e]
+        d_e = _edge_dist(e)
+        for j, f in enumerate(self.directed_reps()):
+            res = self.finder.search(
+                self.rep_mats[j], e.matrix(), "edge", d_e + _edge_dist(f) + 1
+            )
+            if res is not None:
+                out = (j, res[0], res[1])
+                self.located[e] = out
+                return out
+        raise RuntimeError("edge not equivalent to any representative")
+
+    def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
+        """Full reduction of the edge g.e0; g may have residue entries as long
+        as det_val is the exact valuation of its true determinant."""
+        p = self.p
+        e = normalize_edge(g, p)
+        j, x, r = self.locate(e)
+        Bj = self.rep_mats[j]
+        vB = self.rep_detvals[j]
+        # sigma_raw = adj(B_j) adj(X) g ; sigma = sigma_raw / (det(B_j) p^(r+u))
+        # for X = iota(x) = Xint / den, den = p^e_den and nrd(x) = p^(2r)
+        Xint, det = gamma_matrix(self, x, r)
+        e_den = frac_val(det, p) // 2 - r
+        g_int = tuple(int(t) for t in g)
+        raw = mat_mul(mat_adj(Bj), mat_mul(mat_adj(Xint), g_int))
+        assert (det_val - vB) % 2 == 0
+        u_exp = (det_val - vB) // 2
+        # adj(Xint) = den * adj(X); so raw = den * adj(Bj) adj(X) g and the
+        # true sigma = raw / (den * detB * p^(r+u)).
+        detB_unit = 1 if Bj[0] * Bj[3] - Bj[1] * Bj[2] > 0 else -1
+        divisor_exp = e_den + vB + r + u_exp
+        out = []
+        if divisor_exp >= 0:
+            dv = p**divisor_exp
+            for t in raw:
+                assert t % dv == 0, "sigma is not p-integral at claimed scale"
+                out.append(detB_unit * (t // dv))
+            sigma_prec = self.spl.prec - divisor_exp
+        else:
+            dv = p ** (-divisor_exp)
+            out = [detB_unit * t * dv for t in raw]
+            sigma_prec = self.spl.prec
+        sigma = tuple(t % p**sigma_prec for t in out)
+        assert sigma[2] % p == 0, "reduction witness is not Iwahori"
+        assert sigma[0] % p != 0
+        return EdgeReduction(j, x, r, sigma, sigma_prec, u_exp)
 
 
 def gamma_matrix(dom: FundamentalDomain, x, r: int):
@@ -216,29 +292,25 @@ def _is_pm_one(x: Quat, r: int) -> bool:
     return all(c == 0 for c in x.co[1:])
 
 
-def compute_fundamental_domain(order: Order, spl: SplittingMap,
-                               max_vertices: int = 200,
-                               progress=None) -> FundamentalDomain:
-    """The domain by breadth-first search from the base vertex.  progress(n)
-    runs before each edge of a vertex star taken from the queue is examined
-    (n edges found so far) and after the n-th edge and vertex stabilizer."""
+# a search that finds more vertex orbits than this is taken to be a bug
+MAX_VERTICES = 200
+
+
+def compute_fundamental_domain(order: Order,
+                               spl: SplittingMap) -> FundamentalDomain:
+    """The domain by breadth-first search from the base vertex."""
     p = spl.p
-    eq = EquivalenceFinder(order, spl)
     dom = FundamentalDomain(p, order, spl)
+    eq = dom.finder
     v0 = base_vertex(p)
     dom.vertices.append(v0)
     queue = [v0]
-    tick = progress or (lambda n: None)
     while queue:
         v = queue.pop(0)
         for e in star(v):
-            tick(len(dom.geo_edges))
-            known = False
-            for f in dom.geo_edges:
-                if eq.edge_equiv(e, f) is not None or eq.edge_equiv(e, f.opposite()) is not None:
-                    known = True
-                    break
-            if known:
+            if any(eq.edge_equiv(e, f) is not None
+                   or eq.edge_equiv(e, f.opposite()) is not None
+                   for f in dom.geo_edges):
                 continue
             dom.geo_edges.append(e)
             u = e.target()
@@ -254,104 +326,16 @@ def compute_fundamental_domain(order: Order, spl: SplittingMap,
             else:
                 dom.vertices.append(u)
                 queue.append(u)
-                if len(dom.vertices) > max_vertices:
+                if len(dom.vertices) > MAX_VERTICES:
                     raise RuntimeError("fundamental domain larger than expected")
-    for n, e in enumerate(dom.geo_edges):
+    for e in dom.geo_edges:
         stab = eq.stabilizer(e, "edge", _edge_dist(e))
         # closed under negation (contains the central -1), so of even order
         assert len(stab) >= 2 and len(stab) % 2 == 0
         dom.edge_stabs.append(stab)
-        tick(n)
-    for n, v in enumerate(dom.vertices):
+    for v in dom.vertices:
         dom.vertex_stabs.append(eq.stabilizer(v, "vertex", v.dist_to_base()))
-        tick(n)
     return dom
-
-
-# ----------------------------------------------------------------------
-# reduction of arbitrary edges to representatives
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class EdgeReduction:
-    """g = p^u_exp * (x/p^r) * B_j * sigma with sigma Iwahori mod p^sigma_prec."""
-
-    j: int  # index into directed_reps()
-    x: Quat
-    r: int
-    sigma: tuple  # 4 ints
-    sigma_prec: int
-    u_exp: int
-    sign: int  # +1 if rep j is the geometric rep's own orientation
-
-
-class EdgeReducer:
-    """Reduces arbitrary directed edges (given by matrices with exactly known
-    determinant valuation) to the domain's directed representatives.
-
-    The (edge -> gamma, j) part of the answer is cached by canonical edge in
-    the domain's `located`, shared by every reducer of the domain."""
-
-    def __init__(self, dom: FundamentalDomain):
-        self.dom = dom
-        self.eq = EquivalenceFinder(dom.order, dom.spl)
-        self.reps = dom.directed_reps()
-        self.rep_mats = [e.matrix() for e in self.reps]
-        self.rep_detvals = [_det_val_exact(m, dom.p) for m in self.rep_mats]
-
-    def locate(self, e: Edge):
-        """(j, x, r) with iota(x/p^r) . reps[j] = e."""
-        located = self.dom.located
-        if e in located:
-            return located[e]
-        d_e = _edge_dist(e)
-        for j, f in enumerate(self.reps):
-            res = self.eq.search(
-                self.rep_mats[j], e.matrix(), "edge", d_e + _edge_dist(f) + 1
-            )
-            if res is not None:
-                out = (j, res[0], res[1])
-                located[e] = out
-                return out
-        raise RuntimeError("edge not equivalent to any representative")
-
-    def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
-        """Full reduction of the edge g.e0; g may have residue entries as long
-        as det_val is the exact valuation of its true determinant."""
-        p = self.dom.p
-        e = normalize_edge(g, p)
-        j, x, r = self.locate(e)
-        Bj = self.rep_mats[j]
-        vB = self.rep_detvals[j]
-        # sigma_raw = adj(B_j) adj(X) g ; sigma = sigma_raw / (det(B_j) p^(r+u))
-        # for X = iota(x) = Xint / den, den = p^e_den and nrd(x) = p^(2r)
-        Xint, det = gamma_matrix(self.dom, x, r)
-        e_den = frac_val(det, p) // 2 - r
-        g_int = tuple(int(t) for t in g)
-        raw = mat_mul(mat_adj(Bj), mat_mul(mat_adj(Xint), g_int))
-        assert (det_val - vB) % 2 == 0
-        u_exp = (det_val - vB) // 2
-        # adj(Xint) = den * adj(X); so raw = den * adj(Bj) adj(X) g and the
-        # true sigma = raw / (den * detB * p^(r+u)).
-        detB_unit = 1 if Bj[0] * Bj[3] - Bj[1] * Bj[2] > 0 else -1
-        divisor_exp = e_den + vB + r + u_exp
-        out = []
-        if divisor_exp >= 0:
-            dv = p**divisor_exp
-            for t in raw:
-                assert t % dv == 0, "sigma is not p-integral at claimed scale"
-                out.append(detB_unit * (t // dv))
-            sigma_prec = self.dom.spl.prec - divisor_exp
-        else:
-            dv = p ** (-divisor_exp)
-            out = [detB_unit * t * dv for t in raw]
-            sigma_prec = self.dom.spl.prec
-        sigma = tuple(t % p**sigma_prec for t in out)
-        assert sigma[2] % p == 0, "reduction witness is not Iwahori"
-        assert sigma[0] % p != 0
-        sign = 1 if j % 2 == 0 else -1
-        return EdgeReduction(j, x, r, sigma, sigma_prec, u_exp, sign)
 
 
 # ----------------------------------------------------------------------
@@ -359,30 +343,10 @@ class EdgeReducer:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class UpEntry:
-    jprime: int
-    x: Quat
-    r: int
-    sigma: tuple
-    sigma_prec: int
-    u_exp: int
-
-
-def build_up_table(dom: FundamentalDomain, reducer: EdgeReducer) -> list[list[UpEntry]]:
+def build_up_table(dom: FundamentalDomain) -> list[list[EdgeReduction]]:
     """table[j][l] reduces B_j * [[p, l], [0, 1]] to a directed representative;
     these are the cosets appearing in the U_p sum."""
     p = dom.p
-    table = []
-    for j, e in enumerate(reducer.reps):
-        Bj = reducer.rep_mats[j]
-        vB = reducer.rep_detvals[j]
-        row = []
-        for l in range(p):
-            g = mat_mul(Bj, (p, l, 0, 1))
-            red = reducer.reduce_matrix(g, vB + 1)
-            row.append(
-                UpEntry(red.j, red.x, red.r, red.sigma, red.sigma_prec, red.u_exp)
-            )
-        table.append(row)
-    return table
+    return [[dom.reduce_matrix(mat_mul(Bj, (p, l, 0, 1)), vB + 1)
+             for l in range(p)]
+            for Bj, vB in zip(dom.rep_mats, dom.rep_detvals)]

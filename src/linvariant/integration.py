@@ -35,8 +35,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .cocycles import weight_coeff_rows
-from .domain import (EdgeReducer, EdgeReduction, FundamentalDomain,
-                     gamma_matrix, gamma_vertex)
+from .domain import EdgeReduction, FundamentalDomain, gamma_matrix, gamma_vertex
 from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
@@ -90,7 +89,7 @@ class CoveringBall:
     reduction: object  # EdgeReduction of the edge g.e0
 
 
-def covering(dom: FundamentalDomain, reducer: EdgeReducer, x, r: int):
+def covering(dom: FundamentalDomain, x, r: int):
     """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau."""
     p = dom.p
     v0 = base_vertex(p)
@@ -99,7 +98,7 @@ def covering(dom: FundamentalDomain, reducer: EdgeReducer, x, r: int):
         m = e.matrix()
         det = m[0] * m[3] - m[1] * m[2]
         dv = val_int(det, p) if det % p == 0 else 0
-        balls.append(CoveringBall(m, dv, reducer.reduce_matrix(m, dv)))
+        balls.append(CoveringBall(m, dv, dom.reduce_matrix(m, dv)))
     return balls
 
 
@@ -202,9 +201,9 @@ def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
     return [lift.memo[key] for lift in lifts]
 
 
-def lambda_values(dom: FundamentalDomain, reducer: EdgeReducer, lifts: list[Lift],
-                  x, r: int, tau: UnramifiedElement, n_terms: int,
-                  target_prec: int, raw: bool = False):
+def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
+                  tau: UnramifiedElement, n_terms: int, target_prec: int,
+                  raw: bool = False):
     """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
     their parameters): entry m of each vector is lam(c)(gamma)(x^m).
 
@@ -221,7 +220,7 @@ def lambda_values(dom: FundamentalDomain, reducer: EdgeReducer, lifts: list[Lift
     tau2 = _mobius(Xi, tau)
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
-    for ball in covering(dom, reducer, x, r):
+    for ball in covering(dom, x, r):
         lser = log_kernel_series(K, ball, tau, tau2, n_terms)
         W = weight_coeff_rows(ball.matrix, k)
         s, cfs = _kernel_products(lser, W, k, p, K.prec)

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 
+from .budget import checkpoint
 from .cocycles import HarmonicCocycle, act_on, weight_action
-from .domain import (EdgeReducer, EdgeReduction, FundamentalDomain, build_up_table,
+from .domain import (EdgeReduction, FundamentalDomain, build_up_table,
                      gamma_matrix)
 from .padics import inv_mod, val_int
 from .tree import frac_val, mat_adj, mat_mul
@@ -116,7 +117,6 @@ class Lift:
     vecs[j][i] = p^t * Phi(B_j)(x^i) mod p^W."""
 
     dom: FundamentalDomain
-    reducer: EdgeReducer
     params: LiftParams
     vecs: list
     phis: list  # scaled exact low moments, per directed rep
@@ -134,7 +134,7 @@ class Lift:
     def moments(self, reduction: EdgeReduction, T):
         """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their
         absolute precisions (scaled world), given the reduction of the edge
-        g.e0 produced by the reducer and the rows
+        g.e0 produced by `FundamentalDomain.reduce_matrix` and the rows
         T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, len(T)).
         Each residue is reduced modulo p^prec."""
         p = self.dom.p
@@ -176,14 +176,13 @@ def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
     return tuple(out), dom.spl.prec - e
 
 
-def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
-              basis: list[HarmonicCocycle], params: LiftParams,
-              progress=None) -> list[Lift]:
+def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
+              params: LiftParams) -> list[Lift]:
     """The lifts of every cocycle of the basis: an initial stabilizer-averaged
     lift followed by params.n_it sweeps of the normalized U_p operator,
     resetting the exactly-known moments 0..k.  The substitution matrices of
     the stabilizers and of the U_p cosets are built once for the whole basis;
-    progress(it) runs after each sweep."""
+    the time budget is checked after each sweep."""
     p, k = dom.p, params.k
     W, i_max, t = params.W, params.i_max, params.t
     mod = p**W
@@ -231,7 +230,7 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
                                 for i in range(nu, n)], width)
               for nu in range(n)]
              for ell in range(p)]
-    table = build_up_table(dom, reducer)
+    table = build_up_table(dom)
     combined = []
     for j in range(len(reps)):
         row = []
@@ -241,15 +240,14 @@ def make_lift(dom: FundamentalDomain, reducer: EdgeReducer,
             cols = [_pack(_unpack(sum(map(mul, (Tn[m] for Tn in T), binom[ell])),
                                   width, n, mod), width)
                     for m in range(n)]
-            row.append((ent.jprime, cols))
+            row.append((ent.j, cols))
         combined.append(row)
     half = p ** (k // 2)
-    for it in range(params.n_it):
+    for _ in range(params.n_it):
         all_vecs = [_up_sweep(combined, phis, vecs, k, mod, half, width)
                     for phis, vecs in zip(all_phis, all_vecs)]
-        if progress is not None:
-            progress(it)
-    return [Lift(dom, reducer, params, vecs, phis)
+        checkpoint()
+    return [Lift(dom, params, vecs, phis)
             for phis, vecs in zip(all_phis, all_vecs)]
 
 

@@ -12,8 +12,9 @@ polynomial, optionally restricted to Atkin-Lehner eigenspaces.
 
 from __future__ import annotations
 
+from .budget import checkpoint
 from .cocycles import HarmonicCocycle, as_padics, gamma_action
-from .domain import EdgeReducer, FundamentalDomain, gamma_vertex
+from .domain import FundamentalDomain, gamma_vertex
 from .integration import lambda_values
 from .padics import (
     PadicNumber,
@@ -25,8 +26,8 @@ from .padics import (
 from .tree import base_vertex, edge_between, geodesic
 
 
-def psi_values(dom: FundamentalDomain, reducer: EdgeReducer,
-               coc: HarmonicCocycle, x, r: int, prec: int, v0=None):
+def psi_values(dom: FundamentalDomain, coc: HarmonicCocycle, x, r: int,
+               prec: int, v0=None):
     """psi(c)(gamma) in V_k: sum of c over the geodesic edges from the chosen
     base vertex to its gamma-translate, oriented source to target."""
     p, k = dom.p, coc.k
@@ -35,26 +36,25 @@ def psi_values(dom: FundamentalDomain, reducer: EdgeReducer,
     path = geodesic(v0, gamma_vertex(dom, x, r, v0))
     total = [PadicNumber.zero(p, prec)] * (k + 1)
     for a, b in zip(path, path[1:]):
-        val = as_padics(p, coc.value(edge_between(a, b), reducer, prec))
+        val = as_padics(p, coc.value(edge_between(a, b), prec))
         total = [s + t for s, t in zip(total, val)]
     return total
 
 
-def l_matrix(dom: FundamentalDomain, reducer: EdgeReducer,
-             basis: list[HarmonicCocycle], lifts, tau, n_terms: int,
-             prec: int, base_vertex_override=None, progress=None):
+def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
+             tau, n_terms: int, prec: int, base_vertex_override=None):
     """The matrix A with [lam(c_i)] = sum_l A[l][i] [psi(c_l)] in cohomology.
 
     Solved jointly with the coboundary ambiguity: for each generator gamma
     of the domain, lam_i(gamma) = sum_l A[l][i] psi_l(gamma) + (gamma.u_i - u_i).
-    progress(n) runs after the n-th generator."""
+    The time budget is checked after each generator."""
     p, k = dom.p, basis[0].k
     d = len(basis)
     rows = []
     rhs = [[] for _ in range(d)]
-    for n, (x, r) in enumerate(dom.generators()):
-        psis = [psi_values(dom, reducer, c, x, r, prec, v0=base_vertex_override) for c in basis]
-        lams = lambda_values(dom, reducer, lifts, x, r, tau, n_terms, prec)
+    for x, r in dom.generators():
+        psis = [psi_values(dom, c, x, r, prec, v0=base_vertex_override) for c in basis]
+        lams = lambda_values(dom, lifts, x, r, tau, n_terms, prec)
         # coboundary columns: gamma.e_t - e_t for the k+1 unit functionals
         act = gamma_action(dom, x, r, k)
         P, one = min(prec, act.prec) - act.scale, p**act.scale
@@ -65,8 +65,7 @@ def l_matrix(dom: FundamentalDomain, reducer: EdgeReducer,
             rows.append(row)
             for i in range(d):
                 rhs[i].append(lams[i][m])
-        if progress is not None:
-            progress(n)
+        checkpoint()
     sols, kern = solve_linear(rows, rhs)
     if kern:
         raise ValueError(

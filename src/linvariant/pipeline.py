@@ -19,18 +19,18 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from sympy import factorint, isprime
 
+from .budget import checkpoint
 from .cocycles import (
     harmonic_basis,
     involution_matrix,
     normalizing_element,
 )
-from .domain import EdgeReducer, FundamentalDomain, compute_fundamental_domain
+from .domain import FundamentalDomain, compute_fundamental_domain
 from .integration import base_point, covering
 from .lifting import LiftParams, make_lift, _phi_scaled
 from .loperator import (
@@ -55,20 +55,6 @@ SCHEMA_VERSION = 2
 
 class UsageError(ValueError):
     """Invalid run configuration."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The configured time budget ran out."""
-
-
-@dataclass
-class Budget:
-    seconds: float | None = None
-    start: float = field(default_factory=time.monotonic)
-
-    def check(self):
-        if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise BudgetExceeded(f"time budget of {self.seconds}s exceeded")
 
 
 def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
@@ -106,30 +92,27 @@ class Context:
     nminus: int
     nplus: int
     dom: FundamentalDomain  # holds the order and the splitting
-    reducer: EdgeReducer
 
 
 def build_context(p: int, nminus: int, nplus: int, split_prec: int,
-                  variant: int = 0, progress=None) -> Context:
-    """progress is passed to `compute_fundamental_domain`."""
+                  variant: int = 0) -> Context:
     alg = build_algebra(nminus)
     order = maximal_order(alg)
     if nplus > 1:
         order = eichler_order(alg, order, nplus)
     spl = splitting_map(order, p, split_prec, variant=variant)
-    dom = compute_fundamental_domain(order, spl, progress=progress)
-    return Context(p, nminus, nplus, dom, EdgeReducer(dom))
+    dom = compute_fundamental_domain(order, spl)
+    return Context(p, nminus, nplus, dom)
 
 
-def resplit(ctx: Context, split_prec: int, variant: int = 0,
-            progress=None) -> Context:
+def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
     """ctx with its splitting recomputed at precision split_prec.
 
     The domain, with its cache of edge locations, depends only on the order
     and p, so it carries over when the new splitting agrees with the old one
     to the old precision; otherwise the domain is computed afresh.  The
-    actions of group elements depend on the splitting, so the new domain
-    starts without them."""
+    actions of group elements, and the equivalence finder, depend on the
+    splitting, so the new domain starts without them."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
     mod = ctx.p ** min(split_prec, dom.spl.prec)
@@ -137,8 +120,8 @@ def resplit(ctx: Context, split_prec: int, variant: int = 0,
            for a, b in zip(old, new)):
         dom = replace(dom, spl=spl)
     else:
-        dom = compute_fundamental_domain(dom.order, spl, progress=progress)
-    return Context(ctx.p, ctx.nminus, ctx.nplus, dom, EdgeReducer(dom))
+        dom = compute_fundamental_domain(dom.order, spl)
+    return Context(ctx.p, ctx.nminus, ctx.nplus, dom)
 
 
 @dataclass
@@ -157,12 +140,11 @@ SIZING_SPLIT_PREC = 60
 SIZING_BASIS_PREC = 40
 
 
-def size_parameters(ctx: Context, k: int, M: int, basis0,
-                    progress=None) -> Sizing:
+def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     """Choose scale, truncation and iteration counts for M output digits.
 
     basis0 is the weight-k harmonic basis of ctx at SIZING_BASIS_PREC.
-    progress(n), if given, runs after the covering of the n-th generator.
+    The time budget is checked after the covering of each generator.
 
     The series term pairing moment i has valuation at least
     (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
@@ -177,11 +159,10 @@ def size_parameters(ctx: Context, k: int, M: int, basis0,
     margin = 6 + (1 if p == 2 else 0)
     Mt = M + margin
     maxD = 0
-    for n, (x, r) in enumerate(ctx.dom.generators()):
-        for ball in covering(ctx.dom, ctx.reducer, x, r):
+    for x, r in ctx.dom.generators():
+        for ball in covering(ctx.dom, x, r):
             maxD = max(maxD, abs(ball.det_val))
-        if progress is not None:
-            progress(n)
+        checkpoint()
     minv = 0
     for c in basis0:
         for res, e, P in _phi_scaled(ctx.dom, c, k):
@@ -290,7 +271,6 @@ def _min_entry_val(A) -> int:
 
 
 def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
-                     budget: Budget | None = None,
                      base_vertex_override=None, tau_variant: int = 0,
                      split_variant: int = 0) -> LResult:
     """The L-operator row for (p, nminus, nplus, weight) with M output digits.
@@ -306,46 +286,38 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     of them raises PrecisionError, the attempt is rerun with Mw raised by
     max(1, d-1)*max(1, v), where -v is the lowest entry valuation of A, at
     most MAX_PRECISION_RETRIES times and never past Mw = 4M; past that cap
-    the error propagates.  The budget is checked between attempts.  The
-    result is reported at the requested M: `prec` is M and the L-invariants
-    are Hensel-lifted at precision M.
+    the error propagates.  The active time budget (see `budget`) is checked
+    within every stage and between attempts.  The result is reported at the
+    requested M: `prec` is M and the L-invariants are Hensel-lifted at
+    precision M.
     """
     validate_row(p, nminus, nplus, weight)
-    budget = budget or Budget()
-    progress = lambda n: budget.check()
     k = weight - 2
     ctx = build_context(p, nminus, nplus, SIZING_SPLIT_PREC,
-                        variant=split_variant, progress=progress)
-    budget.check()
-    basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC, progress)
+                        variant=split_variant)
+    basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     if not basis0:
         return LResult(p, nminus, nplus, weight, M, 0)
     Mw = M
     retries = 0
     while True:
-        sz = size_parameters(ctx, k, Mw, basis0, progress)
-        budget.check()
-        actx = resplit(ctx, sz.split_prec, variant=split_variant,
-                       progress=progress)
-        basis = harmonic_basis(actx.dom, k, sz.basis_prec, progress)
+        sz = size_parameters(ctx, k, Mw, basis0)
+        actx = resplit(ctx, sz.split_prec, variant=split_variant)
+        basis = harmonic_basis(actx.dom, k, sz.basis_prec)
         d = len(basis)
-        budget.check()
-        lifts = make_lift(actx.dom, actx.reducer, basis, sz.lift, progress)
+        lifts = make_lift(actx.dom, basis, sz.lift)
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
-        budget.check()
-        A = l_matrix(actx.dom, actx.reducer, basis, lifts, tau, sz.n_terms,
-                     sz.out_prec, base_vertex_override=base_vertex_override,
-                     progress=progress)
-        budget.check()
+        A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec,
+                     base_vertex_override=base_vertex_override)
         try:
-            res = _invariants(actx, basis, A, M, sz.out_prec, budget)
+            res = _invariants(actx, basis, A, M, sz.out_prec)
         except PrecisionError:
             if retries == MAX_PRECISION_RETRIES or Mw >= 4 * M:
                 raise
             step = max(1, d - 1) * max(1, -_min_entry_val(A))
             Mw = min(Mw + step, 4 * M)
             retries += 1
-            budget.check()
+            checkpoint()
         else:
             # nothing is random; "seed" keeps schema v2 rows unchanged
             res.choices = {"tau_variant": tau_variant,
@@ -353,8 +325,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
             return res
 
 
-def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
-                budget: Budget) -> LResult:
+def _invariants(ctx: Context, basis, A, M: int, out_prec: int) -> LResult:
     """Slopes, Atkin-Lehner data and L-invariants of the L-matrix A."""
     p, k, d = ctx.p, basis[0].k, len(basis)
     cp = charpoly(A)
@@ -362,9 +333,9 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
     # Atkin-Lehner matrices in newform labeling (see module docstring)
     wN, _ = normalizing_element(ctx.dom, ctx.nminus * ctx.nplus)
     wp, _ = normalizing_element(ctx.dom, p, parity_p=True)
-    MN = _negate(involution_matrix(ctx.dom, ctx.reducer, k, wN, basis, out_prec))
-    Mp = _negate(involution_matrix(ctx.dom, ctx.reducer, k, wp, basis, out_prec))
-    budget.check()
+    MN = _negate(involution_matrix(ctx.dom, k, wN, basis, out_prec))
+    Mp = _negate(involution_matrix(ctx.dom, k, wp, basis, out_prec))
+    checkpoint()
     # commutation of A with W_N, within the available precision
     diff = mat_mul(A, MN)
     diff2 = mat_mul(MN, A)
@@ -377,8 +348,11 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
     minus = eigenspace(MN, -1, out_prec)
     if len(plus) + len(minus) != d:
         raise PrecisionError("Atkin-Lehner eigenspaces do not span at precision")
-    sp = newton_slopes(charpoly(restrict_operator(A, plus, out_prec))) if plus else []
-    sm = newton_slopes(charpoly(restrict_operator(A, minus, out_prec))) if minus else []
+    # A on each nonempty W_N eigenspace, restricted once
+    Aplus = restrict_operator(A, plus, out_prec) if plus else None
+    Aminus = restrict_operator(A, minus, out_prec) if minus else None
+    sp = newton_slopes(charpoly(Aplus)) if plus else []
+    sm = newton_slopes(charpoly(Aminus)) if minus else []
     trp = _int_trace(Mp, d)
     eps = []
     if (d + trp) // 2:
@@ -386,10 +360,9 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int,
     if (d - trp) // 2:
         eps.append((-1, (d - trp) // 2))
     l_invs = []
-    for sign, sub_slopes, space in [(1, sp, plus), (-1, sm, minus)]:
+    for sign, sub_slopes, Asub in [(1, sp, Aplus), (-1, sm, Aminus)]:
         for sl, mult in sub_slopes:
             if mult == 1 and sl == int(sl):
-                Asub = restrict_operator(A, space, out_prec)
                 root = l_invariant_simple(Asub, int(sl), M)
                 l_invs.append((sign, Fraction(sl), root.expansion_str()))
     return LResult(
@@ -427,8 +400,7 @@ def cache_dir_default():
     )
 
 
-def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None,
-                    budget=None):
+def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None):
     """The row as a JSON dict, read from the cache directory or computed and
     stored there.  An entry that cannot be read counts as a miss; a new entry
     is written to a temporary file and renamed, so a killed run leaves no
@@ -445,7 +417,7 @@ def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None,
         data = None
     if isinstance(data, dict) and data.get("schema_version") == SCHEMA_VERSION:
         return data
-    data = compute_l_result(p, nminus, nplus, weight, M, budget=budget).to_json()
+    data = compute_l_result(p, nminus, nplus, weight, M).to_json()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as f:

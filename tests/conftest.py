@@ -33,9 +33,9 @@ def act(dom, k, x, r, omega, prec):
     return out
 
 
-def value(c, e, reducer, prec):
+def value(c, e, prec):
     """c(e) as a list of PadicNumber."""
-    return as_padics(c.dom.p, c.value(e, reducer, prec))
+    return as_padics(c.dom.p, c.value(e, prec))
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +78,7 @@ def _row(p, nminus, k, M):
                          harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
     ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
-    lifts = make_lift(ctx.dom, ctx.reducer, basis, sz.lift)
+    lifts = make_lift(ctx.dom, basis, sz.lift)
     return ctx, k, M, sz, basis, lifts, base_point(p, sz.tau_prec)
 
 

@@ -190,7 +190,7 @@ class TestProperties:
     def test_criterion_5_property_suite(self, row32_m8):
         ctx, k, M, sz, basis, lifts, tau = row32_m8
         [lift] = lifts
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         p = dom.p
         op = sz.out_prec
         rng = random.Random(2024)
@@ -231,14 +231,14 @@ class TestProperties:
                 v = rand_vertex()
                 total = [PadicNumber.zero(p, op) for _ in range(k + 1)]
                 for e in star(v):
-                    val = value(c, e, red, op)
+                    val = value(c, e, op)
                     total = [a + b for a, b in zip(total, val)]
                 assert all(t.is_zero() for t in total)
             for _ in range(100):
                 e = star(rand_vertex())[rng.randrange(p + 1)]
                 x, r = gens[rng.randrange(len(gens))]
-                lhs = value(c, _translated_edge(dom, x, r, e), red, op)
-                rhs = act(dom, k, x, r, value(c, e, red, op), op)
+                lhs = value(c, _translated_edge(dom, x, r, e), op)
+                rhs = act(dom, k, x, r, value(c, e, op), op)
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
         # (d) covering sums to zero over 20 random geodesics
@@ -249,7 +249,7 @@ class TestProperties:
                 continue
             total = [PadicNumber.zero(p, op) for _ in range(k + 1)]
             for e in edges_leaving_geodesic(a, b):
-                val = value(basis[0], e, red, op)
+                val = value(basis[0], e, op)
                 total = [s + t for s, t in zip(total, val)]
             assert all(t.is_zero() for t in total)
             done += 1
@@ -259,21 +259,21 @@ class TestProperties:
 
         def lam(x, r, key):
             if key not in lam_cache:
-                [lam_cache[key]] = lambda_values(dom, red, lifts, x, r, tau,
+                [lam_cache[key]] = lambda_values(dom, lifts, x, r, tau,
                                                  sz.n_terms, op)
             return lam_cache[key]
 
         for _ in range(50):
             i1, i2 = rng.randrange(len(gens)), rng.randrange(len(gens))
             (x1, r1), (x2, r2) = gens[i1], gens[i2]
-            p1 = psi_values(dom, red, basis[0], x1, r1, op)
-            p2 = psi_values(dom, red, basis[0], x2, r2, op)
-            p12 = psi_values(dom, red, basis[0], x1 * x2, r1 + r2, op)
+            p1 = psi_values(dom, basis[0], x1, r1, op)
+            p2 = psi_values(dom, basis[0], x2, r2, op)
+            p12 = psi_values(dom, basis[0], x1 * x2, r1 + r2, op)
             gp2 = act(dom, k, x1, r1, p2, op)
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gp2, p1, p12))
             l1, l2 = lam(x1, r1, i1), lam(x2, r2, i2)
-            [l12] = lambda_values(dom, red, lifts, x1 * x2, r1 + r2, tau,
+            [l12] = lambda_values(dom, lifts, x1 * x2, r1 + r2, tau,
                                   sz.n_terms, op)
             gl2 = act(dom, k, x1, r1, l2, op)
             assert all((a + b - c).is_zero()
@@ -286,7 +286,7 @@ class TestProperties:
         for extra in (1, 3):
             pr_x = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max,
                               n_it=pr.n_it + extra, W=pr.W)
-            [lift_x] = make_lift(dom, red, basis, pr_x)
+            [lift_x] = make_lift(dom, basis, pr_x)
             for j in range(len(lift.vecs)):
                 for i in range(pr.i_max + 1):
                     mp = lift.moment_prec(i)
@@ -300,7 +300,7 @@ class TestProperties:
             pth = geodesic(u, v)
             tot = [PadicNumber.zero(p, op) for _ in range(k + 1)]
             for s, t in zip(pth, pth[1:]):
-                val = value(basis[0], edge_between(s, t), red, op)
+                val = value(basis[0], edge_between(s, t), op)
                 tot = [x + y for x, y in zip(tot, val)]
             return tot
 
@@ -321,7 +321,7 @@ class TestProperties:
 
         # (i) the auxiliary field coordinate of the raw integrals vanishes
         for x, r in gens[:6]:
-            [raws] = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms,
+            [raws] = lambda_values(dom, lifts, x, r, tau, sz.n_terms,
                                    op, raw=True)
             for t in raws:
                 assert t.b.is_zero() or t.b.val >= M - 2

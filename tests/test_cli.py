@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output formats, caching."""
 
+import importlib.util
 import json
 import os
 import random
@@ -8,6 +9,18 @@ import time
 import pytest
 
 from linvariant.cli import main
+
+ORACLE = os.path.join(os.path.dirname(__file__), "..", "benchmark",
+                      "oracle.py")
+
+
+def _oracle():
+    """The benchmark's dimension oracle, which imports nothing of the
+    program."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +43,12 @@ class TestFdomain:
         info = json.loads(out)
         assert info["n_vertices"] == 2
         assert info["vertex_stab_orders"] == [24, 24]
+
+    def test_budget_exceeded_exit_4(self, capsys):
+        code, _, err = run_cli(capsys, "fdomain", "--p", "3", "--nminus", "2",
+                               "--budget-secs", "0.0")
+        assert code == 4
+        assert "budget" in err
 
 
 class TestBasis:
@@ -57,6 +76,25 @@ class TestBasis:
                                "--weight", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["dim"] == 5
+
+    def test_space_sized_as_a_row(self, capsys):
+        """basis computes the space at the precisions a row sizes it with:
+        (2, 31) at weight 8 needs more splitting digits than 40."""
+        code, out, _ = run_cli(capsys, "basis", "--p", "2", "--nminus", "31",
+                               "--weight", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dim"] == _oracle().harmonic_dim(2, 31, 1, 8)
+
+    def test_budget_checked(self, capsys):
+        """basis honours --budget-secs: this space runs for about a minute
+        unbounded, and exits 4 within 3 s on a budget of 1 s."""
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "basis", "--p", "5", "--nminus", "19",
+                               "--nplus", "2", "--weight", "8",
+                               "--budget-secs", "1")
+        assert code == 4
+        assert "budget" in err
+        assert time.monotonic() - start < 3
 
 
 class TestValidation:

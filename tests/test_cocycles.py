@@ -169,7 +169,7 @@ class TestHarmonicityInvariance:
     @pytest.mark.parametrize("w", [4, 12])
     def test_harmonicity_random_vertices(self, ctx23, w):
         """Sum of c over the star of a vertex is zero (source convention)."""
-        dom, red = ctx23.dom, ctx23.reducer
+        dom = ctx23.dom
         k = w - 2
         rng = random.Random(23 + w)
         for c in harmonic_basis(dom, k, PREC):
@@ -177,7 +177,7 @@ class TestHarmonicityInvariance:
                 v = _random_vertex(dom.p, rng)
                 total = [PadicNumber.zero(dom.p, PREC) for _ in range(k + 1)]
                 for e in star(v):
-                    val = value(c, e, red, PREC)
+                    val = value(c, e, PREC)
                     total = [a + b for a, b in zip(total, val)]
                 assert all(t.is_zero() for t in total)
 
@@ -187,7 +187,7 @@ class TestHarmonicityInvariance:
         from linvariant.integration import gamma_matrix
         from linvariant.tree import mat_mul, normalize_edge, star
 
-        dom, red = ctx23.dom, ctx23.reducer
+        dom = ctx23.dom
         k = w - 2
         rng = random.Random(37 + w)
         gens = dom.generators()
@@ -199,19 +199,19 @@ class TestHarmonicityInvariance:
                 Xi, _ = gamma_matrix(dom, x, r)
                 ge = normalize_edge(
                     mat_mul(tuple(Fraction(t) for t in Xi), e.matrix()), dom.p)
-                lhs = value(c, ge, red, PREC)
-                rhs = act(dom, k, x, r, value(c, e, red, PREC), PREC)
+                lhs = value(c, ge, PREC)
+                rhs = act(dom, k, x, r, value(c, e, PREC), PREC)
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 
 class TestInvolutions:
     @pytest.mark.parametrize("w", [4, 12])
     def test_wn_squares_to_identity(self, ctx23, w):
-        dom, red = ctx23.dom, ctx23.reducer
+        dom = ctx23.dom
         k = w - 2
         basis = harmonic_basis(dom, k, PREC)
         wN, _ = normalizing_element(dom, 3)
-        Mn = involution_matrix(dom, red, k, wN, basis, 18)
+        Mn = involution_matrix(dom, k, wN, basis, 18)
         d = len(basis)
         for i in range(d):
             for j in range(d):
@@ -222,11 +222,11 @@ class TestInvolutions:
                 assert (acc - target).is_zero()
 
     def test_wp_squares_to_identity(self, ctx23):
-        dom, red = ctx23.dom, ctx23.reducer
+        dom = ctx23.dom
         k = 2
         basis = harmonic_basis(dom, k, PREC)
         wp, _ = normalizing_element(dom, 2, parity_p=True)
-        Mp = involution_matrix(dom, red, k, wp, basis, 18)
+        Mp = involution_matrix(dom, k, wp, basis, 18)
         d = len(basis)
         for i in range(d):
             for j in range(d):

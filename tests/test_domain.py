@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from linvariant.domain import EdgeReducer, build_up_table
+from linvariant.budget import Budget, BudgetExceeded
+from linvariant.domain import build_up_table
 from linvariant.tree import (
     mat_adj,
     mat_mul,
@@ -81,15 +82,17 @@ class TestDomainShapes:
 
 
 class TestEdgeReducer:
+    """Reduction of arbitrary edges to the domain's directed reps."""
+
     def test_reps_locate_to_themselves(self, ctx23):
-        red = ctx23.reducer
-        for j, e in enumerate(red.reps):
-            jj, x, r = red.locate(e)
+        dom = ctx23.dom
+        for j, e in enumerate(dom.directed_reps()):
+            jj, x, r = dom.locate(e)
             assert jj == j
 
     def test_reduce_matrix_roundtrip(self, ctx23):
         """reduce_matrix(g) produces (j, x, r) with iota(x/p^r).B_j ~ g.e0."""
-        dom, red = ctx23.dom, ctx23.reducer
+        dom = ctx23.dom
         rng = random.Random(7)
         gens = dom.generators()
         for _ in range(10):
@@ -100,20 +103,20 @@ class TestEdgeReducer:
             from linvariant.tree import frac_val
 
             dv = frac_val(detf, dom.p)
-            out = red.reduce_matrix(Xi, dv)
+            out = dom.reduce_matrix(Xi, dv)
             # witness: iota(out.x / p^out.r) carries rep j back to the edge
             Xw = dom.spl.apply(out.x)
             den = max(t.denominator for t in Xw)
             Xint = tuple(int(t * den) for t in Xw)
             lhs = normalize_edge(
                 mat_mul(tuple(Fraction(t) for t in Xint),
-                        red.rep_mats[out.j]), dom.p)
+                        dom.rep_mats[out.j]), dom.p)
             assert lhs == normalize_edge(Xi, dom.p)
 
     def test_up_table_entries_iwahori(self, ctx23):
-        dom, red = ctx23.dom, ctx23.reducer
-        table = build_up_table(dom, red)
-        assert len(table) == len(red.reps)
+        dom = ctx23.dom
+        table = build_up_table(dom)
+        assert len(table) == len(dom.directed_reps())
         for row in table:
             assert len(row) == dom.p
             for ent in row:
@@ -122,15 +125,25 @@ class TestEdgeReducer:
                 assert ent.sigma[0] % dom.p != 0
                 assert ent.sigma[3] % dom.p != 0
 
-    def test_locate_cache_hit(self, ctx23):
-        """Repeated location of the same edge does no new search, also from
-        another reducer of the same domain."""
-        red = ctx23.reducer
-        e = red.reps[0]
-        found = red.locate(e)
-        n0 = len(ctx23.dom.located)
-        other = EdgeReducer(ctx23.dom)
-        other.eq.search = None  # any search would fail
-        assert other.locate(e) == found
-        assert red.locate(e) == found
-        assert len(ctx23.dom.located) == n0
+    def test_locate_cache_hit(self, ctx23, monkeypatch):
+        """Repeated location of the same edge does no new search."""
+        dom = ctx23.dom
+        e = dom.directed_reps()[0]
+        found = dom.locate(e)
+        n0 = len(dom.located)
+        monkeypatch.setattr(dom.finder, "search", None)  # a search would fail
+        assert dom.locate(e) == found
+        assert len(dom.located) == n0
+
+    def test_locate_checks_the_budget(self, ctx23):
+        """Locating an edge not yet located searches, and the search stops
+        once the active budget has run out."""
+        dom = ctx23.dom
+        e = next(f for f in (normalize_edge((2**6, a, 0, 1), 2)
+                             for a in range(1, 64, 2))
+                 if f not in dom.located)
+        with Budget(seconds=0.0, start=0.0).active():
+            with pytest.raises(BudgetExceeded):
+                dom.locate(e)
+        assert e not in dom.located
+        assert dom.locate(e)[0] in range(len(dom.directed_reps()))

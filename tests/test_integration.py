@@ -21,7 +21,7 @@ from conftest import act, value
 from test_tree import ball_contains
 
 
-def reference_lambda_values(dom, reducer, lifts, x, r, tau, n_terms,
+def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
                             target_prec):
     """The untraced totals of lambda_values evaluated term by term in field
     elements: every kernel coefficient, weight-row product, moment and
@@ -33,7 +33,7 @@ def reference_lambda_values(dom, reducer, lifts, x, r, tau, n_terms,
     Xi, _ = gamma_matrix(dom, x, r)
     tau2 = _mobius(Xi, tau)
     totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
-    for ball in covering(dom, reducer, x, r):
+    for ball in covering(dom, x, r):
         lser = log_kernel_series(K, ball, tau, tau2, n_terms)
         T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
                                 n_rows=n_terms)
@@ -114,7 +114,7 @@ class TestCoveringSumZero:
         """Sum of a harmonic cocycle over the edges leaving a geodesic
         vanishes (only the two end-stars contribute, and they cancel)."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         rng = random.Random(99)
         c = basis[0]
         prec = 20
@@ -126,7 +126,7 @@ class TestCoveringSumZero:
                 w = nb[rng.randrange(len(nb))]
             total = [PadicNumber.zero(dom.p, prec) for _ in range(k + 1)]
             for e in edges_leaving_geodesic(v, w):
-                val = value(c, e, red, prec)
+                val = value(c, e, prec)
                 total = [a + b for a, b in zip(total, val)]
             assert all(t.is_zero() for t in total)
 
@@ -134,11 +134,11 @@ class TestCoveringSumZero:
 class TestLambdaCocycle:
     def test_z1_law_on_products(self, row32_m8):
         ctx, k, M, sz, basis, lifts, tau = row32_m8
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         rng = random.Random(5)
         gens = dom.generators()
         op = sz.out_prec
-        lam = lambda x, r: lambda_values(dom, red, lifts, x, r, tau,
+        lam = lambda x, r: lambda_values(dom, lifts, x, r, tau,
                                          sz.n_terms, op)[0]
         for _ in range(12):
             x1, r1 = gens[rng.randrange(len(gens))]
@@ -153,13 +153,13 @@ class TestLambdaCocycle:
     def test_antisymmetry(self, row32_m8):
         """lam(gamma) + gamma . lam(gamma^-1) = 0 (path reversal)."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         op = sz.out_prec
         gens = dom.generators()
         for x, r in gens[:4]:
             xinv = x.conj()  # x * conj(x) = nrd(x) = p^{2r}, central
-            [l1] = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op)
-            [l2] = lambda_values(dom, red, lifts, xinv, r, tau, sz.n_terms, op)
+            [l1] = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
+            [l2] = lambda_values(dom, lifts, xinv, r, tau, sz.n_terms, op)
             g_l2 = act(dom, k, x, r, l2, op)
             for a, b in zip(l1, g_l2):
                 assert (a + b).is_zero()
@@ -168,10 +168,10 @@ class TestLambdaCocycle:
         """The untraced integrals lie in Q_p: the second coordinate w.r.t.
         the basis (1, w) of the unramified field vanishes at p^(M-2)."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         gens = dom.generators()
         for x, r in gens[:6]:
-            [raws] = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms,
+            [raws] = lambda_values(dom, lifts, x, r, tau, sz.n_terms,
                                    sz.out_prec, raw=True)
             for t in raws:
                 # the omega-coordinate of 2*integral is b-coordinate of trace
@@ -182,9 +182,9 @@ class TestLambdaCocycle:
     def test_identity_like_stabilizer_gives_zero_psi_path(self, row32_m8):
         """Covering for a vertex-stabilizing gamma is the single star."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         x, r = dom.vertex_stabs[0][0]
-        balls = covering(dom, red, x, r)
+        balls = covering(dom, x, r)
         assert len(balls) == dom.p + 1
 
 
@@ -200,14 +200,14 @@ class TestIntegerPairing:
         min(target_prec, reference precision): traced entries and both
         coordinates of the raw ones."""
         ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         op = sz.out_prec
         vals = []
         for x, r in dom.generators()[:n_gens]:
-            ref = reference_lambda_values(dom, red, lifts, x, r, tau,
+            ref = reference_lambda_values(dom, lifts, x, r, tau,
                                           sz.n_terms, op)
-            got = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op)
-            raw = lambda_values(dom, red, lifts, x, r, tau, sz.n_terms, op,
+            got = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
+            raw = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op,
                                 raw=True)
             pairs = []
             for ref_v, got_v, raw_v in zip(ref, got, raw):

@@ -80,12 +80,12 @@ def reference_up_sweep(combined, phis, vecs, i_max, k, mod, half):
     return new
 
 
-def reference_combined(dom, reducer, pr):
+def reference_combined(dom, pr):
     """The combined sweep matrices C = P_l T_sigma by rows, entry by entry,
     from the schoolbook substitution rows."""
     p, mod = dom.p, dom.p**pr.W
     out = []
-    for ents in build_up_table(dom, reducer):
+    for ents in build_up_table(dom):
         row = []
         for ell, ent in enumerate(ents):
             T = reference_sigma_series_matrix(ent.sigma, pr.k, pr.i_max, p, pr.W)
@@ -97,7 +97,7 @@ def reference_combined(dom, reducer, pr):
                     for m in range(pr.i_max + 1):
                         acc[m] += cf * T[nu][m]
                 C.append([v % mod for v in acc])
-            row.append((ent.jprime, C))
+            row.append((ent.j, C))
         out.append(row)
     return out
 
@@ -150,8 +150,8 @@ class TestPackedKernels:
         ctx, k, M, sz, basis, lifts, tau = row32_m6
         pr = sz.lift
         p = ctx.p
-        combined = reference_combined(ctx.dom, ctx.reducer, pr)
-        starts = make_lift(ctx.dom, ctx.reducer, basis, replace(pr, n_it=0))
+        combined = reference_combined(ctx.dom, pr)
+        starts = make_lift(ctx.dom, basis, replace(pr, n_it=0))
         for lift, start in zip(lifts, starts):
             vecs = start.vecs
             for _ in range(pr.n_it):
@@ -169,7 +169,7 @@ class TestFixedPoint:
         pr = sz.lift
         pr1 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 1,
                         W=pr.W)
-        [lift1] = make_lift(ctx.dom, ctx.reducer, basis, pr1)
+        [lift1] = make_lift(ctx.dom, basis, pr1)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):
                 mp = lift0.moment_prec(i)
@@ -184,7 +184,7 @@ class TestFixedPoint:
         pr = sz.lift
         pr3 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 3,
                         W=pr.W)
-        [lift3] = make_lift(ctx.dom, ctx.reducer, basis, pr3)
+        [lift3] = make_lift(ctx.dom, basis, pr3)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):
                 mp = lift0.moment_prec(i)
@@ -209,9 +209,9 @@ def test_basis_lift_equals_each_member_lift(ctx27):
     ctx = resplit(ctx27, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
     assert len(basis) == 2
-    lifts = make_lift(ctx.dom, ctx.reducer, basis, sz.lift)
+    lifts = make_lift(ctx.dom, basis, sz.lift)
     for c, lift in zip(basis, lifts):
-        [own] = make_lift(ctx.dom, ctx.reducer, [c], sz.lift)
+        [own] = make_lift(ctx.dom, [c], sz.lift)
         assert own.vecs == lift.vecs and own.phis == lift.phis
 
 
@@ -224,19 +224,19 @@ def riemann_moments(ctx, lift, j, depth, n_moments):
       Phi(g)(x^i) = sum_a p^(-dk/2) sum_nu C(i,nu) p^(d nu) a^(i-nu)
                                    Phi(g h_a)(x^nu).
     """
-    dom, red = ctx.dom, ctx.reducer
+    dom = ctx.dom
     p = dom.p
     pr = lift.params
     k = pr.k
     W, mod = pr.W, p**pr.W
-    Bj = red.rep_mats[j]
-    vB = red.rep_detvals[j]
+    Bj = dom.rep_mats[j]
+    vB = dom.rep_detvals[j]
     d = depth
     out = []
     low = {}
     for a in range(p**d):
         g = mat_mul(Bj, (p**d, a, 0, 1))
-        r = red.reduce_matrix(g, vB + d)
+        r = dom.reduce_matrix(g, vB + d)
         T = sigma_series_matrix(r.sigma, k, k, p, W, n_rows=k + 1)
         low[a] = [
             sum(T[nu][m] * lift.phis[r.j][m] for m in range(k + 1)) % mod

@@ -142,32 +142,32 @@ class TestPsi:
         """A stabilizer of the base vertex has an empty geodesic, so psi
         vanishes on it."""
         ctx, k, M, sz, basis, lifts, tau = row32_m6
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         for x, r in dom.vertex_stabs[0][:4]:
-            vals = psi_values(dom, red, basis[0], x, r, sz.out_prec)
+            vals = psi_values(dom, basis[0], x, r, sz.out_prec)
             assert all(v.is_zero() for v in vals)
 
     def test_nonzero_on_some_generator(self, row32_m6):
         ctx, k, M, sz, basis, lifts, tau = row32_m6
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         assert any(
             any(not v.is_zero()
-                for v in psi_values(dom, red, basis[0], x, r, sz.out_prec))
+                for v in psi_values(dom, basis[0], x, r, sz.out_prec))
             for x, r in dom.generators())
 
     def test_z1_law_on_products(self, row32_m6):
         """psi(g1 g2) = psi(g1) + g1 . psi(g2)."""
         ctx, k, M, sz, basis, lifts, tau = row32_m6
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         rng = random.Random(7)
         gens = dom.generators()
         op = sz.out_prec
         for _ in range(25):
             x1, r1 = gens[rng.randrange(len(gens))]
             x2, r2 = gens[rng.randrange(len(gens))]
-            p1 = psi_values(dom, red, basis[0], x1, r1, op)
-            p2 = psi_values(dom, red, basis[0], x2, r2, op)
-            p12 = psi_values(dom, red, basis[0], x1 * x2, r1 + r2, op)
+            p1 = psi_values(dom, basis[0], x1, r1, op)
+            p2 = psi_values(dom, basis[0], x2, r2, op)
+            p12 = psi_values(dom, basis[0], x1 * x2, r1 + r2, op)
             g_p2 = act(dom, k, x1, r1, p2, op)
             for a, b, c in zip(g_p2, p1, p12):
                 assert (a + b - c).is_zero()
@@ -175,12 +175,12 @@ class TestPsi:
     def test_antisymmetry(self, row32_m6):
         """psi(g) + g . psi(g^-1) = 0."""
         ctx, k, M, sz, basis, lifts, tau = row32_m6
-        dom, red = ctx.dom, ctx.reducer
+        dom = ctx.dom
         op = sz.out_prec
         for x, r in dom.generators()[:4]:
             xinv = x.conj()
-            p1 = psi_values(dom, red, basis[0], x, r, op)
-            p2 = psi_values(dom, red, basis[0], xinv, r, op)
+            p1 = psi_values(dom, basis[0], x, r, op)
+            p2 = psi_values(dom, basis[0], xinv, r, op)
             g_p2 = act(dom, k, x, r, p2, op)
             for a, b in zip(p1, g_p2):
                 assert (a + b).is_zero()

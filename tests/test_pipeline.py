@@ -8,13 +8,9 @@ import pytest
 import linvariant.cocycles as cocycles
 import linvariant.loperator as loperator
 import linvariant.pipeline as pipeline
+from linvariant.budget import Budget, BudgetExceeded
 from linvariant.padics import PadicNumber, PrecisionError
-from linvariant.pipeline import (
-    SCHEMA_VERSION,
-    Budget,
-    BudgetExceeded,
-    compute_l_result,
-)
+from linvariant.pipeline import SCHEMA_VERSION, compute_l_result
 
 from conftest import CACHE
 
@@ -23,9 +19,9 @@ def _record_working_precisions(monkeypatch):
     seen = []
     sizing = pipeline.size_parameters
 
-    def recording(ctx, k, M, basis0, progress=None):
+    def recording(ctx, k, M, basis0):
         seen.append(M)
-        return sizing(ctx, k, M, basis0, progress)
+        return sizing(ctx, k, M, basis0)
 
     monkeypatch.setattr(pipeline, "size_parameters", recording)
     return seen
@@ -45,11 +41,11 @@ def test_retry_then_report_at_requested_precision(monkeypatch):
     invariants = pipeline._invariants
     calls = []
 
-    def short_once(ctx, basis, A, M, out_prec, budget):
+    def short_once(ctx, basis, A, M, out_prec):
         calls.append(out_prec)
         if len(calls) == 1:
             raise PrecisionError("simulated shortfall")
-        return invariants(ctx, basis, A, M, out_prec, budget)
+        return invariants(ctx, basis, A, M, out_prec)
 
     monkeypatch.setattr(pipeline, "_invariants", short_once)
     res = compute_l_result(3, 2, 1, 4, 4)
@@ -79,12 +75,14 @@ def test_each_artefact_once_per_row(monkeypatch):
     once for the sizing plus once per attempt, and sizes and lifts each
     attempt once.  The action of each (x, r, k) is built once per domain: a
     domain under a new splitting starts without the actions but shares the
-    located edges."""
+    located edges.  The invariants restrict the L-matrix once to each
+    nonempty W_N eigenspace."""
     domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
     bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
     sizings = _count_calls(monkeypatch, pipeline, "size_parameters")
     lifts = _count_calls(monkeypatch, pipeline, "make_lift")
     actions = _count_calls(monkeypatch, cocycles, "weight_action")
+    restricts = _count_calls(monkeypatch, pipeline, "restrict_operator")
     doms = []
     build, split = pipeline.build_context, pipeline.resplit
 
@@ -122,6 +120,8 @@ def test_each_artefact_once_per_row(monkeypatch):
     assert sizings[0][3] is sizings[1][3]
     assert len(doms) == 1 + len(attempts)
     assert len(actions) == sum(len(dom.actions) for dom in doms) > 0
+    # d = 1: one nonempty eigenspace, whose simple slope is also Hensel-lifted
+    assert len(restricts) == bool(res.slopes_plus) + bool(res.slopes_minus) == 1
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
 
 
@@ -191,13 +191,13 @@ def test_budget_checked_between_attempts(monkeypatch):
     _fake_l_matrix(monkeypatch, 0)
     budget = Budget(seconds=1e6)
 
-    def exhaust(ctx, basis, A, M, out_prec, b):
-        b.seconds = 0.0
+    def exhaust(ctx, basis, A, M, out_prec):
+        budget.seconds = 0.0
         raise PrecisionError("simulated shortfall")
 
     monkeypatch.setattr(pipeline, "_invariants", exhaust)
-    with pytest.raises(BudgetExceeded):
-        compute_l_result(3, 2, 1, 4, 4, budget=budget)
+    with budget.active(), pytest.raises(BudgetExceeded):
+        compute_l_result(3, 2, 1, 4, 4)
     assert seen == [4]
 
 
@@ -214,27 +214,10 @@ def test_budget_checked_between_sample_elements(monkeypatch):
         return lambda_values(*args, **kwargs)
 
     monkeypatch.setattr(loperator, "lambda_values", exhausting)
-    with pytest.raises(BudgetExceeded):
-        compute_l_result(3, 2, 1, 4, 4, budget=budget)
+    with budget.active(), pytest.raises(BudgetExceeded):
+        compute_l_result(3, 2, 1, 4, 4)
     assert len(calls) == 1
     assert len(calls[0][0].generators()) > 1
-
-
-def test_sizing_scan_calls_the_hook_per_generator(ctx32, monkeypatch):
-    """A raising progress hook stops the covering scan of size_parameters
-    after the first generator."""
-    coverings = _count_calls(monkeypatch, pipeline, "covering")
-
-    class Stop(Exception):
-        pass
-
-    def stop(n):
-        raise Stop
-
-    assert len(ctx32.dom.generators()) > 1
-    with pytest.raises(Stop):
-        pipeline.size_parameters(ctx32, 2, 6, [], stop)
-    assert len(coverings) == 1
 
 
 def test_budget_checked_in_sizing_scan(monkeypatch):
@@ -250,9 +233,10 @@ def test_budget_checked_in_sizing_scan(monkeypatch):
         return covering(*args)
 
     monkeypatch.setattr(pipeline, "covering", exhausting)
-    with pytest.raises(BudgetExceeded):
-        compute_l_result(3, 2, 1, 4, 4, budget=budget)
+    with budget.active(), pytest.raises(BudgetExceeded):
+        compute_l_result(3, 2, 1, 4, 4)
     assert len(calls) == 1
+    assert len(calls[0][0].generators()) > 1
 
 
 @pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12),
