@@ -20,16 +20,30 @@ residues of every lift (scale p^t, see `lifting`), which are computed once
 per distinct ball reduction.  The ball totals are multiplied by det^(-k/2),
 summed, and (1/2) Tr is applied only to the k+1 totals at the end.
 
-Precision follows the PadicNumber rules term by term, from the actual
-valuations: a product c*m is known to min(v(c) + P(m), v(m) + P(c)), where
-a value that vanishes at its precision has that precision as valuation; a
-sum is known to the lowest precision among its terms and that of K_p.  Each
-entry is then capped at the requested target precision, so no entry claims
-more digits than the same sums evaluated in field elements.
+The kernel series is integer arithmetic with one closed-form precision.
+Write T_i^-1 = p^(v_i) eps_i, where T_i = g^-1 tau_i, v_i >= 1 and eps_i is
+a unit pair known modulo p^(R_i), R_i being the lower relative precision of
+a - c tau_i and d tau_i - b.  Then T_i^-n = p^(n v_i) eps_i^n is known to
+n v_i + R_i, and coefficient n >= 1, (T_1^-n - T_2^-n)/n, to
+min_i(n v_i + R_i) - v_p(n), capped at the precision prec of K_p.  The
+p-part of each 1/n goes into the scale p^s; the powers eps_i^n (one fixed
+2x2 multiplication) and the inverses of the unit parts of the n are taken
+modulo p^(prec + s).  The constant term is the Iwasawa log of the unit part of
+(d tau2 - b)/(d tau1 - b), known to the lower relative precision of the two
+factors (`padics.iwasawa_log`).
+
+The pairing's precision follows the PadicNumber rules term by term, from
+the actual valuations: a product c*m is known to
+min(v(c) + P(m), v(m) + P(c)), where a value that vanishes at its precision
+has that precision as valuation; a sum is known to the lowest precision
+among its terms and that of K_p.  Each entry is then capped at the
+requested target precision, so no entry claims more digits than the same
+sums evaluated in field elements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -39,10 +53,17 @@ from .domain import EdgeReduction, FundamentalDomain, gamma_matrix, gamma_vertex
 from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
+    PrecisionError,
     UnramifiedElement,
     UnramifiedField,
     half_trace,
+    ilog,
     iwasawa_log,
+    pair_mul,
+    pair_powers,
+    pair_unit_inverse,
+    scaled_reciprocals,
+    val_cap,
     val_int,
 )
 from .tree import base_vertex, edges_leaving_geodesic
@@ -102,65 +123,81 @@ def covering(dom: FundamentalDomain, x, r: int):
     return balls
 
 
-def log_kernel_series(K: UnramifiedField, ball: CoveringBall,
-                      tau1: UnramifiedElement, tau2: UnramifiedElement,
+def _coords(z: UnramifiedElement):
+    """z = p^-e (A + B w) known modulo p^P, as the integers (A, B, e, P)."""
+    a, b = z.a, z.b
+    e = max(0, -a.val, -b.val)
+    return (a.unit * a.p ** (a.val + e), b.unit * b.p ** (b.val + e), e,
+            min(a.prec, b.prec))
+
+
+def _unit_split(x, P, p: int):
+    """An integer pair x known modulo p^P as p^v times a unit pair: returns
+    v, the unit pair and its precision P - v.  P may be infinite (exact)."""
+    v = min(val_cap(x[0], p, P), val_cap(x[1], p, P))
+    if v >= P:
+        raise PrecisionError("element indistinguishable from zero")
+    q = p**v
+    return v, (x[0] // q, x[1] // q), P - v
+
+
+def log_kernel_series(K: UnramifiedField, ball: CoveringBall, z1, z2,
                       n_terms: int):
-    """Coefficients (in K) of log((g z - tau2)/(g z - tau1)) as a series in z
-    on Z_p: constant log(f2 T2 / (f1 T1)) with f_i = c tau_i - a, then
-    sum_n (T1^-n - T2^-n)/n z^n, where T_i = g^{-1} tau_i."""
+    """Coefficients of log((g z - tau2)/(g z - tau1)) as a series in z on
+    Z_p, for the base points tau_i given by their `_coords` z_i: constant
+    log((d tau2 - b)/(d tau1 - b)), then (T1^-n - T2^-n)/n for n >= 1,
+    where T_i = g^-1 tau_i.  Returns (s, (A, B), P): coefficient n is
+    p^-s (A[n] + B[n] w) known modulo p^P[n] (see the module docstring)."""
+    p, Q = K.p, K.prec
     a, b, c, d = ball.matrix
-    conv = lambda t: K.element(Fraction(t))
-    out = []
-    T = []
-    for tau in (tau1, tau2):
-        num = conv(d) * tau - conv(b)
-        den = conv(a) - conv(c) * tau
-        Ti = num / den
-        if not (Ti.valuation() is not None and Ti.valuation() < 0):
+    vc = val_int(c, p) if c else math.inf
+    vd = val_int(d, p) if d else math.inf
+    mod = p**Q
+    parts = []
+    for za, zb, e, P in (z1, z2):
+        pe = p**e
+        # p^e (a - c tau) and p^e (d tau - b)
+        vn, num, Rn = _unit_split((a * pe - c * za, -c * zb), P + e + vc, p)
+        vden, den, Rd = _unit_split((d * za - b * pe, d * zb), P + e + vd, p)
+        if vn - vden < 1:
             raise ValueError("base point reduces into a covering ball")
-        T.append(Ti)
-    f1 = conv(a) - conv(c) * tau1
-    f2 = conv(a) - conv(c) * tau2
-    const = iwasawa_log(f2 * T[1] * (f1 * T[0]).inverse())
-    out.append(const)
-    i1 = T[0].inverse()
-    i2 = T[1].inverse()
-    q1, q2 = i1, i2
-    for n in range(1, n_terms):
-        term = (q1 - q2) * K.element(Fraction(1, n))
-        out.append(term)
-        q1 = q1 * i1
-        q2 = q2 * i2
-    return out
+        eps = pair_mul(num, pair_unit_inverse(den, K, mod), K, mod)
+        parts.append((vn - vden, eps, min(Rn, Rd), den, Rd))
+    (v1, eps1, R1, den1, Rd1), (v2, eps2, R2, den2, Rd2) = parts
+    # log p = 0, so the constant is the log of the quotient of the units
+    s0, const, P0 = iwasawa_log(
+        K, pair_mul(den2, pair_unit_inverse(den1, K, mod), K, mod),
+        min(Rd1, Rd2))
+    s = max(s0, ilog(max(n_terms - 1, 1), p))
+    mod = p ** (Q + s)
+    A = [const[0] * p ** (s - s0)]
+    B = [const[1] * p ** (s - s0)]
+    prec = [P0]
+    f1 = f2 = 1
+    for n, (e1, e2, r) in enumerate(
+            zip(pair_powers(eps1, n_terms - 1, K, mod),
+                pair_powers(eps2, n_terms - 1, K, mod),
+                scaled_reciprocals(n_terms - 1, p, s, mod)), 1):
+        # T_i^-n = p^(n v_i) eps_i^n, and r = p^s/n
+        f1 = f1 * p**v1 % mod
+        f2 = f2 * p**v2 % mod
+        A.append((f1 * e1[0] - f2 * e2[0]) * r % mod)
+        B.append((f1 * e1[1] - f2 * e2[1]) * r % mod)
+        prec.append(min(Q, min(n * v1 + R1, n * v2 + R2) - val_cap(n, p, s)))
+    return s, (A, B), prec
 
 
-def _ival(n: int, p: int, cap: int) -> int:
-    """min(v_p(n), cap) for an integer n, with v_p(0) infinite."""
-    if n == 0:
-        return cap
-    if p == 2:
-        return min((n & -n).bit_length() - 1, cap)
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return min(v, cap)
-
-
-def _kernel_products(lser, W, k: int, p: int, cap: int):
-    """The series products sum_u W[m][u] lser[i-u] in the two Q_p
-    coordinates of K_p on (1, w), as integers under one scale p^s making
-    every kernel coefficient integral.  Returns s and, per coordinate and m,
-    the numerators, valuations and precisions (unscaled) of the products;
-    cap is the precision of the field, which bounds every sum."""
-    n_terms = len(lser)
-    coords = ([c.a for c in lser], [c.b for c in lser])
-    s = max(0, -min(c.val for co in coords for c in co))
+def _kernel_products(series, W, k: int, p: int, cap: int):
+    """The products sum_u W[m][u] c[i-u] with the coefficients c of a
+    `log_kernel_series`, in its two coordinates on (1, w), as integers
+    under its scale p^s.  Returns s and, per coordinate and m, the numerators,
+    valuations and precisions (unscaled) of the products; cap is the
+    precision of the field, which bounds every sum."""
+    s, coords, prc = series
+    n_terms = len(prc)
     vW = [[val_int(w, p) if w else None for w in row] for row in W]
     out = []
-    for co in coords:
-        num = [c.unit * p ** (c.val + s) for c in co]
-        prc = [c.prec for c in co]
+    for num in coords:
         rows = []
         for m in range(k + 1):
             nums, vals, precs = [], [], []
@@ -172,7 +209,7 @@ def _kernel_products(lser, W, k: int, p: int, cap: int):
                         P = min(P, vW[m][u] + prc[i - u])
                 acc %= p ** max(P + s, 0)
                 nums.append(acc)
-                vals.append(_ival(acc, p, P + s) - s)
+                vals.append(val_cap(acc, p, P + s) - s)
                 precs.append(P)
             rows.append((nums, vals, precs))
         out.append(rows)
@@ -196,7 +233,7 @@ def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
         for lift in todo:
             res, precs = lift.moments(reduction, T)
             lift.memo[key] = (res,
-                              [_ival(r, p, P) - pr.t for r, P in zip(res, precs)],
+                              [val_cap(r, p, P) - pr.t for r, P in zip(res, precs)],
                               [P - pr.t for P in precs])
     return [lift.memo[key] for lift in lifts]
 
@@ -217,13 +254,13 @@ def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
     k, t = pr.k, pr.t
     K = tau.field
     Xi, _ = gamma_matrix(dom, x, r)
-    tau2 = _mobius(Xi, tau)
+    z1, z2 = _coords(tau), _coords(_mobius(Xi, tau))
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
-        lser = log_kernel_series(K, ball, tau, tau2, n_terms)
+        series = log_kernel_series(K, ball, z1, z2, n_terms)
         W = weight_coeff_rows(ball.matrix, k)
-        s, cfs = _kernel_products(lser, W, k, p, K.prec)
+        s, cfs = _kernel_products(series, W, k, p, K.prec)
         moms = _ball_moments(lifts, ball.reduction, n_terms)
         # P |_k g for P = x^m: the coefficient rows W times
         # det^(-k/2) = sgn * p^-e, a factor known to dprec
@@ -240,7 +277,7 @@ def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                 for m, (nums, _, precs) in enumerate(rows):
                     P = min(K.prec, low[co][m], min(map(add, vm, precs)))
                     S = sum(map(mul, nums, res)) % p ** max(P + s + t, 0)
-                    v = _ival(S, p, P + s + t) - s - t
+                    v = val_cap(S, p, P + s + t) - s - t
                     part[m][co].append((sgn * S, s + t + e,
                                         min(P - e, v + dprec)))
     out = []

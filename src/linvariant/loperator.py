@@ -19,7 +19,6 @@ from .integration import lambda_values
 from .padics import (
     PadicNumber,
     PrecisionError,
-    charpoly,
     hensel_root,
     solve_linear,
 )
@@ -107,8 +106,7 @@ def eigenspace(M, eig: int, prec: int):
     return kern
 
 
-def l_invariant_simple(A, slope, prec: int):
-    """The eigenvalue of A with the given (simple) Newton slope."""
-    cp = charpoly(A)
-    p = A[0][0].p
-    return hensel_root(cp, p, slope, prec)
+def l_invariant_simple(cp, slope, prec: int):
+    """The root with the given (simple) Newton slope of the characteristic
+    polynomial cp of the L-operator, i.e. that eigenvalue."""
+    return hensel_root(cp, cp[0].p, slope, prec)

@@ -4,17 +4,18 @@ Elements of Q_p are stored as (valuation, unit, absolute precision): the number
 is unit * p^valuation known modulo p^precision, with the unit reduced modulo
 p^(precision - valuation).  Precision propagates pessimistically (min rule).
 
-Also provides the quadratic unramified extension K_p, the Iwasawa branch of the
-p-adic logarithm, polynomial/series helpers for the weight-k Mobius action,
-capped-precision Gaussian elimination and a division-free characteristic
-polynomial.
+Also provides the quadratic unramified extension K_p, arithmetic in it on
+integer pairs modulo p^N and the Iwasawa branch of the p-adic logarithm on
+those, capped-precision Gaussian elimination and a division-free
+characteristic polynomial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .budget import checkpoint
 
 
 class PrecisionError(ArithmeticError):
@@ -452,40 +453,116 @@ class UnramifiedElement:
         return f"({self.a}) + ({self.b})*w"
 
 
-def iwasawa_log(x: UnramifiedElement) -> UnramifiedElement:
-    """Iwasawa branch of log on K_p^x: log(p) = 0 and roots of unity map to 0.
-
-    Strips the p-power, kills the Teichmuller component via u -> u^(p^2-1), and
-    evaluates the usual series, dividing by p^2-1 (a unit) at the end.
-    """
-    F = x.field
-    p = F.p
-    v = x.valuation()
-    u = x * PadicNumber(p, -v, 1, -v + (x.prec() - v))
-    y = u ** (p**2 - 1)
-    t = y - 1
-    if not t.is_zero() and t.valuation() < 1:
-        raise ValueError("argument is not compatible with the log series")
-    prec = x.prec()
-    # number of series terms: need i - floor(log_p i) >= prec
-    nterms = prec + 1
-    while nterms - int(math.log(nterms) / math.log(p)) < prec + 1:
-        nterms += 1
-    acc = F.zero()
-    power = F.one()
-    for i in range(1, nterms + 1):
-        power = power * t
-        if power.is_zero():
-            break
-        term = power * PadicNumber.from_fraction(Fraction((-1) ** (i + 1), i), p, prec + 2 * nterms)
-        acc = acc + term
-    inv = PadicNumber.from_fraction(Fraction(1, p**2 - 1), p, prec)
-    return acc * inv
-
-
 def half_trace(x: UnramifiedElement) -> PadicNumber:
     """(1/2) Tr_{K_p/Q_p}; at p=2 the division by 2 costs one digit of precision."""
     return x.trace() * PadicNumber.from_fraction(Fraction(1, 2), x.field.p, x.prec() + 2)
+
+
+def val_cap(n: int, p: int, cap) -> int:
+    """min(v_p(n), cap) for an integer n, with v_p(0) infinite."""
+    if n == 0:
+        return cap
+    if p == 2:
+        return min((n & -n).bit_length() - 1, cap)
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return min(v, cap)
+
+
+# ----------------------------------------------------------------------
+# K_p on integer pairs: x0 + x1 w as (x0, x1), reduced modulo an integer
+# ----------------------------------------------------------------------
+
+
+def pair_mul(x, y, K: UnramifiedField, mod: int):
+    """(x0 + x1 w)(y0 + y1 w) modulo mod."""
+    cross = x[1] * y[1]
+    return ((x[0] * y[0] - K.C * cross) % mod,
+            (x[0] * y[1] + x[1] * y[0] - K.B * cross) % mod)
+
+
+def pair_pow(x, n: int, K: UnramifiedField, mod: int):
+    """x^n modulo mod, by square-and-multiply."""
+    result = (1, 0)
+    while n:
+        if n & 1:
+            result = pair_mul(result, x, K, mod)
+        x = pair_mul(x, x, K, mod)
+        n >>= 1
+    return result
+
+
+def pair_powers(x, count: int, K: UnramifiedField, mod: int) -> list:
+    """[x, x^2, ..., x^count] modulo mod."""
+    out = [(x[0] % mod, x[1] % mod)][:count]
+    while len(out) < count:
+        out.append(pair_mul(out[-1], x, K, mod))
+    return out
+
+
+def pair_unit_inverse(x, K: UnramifiedField, mod: int):
+    """x^-1 = conj(x)/N(x) modulo mod for a unit pair x."""
+    x0, x1 = x
+    c0 = x0 - K.B * x1
+    ninv = pow(x0 * c0 + K.C * x1 * x1, -1, mod)
+    return (c0 * ninv % mod, -x1 * ninv % mod)
+
+
+def scaled_reciprocals(count: int, p: int, s: int, mod: int) -> list:
+    """p^s / j modulo mod for j = 1..count; needs v_p(j) <= s."""
+    out = []
+    for j in range(1, count + 1):
+        v = val_cap(j, p, s)
+        out.append(p ** (s - v) * pow(j // p**v, -1, mod) % mod)
+    return out
+
+
+def ilog(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1."""
+    v = 0
+    while p ** (v + 1) <= n:
+        v += 1
+    return v
+
+
+def iwasawa_log(K: UnramifiedField, u, R):
+    """The Iwasawa logarithm of the unit u = u0 + u1 w of K_p known modulo
+    p^R; on the Iwasawa branch log(p^v u) = log(u).
+
+    Returns (s, (l0, l1), P): log u = p^-s (l0 + l1 w) known modulo p^P,
+    P = min(R, K.prec).  y = u^(p^2-1) kills the Teichmuller part, so
+    y = 1 + t with v(t) >= 1 and log u = log(1 + t)/(p^2 - 1), where
+    log(1 + t) = sum_i (-1)^(i+1) t^i/i.  Changing t by O(p^P) changes the
+    sum by O(p^P).  Term i has valuation at least i v(t) - floor(log_p i),
+    which does not decrease with i, so the sum stops before the first i
+    where that reaches P; the p-parts of the i summed make up the scale.
+    """
+    p = K.p
+    P = min(R, K.prec)
+    q = p**P
+    y = pair_pow(u, p * p - 1, K, q)
+    t = ((y[0] - 1) % q, y[1])
+    vt = min(val_cap(t[0], p, P), val_cap(t[1], p, P))
+    if vt >= P:
+        return 0, (0, 0), P
+    if vt == 0:
+        raise ValueError("iwasawa_log of a non-unit")
+    i = 2
+    while i * vt - ilog(i, p) < P:
+        i += 1
+    s = ilog(i - 1, p)
+    mod = p ** (P + s)
+    l0 = l1 = 0
+    for j, ((a, b), c) in enumerate(zip(pair_powers(t, i - 1, K, mod),
+                                        scaled_reciprocals(i - 1, p, s, mod))):
+        if j % 2:
+            c = -c
+        l0 += a * c
+        l1 += b * c
+    c = pow(p * p - 1, -1, mod)
+    return s, (l0 * c % mod, l1 * c % mod), P
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +586,7 @@ def solve_linear(A, rhs=()):
     (xs, kernel_basis) where xs holds a particular solution per right-hand
     side and kernel_basis a list of vectors spanning the kernel at working
     precision.  Raises PrecisionError when a system is inconsistent beyond
-    precision noise.
+    precision noise.  The time budget is checked once per pivot column.
     """
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
@@ -531,6 +608,7 @@ def solve_linear(A, rhs=()):
                     best = (k, i, j)
         if best is None:
             break
+        checkpoint()
         _, pi, pj = best
         used_rows.add(pi)
         used_cols.add(pj)

@@ -43,6 +43,7 @@ from .padics import (
     PadicNumber,
     PrecisionError,
     charpoly,
+    ilog,
     mat_mul,
     newton_slopes,
     val_int,
@@ -173,17 +174,11 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
               for st in ctx.dom.edge_stabs)
     t_sc = max(0, -minv) + a_s + k // 2 + 1
     halfD = (k // 2) * maxD
-    def ilog(n):
-        v = 0
-        while p ** (v + 1) <= n:
-            v += 1
-        return v
-
     i = 1
-    while max(i - k, 0) - halfD - t_sc - ilog(i) < Mt:
+    while max(i - k, 0) - halfD - t_sc - ilog(i, p) < Mt:
         i += 1
     N = i
-    logN = ilog(N) + 1
+    logN = ilog(N, p) + 1
     n_it = Mt + halfD + t_sc + logN + 2
     W = Mt + halfD + t_sc + logN + k // 2 + 6
     i_max = W + k + 6
@@ -348,11 +343,12 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int) -> LResult:
     minus = eigenspace(MN, -1, out_prec)
     if len(plus) + len(minus) != d:
         raise PrecisionError("Atkin-Lehner eigenspaces do not span at precision")
-    # A on each nonempty W_N eigenspace, restricted once
-    Aplus = restrict_operator(A, plus, out_prec) if plus else None
-    Aminus = restrict_operator(A, minus, out_prec) if minus else None
-    sp = newton_slopes(charpoly(Aplus)) if plus else []
-    sm = newton_slopes(charpoly(Aminus)) if minus else []
+    # the characteristic polynomial of A on each nonempty W_N eigenspace,
+    # restricted once; it gives both the slopes and the L-invariants
+    cplus = charpoly(restrict_operator(A, plus, out_prec)) if plus else None
+    cminus = charpoly(restrict_operator(A, minus, out_prec)) if minus else None
+    sp = newton_slopes(cplus) if plus else []
+    sm = newton_slopes(cminus) if minus else []
     trp = _int_trace(Mp, d)
     eps = []
     if (d + trp) // 2:
@@ -360,10 +356,10 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int) -> LResult:
     if (d - trp) // 2:
         eps.append((-1, (d - trp) // 2))
     l_invs = []
-    for sign, sub_slopes, Asub in [(1, sp, Aplus), (-1, sm, Aminus)]:
+    for sign, sub_slopes, csub in [(1, sp, cplus), (-1, sm, cminus)]:
         for sl, mult in sub_slopes:
             if mult == 1 and sl == int(sl):
-                root = l_invariant_simple(Asub, int(sl), M)
+                root = l_invariant_simple(csub, int(sl), M)
                 l_invs.append((sign, Fraction(sl), root.expansion_str()))
     return LResult(
         p, ctx.nminus, ctx.nplus, k + 2, M, d,

@@ -1,24 +1,105 @@
 """Coleman-style integration: coverings, log kernels, lambda cocycle."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from linvariant.cocycles import weight_coeff_rows
+from linvariant.cocycles import harmonic_basis, weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
+    CoveringBall,
+    _coords,
     _mobius,
+    base_point,
     covering,
     lambda_values,
     log_kernel_series,
 )
 from linvariant.lifting import sigma_series_matrix
-from linvariant.padics import PadicNumber, half_trace
-from linvariant.tree import base_vertex, edges_leaving_geodesic, neighbors, star
+from linvariant.padics import PadicNumber, UnramifiedElement, half_trace
+from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
+from linvariant.tree import (
+    base_vertex,
+    edges_leaving_geodesic,
+    mat_mul,
+    neighbors,
+    normalize_vertex,
+    star,
+)
 
 from conftest import act, value
 from test_tree import ball_contains
+
+
+def reference_iwasawa_log(x: UnramifiedElement) -> UnramifiedElement:
+    """Iwasawa log in field elements: strip the p-power, kill the
+    Teichmuller component via u -> u^(p^2-1), and sum the series, sized for
+    the precision of u, dividing by p^2-1 (a unit) at the end."""
+    F = x.field
+    p = F.p
+    v = x.valuation()
+    u = x * PadicNumber(p, -v, 1, -v + (x.prec() - v))
+    y = u ** (p**2 - 1)
+    t = y - 1
+    if not t.is_zero() and t.valuation() < 1:
+        raise ValueError("argument is not compatible with the log series")
+    prec = u.prec()
+    # number of series terms: need i - floor(log_p i) >= prec
+    nterms = prec + 1
+    while nterms - int(math.log(nterms) / math.log(p)) < prec + 1:
+        nterms += 1
+    acc = F.zero()
+    power = F.one()
+    for i in range(1, nterms + 1):
+        power = power * t
+        if power.is_zero():
+            break
+        term = power * PadicNumber.from_fraction(
+            Fraction((-1) ** (i + 1), i), p, prec + 2 * nterms)
+        acc = acc + term
+    inv = PadicNumber.from_fraction(Fraction(1, p**2 - 1), p, prec)
+    return acc * inv
+
+
+def reference_log_kernel_series(K, ball, tau1, tau2, n_terms):
+    """Coefficients (in K) of log((g z - tau2)/(g z - tau1)) as a series in
+    z on Z_p, term by term in field elements: constant
+    log(f2 T2 / (f1 T1)) with f_i = c tau_i - a, then
+    sum_n (T1^-n - T2^-n)/n z^n, where T_i = g^{-1} tau_i."""
+    a, b, c, d = ball.matrix
+    conv = lambda t: K.element(Fraction(t))
+    out = []
+    T = []
+    for tau in (tau1, tau2):
+        num = conv(d) * tau - conv(b)
+        den = conv(a) - conv(c) * tau
+        Ti = num / den
+        if not (Ti.valuation() is not None and Ti.valuation() < 0):
+            raise ValueError("base point reduces into a covering ball")
+        T.append(Ti)
+    f1 = conv(a) - conv(c) * tau1
+    f2 = conv(a) - conv(c) * tau2
+    out.append(reference_iwasawa_log(f2 * T[1] * (f1 * T[0]).inverse()))
+    i1 = T[0].inverse()
+    i2 = T[1].inverse()
+    q1, q2 = i1, i2
+    for n in range(1, n_terms):
+        out.append((q1 - q2) * K.element(Fraction(1, n)))
+        q1 = q1 * i1
+        q2 = q2 * i2
+    return out
+
+
+def series_elements(K, series):
+    """The coefficients of a `log_kernel_series` as field elements."""
+    p = K.p
+    s, (A, B), precs = series
+    return [K.element(PadicNumber(p, -s, a, P), PadicNumber(p, -s, b, P))
+            for a, b, P in zip(A, B, precs)]
 
 
 def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
@@ -34,7 +115,7 @@ def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
     tau2 = _mobius(Xi, tau)
     totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
-        lser = log_kernel_series(K, ball, tau, tau2, n_terms)
+        lser = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
         T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
                                 n_rows=n_terms)
         W = weight_coeff_rows(ball.matrix, k)
@@ -220,3 +301,75 @@ class TestIntegerPairing:
             vals += [t.val for v in got for t in v if not t.is_zero()]
         if v_min is not None:
             assert min(vals) == v_min
+
+
+@lru_cache(maxsize=None)
+def _base_point(p, prec, variant):
+    return base_point(p, prec, variant=variant)
+
+
+class TestKernelSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), variant=st.sampled_from([0, 1]),
+           n_terms=st.integers(1, 100), data=st.data())
+    def test_equals_field_element_reference(self, p, variant, n_terms, data):
+        """On a ball of the covering for a random integer matrix X, the
+        integer series equals the field-element one modulo the lower of the
+        two precisions, coefficient by coefficient."""
+        entry = st.integers(-p**3, p**3)
+        X = tuple(data.draw(entry) for _ in range(4))
+        assume(X[0] * X[3] != X[1] * X[2])
+        tau = _base_point(p, 40, variant)
+        K = tau.field
+        tau2 = _mobius(X, tau)
+        v0 = base_vertex(p)
+        w = normalize_vertex(mat_mul(tuple(Fraction(t) for t in X),
+                                     v0.matrix()), p)
+        edges = edges_leaving_geodesic(v0, w)
+        ball = CoveringBall(
+            edges[data.draw(st.integers(0, len(edges) - 1))].matrix(), 0, None)
+        got = series_elements(K, log_kernel_series(
+            K, ball, _coords(tau), _coords(tau2), n_terms))
+        want = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
+        assert len(got) == len(want) == n_terms
+        for g, r in zip(got, want):
+            for x, y in ((g.a, r.a), (g.b, r.b)):
+                assert (x - y).is_zero()
+
+
+def _sized_domain(ctx, k, M):
+    """The resplit domain and sizing of ctx at weight k + 2 and working
+    precision M, as `compute_l_result` builds them."""
+    sz = size_parameters(ctx, k, M, harmonic_basis(ctx.dom, k,
+                                                    SIZING_BASIS_PREC))
+    return resplit(ctx, sz.split_prec).dom, sz
+
+
+class TestKernelPrecision:
+    @pytest.mark.parametrize("ctx_name, k, M", [
+        ("ctx27", 6, 12), ("ctx27", 6, 24), ("ctx32", 2, 8)])
+    def test_claims_confirmed_by_finer_base_point(self, request, ctx_name,
+                                                  k, M):
+        """Every covering ball's kernel coefficients (constant and n >= 1),
+        both coordinates, agree with the same series from the base point
+        at tau_prec + 50 to the precision they claim.  The Teichmuller base
+        point is canonical, so the finer series is an independent oracle."""
+        dom, sz = _sized_domain(request.getfixturevalue(ctx_name), k, M)
+        p = dom.p
+        taus = [base_point(p, sz.tau_prec), base_point(p, sz.tau_prec + 50)]
+        checked = 0
+        for x, r in dom.generators():
+            Xi, _ = gamma_matrix(dom, x, r)
+            zs = [(_coords(tau), _coords(_mobius(Xi, tau))) for tau in taus]
+            for ball in covering(dom, x, r):
+                (s, lo, P), (S, hi, P_hi) = (
+                    log_kernel_series(tau.field, ball, z1, z2, sz.n_terms)
+                    for tau, (z1, z2) in zip(taus, zs))
+                assert all(a <= b for a, b in zip(P, P_hi))
+                E = max(s, S)
+                for co_lo, co_hi in zip(lo, hi):
+                    for a, b, prec in zip(co_lo, co_hi, P):
+                        diff = a * p ** (E - s) - b * p ** (E - S)
+                        assert diff % p ** (prec + E) == 0
+                        checked += 1
+        assert checked > 0

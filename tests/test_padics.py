@@ -1,11 +1,12 @@
 """Tests for capped-precision p-adic arithmetic."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linvariant.integration import _ival
+from linvariant.budget import Budget, BudgetExceeded
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import (
     PadicNumber,
@@ -19,6 +20,7 @@ from linvariant.padics import (
     newton_slopes,
     solve_linear,
     sqrt_mod_ppow,
+    val_cap,
     val_int,
 )
 
@@ -105,17 +107,17 @@ class TestIntHelpers:
            shift=st.integers(0, 80), cap=st.integers(0, 100),
            prec=st.integers(1, 60))
     def test_valuations_match_division_loop(self, p, n, shift, cap, prec):
-        """val_int, integration._ival and the normalisation of PadicNumber
+        """val_int, val_cap and the normalisation of PadicNumber
         agree with repeated division, negative n included."""
         n *= p**shift
         if n == 0:
             with pytest.raises(ValueError):
                 val_int(n, p)
-            assert _ival(n, p, cap) == cap
+            assert val_cap(n, p, cap) == cap
             return
         v = _division_val(n, p)
         assert val_int(n, p) == v
-        assert _ival(n, p, cap) == min(v, cap)
+        assert val_cap(n, p, cap) == min(v, cap)
         x = PadicNumber(p, 0, n, prec)
         if v < prec:
             assert (x.val, x.unit) == (v, n // p**v % p ** (prec - v))
@@ -175,6 +177,17 @@ class TestUnramified:
         assert (t.conj() - t**5).is_zero()
 
 
+def log_of(x):
+    """iwasawa_log of an UnramifiedElement x = p^v u as an UnramifiedElement:
+    the integer log of the unit pair of u, known to u's precision."""
+    F, p = x.field, x.field.p
+    v = x.valuation()
+    u = x * PadicNumber(p, -v, 1, F.prec + 64)
+    R = u.prec()
+    s, (l0, l1), P = iwasawa_log(F, (u.a.residue(R), u.b.residue(R)), R)
+    return F.element(PadicNumber(p, -s, l0, P), PadicNumber(p, -s, l1, P))
+
+
 class TestIwasawaLog:
     def test_log_one_plus_p_oracle(self):
         # [DERIVED] oracle: log(1+3) = sum_{i>=1} (-1)^(i+1) 3^i / i, partial sum
@@ -183,26 +196,26 @@ class TestIwasawaLog:
         for i in range(1, 61):
             acc += Fraction((-1) ** (i + 1) * 3**i, i)
         F = UnramifiedField(3, 12)
-        got = iwasawa_log(F.element(1 + 3, 0))
+        got = log_of(F.element(1 + 3, 0))
         expect = PadicNumber.from_fraction(acc, 3, 12)
         assert got.a.eq_at_prec(expect.with_prec(10))
         assert got.b.is_zero()
 
     def test_log_of_p_is_zero(self):
         F = UnramifiedField(3, 10)
-        assert iwasawa_log(F.element(3, 0)).is_zero()
-        assert iwasawa_log(F.element(9, 0)).is_zero()
+        assert log_of(F.element(3, 0)).is_zero()
+        assert log_of(F.element(9, 0)).is_zero()
 
     def test_log_of_teichmuller_is_zero(self):
         F = UnramifiedField(3, 8)
         t = F.teichmuller(2, 1)
-        assert iwasawa_log(t).is_zero()
+        assert log_of(t).is_zero()
 
     def test_log_is_homomorphism(self):
         F = UnramifiedField(3, 10)
         x = F.element(2, 3)
         y = F.element(7, 9)
-        lx, ly, lxy = iwasawa_log(x), iwasawa_log(y), iwasawa_log(x * y)
+        lx, ly, lxy = log_of(x), log_of(y), log_of(x * y)
         d = lxy - lx - ly
         assert d.a.with_prec(8).is_zero() and d.b.with_prec(8).is_zero()
 
@@ -214,7 +227,24 @@ class TestIwasawaLog:
         for i in range(1, 80):
             acc += Fraction((-1) ** (i + 1) * 4**i, i)
         expect = PadicNumber.from_fraction(acc, 2, 12)
-        assert iwasawa_log(x).a.eq_at_prec(expect.with_prec(9))
+        assert log_of(x).a.eq_at_prec(expect.with_prec(9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), u0=st.integers(0, 10**30),
+           u1=st.integers(0, 10**30), R=st.integers(1, 40),
+           prec=st.integers(1, 40))
+    def test_known_to_claimed_precision(self, p, u0, u1, R, prec):
+        """The log of a unit known modulo p^R claims min(R, K.prec) digits,
+        and the same unit in a field 40 digits finer confirms all of them:
+        the series is long enough for the digits it claims."""
+        if u0 % p == 0 and u1 % p == 0:
+            u0 += 1
+        s, lo, P = iwasawa_log(UnramifiedField(p, prec), (u0, u1), R)
+        S, hi, P_hi = iwasawa_log(UnramifiedField(p, prec + 40), (u0, u1),
+                                  R + 40)
+        assert P == min(R, prec) and P_hi == P + 40
+        for a, b in zip(lo, hi):
+            assert (a * p ** (S - s) - b) % p ** (P + S) == 0
 
     def test_half_trace(self):
         F = UnramifiedField(3, 10)
@@ -229,6 +259,13 @@ class TestLinearAlgebra:
         [x], ker = solve_linear(A, [b])
         assert x[0].eq_at_prec(Q3(2)) and x[1].eq_at_prec(Q3(1))
         assert ker == []
+
+    def test_budget_checked_per_pivot(self):
+        """An expired active budget stops a solve at its first pivot."""
+        A = [[Q3(2), Q3(1)], [Q3(1), Q3(1)]]
+        with Budget(seconds=0, start=time.monotonic() - 1).active():
+            with pytest.raises(BudgetExceeded):
+                solve_linear(A, [[Q3(5), Q3(3)]])
 
     def test_kernel(self):
         A = [[Q3(1), Q3(2), Q3(3)], [Q3(2), Q3(4), Q3(6)]]

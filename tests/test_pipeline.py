@@ -83,6 +83,7 @@ def test_each_artefact_once_per_row(monkeypatch):
     lifts = _count_calls(monkeypatch, pipeline, "make_lift")
     actions = _count_calls(monkeypatch, cocycles, "weight_action")
     restricts = _count_calls(monkeypatch, pipeline, "restrict_operator")
+    charpolys = _count_calls(monkeypatch, pipeline, "charpoly")
     doms = []
     build, split = pipeline.build_context, pipeline.resplit
 
@@ -122,7 +123,20 @@ def test_each_artefact_once_per_row(monkeypatch):
     assert len(actions) == sum(len(dom.actions) for dom in doms) > 0
     # d = 1: one nonempty eigenspace, whose simple slope is also Hensel-lifted
     assert len(restricts) == bool(res.slopes_plus) + bool(res.slopes_minus) == 1
+    # one characteristic polynomial for A and one per eigenspace, which the
+    # Hensel lift reuses
+    assert len(charpolys) == 1 + len(restricts)
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
+
+
+def test_charpoly_once_per_matrix(monkeypatch):
+    """(2,7,1,4,12) has d = 2 and a simple slope on each W_N eigenspace:
+    3 characteristic polynomials, for A and its two restrictions, of which
+    the two L-invariants are Hensel-lifted."""
+    charpolys = _count_calls(monkeypatch, pipeline, "charpoly")
+    res = compute_l_result(2, 7, 1, 4, 12)
+    assert res.dim == 2 and len(res.l_invariants) == 2
+    assert len(charpolys) == 3
 
 
 DOMAIN_FIELDS = ("vertices", "geo_edges", "pairings", "edge_stabs",
