@@ -25,7 +25,6 @@ normalizing elements of reduced norms N and p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -222,10 +221,10 @@ def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool 
     """An element of R of reduced norm nrd_target (times p^(2r) when
     parity_p) normalizing R[1/p]; used for the two involutions."""
     p = dom.p
-    gram = dom.order.gram()
+    fd = dom.finder
     for r in range(0, 3 if parity_p else 1):
         target = nrd_target * p ** (2 * r)
-        for c in enumerate_norm(gram, Fraction(target)):
+        for c in enumerate_norm(fd.gram, fd.den * target):
             x = dom.order.element(c)
             if _normalizes_rp(dom.order, x, p):
                 return x, r

@@ -3,8 +3,10 @@
 Gamma is the group of reduced-norm-1 units of R[1/p], acting through the
 splitting iotauat p.  Equivalence of two vertices/edges under Gamma reduces to
 finding x in R with nrd(x) = p^(2r) satisfying congruence conditions that cut
-out a finite-index sublattice of R; candidates are found by exact
-Fincke-Pohst enumeration on that sublattice.
+out a finite-index sublattice of R; candidates are found by integer
+Fincke-Pohst enumeration on that sublattice, whose basis is a Hermite form
+and whose Gram matrix is the order's integer norm form restricted to it.
+The search runs on integers; only the element it returns is a Quat.
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
@@ -22,6 +24,7 @@ from functools import cached_property
 from math import lcm
 
 from .budget import checkpoint
+from .padics import val_int
 from .quaternions import Order, Quat, congruence_kernel, enumerate_norm
 from .splitting import SplittingMap
 from .tree import (
@@ -30,6 +33,7 @@ from .tree import (
     base_vertex,
     frac_val,
     mat_adj,
+    mat_det,
     mat_mul,
     normalize_edge,
     normalize_vertex,
@@ -38,8 +42,7 @@ from .tree import (
 
 
 def _det_val_exact(m, p):
-    a, b, c, d = (Fraction(x) for x in m)
-    return frac_val(a * d - b * c, p)
+    return val_int(mat_det(m), p)
 
 
 class EquivalenceFinder:
@@ -54,6 +57,7 @@ class EquivalenceFinder:
         gram = order.gram()
         self.den = lcm(*(g.denominator for row in gram for g in row))
         self.gram = [[int(g * self.den) for g in row] for row in gram]
+        self.traces = [int(b.trd()) for b in order.basis]
         self.images = spl.images  # iota of the order basis, mod p^prec
         self.mod = spl.p**spl.prec
 
@@ -105,17 +109,20 @@ class EquivalenceFinder:
                 K = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
             else:
                 K = congruence_kernel(rows, modulus)
-            GK = [[sum(ki[a] * self.gram[a][b] * kj[b]
-                       for a in range(4) for b in range(4)) for kj in K]
+            KG = [[sum(a * b for a, b in zip(ki, col)) for col in zip(*self.gram)]
                   for ki in K]
-            for cvec in enumerate_norm(GK, self.den * p ** (2 * r)):
-                c = [sum(K[j][m] * cvec[j] for j in range(4)) for m in range(4)]
-                x = self.order.element(c)
+            GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
+            target = self.den * p ** (2 * r)
+            for cvec in enumerate_norm(GK, target):
+                c = [sum(kj[m] * cj for kj, cj in zip(K, cvec)) for m in range(4)]
                 if r > 0 and all(ci % p == 0 for ci in c):
                     continue  # imprimitive: already seen at smaller r
-                if trace_bound and abs(x.trd()) > 2 * p**r:
+                if trace_bound and abs(sum(t * ci for t, ci in
+                                           zip(self.traces, c))) > 2 * p**r:
                     continue
-                assert x.nrd() == p ** (2 * r)
+                assert sum(ci * gij * cj for ci, row in zip(c, self.gram)
+                           for gij, cj in zip(row, c)) == target
+                x = self.order.element(c)
                 if all_solutions:
                     found.append((x, r))
                 else:

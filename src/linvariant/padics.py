@@ -460,15 +460,7 @@ def half_trace(x: UnramifiedElement) -> PadicNumber:
 
 def val_cap(n: int, p: int, cap) -> int:
     """min(v_p(n), cap) for an integer n, with v_p(0) infinite."""
-    if n == 0:
-        return cap
-    if p == 2:
-        return min((n & -n).bit_length() - 1, cap)
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return min(v, cap)
+    return cap if n == 0 else min(val_int(n, p), cap)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 B = (a, b / Q) has basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji.
 Elements are coordinate 4-tuples of Fractions.  Provides Hilbert symbols,
 construction of an algebra of prescribed discriminant, maximal and Eichler
-orders, integer lattice utilities (Hermite forms, kernels of congruence
-conditions) and exact Fincke-Pohst enumeration of vectors of given reduced
-norm.
+orders, integer lattice utilities (one Hermite normal form, kernels of
+congruence conditions, fraction-free elimination) and integer Fincke-Pohst
+enumeration of vectors of given reduced norm.  The lattice code runs on
+plain integers; Fractions appear only in Quat coordinates.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
-from sympy import Matrix, primefactors
-from sympy.matrices.normalforms import hermite_normal_form
+from sympy import primefactors
 
 
 # ----------------------------------------------------------------------
@@ -232,32 +233,102 @@ def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     return kernel
 
 
+def hermite_rows(gens: list[list[int]]) -> list[list[int]]:
+    """Hermite normal form of the lattice spanned by integer row vectors:
+    Cohen, Alg. 2.4.5, on the transpose.  The rows come out in order of
+    their last nonzero entry (the pivot), which is positive; every entry in
+    a later row's pivot column is reduced into [0, pivot).  For a full-rank
+    lattice this is the unique lower-triangular basis H with H[i][j] in
+    [0, H[j][j]) for i > j.  Pivots are made from the last coordinate to the
+    first, and each reduces the rows after it at once."""
+    rows = [list(g) for g in gens]
+    k = len(rows)
+    for i in range(len(rows[0]) - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            b = rows[j][i]
+            if b:
+                piv, row = rows[k], rows[j]
+                a = piv[i]
+                g, u, v = xgcd(a, b)
+                r, s = a // g, b // g
+                rows[k] = [u * x + v * y for x, y in zip(piv, row)]
+                rows[j] = [r * y - s * x for x, y in zip(piv, row)]
+        piv = rows[k]
+        b = piv[i]
+        if b < 0:
+            piv = rows[k] = [-x for x in piv]
+            b = -b
+        if b == 0:
+            k += 1
+            continue
+        for j in range(k + 1, len(rows)):
+            q = rows[j][i] // b
+            if q:
+                rows[j] = [y - q * x for x, y in zip(piv, rows[j])]
+    return rows[k:]
+
+
 def hnf_basis(generators: list[list[Fraction]]) -> list[list[Fraction]]:
     """Basis (as rows) of the lattice spanned by the given rational row
     vectors, via Hermite normal form."""
-    den = 1
-    for g in generators:
-        for x in g:
-            den = den * x.denominator // gcd(den, x.denominator)
-    M = Matrix([[int(x * den) for x in g] for g in generators])
-    H = hermite_normal_form(M.T).T
-    rows = [[Fraction(H[i, j], den) for j in range(H.cols)] for i in range(H.rows)]
-    return [r for r in rows if any(x != 0 for x in r)]
+    den = lcm(*(x.denominator for g in generators for x in g))
+    H = hermite_rows([[x.numerator * (den // x.denominator) for x in g]
+                      for g in generators])
+    return [[Fraction(x, den) for x in row] for row in H]
 
 
 def congruence_kernel(forms: list[list[int]], modulus: int) -> list[list[int]]:
-    """Basis (columns) of the full-rank lattice {c in Z^n : F c = 0 mod modulus}."""
+    """Basis (rows, in Hermite normal form) of the full-rank lattice
+    {c in Z^n : F c = 0 mod modulus}.  It contains modulus * Z^n, so the
+    kernel generators enter reduced modulo modulus, next to modulus * e_i."""
     r = len(forms)
     n = len(forms[0])
     ext = [list(f) + [modulus if i == t else 0 for t in range(r)] for i, f in enumerate(forms)]
-    ker = integer_kernel(ext)
-    projected = [k[:n] for k in ker]
-    M = Matrix([list(v) for v in projected])
-    H = hermite_normal_form(M.T).T
-    basis = [[int(H[i, j]) for j in range(H.cols)] for i in range(H.rows)]
-    basis = [b for b in basis if any(x != 0 for x in b)]
+    gens = [[x % modulus for x in k[:n]] for k in integer_kernel(ext)]
+    gens += [[modulus if i == j else 0 for j in range(n)] for i in range(n)]
+    basis = hermite_rows(gens)
     assert len(basis) == n, "congruence lattice is not full rank"
     return basis
+
+
+def bareiss(G: list[list[int]]) -> list[list[int]]:
+    """Fraction-free (Bareiss) elimination of a positive definite integer
+    matrix, without pivoting.  In the result A, A[k][k] is the leading
+    principal minor of order k + 1, and for i > k the LDL^T multiplier is
+    L[i][k] = A[i][k] / A[k][k]; so D[k] = A[k][k] / A[k-1][k-1] and the
+    determinant is A[-1][-1]."""
+    n = len(G)
+    A = [list(row) for row in G]
+    prev = 1
+    for k in range(n):
+        piv = A[k][k]
+        if piv <= 0:
+            raise ValueError("form is not positive definite")
+        for i in range(k + 1, n):
+            Ai, aik = A[i], A[i][k]
+            for j in range(k + 1, n):
+                Ai[j] = (piv * Ai[j] - aik * A[k][j]) // prev
+        prev = piv
+    return A
+
+
+def _det(M: list[list[int]]) -> int:
+    """Determinant of a small integer matrix, by cofactor expansion."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _adjugate(M: list[list[int]]) -> list[list[int]]:
+    """adj(M), with M adj(M) = det(M) I."""
+    n = len(M)
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                     for t, row in enumerate(M) if t != j])
+             for j in range(n)] for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -274,27 +345,37 @@ class Order:
     basis: list[Quat]
     level: int = 1
 
+    @cached_property
+    def _basis_matrix(self):
+        """(B, den, adj(B), det(B)): the basis as integer coordinate rows
+        over one denominator, with its adjugate and determinant."""
+        den = lcm(*(c.denominator for b in self.basis for c in b.co))
+        B = [[c.numerator * (den // c.denominator) for c in b.co] for b in self.basis]
+        adj = _adjugate(B)
+        return B, den, adj, sum(B[0][j] * adj[j][0] for j in range(4))
+
     def gram(self) -> list[list[Fraction]]:
-        """Gram matrix of the reduced norm form in this basis."""
-        bs = self.basis
-        return [
-            [
-                (bs[i] * bs[j].conj() + bs[j] * bs[i].conj()).co[0] / 2
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
+        """Gram matrix of the reduced norm form in this basis; on (1, i, j, k)
+        the form is diag(1, -a, -b, ab)."""
+        B, den = self._basis_matrix[:2]
+        a, b = self.algebra.a, self.algebra.b
+        form = (1, -a, -b, a * b)
+        return [[Fraction(sum(f * x * y for f, x, y in zip(form, bi, bj)), den * den)
+                 for bj in B] for bi in B]
 
     def element(self, coords) -> Quat:
-        acc = self.basis[0].scale(coords[0])
-        for c, b in zip(coords[1:], self.basis[1:]):
-            acc = acc + b.scale(c)
-        return acc
+        B, den, _, _ = self._basis_matrix
+        return Quat(self.basis[0].ab, tuple(
+            Fraction(sum(c * row[i] for c, row in zip(coords, B)), den)
+            for i in range(4)))
 
     def coordinates(self, x: Quat) -> list[Fraction]:
-        """Coordinates of x in this basis (a rational 4x4 solve)."""
-        cols = [b.co for b in self.basis]
-        return _solve4(cols, x.co)
+        """Coordinates of x in this basis: x B^-1 = den x adj(B) / det(B)."""
+        _, den, adj, det = self._basis_matrix
+        xden = lcm(*(c.denominator for c in x.co))
+        X = [c.numerator * (xden // c.denominator) for c in x.co]
+        return [Fraction(den * sum(X[i] * adj[i][j] for i in range(4)), det * xden)
+                for j in range(4)]
 
     def contains(self, x: Quat) -> bool:
         try:
@@ -304,32 +385,12 @@ class Order:
         return all(c.denominator == 1 for c in co)
 
     def reduced_discriminant(self) -> int:
-        bs = self.basis
-        M = Matrix(
-            [[Fraction((bs[i] * bs[j].conj()).trd()) for j in range(4)] for i in range(4)]
-        )
-        d = M.det()
-        r = Fraction(d)
-        assert r.denominator == 1
-        s = isqrt(abs(int(r)))
-        assert s * s == abs(int(r))
-        return s
-
-
-def _solve4(cols, target):
-    """Solve sum_i x_i cols[i] = target over Q (cols: four 4-tuples)."""
-    A = [[Fraction(cols[j][i]) for j in range(4)] + [Fraction(target[i])] for i in range(4)]
-    n = 4
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        pv = A[c][c]
-        A[c] = [x / pv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [A[i][4] for i in range(4)]
+        """sqrt(det) of the trace form trd(x conj(y)) = 2 (B/den) diag(1, -a,
+        -b, ab) (B/den)^T, that is 4 |a b det(B)| / den^4."""
+        _, den, _, det = self._basis_matrix
+        rd, rem = divmod(abs(4 * self.algebra.a * self.algebra.b * det), den**4)
+        assert rem == 0
+        return rd
 
 
 def maximal_order(alg: QuaternionAlgebra) -> Order:
@@ -406,72 +467,52 @@ def eichler_order(alg: QuaternionAlgebra, maxorder: Order, level: int) -> Order:
 
 
 # ----------------------------------------------------------------------
-# norm form enumeration (exact Fincke-Pohst)
+# norm form enumeration (integer Fincke-Pohst)
 # ----------------------------------------------------------------------
 
 
-def _ldl(G):
-    """G = L D L^T for a symmetric positive definite rational matrix."""
+def enumerate_norm(G: list[list[int]], target: int) -> list[tuple]:
+    """All nonzero integer vectors c (sign pairs included) with
+    c^T G c == target, for a positive definite integer matrix G, in
+    increasing lexicographic order of (c[n-1], ..., c[0]).
+
+    Integer Fincke-Pohst (Cohen, Alg. 2.7.5).  With A = bareiss(G) and the
+    leading principal minors m_0 = 1, m_{k+1} = A[k][k],
+        c^T G c = sum_k (m_{k+1} c_k + S_k)^2 / (m_k m_{k+1}),
+        S_k = sum_{j>k} A[j][k] c_j,
+    so under the one scale C = lcm_k(m_k m_{k+1}) term k is w_k u_k^2 with
+    integers w_k = C / (m_k m_{k+1}) and u_k = m_{k+1} c_k + S_k.  The
+    recursion fixes c_{n-1} down to c_0 with integer shifts S_k and an
+    integer remainder; the range of c_k is |u_k| <= isqrt(rem // w_k), and
+    c_0 solves w_0 u_0^2 == rem."""
     n = len(G)
-    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
-    A = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        D[j] = A[j][j] - sum(L[j][k] ** 2 * D[k] for k in range(j))
-        if D[j] <= 0:
-            raise ValueError("form is not positive definite")
-        for i in range(j + 1, n):
-            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    return L, D
-
-
-def _floor_sqrt_frac(x: Fraction) -> Fraction:
-    """A rational r with r <= sqrt(x) < r + 2/denominator-ish; used as a safe
-    bound after widening by one integer step."""
-    if x < 0:
-        return Fraction(-1)
-    n, d = x.numerator, x.denominator
-    return Fraction(isqrt(n * d), d)
-
-
-def enumerate_norm(G, target: Fraction) -> list[tuple]:
-    """All integer vectors c (including sign pairs) with c^T G c == target.
-
-    Exact arithmetic throughout; G must be positive definite."""
-    n = len(G)
-    target = Fraction(target)
     if target < 0:
         return []
-    L, D = _ldl(G)
-    # Q(x) = sum_i D[i] (x_i + sum_{j>i} L[j][i]?? careful: with G = L D L^T,
-    # Q(x) = sum_i D[i] * (sum_j L[j][i] x_j)^2 ... L is lower triangular so
-    # the inner sum is x_i + sum_{j>i} L[j][i] x_j.
+    A = bareiss(G)
+    minors = [1] + [A[k][k] for k in range(n)]
+    C = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    w = [C // (minors[k] * minors[k + 1]) for k in range(n)]
     out = []
     x = [0] * n
 
-    def rec(i, rem, shift_terms):
-        # rem: remaining value to distribute among coords 0..i
-        # shift for coordinate i: s_i = sum_{j>i} L[j][i] x_j
-        s = shift_terms[i]
-        bound = rem / D[i]
-        r = _floor_sqrt_frac(bound) + 1
-        lo, hi = -s - r, -s + r
-        xi_lo = lo.numerator // lo.denominator + (0 if lo.numerator % lo.denominator == 0 else 1)
-        xi_hi = hi.numerator // hi.denominator
-        for xi in range(xi_lo, xi_hi + 1):
-            val = D[i] * (xi + s) ** 2
-            if val > rem:
-                continue
-            x[i] = xi
-            if i == 0:
-                if val == rem:
-                    out.append(tuple(x))
-            else:
-                new_shifts = list(shift_terms)
-                for t in range(i):
-                    new_shifts[t] = shift_terms[t] + L[i][t] * xi
-                rec(i - 1, rem - val, new_shifts)
-        x[i] = 0
+    def rec(k, rem, shifts):
+        d, s = A[k][k], shifts[k]
+        if k == 0:
+            q, r = divmod(rem, w[0])
+            b = isqrt(q)
+            if r == 0 and b * b == q:
+                for u in ((-b, b) if b else (0,)):
+                    if (u - s) % d == 0:
+                        x[0] = (u - s) // d
+                        out.append(tuple(x))
+            return
+        b = isqrt(rem // w[k])
+        Ak = A[k]
+        for xk in range(-((b + s) // d), (b - s) // d + 1):
+            u = d * xk + s
+            x[k] = xk
+            rec(k - 1, rem - w[k] * u * u,
+                [shifts[t] + Ak[t] * xk for t in range(k)])
 
-    rec(n - 1, target, [Fraction(0)] * n)
-    return [v for v in out if any(c != 0 for c in v)]
+    rec(n - 1, C * target, [0] * n)
+    return [v for v in out if any(v)]

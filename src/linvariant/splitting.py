@@ -55,12 +55,10 @@ class SplittingMap:
         co = self.order.coordinates(x)
         e = 0
         for c in co:
-            d = c.denominator
-            while d % self.p == 0:
-                d //= self.p
-                e = max(e, val_int(c.denominator, self.p))
-            if d != 1:
+            v = val_int(c.denominator, self.p)
+            if c.denominator != self.p**v:
                 raise ValueError("element is not in R[1/p]")
+            e = max(e, v)
         mod = self.p**self.prec
         scaled = [int(c * self.p**e) % mod for c in co]
         mat = [0, 0, 0, 0]

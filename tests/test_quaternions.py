@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from linvariant.quaternions import (
     Order,
@@ -20,6 +24,101 @@ from linvariant.quaternions import (
     ramified_primes,
 )
 from linvariant.splitting import splitting_map
+
+
+# ----------------------------------------------------------------------
+# references: the Fraction Fincke-Pohst and the sympy Hermite forms that the
+# integer versions replaced, kept as the oracle they must equal, order
+# included
+# ----------------------------------------------------------------------
+
+
+def _ldl(G):
+    """G = L D L^T for a symmetric positive definite rational matrix."""
+    n = len(G)
+    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    D = [Fraction(0)] * n
+    A = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        D[j] = A[j][j] - sum(L[j][k] ** 2 * D[k] for k in range(j))
+        if D[j] <= 0:
+            raise ValueError("form is not positive definite")
+        for i in range(j + 1, n):
+            L[i][j] = (A[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+    return L, D
+
+
+def _floor_sqrt_frac(x: Fraction) -> Fraction:
+    """A rational r <= sqrt(x) with sqrt(x) < r + 1/denominator; -1 for x < 0."""
+    if x < 0:
+        return Fraction(-1)
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt(n * d), d)
+
+
+def reference_enumerate_norm(G, target) -> list[tuple]:
+    """All nonzero integer vectors c with c^T G c == target, by Fincke-Pohst
+    on the rational LDL^T, with Q(x) = sum_i D[i] (x_i + s_i)^2 and
+    s_i = sum_{j>i} L[j][i] x_j."""
+    n = len(G)
+    target = Fraction(target)
+    if target < 0:
+        return []
+    L, D = _ldl(G)
+    out = []
+    x = [0] * n
+
+    def rec(i, rem, shift_terms):
+        s = shift_terms[i]
+        r = _floor_sqrt_frac(rem / D[i]) + 1
+        lo, hi = -s - r, -s + r
+        xi_lo = lo.numerator // lo.denominator + (0 if lo.numerator % lo.denominator == 0 else 1)
+        xi_hi = hi.numerator // hi.denominator
+        for xi in range(xi_lo, xi_hi + 1):
+            val = D[i] * (xi + s) ** 2
+            if val > rem:
+                continue
+            x[i] = xi
+            if i == 0:
+                if val == rem:
+                    out.append(tuple(x))
+            else:
+                new_shifts = list(shift_terms)
+                for t in range(i):
+                    new_shifts[t] = shift_terms[t] + L[i][t] * xi
+                rec(i - 1, rem - val, new_shifts)
+        x[i] = 0
+
+    rec(n - 1, target, [Fraction(0)] * n)
+    return [v for v in out if any(c != 0 for c in v)]
+
+
+def reference_hnf_basis(generators):
+    den = 1
+    for g in generators:
+        for x in g:
+            den = den * x.denominator // gcd(den, x.denominator)
+    M = Matrix([[int(x * den) for x in g] for g in generators])
+    H = hermite_normal_form(M.T).T
+    rows = [[Fraction(H[i, j], den) for j in range(H.cols)] for i in range(H.rows)]
+    return [r for r in rows if any(x != 0 for x in r)]
+
+
+def reference_congruence_kernel(forms, modulus):
+    r = len(forms)
+    n = len(forms[0])
+    ext = [list(f) + [modulus if i == t else 0 for t in range(r)] for i, f in enumerate(forms)]
+    projected = [k[:n] for k in integer_kernel(ext)]
+    H = hermite_normal_form(Matrix(projected).T).T
+    basis = [[int(H[i, j]) for j in range(H.cols)] for i in range(H.rows)]
+    return [b for b in basis if any(x != 0 for x in b)]
+
+
+def _integral(G, target):
+    """A rational Gram matrix and target scaled by the lcm of the matrix's
+    denominators, as integers."""
+    den = lcm(*(Fraction(g).denominator for row in G for g in row))
+    return [[int(g * den) for g in row] for row in G], den * target
 
 
 class TestQuatArithmetic:
@@ -132,6 +231,28 @@ class TestLattices:
         basis = hnf_basis(rows)
         assert len(basis) == 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_congruence_kernel_equals_reference(self, data):
+        """1-4 forms modulo p^s: the same Hermite basis, row for row."""
+        p = data.draw(st.sampled_from([2, 3, 5, 13]))
+        s = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(2, 4))
+        r = data.draw(st.integers(1, 4))
+        forms = data.draw(st.lists(st.lists(st.integers(0, p**s - 1), min_size=n, max_size=n),
+                                   min_size=r, max_size=r))
+        assert congruence_kernel(forms, p**s) == reference_congruence_kernel(forms, p**s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hnf_basis_equals_reference(self, data):
+        """Rational generator sets of any rank, zero rows included."""
+        n = data.draw(st.integers(1, 4))
+        frac = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+        gens = data.draw(st.lists(st.lists(frac, min_size=n, max_size=n),
+                                  min_size=1, max_size=6))
+        assert hnf_basis(gens) == reference_hnf_basis(gens)
+
 
 class TestOrders:
     @pytest.mark.parametrize("disc", [2, 3, 5, 7, 11, 13])
@@ -165,6 +286,18 @@ class TestOrders:
         for b in E.basis:
             assert O.contains(b)
 
+    @pytest.mark.parametrize("disc,level", [(2, 1), (2, 3), (3, 5), (7, 1)])
+    @settings(max_examples=40, deadline=None)
+    @given(coords=st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+                           min_size=4, max_size=4))
+    def test_coordinates_invert_element(self, disc, level, coords):
+        """coordinates (one adjugate per order) inverts element exactly."""
+        alg = build_algebra(disc)
+        O = eichler_order(alg, maximal_order(alg), level)
+        x = O.element(coords)
+        assert O.coordinates(x) == coords
+        assert O.contains(x) == all(c.denominator == 1 for c in coords)
+
     def test_class_number_one_unit_counts(self):
         # [DERIVED] norm-1 element counts of the constructed maximal orders,
         # frozen from an independent brute-force coordinate search (range +-4):
@@ -173,7 +306,7 @@ class TestOrders:
         for disc, count in expect.items():
             alg = build_algebra(disc)
             O = maximal_order(alg)
-            sols = enumerate_norm(O.gram(), 1)
+            sols = enumerate_norm(*_integral(O.gram(), 1))
             assert len(sols) == count, disc
 
 
@@ -181,13 +314,13 @@ class TestEnumerate:
     def test_sum_of_four_squares(self):
         # [DERIVED] r_4(n) = 8 sigma(n) for odd n (Jacobi): n=5 -> 48
         G = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
-        sols = enumerate_norm(G, 5)
+        sols = enumerate_norm(*_integral(G, 5))
         assert len(sols) == 48
 
     def test_exactness(self):
         G = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
         for t in range(1, 30):
-            sols = enumerate_norm(G, t)
+            sols = enumerate_norm(*_integral(G, t))
             for c in sols:
                 q = 2 * c[0] ** 2 + 2 * c[0] * c[1] + 3 * c[1] ** 2
                 assert q == t
@@ -199,6 +332,25 @@ class TestEnumerate:
                 if (x, y) != (0, 0) and 2 * x * x + 2 * x * y + 3 * y * y == t
             ]
             assert sorted(sols) == sorted(brute)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_fraction_reference(self, data):
+        """Positive definite integer Gram matrices M M^T + diag, of size 2-4:
+        the same vectors in the same order as the rational Fincke-Pohst.
+        Doubling the form leaves odd targets without solutions."""
+        n = data.draw(st.integers(2, 4))
+        M = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        diag = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        scale = data.draw(st.sampled_from([1, 2]))
+        G = [[scale * (sum(a * b for a, b in zip(M[i], M[j])) + (diag[i] if i == j else 0))
+              for j in range(n)] for i in range(n)]
+        target = data.draw(st.integers(-2, 40))
+        sols = enumerate_norm(G, target)
+        assert sols == reference_enumerate_norm(G, target)
+        if scale == 2 and target % 2:
+            assert sols == []
 
 
 def _apply_int(spl, x):
