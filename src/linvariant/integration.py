@@ -12,13 +12,22 @@ from the geodesic between the reductions of tau and gamma tau, expanding the
 logarithmic kernel as a power series on each ball, and pairing with the
 moments of the overconvergent lift.  The log is the Iwasawa branch.
 
+Every element of K_p is an integer pair (x0, x1) for x0 + x1 w, reduced
+modulo a power of p (see `padics.pair_mul`).  The base point is
+x^(p^(2 prec)) modulo p^prec for a residue generator x, which agrees with
+its Teichmuller lift to that precision.  Its image gamma tau is held as
+p^-e (A + B w) known modulo p^P, with e and P in closed form from the
+valuations of a tau + b and c tau + d (see `_mobius`); these are the
+precisions the same quotient gets in PadicNumber coordinates.
+
 The pairing is integer arithmetic.  On each ball the kernel coefficients
 are split into their two Q_p coordinates on (1, w) and held as integers
 under one scale p^s; their products with the exact weight rows W[m][u] are
 formed once per (gamma, ball) and contracted with the integer moment
 residues of every lift (scale p^t, see `lifting`), which are computed once
 per distinct ball reduction.  The ball totals are multiplied by det^(-k/2),
-summed, and (1/2) Tr is applied only to the k+1 totals at the end.
+summed as one PadicNumber per coordinate, and (1/2) Tr is applied only to
+those k+1 pairs of totals at the end.
 
 The kernel series is integer arithmetic with one closed-form precision.
 Write T_i^-1 = p^(v_i) eps_i, where T_i = g^-1 tau_i, v_i >= 1 and eps_i is
@@ -54,12 +63,11 @@ from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
     PrecisionError,
-    UnramifiedElement,
     UnramifiedField,
-    half_trace,
     ilog,
     iwasawa_log,
     pair_mul,
+    pair_pow,
     pair_powers,
     pair_unit_inverse,
     scaled_reciprocals,
@@ -69,8 +77,10 @@ from .padics import (
 from .tree import base_vertex, edges_leaving_geodesic
 
 
-def base_point(p: int, prec: int, variant: int = 0) -> UnramifiedElement:
-    """A Teichmuller lift generating the residue field multiplicatively.
+def base_point(p: int, prec: int, variant: int = 0):
+    """The Teichmuller lift of a generator of the residue field's
+    multiplicative group, as the integer coordinates (A, B, 0, prec) of
+    `_mobius`: tau = A + B w known modulo p^prec.
 
     Its reduction to the tree is the standard vertex.  `variant` selects a
     different generator, for checking independence of the choice."""
@@ -80,27 +90,45 @@ def base_point(p: int, prec: int, variant: int = 0) -> UnramifiedElement:
     for b0 in range(1, p):
         for a0 in range(p):
             # order of a0 + b0 w in F_{p^2}^x
-            x = K.element(a0, b0)
-            y = x
-            order = 1
-            while True:
-                ra, rb = y.a.residue(1), y.b.residue(1)
-                if ra == 1 and rb == 0:
-                    break
-                y = y * x
+            y, order = (a0, b0), 1
+            while y != (1, 0):
+                y = pair_mul(y, (a0, b0), K, p)
                 order += 1
             if order == q - 1:
                 if found == variant:
-                    return K.teichmuller(a0, b0)
+                    # x^(q^n) agrees with the lift modulo p^(n+1)
+                    return (*pair_pow((a0, b0), q**prec, K, p**prec), 0, prec)
                 found += 1
     raise RuntimeError("no residue field generator found")
 
 
-def _mobius(mat, z: UnramifiedElement) -> UnramifiedElement:
+def _mobius(mat, tau, K: UnramifiedField):
+    """gamma tau for the integer matrix mat = (a, b, c, d) and the base
+    point tau = (A, B, 0, Q) of `base_point`, Q = K.prec, as integers
+    (A', B', e, P): gamma tau = p^-e (A' + B' w) known modulo p^P.
+
+    With vn and vd the valuations of a tau + b and c tau + d, both known
+    modulo p^Q, the quotient is p^(vn - vd) times a unit pair known to
+    Q - max(vn, vd) relative digits, so e = max(0, vd - vn) and
+    P = Q - 2 vd + min(vn, vd)."""
     a, b, c, d = mat
-    K = z.field
-    conv = lambda t: t if isinstance(t, UnramifiedElement) else K.element(Fraction(t))
-    return (conv(a) * z + conv(b)) / (conv(c) * z + conv(d))
+    t0, t1, _, Q = tau
+    p, mod = K.p, K.p**Q
+    num = ((a * t0 + b) % mod, a * t1 % mod)
+    den = ((c * t0 + d) % mod, c * t1 % mod)
+    vn = min(val_cap(num[0], p, Q), val_cap(num[1], p, Q))
+    vd = min(val_cap(den[0], p, Q), val_cap(den[1], p, Q))
+    if vd >= Q:
+        raise PrecisionError("denominator indistinguishable from zero")
+    e = max(0, vd - vn)
+    P = Q - 2 * vd + min(vn, vd)
+    mod = p ** (P + e)
+    qn, qd = p**vn, p**vd
+    z = pair_mul((num[0] // qn, num[1] // qn),
+                 pair_unit_inverse((den[0] // qd, den[1] // qd), K, mod),
+                 K, mod)
+    f = p ** (e + vn - vd)
+    return z[0] * f % mod, z[1] * f % mod, e, P
 
 
 @dataclass
@@ -123,14 +151,6 @@ def covering(dom: FundamentalDomain, x, r: int):
     return balls
 
 
-def _coords(z: UnramifiedElement):
-    """z = p^-e (A + B w) known modulo p^P, as the integers (A, B, e, P)."""
-    a, b = z.a, z.b
-    e = max(0, -a.val, -b.val)
-    return (a.unit * a.p ** (a.val + e), b.unit * b.p ** (b.val + e), e,
-            min(a.prec, b.prec))
-
-
 def _unit_split(x, P, p: int):
     """An integer pair x known modulo p^P as p^v times a unit pair: returns
     v, the unit pair and its precision P - v.  P may be infinite (exact)."""
@@ -144,9 +164,9 @@ def _unit_split(x, P, p: int):
 def log_kernel_series(K: UnramifiedField, ball: CoveringBall, z1, z2,
                       n_terms: int):
     """Coefficients of log((g z - tau2)/(g z - tau1)) as a series in z on
-    Z_p, for the base points tau_i given by their `_coords` z_i: constant
-    log((d tau2 - b)/(d tau1 - b)), then (T1^-n - T2^-n)/n for n >= 1,
-    where T_i = g^-1 tau_i.  Returns (s, (A, B), P): coefficient n is
+    Z_p, for the base points tau_i given by their coordinates z_i (see
+    `_mobius`): constant log((d tau2 - b)/(d tau1 - b)), then
+    (T1^-n - T2^-n)/n for n >= 1, where T_i = g^-1 tau_i.  Returns (s, (A, B), P): coefficient n is
     p^-s (A[n] + B[n] w) known modulo p^P[n] (see the module docstring)."""
     p, Q = K.p, K.prec
     a, b, c, d = ball.matrix
@@ -239,26 +259,36 @@ def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
 
 
 def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
-                  tau: UnramifiedElement, n_terms: int, target_prec: int,
-                  raw: bool = False):
+                  tau, n_terms: int, target_prec: int):
     """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
-    their parameters): entry m of each vector is lam(c)(gamma)(x^m).
+    their parameters): entry m of each vector is lam(c)(gamma)(x^m), the
+    half trace of the coordinate totals of `_coordinate_totals`, known to
+    at most target_prec."""
+    K = UnramifiedField(dom.p, tau[3])
+    return [[_halved_trace(K, a, b).with_prec(target_prec) for a, b in vec]
+            for vec in _coordinate_totals(dom, lifts, x, r, tau, n_terms,
+                                          target_prec)]
+
+
+def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
+                       tau, n_terms: int, target_prec: int):
+    """Per lift and m, the two coordinates (a, b) on (1, w) of the untraced
+    integral of x^m, for the base point tau of `base_point`; b vanishes to
+    precision, as the integrals lie in Q_p.
 
     The covering, the kernel series and its products with the weight rows
     are computed once per ball, the moments once per distinct ball
     reduction (see `_ball_moments`); the pairing is an integer contraction
-    per lift.  With raw=True the untraced field elements are returned
-    instead; their second coordinate vanishes to precision (the integrals
-    lie in Q_p)."""
+    per lift."""
     p, pr = dom.p, lifts[0].params
     k, t = pr.k, pr.t
-    K = tau.field
+    K = UnramifiedField(p, tau[3])
     Xi, _ = gamma_matrix(dom, x, r)
-    z1, z2 = _coords(tau), _coords(_mobius(Xi, tau))
+    gtau = _mobius(Xi, tau, K)
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
-        series = log_kernel_series(K, ball, z1, z2, n_terms)
+        series = log_kernel_series(K, ball, tau, gtau, n_terms)
         W = weight_coeff_rows(ball.matrix, k)
         s, cfs = _kernel_products(series, W, k, p, K.prec)
         moms = _ball_moments(lifts, ball.reduction, n_terms)
@@ -280,19 +310,17 @@ def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                     v = val_cap(S, p, P + s + t) - s - t
                     part[m][co].append((sgn * S, s + t + e,
                                         min(P - e, v + dprec)))
-    out = []
-    for part in parts:
-        vec = []
-        for m in range(k + 1):
-            a, b = (_sum_parts(p, terms, K.prec) for terms in part[m])
-            if raw:
-                vec.append(UnramifiedElement(K, a.with_prec(target_prec),
-                                             b.with_prec(target_prec)))
-            else:
-                vec.append(half_trace(UnramifiedElement(K, a, b))
-                           .with_prec(target_prec))
-        out.append(vec)
-    return out
+    return [[tuple(_sum_parts(p, terms, K.prec) for terms in coords)
+             for coords in part] for part in parts]
+
+
+def _halved_trace(K: UnramifiedField, a: PadicNumber,
+                  b: PadicNumber) -> PadicNumber:
+    """(1/2) Tr(a + b w) = (2a - B b)/2 for w^2 + B w + C = 0; 1/2 is taken
+    to two digits past the lower precision of a and b, so at p = 2 the
+    division costs one digit."""
+    return (a + a - K.B * b) * PadicNumber.from_fraction(
+        Fraction(1, 2), K.p, min(a.prec, b.prec) + 2)
 
 
 def _sum_parts(p: int, terms, cap: int) -> PadicNumber:

@@ -36,7 +36,7 @@ from .budget import checkpoint
 from .cocycles import HarmonicCocycle, act_on, weight_action
 from .domain import (EdgeReduction, FundamentalDomain, build_up_table,
                      gamma_matrix)
-from .padics import inv_mod, val_int
+from .padics import PrecisionError, inv_mod, val_int
 from .tree import frac_val, mat_adj, mat_mul
 
 
@@ -182,7 +182,9 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
     lift followed by params.n_it sweeps of the normalized U_p operator,
     resetting the exactly-known moments 0..k.  The substitution matrices of
     the stabilizers and of the U_p cosets are built once for the whole basis;
-    the time budget is checked after each sweep."""
+    the time budget is checked after each sweep.  Raises PrecisionError when
+    the basis does not determine the moments 0..k to p^W under the scale
+    p^t."""
     p, k = dom.p, params.k
     W, i_max, t = params.W, params.i_max, params.t
     mod = p**W
@@ -191,12 +193,14 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
         # to the lift's scale p^t
         phis = []
         for res, e, P in _phi_scaled(dom, coc, k):
-            assert P - e + t >= W, "cocycle basis precision too small"
+            if P - e + t < W:
+                raise PrecisionError("cocycle basis precision too small")
             if t >= e:
                 phis.append([a * p ** (t - e) % mod for a in res])
+            elif any(a % p ** (e - t) for a in res):
+                raise PrecisionError(
+                    "scale exponent too small for the cocycle moments")
             else:
-                assert all(a % p ** (e - t) == 0 for a in res), \
-                    "scale exponent too small for the cocycle moments"
                 phis.append([a // p ** (e - t) % mod for a in res])
         all_phis.append(phis)
     reps = dom.directed_reps()

@@ -67,9 +67,10 @@ def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
         checkpoint()
     sols, kern = solve_linear(rows, rhs)
     if kern:
-        raise ValueError(
-            "underdetermined cohomology solve; need more sample elements"
-        )
+        # for k > 0 the coboundary map u -> (gamma u - u)_gamma is injective
+        # (V_k has no Gamma-invariants), so a kernel is lost precision
+        raise PrecisionError("cohomology solve has a kernel at working "
+                             "precision")
     return [[sols[i][l] for i in range(d)] for l in range(d)]
 
 
@@ -98,7 +99,6 @@ def eigenspace(M, eig: int, prec: int):
     """Basis of the eigenspace of M (a +-1-involution matrix) for eigenvalue
     eig, as column vectors."""
     d = len(M)
-    p = M[0][0].p
     rows = [
         [M[i][j] - (eig if i == j else 0) for j in range(d)] for i in range(d)
     ]

@@ -4,15 +4,16 @@ Elements of Q_p are stored as (valuation, unit, absolute precision): the number
 is unit * p^valuation known modulo p^precision, with the unit reduced modulo
 p^(precision - valuation).  Precision propagates pessimistically (min rule).
 
-Also provides the quadratic unramified extension K_p, arithmetic in it on
-integer pairs modulo p^N and the Iwasawa branch of the p-adic logarithm on
-those, capped-precision Gaussian elimination and a division-free
-characteristic polynomial.
+Also provides the quadratic unramified extension K_p = Q_p(w): the field
+holds only p, its precision and the constants of w, and its elements are
+integer pairs x0 + x1 w reduced modulo p^N, with products, powers, unit
+inverses and the Iwasawa branch of the p-adic logarithm on those.  Last come
+capped-precision Gaussian elimination and a division-free characteristic
+polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import checkpoint
@@ -252,14 +253,6 @@ class PadicNumber:
             raise PrecisionError(f"valuation only bounded below by precision O(p^{self.prec})")
         return self.val
 
-    def lift(self) -> Fraction:
-        """The canonical representative unit*p^val as a rational number."""
-        if self.unit == 0:
-            return Fraction(0)
-        if self.val >= 0:
-            return Fraction(self.unit * self.p**self.val)
-        return Fraction(self.unit, self.p ** (-self.val))
-
     def residue(self, modexp: int) -> int:
         """Integer representative modulo p^modexp (requires val >= 0, prec >= modexp)."""
         if self.unit == 0:
@@ -316,7 +309,8 @@ class PadicNumber:
 
 
 class UnramifiedField:
-    """The quadratic unramified extension K_p = Q_p(w), w^2 + B w + C = 0.
+    """The quadratic unramified extension K_p = Q_p(w), w^2 + B w + C = 0,
+    with elements known modulo p^prec; they are the integer pairs below.
 
     The defining polynomial is x^2+x+1 for p=2 and x^2 - n (n the smallest
     quadratic nonresidue) for odd p; in both cases it is irreducible mod p, so
@@ -334,128 +328,6 @@ class UnramifiedField:
             while pow(n, (p - 1) // 2, p) != p - 1:
                 n += 1
             self.B, self.C = 0, -n
-
-    def element(self, a, b=0) -> "UnramifiedElement":
-        conv = lambda x: (
-            x if isinstance(x, PadicNumber) else PadicNumber.from_fraction(x, self.p, self.prec)
-        )
-        return UnramifiedElement(self, conv(a), conv(b))
-
-    def zero(self) -> "UnramifiedElement":
-        return self.element(0, 0)
-
-    def one(self) -> "UnramifiedElement":
-        return self.element(1, 0)
-
-    def teichmuller(self, a0: int, b0: int) -> "UnramifiedElement":
-        """Teichmuller lift of the residue a0 + b0*w (must be a unit)."""
-        x = self.element(a0, b0)
-        if x.valuation() != 0:
-            raise ValueError("Teichmuller lift requires a unit residue")
-        q = self.p**2
-        for _ in range(self.prec + 1):
-            x = x**q
-        return x
-
-
-@dataclass(frozen=True)
-class UnramifiedElement:
-    """a + b*w in the quadratic unramified extension of Q_p."""
-
-    field: UnramifiedField
-    a: PadicNumber
-    b: PadicNumber
-
-    def _co(self, other) -> "UnramifiedElement":
-        if isinstance(other, UnramifiedElement):
-            return other
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            return self.field.element(other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._co(other)
-        return UnramifiedElement(self.field, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnramifiedElement(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._co(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._co(other)
-
-    def __mul__(self, other):
-        o = self._co(other)
-        B, C = self.field.B, self.field.C
-        # (a1+b1 w)(a2+b2 w), w^2 = -B w - C
-        cross = self.b * o.b
-        a = self.a * o.a - C * cross
-        b = self.a * o.b + self.b * o.a - B * cross
-        return UnramifiedElement(self.field, a, b)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "UnramifiedElement":
-        """Galois conjugate: w -> -B - w."""
-        return UnramifiedElement(self.field, self.a - self.field.B * self.b, -self.b)
-
-    def norm(self) -> PadicNumber:
-        n = self * self.conj()
-        return n.a
-
-    def trace(self) -> PadicNumber:
-        return self.a + self.a - self.field.B * self.b
-
-    def inverse(self) -> "UnramifiedElement":
-        n = self.norm().inverse()
-        c = self.conj()
-        return UnramifiedElement(self.field, c.a * n, c.b * n)
-
-    def __truediv__(self, other):
-        return self * self._co(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._co(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def valuation(self) -> int:
-        """min of coordinate valuations (valid since {1,w} is an integral basis)."""
-        if self.is_zero():
-            raise PrecisionError("element indistinguishable from zero")
-        if self.a.is_zero():
-            return self.b.valuation()
-        if self.b.is_zero():
-            return self.a.valuation()
-        return min(self.a.valuation(), self.b.valuation())
-
-    def prec(self) -> int:
-        return min(self.a.prec, self.b.prec)
-
-    def __repr__(self):
-        return f"({self.a}) + ({self.b})*w"
-
-
-def half_trace(x: UnramifiedElement) -> PadicNumber:
-    """(1/2) Tr_{K_p/Q_p}; at p=2 the division by 2 costs one digit of precision."""
-    return x.trace() * PadicNumber.from_fraction(Fraction(1, 2), x.field.p, x.prec() + 2)
 
 
 def val_cap(n: int, p: int, cap) -> int:

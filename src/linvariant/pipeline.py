@@ -164,9 +164,10 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
         for ball in covering(ctx.dom, x, r):
             maxD = max(maxD, abs(ball.det_val))
         checkpoint()
-    minv = 0
+    minv = e_max = 0
     for c in basis0:
         for res, e, P in _phi_scaled(ctx.dom, c, k):
+            e_max = max(e_max, e)
             for a in res:
                 if a:
                     minv = min(minv, val_int(a, p) - e)
@@ -186,7 +187,8 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
         lift=LiftParams(k=k, t=t_sc, i_max=i_max, n_it=n_it, W=W),
         n_terms=N,
         split_prec=W + 30,
-        basis_prec=W - t_sc + 10,
+        # make_lift needs basis_prec - e + t_sc >= W for every scale e
+        basis_prec=W - t_sc + max(10, e_max),
         tau_prec=W + 12,
         out_prec=M + 8,
     )
@@ -279,9 +281,12 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     lifts) lose about (d-1)*v absolute digits when the entries of the d x d
     matrix A have valuation -v, which the sizing does not foresee.  When one
     of them raises PrecisionError, the attempt is rerun with Mw raised by
-    max(1, d-1)*max(1, v), where -v is the lowest entry valuation of A, at
-    most MAX_PRECISION_RETRIES times and never past Mw = 4M; past that cap
-    the error propagates.  The active time budget (see `budget`) is checked
+    max(1, d-1)*max(1, v), where -v is the lowest entry valuation of A.
+    When `l_matrix` raises it (an integration step loses its digits, or the
+    cohomology solve is inconsistent or has a kernel), there is no A to
+    measure, and Mw is doubled.  Either way the attempt is rerun at most
+    MAX_PRECISION_RETRIES times and never past Mw = 4M; past that cap the
+    error propagates.  The active time budget (see `budget`) is checked
     within every stage and between attempts.  The result is reported at the
     requested M: `prec` is M and the L-invariants are Hensel-lifted at
     precision M.
@@ -302,14 +307,16 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
         d = len(basis)
         lifts = make_lift(actx.dom, basis, sz.lift)
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
-        A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec,
-                     base_vertex_override=base_vertex_override)
+        A = None
         try:
+            A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec,
+                         base_vertex_override=base_vertex_override)
             res = _invariants(actx, basis, A, M, sz.out_prec)
         except PrecisionError:
             if retries == MAX_PRECISION_RETRIES or Mw >= 4 * M:
                 raise
-            step = max(1, d - 1) * max(1, -_min_entry_val(A))
+            step = (Mw if A is None
+                    else max(1, d - 1) * max(1, -_min_entry_val(A)))
             Mw = min(Mw + step, 4 * M)
             retries += 1
             checkpoint()

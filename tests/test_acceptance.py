@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from linvariant.domain import gamma_matrix
-from linvariant.integration import lambda_values
+from linvariant.integration import _coordinate_totals, lambda_values
 from linvariant.lifting import LiftParams, make_lift
 from linvariant.loperator import psi_values
 from linvariant.padics import PadicNumber
@@ -319,12 +319,13 @@ class TestProperties:
             assert all((x + y).is_zero() for x, y in zip(whole, rev))
             done += 1
 
-        # (i) the auxiliary field coordinate of the raw integrals vanishes
+        # (i) the auxiliary field coordinate of the untraced integrals
+        # vanishes
         for x, r in gens[:6]:
-            [raws] = lambda_values(dom, lifts, x, r, tau, sz.n_terms,
-                                   op, raw=True)
-            for t in raws:
-                assert t.b.is_zero() or t.b.val >= M - 2
+            [totals] = _coordinate_totals(dom, lifts, x, r, tau,
+                                          sz.n_terms, op)
+            for _, b in totals:
+                assert b.is_zero() or b.val >= M - 2
 
         report("5: property suite (normal form, partitions, harmonicity, "
                "cocycle laws, lift fixed point, path laws)", True)

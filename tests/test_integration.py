@@ -12,7 +12,8 @@ from linvariant.cocycles import harmonic_basis, weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
     CoveringBall,
-    _coords,
+    _coordinate_totals,
+    _halved_trace,
     _mobius,
     base_point,
     covering,
@@ -20,7 +21,7 @@ from linvariant.integration import (
     log_kernel_series,
 )
 from linvariant.lifting import sigma_series_matrix
-from linvariant.padics import PadicNumber, UnramifiedElement, half_trace
+from linvariant.padics import PadicNumber, PrecisionError, UnramifiedField
 from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import (
     base_vertex,
@@ -32,6 +33,14 @@ from linvariant.tree import (
 )
 
 from conftest import act, value
+from field_reference import (
+    Field,
+    UnramifiedElement,
+    base_point as reference_base_point,
+    coords,
+    half_trace,
+    mobius,
+)
 from test_tree import ball_contains
 
 
@@ -94,7 +103,7 @@ def reference_log_kernel_series(K, ball, tau1, tau2, n_terms):
     return out
 
 
-def series_elements(K, series):
+def series_elements(K: Field, series):
     """The coefficients of a `log_kernel_series` as field elements."""
     p = K.p
     s, (A, B), precs = series
@@ -107,12 +116,12 @@ def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
     """The untraced totals of lambda_values evaluated term by term in field
     elements: every kernel coefficient, weight-row product, moment and
     pairing is a PadicNumber or UnramifiedElement, so each digit's
-    precision follows the PadicNumber rules."""
+    precision follows the PadicNumber rules.  tau is the field element."""
     p, pr = dom.p, lifts[0].params
     k = pr.k
     K = tau.field
     Xi, _ = gamma_matrix(dom, x, r)
-    tau2 = _mobius(Xi, tau)
+    tau2 = mobius(Xi, tau)
     totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
         lser = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
@@ -250,14 +259,10 @@ class TestLambdaCocycle:
         the basis (1, w) of the unramified field vanishes at p^(M-2)."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
         dom = ctx.dom
-        gens = dom.generators()
-        for x, r in gens[:6]:
-            [raws] = lambda_values(dom, lifts, x, r, tau, sz.n_terms,
-                                   sz.out_prec, raw=True)
-            for t in raws:
-                # the omega-coordinate of 2*integral is b-coordinate of trace
-                # complement; check directly on the element
-                b = t.b
+        for x, r in dom.generators()[:6]:
+            [totals] = _coordinate_totals(dom, lifts, x, r, tau,
+                                          sz.n_terms, sz.out_prec)
+            for _, b in totals:
                 assert b.is_zero() or b.val >= M - 2
 
     def test_identity_like_stabilizer_gives_zero_psi_path(self, row32_m8):
@@ -279,22 +284,24 @@ class TestIntegerPairing:
         """The integer contraction agrees with the term-by-term field
         evaluation in value, and each entry is known to exactly
         min(target_prec, reference precision): traced entries and both
-        coordinates of the raw ones."""
+        coordinates of the untraced totals."""
         ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
         dom = ctx.dom
         op = sz.out_prec
+        tau_ref = reference_base_point(dom.p, tau[3])
         vals = []
         for x, r in dom.generators()[:n_gens]:
-            ref = reference_lambda_values(dom, lifts, x, r, tau,
+            ref = reference_lambda_values(dom, lifts, x, r, tau_ref,
                                           sz.n_terms, op)
             got = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
-            raw = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op,
-                                raw=True)
+            totals = _coordinate_totals(dom, lifts, x, r, tau, sz.n_terms,
+                                        op)
             pairs = []
-            for ref_v, got_v, raw_v in zip(ref, got, raw):
-                for want, traced, untraced in zip(ref_v, got_v, raw_v):
+            for ref_v, got_v, tot_v in zip(ref, got, totals):
+                for want, traced, (a, b) in zip(ref_v, got_v, tot_v):
                     pairs += [(half_trace(want), traced),
-                              (want.a, untraced.a), (want.b, untraced.b)]
+                              (want.a, a.with_prec(op)),
+                              (want.b, b.with_prec(op))]
             for want, have in pairs:
                 assert have.prec == min(op, want.prec)
                 assert (have - want).is_zero()
@@ -305,7 +312,69 @@ class TestIntegerPairing:
 
 @lru_cache(maxsize=None)
 def _base_point(p, prec, variant):
-    return base_point(p, prec, variant=variant)
+    """The reference base point, a field element."""
+    return reference_base_point(p, prec, variant=variant)
+
+
+def _matrix_entries(p):
+    """Integers up to p^6 in size, times p^j for a j up to 5, so that
+    a tau + b and c tau + d reach valuations well past 1."""
+    return st.builds(lambda n, j: n * p**j, st.integers(-p**6, p**6),
+                     st.sampled_from([0, 0, 1, 2, 5]))
+
+
+def _padic(p):
+    """A PadicNumber of valuation -10 to 10 known to at most 30 digits past
+    it; indistinguishable from zero in some draws."""
+    return st.builds(
+        lambda v, u, rel: PadicNumber(p, v, u, v + rel),
+        st.integers(-10, 10), st.integers(0, p**40), st.integers(-5, 30))
+
+
+class TestIntegerField:
+    """K_p on integer pairs against the field-element reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), variant=st.sampled_from([0, 1]),
+           prec=st.integers(1, 60))
+    def test_base_point_is_teichmuller(self, p, variant, prec):
+        assert base_point(p, prec, variant) == coords(
+            _base_point(p, prec, variant))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), variant=st.sampled_from([0, 1]),
+           prec=st.sampled_from([10, 23, 40]), data=st.data())
+    def test_mobius_equals_reference(self, p, variant, prec, data):
+        """(A, B, e, P) of gamma tau, integers and precision both, for a
+        random integer matrix gamma; both raise when c tau + d vanishes."""
+        X = tuple(data.draw(_matrix_entries(p)) for _ in range(4))
+        assume(X[0] * X[3] != X[1] * X[2])
+        tau = _base_point(p, prec, variant)
+        K = UnramifiedField(p, prec)
+        try:
+            want = coords(mobius(X, tau))
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                _mobius(X, coords(tau), K)
+            return
+        assert _mobius(X, coords(tau), K) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_mobius_raises_when_denominator_vanishes(self, p):
+        """c tau + d = 0 modulo p^prec: gamma tau is not determined."""
+        with pytest.raises(PrecisionError):
+            _mobius((1, 0, p**10, p**12), base_point(p, 10),
+                    UnramifiedField(p, 10))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_halved_trace_equals_reference(self, p, data):
+        a, b = data.draw(_padic(p)), data.draw(_padic(p))
+        K = Field(p, 40)
+        got = _halved_trace(K, a, b)
+        want = half_trace(UnramifiedElement(K, a, b))
+        assert (got.val, got.unit, got.prec) == (want.val, want.unit,
+                                                 want.prec)
 
 
 class TestKernelSeries:
@@ -321,15 +390,16 @@ class TestKernelSeries:
         assume(X[0] * X[3] != X[1] * X[2])
         tau = _base_point(p, 40, variant)
         K = tau.field
-        tau2 = _mobius(X, tau)
+        tau2 = mobius(X, tau)
         v0 = base_vertex(p)
         w = normalize_vertex(mat_mul(tuple(Fraction(t) for t in X),
                                      v0.matrix()), p)
         edges = edges_leaving_geodesic(v0, w)
         ball = CoveringBall(
             edges[data.draw(st.integers(0, len(edges) - 1))].matrix(), 0, None)
+        z1 = coords(tau)
         got = series_elements(K, log_kernel_series(
-            K, ball, _coords(tau), _coords(tau2), n_terms))
+            K, ball, z1, _mobius(X, z1, K), n_terms))
         want = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
         assert len(got) == len(want) == n_terms
         for g, r in zip(got, want):
@@ -356,15 +426,17 @@ class TestKernelPrecision:
         point is canonical, so the finer series is an independent oracle."""
         dom, sz = _sized_domain(request.getfixturevalue(ctx_name), k, M)
         p = dom.p
-        taus = [base_point(p, sz.tau_prec), base_point(p, sz.tau_prec + 50)]
+        fields = [UnramifiedField(p, sz.tau_prec),
+                  UnramifiedField(p, sz.tau_prec + 50)]
+        taus = [base_point(p, K.prec) for K in fields]
         checked = 0
         for x, r in dom.generators():
             Xi, _ = gamma_matrix(dom, x, r)
-            zs = [(_coords(tau), _coords(_mobius(Xi, tau))) for tau in taus]
+            zs = [(tau, _mobius(Xi, tau, K)) for tau, K in zip(taus, fields)]
             for ball in covering(dom, x, r):
                 (s, lo, P), (S, hi, P_hi) = (
-                    log_kernel_series(tau.field, ball, z1, z2, sz.n_terms)
-                    for tau, (z1, z2) in zip(taus, zs))
+                    log_kernel_series(K, ball, z1, z2, sz.n_terms)
+                    for K, (z1, z2) in zip(fields, zs))
                 assert all(a <= b for a, b in zip(P, P_hi))
                 E = max(s, S)
                 for co_lo, co_hi in zip(lo, hi):

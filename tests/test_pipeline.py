@@ -1,5 +1,6 @@
 """compute_l_result: what a row computes once, and precision escalation."""
 
+import glob
 import json
 import os
 
@@ -9,8 +10,18 @@ import linvariant.cocycles as cocycles
 import linvariant.loperator as loperator
 import linvariant.pipeline as pipeline
 from linvariant.budget import Budget, BudgetExceeded
+from linvariant.cocycles import harmonic_basis
+from linvariant.lifting import _phi_scaled
 from linvariant.padics import PadicNumber, PrecisionError
-from linvariant.pipeline import SCHEMA_VERSION, compute_l_result
+from linvariant.pipeline import (
+    SCHEMA_VERSION,
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
+    build_context,
+    compute_l_result,
+    resplit,
+    size_parameters,
+)
 
 from conftest import CACHE
 
@@ -56,6 +67,42 @@ def test_retry_then_report_at_requested_precision(monkeypatch):
     assert res.slopes == [(0, 1)]
     # criterion 1 of the acceptance suite: 1 + 3^2 + O(3^4)
     assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
+
+
+def test_l_matrix_shortfall_doubles_working_precision(monkeypatch):
+    """A PrecisionError from the L-matrix stage leaves no matrix to measure
+    a step from: the attempt is rerun at twice the working precision, and
+    the row is still reported at the requested M."""
+    seen = _record_working_precisions(monkeypatch)
+    l_matrix = pipeline.l_matrix
+    calls = []
+
+    def short_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PrecisionError("simulated shortfall")
+        return l_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "l_matrix", short_once)
+    res = compute_l_result(3, 2, 1, 4, 4)
+    assert seen == [4, 8]
+    assert res.prec == 4
+    assert res.l_invariants[0][2].startswith("1 + 3^2 + ")
+
+
+def test_basis_precision_covers_moment_scale():
+    """At weight 24 the scale e = v*k/2 of the cocycle moments passes the
+    margin of 10 digits; the attempt's basis still gives `make_lift` its W
+    digits under the scale p^t: P - e + t >= W."""
+    k = 22
+    ctx = build_context(2, 3, 1, SIZING_SPLIT_PREC)
+    sz = size_parameters(ctx, k, 8,
+                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    dom = resplit(ctx, sz.split_prec).dom
+    moments = [(e, P) for c in harmonic_basis(dom, k, sz.basis_prec)
+               for _, e, P in _phi_scaled(dom, c, k)]
+    assert max(e for e, _ in moments) > 10
+    assert all(P - e + sz.lift.t >= sz.lift.W for e, P in moments)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -253,11 +300,19 @@ def test_budget_checked_in_sizing_scan(monkeypatch):
     assert len(calls[0][0].generators()) > 1
 
 
-@pytest.mark.parametrize("row", [(2, 7, 1, 4, 12), (2, 5, 1, 6, 12),
-                                 (3, 2, 1, 4, 10), (2, 3, 1, 4, 12)])
+def _committed_rows():
+    """(p, nminus, nplus, weight, M) of every committed row file."""
+    suffix = f"_v{SCHEMA_VERSION}.json"
+    return [tuple(int(t) for t in os.path.basename(path)[len("lresult_"):
+                                                         -len(suffix)].split("_"))
+            for path in sorted(glob.glob(os.path.join(CACHE, f"lresult_*{suffix}")))]
+
+
+@pytest.mark.parametrize("row", _committed_rows())
 def test_row_matches_committed_file(row):
-    """Rows recompute cold to the bytes of their committed files: bases of
-    2 and 3 cocycles, and an odd p, where K_p = Q_p(w) with w^2 = n."""
+    """Every committed row recomputes cold to the bytes of its file: bases
+    of 1 to 3 cocycles, weights 4 to 16, and an odd p, where K_p = Q_p(w)
+    with w^2 = n."""
     name = "_".join(map(str, row))
     with open(os.path.join(CACHE, f"lresult_{name}_v{SCHEMA_VERSION}.json")) as f:
         want = f.read()
