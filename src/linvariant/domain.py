@@ -105,10 +105,7 @@ class EquivalenceFinder:
                 modulus = p**s
                 assert s + 4 <= self.spl.prec
                 rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
-            if modulus == 1:
-                K = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-            else:
-                K = congruence_kernel(rows, modulus)
+            K = congruence_kernel(rows, modulus)
             KG = [[sum(a * b for a, b in zip(ki, col)) for col in zip(*self.gram)]
                   for ki in K]
             GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
@@ -134,10 +131,6 @@ class EquivalenceFinder:
     def vertex_equiv(self, v: Vertex, w: Vertex):
         rmax = v.dist_to_base() + w.dist_to_base() + 1
         return self.search(v.matrix(), w.matrix(), "vertex", rmax)
-
-    def edge_equiv(self, e: Edge, f: Edge):
-        rmax = _edge_dist(e) + _edge_dist(f) + 1
-        return self.search(e.matrix(), f.matrix(), "edge", rmax)
 
     def stabilizer(self, obj, kind: str, dist: int):
         """All gamma in Gamma fixing the vertex or directed edge obj at
@@ -212,6 +205,11 @@ class FundamentalDomain:
     def rep_detvals(self) -> list[int]:
         return [_det_val_exact(m, self.p) for m in self.rep_mats]
 
+    @cached_property
+    def rep_dists(self) -> list[int]:
+        # an edge and its opposite have the same endpoints
+        return [d for e in self.geo_edges for d in [_edge_dist(e)] * 2]
+
     def directed_reps(self) -> list[Edge]:
         return [f for e in self.geo_edges for f in (e, e.opposite())]
 
@@ -229,11 +227,9 @@ class FundamentalDomain:
         canonical edge in `located`."""
         if e in self.located:
             return self.located[e]
-        d_e = _edge_dist(e)
-        for j, f in enumerate(self.directed_reps()):
-            res = self.finder.search(
-                self.rep_mats[j], e.matrix(), "edge", d_e + _edge_dist(f) + 1
-            )
+        m, d_e = e.matrix(), _edge_dist(e)
+        for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
+            res = self.finder.search(B, m, "edge", d_e + d + 1)
             if res is not None:
                 out = (j, res[0], res[1])
                 self.located[e] = out
@@ -312,14 +308,16 @@ def compute_fundamental_domain(order: Order,
     v0 = base_vertex(p)
     dom.vertices.append(v0)
     queue = [v0]
+    reps = []  # (matrix, distance) of each directed representative so far
     while queue:
         v = queue.pop(0)
         for e in star(v):
-            if any(eq.edge_equiv(e, f) is not None
-                   or eq.edge_equiv(e, f.opposite()) is not None
-                   for f in dom.geo_edges):
+            m, d_e = e.matrix(), _edge_dist(e)
+            if any(eq.search(m, B, "edge", d_e + d + 1) is not None
+                   for B, d in reps):
                 continue
             dom.geo_edges.append(e)
+            reps += [(f.matrix(), d_e) for f in (e, e.opposite())]
             u = e.target()
             hit = None
             for i, w in enumerate(dom.vertices):

@@ -22,8 +22,6 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from sympy import factorint, isprime
-
 from .budget import checkpoint
 from .cocycles import (
     harmonic_basis,
@@ -48,10 +46,23 @@ from .padics import (
     newton_slopes,
     val_int,
 )
-from .quaternions import build_algebra, eichler_order, maximal_order
+from .quaternions import (
+    PRIME_BOUND,
+    build_algebra,
+    eichler_order,
+    factorint,
+    isprime,
+    maximal_order,
+)
 from .splitting import splitting_map
 
 SCHEMA_VERSION = 2
+
+
+# Bound on N^- N^+: every integer factored on the way (N^-, N^+, the symbol
+# entries a, b >= -N^- and the indices 4 |a b| / N^- <= 4 N^- that the maximal
+# order saturates) then stays far below quaternions.FACTOR_BOUND.
+LEVEL_BOUND = 10**9
 
 
 class UsageError(ValueError):
@@ -59,6 +70,9 @@ class UsageError(ValueError):
 
 
 def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
+    if p >= PRIME_BOUND:
+        raise UsageError(f"p must be below {PRIME_BOUND}, the range of the "
+                         "exact primality test")
     if not isprime(p):
         raise UsageError(f"p = {p} is not prime")
     if nminus < 2 or nplus < 1:
@@ -67,6 +81,8 @@ def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
         raise UsageError("p must be coprime to Nminus*Nplus")
     if math.gcd(nminus, nplus) != 1:
         raise UsageError("Nminus and Nplus must be coprime")
+    if nminus * nplus > LEVEL_BOUND:
+        raise UsageError(f"Nminus*Nplus must be at most {LEVEL_BOUND}")
     fac = factorint(nminus)
     if any(e > 1 for e in fac.values()):
         raise UsageError("Nminus must be squarefree")

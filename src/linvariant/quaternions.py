@@ -1,10 +1,11 @@
 """Definite rational quaternion algebras and their orders.
 
 B = (a, b / Q) has basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji.
-Elements are coordinate 4-tuples of Fractions.  Provides Hilbert symbols,
-construction of an algebra of prescribed discriminant, maximal and Eichler
-orders, integer lattice utilities (one Hermite normal form, kernels of
-congruence conditions, fraction-free elimination) and integer Fincke-Pohst
+Elements are coordinate 4-tuples of Fractions.  Provides a primality test
+and trial-division factoring for the small integers met here, Hilbert
+symbols, construction of an algebra of prescribed discriminant, maximal and
+Eichler orders, integer lattice utilities (one Hermite normal form,
+congruence lattices, fraction-free elimination) and integer Fincke-Pohst
 enumeration of vectors of given reduced norm.  The lattice code runs on
 plain integers; Fractions appear only in Quat coordinates.
 """
@@ -17,7 +18,65 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
-from sympy import primefactors
+
+# ----------------------------------------------------------------------
+# primes and factorizations of small integers
+# ----------------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson-Webster, Math. Comp. 2017)
+PRIME_BOUND = 3317044064679887385961981
+# trial division factors every |n| up to this bound (at most 5 * 10^5 divisors)
+FACTOR_BOUND = 10**12
+
+
+def isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is past the exact primality range (< {PRIME_BOUND})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{q: e} with |n| = prod q^e, primes in increasing order, for
+    0 < |n| <= FACTOR_BOUND; by trial division."""
+    n = abs(n)
+    if n > FACTOR_BOUND:
+        raise ValueError(f"{n} is past the trial-division bound {FACTOR_BOUND}")
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def primefactors(n: int) -> list[int]:
+    """The primes dividing n, in increasing order."""
+    return list(factorint(n))
 
 
 # ----------------------------------------------------------------------
@@ -201,38 +260,6 @@ def xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {c : M c = 0} of an integer matrix,
-    as a list of column vectors.  Column-reduction with a tracked unimodular
-    transform."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
-    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # U[j] = col j
-    pivot_cols: list[int] = []
-    for i in range(m):
-        avail = [j for j in range(n) if j not in pivot_cols]
-        nz = [j for j in avail if cols[j][i] != 0]
-        if not nz:
-            continue
-        j0 = nz[0]
-        for j in nz[1:]:
-            a0, a1 = cols[j0][i], cols[j][i]
-            g, s, t = xgcd(a0, a1)
-            c0 = [s * cols[j0][r] + t * cols[j][r] for r in range(m)]
-            c1 = [-(a1 // g) * cols[j0][r] + (a0 // g) * cols[j][r] for r in range(m)]
-            cols[j0], cols[j] = c0, c1
-            u0 = [s * U[j0][r] + t * U[j][r] for r in range(n)]
-            u1 = [-(a1 // g) * U[j0][r] + (a0 // g) * U[j][r] for r in range(n)]
-            U[j0], U[j] = u0, u1
-        pivot_cols.append(j0)
-    kernel = []
-    for j in range(n):
-        if j not in pivot_cols and all(x == 0 for x in cols[j]):
-            kernel.append(U[j])
-    return kernel
-
-
 def hermite_rows(gens: list[list[int]]) -> list[list[int]]:
     """Hermite normal form of the lattice spanned by integer row vectors:
     Cohen, Alg. 2.4.5, on the transpose.  The rows come out in order of
@@ -282,16 +309,26 @@ def hnf_basis(generators: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def congruence_kernel(forms: list[list[int]], modulus: int) -> list[list[int]]:
     """Basis (rows, in Hermite normal form) of the full-rank lattice
-    {c in Z^n : F c = 0 mod modulus}.  It contains modulus * Z^n, so the
-    kernel generators enter reduced modulo modulus, next to modulus * e_i."""
-    r = len(forms)
+    L = {c in Z^n : F c = 0 mod modulus}.
+
+    L = modulus * dual(Lambda) for the lattice Lambda spanned by the forms
+    and modulus * e_i (Cohen, ch. 2).  With H the lower-triangular Hermite
+    basis of Lambda, the dual has the columns of H^-1 as a basis, so L is
+    spanned by the columns of Y = modulus * H^-1, which are integral because
+    modulus * Z^n lies in Lambda; they come from forward substitution on
+    H Y = modulus * I."""
     n = len(forms[0])
-    ext = [list(f) + [modulus if i == t else 0 for t in range(r)] for i, f in enumerate(forms)]
-    gens = [[x % modulus for x in k[:n]] for k in integer_kernel(ext)]
-    gens += [[modulus if i == j else 0 for j in range(n)] for i in range(n)]
-    basis = hermite_rows(gens)
-    assert len(basis) == n, "congruence lattice is not full rank"
-    return basis
+    H = hermite_rows(list(forms) + [[modulus if i == j else 0 for j in range(n)]
+                                    for i in range(n)])
+    cols = []
+    for j in range(n):
+        y = [0] * n
+        for i in range(j, n):
+            t = (modulus if i == j else 0) - sum(H[i][u] * y[u] for u in range(j, i))
+            y[i], rem = divmod(t, H[i][i])
+            assert rem == 0
+        cols.append(y)
+    return hermite_rows(cols)
 
 
 def bareiss(G: list[list[int]]) -> list[list[int]]:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from linvariant.cli import main
 
 ORACLE = os.path.join(os.path.dirname(__file__), "..", "benchmark",
                       "oracle.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _oracle():
@@ -115,6 +118,27 @@ class TestValidation:
                                "--weight", "4")
         assert code == 3
         assert "odd number of prime factors" in err
+
+    @pytest.mark.parametrize("argv", [
+        # 2^89 - 1 is prime, but past the exact primality range
+        ("fdomain", "--p", str(2**89 - 1), "--nminus", "3"),
+        ("fdomain", "--p", "3317044064679887385961981", "--nminus", "2"),
+        # N^- N^+ past the factoring bound of 10^9
+        ("fdomain", "--p", "3", "--nminus", "1000000007"),
+        ("basis", "--p", "3", "--nminus", "2", "--nplus", "1000000007",
+         "--weight", "4"),
+        ("linv", "--p", "5", "--nminus", "2", "--nplus", str(5 * 10**8 + 1),
+         "--weight", "4"),
+    ])
+    def test_past_the_bounds_exit_3(self, argv):
+        """In a fresh interpreter: an error message and exit 3, no
+        traceback."""
+        proc = subprocess.run([sys.executable, "-m", "linvariant.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("linv", "--p", "3", "--nminus", "2", "--weight", "four"),
@@ -249,6 +273,17 @@ class TestSlopes:
         assert code == 0
         rows = json.loads(out)
         assert [r["weight"] for r in rows] == [4, 6]
+
+
+def test_startup_imports_no_sympy():
+    """The command line runs without sympy: importing it in a fresh
+    interpreter loads no sympy module."""
+    code = ("import sys, linvariant.cli, linvariant.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "[]"
 
 
 def _fuzz_cases():

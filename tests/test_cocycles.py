@@ -18,7 +18,11 @@ from linvariant.cocycles import (
 )
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import PadicNumber, PrecisionError
-from linvariant.pipeline import build_context
+from linvariant.pipeline import (
+    SIZING_BASIS_PREC,
+    SIZING_SPLIT_PREC,
+    build_context,
+)
 from linvariant.tree import mat_adj, star
 
 from conftest import act, value
@@ -102,36 +106,57 @@ class TestWeightAction:
             assert not any(T[m][k + 1:])
 
 
-FROZEN_DIMS = {
-    # (p, nminus): {weight: dim}
-    (2, 3): {4: 1, 6: 1, 8: 1, 10: 1, 12: 3, 14: 1, 16: 3},
-    (2, 5): {4: 1, 6: 3, 8: 1},
-    (2, 7): {4: 2, 6: 2, 8: 4},
-    (3, 2): {4: 1, 6: 1},
+# (p, nminus): weights; each dimension is the oracle's
+DIM_GRID = {
+    (2, 3): range(4, 17, 2),
+    (2, 5): (4, 6, 8),
+    (2, 7): (4, 6, 8),
+    (3, 2): (4, 6),
 }
 
 
+def _oracle_dims(p, nminus):
+    return [(w, oracle.harmonic_dim(p, nminus, 1, w)) for w in DIM_GRID[(p, nminus)]]
+
+
 class TestDimensions:
-    @pytest.mark.parametrize("w,dim", sorted(FROZEN_DIMS[(2, 3)].items()))
+    @pytest.mark.parametrize("w,dim", _oracle_dims(2, 3))
     def test_dims_23(self, ctx23, w, dim):
         assert len(harmonic_basis(ctx23.dom, w - 2, PREC)) == dim
 
-    @pytest.mark.parametrize("w,dim", sorted(FROZEN_DIMS[(2, 5)].items()))
+    @pytest.mark.parametrize("w,dim", _oracle_dims(2, 5))
     def test_dims_25(self, ctx25, w, dim):
         assert len(harmonic_basis(ctx25.dom, w - 2, PREC)) == dim
 
-    @pytest.mark.parametrize("w,dim", sorted(FROZEN_DIMS[(2, 7)].items()))
+    @pytest.mark.parametrize("w,dim", _oracle_dims(2, 7))
     def test_dims_27(self, ctx27, w, dim):
         assert len(harmonic_basis(ctx27.dom, w - 2, PREC)) == dim
 
-    @pytest.mark.parametrize("w,dim", sorted(FROZEN_DIMS[(3, 2)].items()))
+    @pytest.mark.parametrize("w,dim", _oracle_dims(3, 2))
     def test_dims_32(self, ctx32, w, dim):
         assert len(harmonic_basis(ctx32.dom, w - 2, PREC)) == dim
+
+    @pytest.mark.parametrize("p,nminus,w", [(2, 31, 8), (2, 41, 6), (2, 43, 8),
+                                            (2, 41, 8)])
+    def test_dims_sized_as_basis(self, p, nminus, w):
+        """Larger spaces, at the precisions of `linvariant basis`: the
+        oracle's dimension (18, 18, 25).  (2, 41) at weight 8 needs a
+        splitting beyond p^60 and may raise PrecisionError instead, but
+        never gives another dimension."""
+        ctx = build_context(p, nminus, 1, SIZING_SPLIT_PREC)
+        want = oracle.harmonic_dim(p, nminus, 1, w)
+        try:
+            basis = harmonic_basis(ctx.dom, w - 2, SIZING_BASIS_PREC)
+        except PrecisionError:
+            assert (p, nminus, w) == (2, 41, 8)
+            return
+        assert len(basis) == want
 
     # Eichler orders of level N^+ > 1; each dimension equals the count of
     # weight-k newforms of level p N^- N^+ new at p N^- (Cohen-Oesterle).
     @pytest.mark.parametrize("p,nminus,nplus,w,dim", [
-        (3, 2, 5, 4, 4), (3, 2, 5, 2, 1), (5, 3, 2, 4, 6), (3, 2, 7, 4, 4)])
+        (*s, oracle.harmonic_dim(*s))
+        for s in [(3, 2, 5, 4), (3, 2, 5, 2), (5, 3, 2, 4), (3, 2, 7, 4)]])
     def test_dims_eichler(self, p, nminus, nplus, w, dim):
         ctx = build_context(p, nminus, nplus, 40)
         assert len(harmonic_basis(ctx.dom, w - 2, PREC)) == dim

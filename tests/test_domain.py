@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 
 from linvariant.budget import Budget, BudgetExceeded
-from linvariant.domain import build_up_table
+from linvariant.cocycles import harmonic_basis
+from linvariant.domain import _edge_dist, build_up_table
+from linvariant.pipeline import build_context
 from linvariant.tree import (
+    base_vertex,
     mat_adj,
     mat_mul,
+    neighbors,
     normalize_edge,
+    star,
 )
 
 
@@ -134,6 +139,32 @@ class TestEdgeReducer:
         monkeypatch.setattr(dom.finder, "search", None)  # a search would fail
         assert dom.locate(e) == found
         assert len(dom.located) == n0
+
+    def test_locate_replays_the_uncached_search(self):
+        """For a `dims-survey` space, (2, 13) at weight 8 built at 40/25
+        digits, every edge located by the basis, the U_p table and the
+        stars of the vertices within distance 2 of the base gives the same
+        (j, x, r) as a search that rebuilds each representative's distance
+        on every call, as locate did before it cached them."""
+        dom = build_context(2, 13, 1, 40).dom
+        harmonic_basis(dom, 6, 25)
+        build_up_table(dom)
+        ring = [base_vertex(2)]
+        for _ in range(2):
+            ring = [u for v in ring for u in neighbors(v)]
+            for v in ring:
+                for e in star(v):
+                    dom.locate(e)
+        assert len(dom.located) > 3 * len(dom.rep_mats)
+        assert dom.rep_dists == [_edge_dist(f) for f in dom.directed_reps()]
+        for e, found in dom.located.items():
+            d_e = _edge_dist(e)
+            for j, f in enumerate(dom.directed_reps()):
+                res = dom.finder.search(f.matrix(), e.matrix(), "edge",
+                                        d_e + _edge_dist(f) + 1)
+                if res is not None:
+                    break
+            assert found == (j, *res)
 
     def test_locate_checks_the_budget(self, ctx23):
         """Locating an edge not yet located searches, and the search stops

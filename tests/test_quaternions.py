@@ -6,10 +6,13 @@ from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from linvariant.quaternions import (
+    FACTOR_BOUND,
+    PRIME_BOUND,
     Order,
     Quat,
     QuaternionAlgebra,
@@ -17,20 +20,55 @@ from linvariant.quaternions import (
     congruence_kernel,
     eichler_order,
     enumerate_norm,
+    factorint,
     hilbert_symbol,
     hnf_basis,
-    integer_kernel,
+    isprime,
     maximal_order,
+    primefactors,
     ramified_primes,
+    xgcd,
 )
 from linvariant.splitting import splitting_map
 
 
 # ----------------------------------------------------------------------
-# references: the Fraction Fincke-Pohst and the sympy Hermite forms that the
-# integer versions replaced, kept as the oracle they must equal, order
-# included
+# references: the Fraction Fincke-Pohst, the sympy Hermite forms and the
+# integer kernel that the integer versions and the dual-lattice congruence
+# lattice replaced, kept as the oracle they must equal, order included
 # ----------------------------------------------------------------------
+
+
+def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the integer kernel {c : M c = 0} of an integer matrix,
+    as a list of column vectors.  Column-reduction with a tracked unimodular
+    transform."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # U[j] = col j
+    pivot_cols: list[int] = []
+    for i in range(m):
+        avail = [j for j in range(n) if j not in pivot_cols]
+        nz = [j for j in avail if cols[j][i] != 0]
+        if not nz:
+            continue
+        j0 = nz[0]
+        for j in nz[1:]:
+            a0, a1 = cols[j0][i], cols[j][i]
+            g, s, t = xgcd(a0, a1)
+            c0 = [s * cols[j0][r] + t * cols[j][r] for r in range(m)]
+            c1 = [-(a1 // g) * cols[j0][r] + (a0 // g) * cols[j][r] for r in range(m)]
+            cols[j0], cols[j] = c0, c1
+            u0 = [s * U[j0][r] + t * U[j][r] for r in range(n)]
+            u1 = [-(a1 // g) * U[j0][r] + (a0 // g) * U[j][r] for r in range(n)]
+            U[j0], U[j] = u0, u1
+        pivot_cols.append(j0)
+    kernel = []
+    for j in range(n):
+        if j not in pivot_cols and all(x == 0 for x in cols[j]):
+            kernel.append(U[j])
+    return kernel
 
 
 def _ldl(G):
@@ -105,6 +143,8 @@ def reference_hnf_basis(generators):
 
 
 def reference_congruence_kernel(forms, modulus):
+    """The projection to Z^n of the integer kernel of [F | modulus I], in
+    sympy's Hermite form."""
     r = len(forms)
     n = len(forms[0])
     ext = [list(f) + [modulus if i == t else 0 for t in range(r)] for i, f in enumerate(forms)]
@@ -157,6 +197,61 @@ class TestQuatArithmetic:
     def test_inverse(self):
         x = self.alg.quat([2, 1, 1, 0])
         assert x * x.inverse() == self.one
+
+
+# the least strong pseudoprimes to the first 4, 9 and 12 prime bases (psi_4,
+# psi_9 and psi_12 of Sorenson-Webster; psi_9 also passes bases 29 and 31)
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+class TestPrimes:
+    """isprime and factorint against sympy."""
+
+    def test_isprime_below_1e5(self):
+        assert [n for n in range(-3, 10**5) if isprime(n)] == \
+            list(sympy.primerange(2, 10**5))
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes(self, n):
+        assert not sympy.isprime(n)
+        assert not isprime(n)
+
+    @pytest.mark.parametrize("e", [61, 81])
+    def test_near_powers_of_two(self, e):
+        """Every n within 200 of 2^61 (2^61 - 1 is a Mersenne prime) and of
+        2^81 < PRIME_BOUND, composite or prime, agrees with sympy."""
+        window = range(2**e - 200, 2**e + 200)
+        found = [n for n in window if isprime(n)]
+        assert found == [n for n in window if sympy.isprime(n)]
+        assert found
+
+    def test_past_the_primality_range(self):
+        """PRIME_BOUND is a strong pseudoprime to all 13 bases, so the test
+        refuses it and everything above, such as the Mersenne prime
+        2^89 - 1, rather than answer wrongly."""
+        assert not isprime(PRIME_BOUND - 1)  # even
+        assert not sympy.isprime(PRIME_BOUND)
+        for n in (PRIME_BOUND, 2**89 - 1, 2**89 + 1):
+            with pytest.raises(ValueError):
+                isprime(n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, FACTOR_BOUND) | st.integers(1, 10**6))
+    def test_factorint_equals_sympy(self, n):
+        fac = factorint(n)
+        assert fac == sympy.factorint(n)
+        assert list(fac) == sorted(fac)
+        assert primefactors(n) == primefactors(-n) == sympy.primefactors(n)
+
+    def test_factorint_products_of_large_primes(self):
+        """Semiprimes near the bound, where trial division runs longest."""
+        q = sympy.prevprime(10**6)
+        for n in (q * q, q * sympy.prevprime(q), sympy.prevprime(FACTOR_BOUND)):
+            assert factorint(n) == sympy.factorint(n)
+
+    def test_past_the_factoring_bound(self):
+        with pytest.raises(ValueError):
+            factorint(FACTOR_BOUND + 1)
 
 
 class TestHilbertSymbols:
@@ -219,8 +314,6 @@ class TestLattices:
     def test_congruence_kernel(self):
         K = congruence_kernel([[1, 2, 3, 4]], 9)
         # index of the lattice must be 9, and each basis vector satisfies it
-        from sympy import Matrix
-
         M = Matrix([list(b) for b in K])
         assert abs(M.det()) == 9
         for b in K:
@@ -231,17 +324,29 @@ class TestLattices:
         basis = hnf_basis(rows)
         assert len(basis) == 2
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_congruence_kernel_equals_reference(self, data):
-        """1-4 forms modulo p^s: the same Hermite basis, row for row."""
-        p = data.draw(st.sampled_from([2, 3, 5, 13]))
-        s = data.draw(st.integers(1, 4))
+        """1-4 forms modulo q^e, e from 0 (the domain's searches meet
+        modulus 1) up to 6 as in eichler_order: the same Hermite basis, row
+        for row; all-zero forms give Z^n."""
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 13]))
+        s = data.draw(st.integers(0, 6))
         n = data.draw(st.integers(2, 4))
         r = data.draw(st.integers(1, 4))
-        forms = data.draw(st.lists(st.lists(st.integers(0, p**s - 1), min_size=n, max_size=n),
+        entry = st.integers(0, p**s - 1) | st.just(0)
+        forms = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                    min_size=r, max_size=r))
-        assert congruence_kernel(forms, p**s) == reference_congruence_kernel(forms, p**s)
+        K = congruence_kernel(forms, p**s)
+        assert K == reference_congruence_kernel(forms, p**s)
+        if not any(any(f) for f in forms):
+            assert K == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("modulus", [1, 2, 3**6, 13**6])
+    def test_congruence_kernel_of_zero_forms(self, n, modulus):
+        assert congruence_kernel([[0] * n] * 2, modulus) == \
+            [[int(i == j) for j in range(n)] for i in range(n)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
