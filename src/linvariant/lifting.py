@@ -10,20 +10,30 @@ the extra moments k+1.. to any target precision by choosing n large.
 All heavy arithmetic is plain integers modulo p^W, with a single global scale
 p^t making every stored moment integral.
 
-The integer kernels run on packed big integers (Kronecker substitution): a
-vector v_0..v_(n-1) of residues mod p^W is the integer sum_i v_i 2^(B i),
-one field of B bits per entry.  A field width
+Row m of the weight-k substitution matrix T of an Iwahori sigma =
+[[a, b], [c, d]] (a a unit, p | c), for a unit det, holds the coefficients of
+the series det^(-k/2) (a - c x)^(k - m) (d x - b)^m.  Row 0 is a polynomial,
+and from (a - c x) T[m+1] = (d x - b) T[m] each later row follows from the
+one before with three scalar products per entry:
 
-    B = 2 bitlen(p^W - 1) + bitlen(terms) + 1
+    T[m+1][i] = a^-1 (c T[m+1][i-1] + d T[m][i-1] - b T[m][i])  mod p^W.
 
-holds a sum of `terms` products of two residues, so in a product or a
-linear combination of packed vectors no carry crosses into the next field;
-unpacking reads each field and reduces it mod p^W.  `sigma_series_matrix`
-computes each row as the previous row times the packed series s in one
-multiplication (terms = i_max + 1).  `make_lift` stores each sweep matrix
-C = P_l T_sigma by columns, cols[m] = sum_i C[i][m] 2^(B i), so that one
-U_p sweep is a sum of residue-times-column products followed by a single
-unpack (terms = p (i_max + 1)).
+Entry i depends only on entries up to i, so dropping columns is exact.  The
+U_p coset of l applies T_sigma of its reduction, then P_l[i][nu] =
+C(i, nu) p^nu l^(i - nu), the substitution x -> l + p x.  Row nu of T_sigma
+is det^(-k/2) (a - c x)^k s^nu with s = (d x - b)/(a - c x), and
+sum_nu P_l[i][nu] s^nu = (l + p s)^i, so row i of C = P_l T_sigma is
+det^(-k/2) (a - c x)^(k - i) ((p d - l c) x - (p b - l a))^i: the
+substitution matrix of sigma [[1, -l], [0, p]] with det = det sigma.
+
+The U_p sweep runs on packed big integers (Kronecker substitution): a vector
+v_0..v_(n-1) of residues mod p^W is the integer sum_i v_i 2^(B i), one field
+of B = 2 bitlen(p^W - 1) + bitlen(terms) + 1 bits per entry, which holds a
+sum of `terms` products of two residues, so no carry crosses into the next
+field; unpacking reads each field and reduces it mod p^W.  `make_lift`
+stores each C by columns, cols[m] = sum_i C[i][m] 2^(B i), so that one sweep
+is a sum of residue-times-column products and a single unpack
+(terms = p (i_max + 1)).
 """
 
 from __future__ import annotations
@@ -61,42 +71,31 @@ def _unpack(X: int, B: int, n: int, mod: int) -> list:
     return [(X >> B * i & mask) % mod for i in range(n)]
 
 
-def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int, n_rows=None):
-    """Rows T[m] (m = 0..n_rows-1, default i_max+1) of the substitution x^m -> sigma-transformed
-    series, entries mod p^W: row m holds the coefficients of
-    det^(-k/2) (a - c x)^(k - m) (d x - b)^m expanded to degree i_max.
-
-    sigma must be Iwahori: a a unit, p | c.  Row 0 is det^(-k/2) (a - c x)^k
-    and row m+1 is row m times s = (d x - b)/(a - c x), one packed product
-    each."""
+def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
+                        n_rows=None, n_cols=None, det=None):
+    """Rows m < n_rows of the weight-k substitution matrix of sigma (see the
+    module docstring), to degree < n_cols (both default i_max + 1), mod p^W.
+    sigma must be Iwahori; det defaults to its determinant, which must then
+    be a unit, and is passed for a sigma of determinant p times a unit."""
     a, b, c, d = (int(t) for t in sigma)
     mod = p**W
     assert a % p != 0 and c % p == 0
+    if det is None:
+        det = a * d - b * c
+    assert det % p != 0, "det must be a unit"
     ainv = inv_mod(a % mod, mod)
-    # inverse of (a - c x) as a series
-    inv = [0] * (i_max + 1)
-    inv[0] = ainv
-    q = c * ainv % mod
-    for n in range(1, i_max + 1):
-        inv[n] = inv[n - 1] * q % mod
-    # s = (d x - b) * inv
-    s = [(-b * inv[0]) % mod]
-    s += [(d * inv[n - 1] - b * inv[n]) % mod for n in range(1, i_max + 1)]
-    det = a * d - b * c
-    dv = val_int(det, p) if det % p == 0 else 0
-    assert dv == 0, "sigma must have unit determinant"
+    c1, d1, b1 = c * ainv % mod, d * ainv % mod, b * ainv % mod
+    n = i_max + 1 if n_cols is None else n_cols
     dfac = pow(inv_mod(det % mod, mod), k // 2, mod)
     # det^(-k/2) (a - c x)^k, an exact polynomial
-    row = [dfac * comb(k, n) * (-c) ** n * a ** (k - n) % mod
-           for n in range(min(k, i_max) + 1)]
-    row += [0] * (i_max + 1 - len(row))
-    if n_rows is None:
-        n_rows = i_max + 1
-    B = _field_width(mod, i_max + 1)
-    S = _pack(s, B)
+    row = [dfac * comb(k, i) * (-c) ** i * a ** (k - i) % mod
+           for i in range(min(k + 1, n))]
+    row += [0] * (n - len(row))
     rows = [row]
-    for _ in range(n_rows - 1):
-        row = _unpack(_pack(row, B) * S, B, i_max + 1, mod)
+    for _ in range((i_max + 1 if n_rows is None else n_rows) - 1):
+        x = -b1 * row[0] % mod
+        row = [x] + [x := (c1 * x + d1 * u - b1 * v) % mod
+                     for u, v in zip(row, row[1:])]
         rows.append(row)
     return rows
 
@@ -134,9 +133,11 @@ class Lift:
     def moments(self, reduction: EdgeReduction, T):
         """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their
         absolute precisions (scaled world), given the reduction of the edge
-        g.e0 produced by `FundamentalDomain.reduce_matrix` and the rows
-        T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, len(T)).
-        Each residue is reduced modulo p^prec."""
+        g.e0 produced by `FundamentalDomain.reduce_matrix` and the first
+        rows T = sigma_series_matrix(reduction.sigma, k, i_max, p, W,
+        n_rows=len(T)) of its substitution matrix: moment i is row i paired
+        with the moments of the rep reduction.j.  Each residue is reduced
+        modulo p^prec."""
         p = self.dom.p
         vec = self.vecs[reduction.j]
         res, precs = [], []
@@ -212,8 +213,9 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
         vB = val_int(det, p) if det % p == 0 else 0
         det_unit = 1 if det > 0 else -1
         stab = dom.edge_stabs[j // 2]
+        # the average reads only the columns 0..k, those of phis[j]
         Ts = [sigma_series_matrix(_stab_sigma(dom, B, vB, det_unit, x, r)[0],
-                                  k, i_max, p, W)
+                                  k, i_max, p, W, n_cols=k + 1)
               for x, r in stab]
         ns = len(stab)
         a = val_int(ns, p) if ns % p == 0 else 0
@@ -226,25 +228,16 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
                 vec.append((q // p**a) * uinv % mod)
             vec[:k + 1] = phis[j]
             vecs.append(vec)
-    # the combined sweep matrices C[(j, l)] = P_l * T_sigma, column-packed;
-    # P_l[i][nu] = C(i, nu) p^nu l^(i - nu) is the substitution x -> l + p x
-    n = i_max + 1
-    width = _field_width(mod, p * n)
-    binom = [[_pack([0] * nu + [comb(i, nu) * p**nu * ell ** (i - nu) % mod
-                                for i in range(nu, n)], width)
-              for nu in range(n)]
-             for ell in range(p)]
-    table = build_up_table(dom)
+    # the sweep matrices C = P_l T_sigma in closed form, column-packed
+    width = _field_width(mod, p * (i_max + 1))
     combined = []
-    for j in range(len(reps)):
+    for ents in build_up_table(dom):
         row = []
-        for ell in range(p):
-            ent = table[j][ell]
-            T = sigma_series_matrix(ent.sigma, k, i_max, p, W)
-            cols = [_pack(_unpack(sum(map(mul, (Tn[m] for Tn in T), binom[ell])),
-                                  width, n, mod), width)
-                    for m in range(n)]
-            row.append((ent.j, cols))
+        for ell, ent in enumerate(ents):
+            a, b, c, d = ent.sigma
+            C = sigma_series_matrix((a, p * b - ell * a, c, p * d - ell * c),
+                                    k, i_max, p, W, det=a * d - b * c)
+            row.append((ent.j, [_pack(col, width) for col in zip(*C)]))
         combined.append(row)
     half = p ** (k // 2)
     for _ in range(params.n_it):

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
+from .budget import checkpoint
+
 
 # ----------------------------------------------------------------------
 # primes and factorizations of small integers
@@ -227,19 +229,22 @@ def build_algebra(disc: int) -> QuaternionAlgebra:
     """The definite quaternion algebra over Q ramified exactly at the primes
     dividing disc and at infinity; disc is squarefree with an odd number of
     prime factors.  The symbol (a, b) with a, b < 0 is searched by growing
-    max(-a, -b), up to disc: every such disc up to 373 has one there."""
+    m = max(-a, -b), up to disc: every such disc up to 373 has one there.
+    For each m the pairs on that edge are tried in the order (-1, -m), ...,
+    (-(m-1), -m), then (-m, -1), ..., (-m, -m); the time budget is checked
+    once per m."""
     if disc in _SYMBOL_TABLE:
         a, b = _SYMBOL_TABLE[disc]
         assert ramified_primes(a, b) == [disc]
         return QuaternionAlgebra(a, b, disc)
     primes = primefactors(disc)
-    for bound in range(2, disc + 2):
-        for a in range(-1, -bound - 1, -1):
-            for b in range(-1, -bound - 1, -1):
-                if max(-a, -b) != bound - 1:
-                    continue
-                if ramified_primes(a, b) == primes:
-                    return QuaternionAlgebra(a, b, disc)
+    for m in range(1, disc + 1):
+        checkpoint()
+        edge = ([(-a, -m) for a in range(1, m)]
+                + [(-m, -b) for b in range(1, m + 1)])
+        for a, b in edge:
+            if ramified_primes(a, b) == primes:
+                return QuaternionAlgebra(a, b, disc)
     raise ValueError(f"no symbol found for discriminant {disc}")
 
 

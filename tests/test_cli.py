@@ -53,6 +53,17 @@ class TestFdomain:
         assert code == 4
         assert "budget" in err
 
+    def test_budget_checked_in_symbol_search(self, capsys):
+        """The symbol search of build_algebra checks the budget: disc 1019
+        is outside the symbol table and its first symbol is (-1, -1019),
+        about a million pairs into the search."""
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "fdomain", "--p", "2", "--nminus",
+                               "1019", "--budget-secs", "2")
+        assert code == 4
+        assert "budget" in err
+        assert time.monotonic() - start < 2 + 3
+
 
 class TestBasis:
     def test_dimension(self, capsys):

@@ -1,5 +1,5 @@
-"""Overconvergent moment lifting: packed kernels against schoolbook
-references, fixed point, stability, Riemann oracle."""
+"""Overconvergent moment lifting: substitution rows and packed sweeps
+against schoolbook references, fixed point, stability, Riemann oracle."""
 
 import random
 from dataclasses import replace
@@ -16,34 +16,38 @@ from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import mat_mul
 
 
-def reference_sigma_series_matrix(sigma, k, i_max, p, W, n_rows=None):
-    """Schoolbook rows of the substitution matrix: each row is the previous
-    one times s = (d x - b)/(a - c x), entry by entry, then scaled by
-    det^(-k/2)."""
+def reference_sigma_series_matrix(sigma, k, i_max, p, W, n_rows=None,
+                                  n_cols=None, det=None):
+    """Schoolbook rows of the substitution matrix, to degree < n_cols: each
+    row is the previous one times the series s = (d x - b)/(a - c x), entry
+    by entry, then scaled by det^(-k/2), det defaulting to that of sigma."""
     a, b, c, d = (int(t) for t in sigma)
     mod = p**W
+    cols = i_max + 1 if n_cols is None else n_cols
     ainv = inv_mod(a % mod, mod)
-    inv = [0] * (i_max + 1)
+    inv = [0] * cols
     inv[0] = ainv
     q = c * ainv % mod
-    for n in range(1, i_max + 1):
+    for n in range(1, cols):
         inv[n] = inv[n - 1] * q % mod
-    s = [0] * (i_max + 1)
-    for n in range(i_max + 1):
+    s = [0] * cols
+    for n in range(cols):
         acc = d * inv[n - 1] if n >= 1 else 0
         acc -= b * inv[n]
         s[n] = acc % mod
     base = [comb(k, n) * (-c) ** n * a ** (k - n) % mod
-            for n in range(min(k, i_max) + 1)]
-    base += [0] * (i_max + 1 - len(base))
-    dfac = pow(inv_mod((a * d - b * c) % mod, mod), k // 2, mod)
+            for n in range(min(k, cols - 1) + 1)]
+    base += [0] * (cols - len(base))
+    if det is None:
+        det = a * d - b * c
+    dfac = pow(inv_mod(det % mod, mod), k // 2, mod)
     if n_rows is None:
         n_rows = i_max + 1
     rows = [[t * dfac % mod for t in base]]
     cur = base
     for _ in range(n_rows - 1):
-        nxt = [0] * (i_max + 1)
-        for n in range(i_max + 1):
+        nxt = [0] * cols
+        for n in range(cols):
             acc = 0
             for u in range(n + 1):
                 if cur[u]:
@@ -109,17 +113,24 @@ class TestPackedKernels:
            data=st.data())
     def test_sigma_series_matrix_equals_reference(self, p, half_k, W, i_max,
                                                   data):
-        """Every row of the packed substitution matrix equals the schoolbook
-        one, for random Iwahori sigma with unit determinant and entries up
-        to p^W - 1, including fewer rows than i_max + 1."""
+        """Every row of the substitution matrix from the recurrence equals
+        the schoolbook one, for random Iwahori sigma with entries up to
+        p^W - 1, including fewer rows and fewer columns than i_max + 1, and
+        sigma of determinant p times a unit, passed as det."""
         mod = p**W
         unit = st.integers(0, mod - 1).filter(lambda t: t % p)
         a, d = data.draw(unit), data.draw(unit)
         b = data.draw(st.integers(0, mod - 1))
         c = p * data.draw(st.integers(0, (mod - 1) // p))
+        det = None
+        if data.draw(st.booleans()):
+            # a d - b c = p det mod p^W
+            det = data.draw(unit)
+            d = (p * det + b * c) * inv_mod(a, mod) % mod
         n_rows = data.draw(st.integers(1, i_max + 1))
+        n_cols = data.draw(st.integers(1, i_max + 1))
         k = 2 * half_k
-        args = ((a, b, c, d), k, i_max, p, W, n_rows)
+        args = ((a, b, c, d), k, i_max, p, W, n_rows, n_cols, det)
         assert sigma_series_matrix(*args) == reference_sigma_series_matrix(*args)
 
     @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ import linvariant.pipeline as pipeline
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
 from linvariant.lifting import _phi_scaled
-from linvariant.padics import PadicNumber, PrecisionError
+from linvariant.padics import PadicNumber, PrecisionError, val_int
 from linvariant.pipeline import (
     SCHEMA_VERSION,
     SIZING_BASIS_PREC,
@@ -317,3 +318,35 @@ def test_row_matches_committed_file(row):
     with open(os.path.join(CACHE, f"lresult_{name}_v{SCHEMA_VERSION}.json")) as f:
         want = f.read()
     assert json.dumps(compute_l_result(*row).to_json(), indent=1) == want
+
+
+def _expansion(text, p):
+    """(value as a Fraction, absolute precision) of an expansion such as
+    '2^-2 + 2^3 + O(2^10)' or '1 + 2*3^2 + O(3^10)'."""
+    *terms, big_o = text.split(" + ")
+    value = Fraction(0)
+    for t in terms:
+        coef, _, power = t.rpartition("*")
+        base, _, exp = power.partition("^")
+        value += int(coef or 1) * (Fraction(p) ** int(exp) if exp else int(base))
+    return value, int(big_o[big_o.index("^") + 1:-1])
+
+
+def test_high_weight_row_agrees_across_precisions():
+    """(2,3,1) at weight 20, whose stabilizer averages read the widest
+    truncation of the suite (k = 18): the row computes at M = 8, after a
+    retry at a higher working precision, and its L-invariant agrees modulo
+    2^10 with that of the row at M = 12, both 2^-2 + 2^3 + 2^4 + 2^7."""
+    rows = [compute_l_result(2, 3, 1, 20, M) for M in (8, 12)]
+    assert [r.slopes for r in rows] == [[(-2, 1), (-6, 2)]] * 2
+    [(_, s8, d8)], [(_, s12, d12)] = [r.l_invariants for r in rows]
+    assert s8 == s12 == -2
+    (v8, prec8), (v12, prec12) = _expansion(d8, 2), _expansion(d12, 2)
+    assert prec8 >= 10 and prec12 >= 10
+
+    def agree_mod_2_10(x, y):
+        d = x - y
+        return d == 0 or val_int(d.numerator, 2) - val_int(d.denominator, 2) >= 10
+
+    assert agree_mod_2_10(v8, v12)
+    assert agree_mod_2_10(v8, Fraction(1, 4) + 2**3 + 2**4 + 2**7)

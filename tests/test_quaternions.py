@@ -1,5 +1,6 @@
 """Tests for quaternion algebras, orders, lattices and norm enumeration."""
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -10,6 +11,7 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
+from linvariant import quaternions
 from linvariant.quaternions import (
     FACTOR_BOUND,
     PRIME_BOUND,
@@ -28,6 +30,7 @@ from linvariant.quaternions import (
     primefactors,
     ramified_primes,
     xgcd,
+    _SYMBOL_TABLE,
 )
 from linvariant.splitting import splitting_map
 
@@ -159,6 +162,23 @@ def _integral(G, target):
     denominators, as integers."""
     den = lcm(*(Fraction(g).denominator for row in G for g in row))
     return [[int(g * den) for g in row] for row in G], den * target
+
+
+def square_walk_symbols(bound_max):
+    """The symbol search by square walk, for every discriminant at once: for
+    each bound up to bound_max + 1, every (a, b) in the square
+    -bound <= a, b <= -1 in row order, keeping those with
+    max(-a, -b) = bound - 1.  Maps the ramified primes of each symbol found
+    to the first (a, b) that has them."""
+    first = {}
+    for bound in range(2, bound_max + 2):
+        for a in range(-1, -bound - 1, -1):
+            for b in range(-1, -bound - 1, -1):
+                if max(-a, -b) != bound - 1:
+                    continue
+                first.setdefault(tuple(quaternions.ramified_primes(a, b)),
+                                 (a, b))
+    return first
 
 
 class TestQuatArithmetic:
@@ -298,6 +318,25 @@ class TestHilbertSymbols:
         alg = build_algebra(disc)
         assert ramified_primes(alg.a, alg.b) == [disc]
         assert alg.a < 0 and alg.b < 0
+
+    def test_build_algebra_edge_walk_equals_square_walk(self, monkeypatch):
+        """Outside the symbol table, the edge walk of build_algebra finds
+        the symbol the square walk finds, for every admissible disc up to
+        300.  ramified_primes is memoized, so that each pair is classified
+        once across the walks."""
+        cached = functools.lru_cache(maxsize=None)(ramified_primes)
+        monkeypatch.setattr(quaternions, "ramified_primes", cached)
+        first = square_walk_symbols(300)
+        count = 0
+        for disc in range(2, 301):
+            fac = sympy.factorint(disc)
+            if (disc in _SYMBOL_TABLE or any(e > 1 for e in fac.values())
+                    or len(fac) % 2 == 0):
+                continue
+            alg = build_algebra(disc)
+            assert (alg.a, alg.b) == first[tuple(sorted(fac))], disc
+            count += 1
+        assert count == 88
 
 
 class TestLattices:
