@@ -41,10 +41,18 @@ def _add_common(sp):
                     help="discriminant of the definite algebra")
     sp.add_argument("--nplus", type=int, default=1, help="auxiliary level")
     sp.add_argument("--format", choices=["json", "table"], default="table")
-    sp.add_argument("--budget-secs", type=float, default=None)
+    sp.add_argument("--budget-secs", type=budget_secs, default=None)
     sp.add_argument("--cache-dir", default=None,
                     help="result cache directory (default: $CACHE_DIR or "
                          "~/.cache/linvariant)")
+
+
+def budget_secs(spec: str) -> float:
+    """A time budget in seconds, at least 0."""
+    secs = float(spec)
+    if not secs >= 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0 seconds: {spec}")
+    return secs
 
 
 def weight_list(spec: str):
@@ -52,7 +60,10 @@ def weight_list(spec: str):
     if ".." in spec:
         a, b = spec.split("..", 1)
         lo, hi = int(a), int(b)
-        return list(range(lo + (lo % 2), hi + 1, 2))
+        weights = list(range(lo + (lo % 2), hi + 1, 2))
+        if not weights:
+            raise argparse.ArgumentTypeError(f"no even weight in {spec}")
+        return weights
     return [int(w) for w in spec.split(",")]
 
 

@@ -6,8 +6,9 @@ Gamma-equivariance c(gamma e) = gamma . c(e), where the left action on V_k is
 (gamma . w)(P) = w(P |_k gamma) and (P |_k g)(x) = det(g)^(-k/2) (cx+d)^k
 P((ax+b)/(cx+d)).
 
-The action of gamma = x/p^r is one integer matrix, `gamma_action`, built once
-per (x, r, k) and domain: the weight rows of iota(x) with the unit part of
+The action of gamma = x/p^r (x by its integer coordinates in the order basis,
+see `domain`) is one integer matrix, `gamma_action`, built once per (x, r, k)
+and domain: the weight rows of iota(x) with the unit part of
 det^(-k/2) folded in, under one scale p^e, e = v k/2 for v the valuation of
 the determinant.  The residues of iota(x) are known modulo p^P for P the
 splitting's precision, so every entry of the action is known only modulo
@@ -30,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .budget import checkpoint
-from .domain import FundamentalDomain, _is_pm_one, gamma_matrix
+from .domain import FundamentalDomain, gamma_matrix
 from .padics import PadicNumber, PrecisionError, solve_linear, val_int
 from .quaternions import Quat, enumerate_norm
 from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
@@ -77,14 +78,14 @@ def weight_action(p: int, mat, det: int, k: int, prec: int) -> Action:
                    for row in weight_coeff_rows(mat, k)], v * (k // 2), prec)
 
 
-def gamma_action(dom: FundamentalDomain, x: Quat, r: int, k: int) -> Action:
+def gamma_action(dom: FundamentalDomain, x, r: int, k: int) -> Action:
     """The action of gamma = x/p^r, memoized on the domain.  Scalars act
     trivially, so iota(x) with exact determinant nrd(x) is used; its residues
     are known modulo p^spl.prec, which bounds every entry."""
     key = (x, r, k)
     if key not in dom.actions:
         Xi, det = gamma_matrix(dom, x, r)
-        dom.actions[key] = weight_action(dom.p, Xi, int(det), k, dom.spl.prec)
+        dom.actions[key] = weight_action(dom.p, Xi, det, k, dom.spl.prec)
     return dom.actions[key]
 
 
@@ -123,7 +124,7 @@ class HarmonicCocycle:
         if j % 2:
             base = [-t for t in base]
         vec = (base, 0, min(prec, self.prec))
-        if _is_pm_one(x, r):
+        if self.dom.is_pm_one(x, r):
             return vec
         return act_on(self.dom.p, gamma_action(self.dom, x, r, self.k), vec, prec)
 
@@ -164,7 +165,7 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int,
     blocks = []
     for jg, stab in enumerate(dom.edge_stabs):
         for x, r in stab:
-            if not _is_pm_one(x, r):
+            if not dom.is_pm_one(x, r):
                 blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
                                (jg, -1, ident)])
                 checkpoint()
@@ -173,7 +174,7 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int,
         for e in star(v):
             j, x, r = dom.locate(e)
             block.append((j // 2, 1 - 2 * (j % 2),
-                          ident if _is_pm_one(x, r) else gamma_action(dom, x, r, k)))
+                          ident if dom.is_pm_one(x, r) else gamma_action(dom, x, r, k)))
             checkpoint()
         blocks.append(block)
     rows = []
@@ -219,25 +220,25 @@ def _normalizes_rp(order, x: Quat, p: int) -> bool:
 
 def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool = False):
     """An element of R of reduced norm nrd_target (times p^(2r) when
-    parity_p) normalizing R[1/p]; used for the two involutions."""
+    parity_p) normalizing R[1/p], as (integer coordinates, r); used for the
+    two involutions."""
     p = dom.p
     fd = dom.finder
     for r in range(0, 3 if parity_p else 1):
         target = nrd_target * p ** (2 * r)
         for c in enumerate_norm(fd.gram, fd.den * target):
-            x = dom.order.element(c)
-            if _normalizes_rp(dom.order, x, p):
-                return x, r
+            if _normalizes_rp(dom.order, dom.order.element(c), p):
+                return tuple(c), r
     raise RuntimeError(f"no normalizing element of reduced norm {nrd_target}")
 
 
-def involution_matrix(dom: FundamentalDomain, k: int, w: Quat,
+def involution_matrix(dom: FundamentalDomain, k: int, w,
                       basis: list[HarmonicCocycle], prec: int):
     """Matrix M with w . c_i = sum_l M[l][i] c_l, solved on the stacked
     values of the cocycles on the geometric reps, where
     (w . c)(e) = w . c(w^-1 e)."""
     p = dom.p
-    Wi, _ = gamma_matrix(dom, w, 0)
+    Wi = dom.spl.image(w)
     act = gamma_action(dom, w, 0, k)
     rows, rhs = [], [[] for _ in basis]
     for jg, e in enumerate(dom.geo_edges):

@@ -6,7 +6,10 @@ finding x in R with nrd(x) = p^(2r) satisfying congruence conditions that cut
 out a finite-index sublattice of R; candidates are found by integer
 Fincke-Pohst enumeration on that sublattice, whose basis is a Hermite form
 and whose Gram matrix is the order's integer norm form restricted to it.
-The search runs on integers; only the element it returns is a Quat.
+The search runs on integers, and a group element gamma = x/p^r is carried
+as (c, r) for x = sum_m c_m b_m, c the integer coordinates of x in the order
+basis: its matrix is one integer combination of the splitting images and
+its reduced norm that of the integer Gram form.
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
@@ -19,19 +22,17 @@ search checks the active time budget once per exponent r (see `budget`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .budget import checkpoint
 from .padics import val_int
-from .quaternions import Order, Quat, congruence_kernel, enumerate_norm
+from .quaternions import Order, congruence_kernel, enumerate_norm
 from .splitting import SplittingMap
 from .tree import (
     Edge,
     Vertex,
     base_vertex,
-    frac_val,
     mat_adj,
     mat_det,
     mat_mul,
@@ -41,15 +42,10 @@ from .tree import (
 )
 
 
-def _det_val_exact(m, p):
-    return val_int(mat_det(m), p)
-
-
 class EquivalenceFinder:
     """Searches for Gamma-elements carrying one vertex/edge to another."""
 
     def __init__(self, order: Order, spl: SplittingMap):
-        self.order = order
         self.spl = spl
         self.p = spl.p
         # the norm form scaled to integers by the lcm of its denominators
@@ -61,13 +57,21 @@ class EquivalenceFinder:
         self.images = spl.images  # iota of the order basis, mod p^prec
         self.mod = spl.p**spl.prec
 
+    def nrd(self, c) -> int:
+        """The reduced norm of the order element with coordinates c."""
+        return sum(ci * gij * cj for ci, row in zip(c, self.gram)
+                   for gij, cj in zip(row, c)) // self.den
+
+    def trd(self, c) -> int:
+        """The reduced trace of the order element with coordinates c."""
+        return sum(t * ci for t, ci in zip(self.traces, c))
+
     def _forms(self, m1, m2):
         """Rows of linear forms c -> entries of adj(m2) * iota(sum c b) * m1."""
-        adj2 = mat_adj(tuple(int(x) for x in m2))
-        m1i = tuple(int(x) for x in m1)
+        adj2 = mat_adj(m2)
         rows = [[0] * 4 for _ in range(4)]  # entry t, coefficient of c_m
         for midx, im in enumerate(self.images):
-            z = mat_mul(mat_mul(adj2, im), m1i)
+            z = mat_mul(mat_mul(adj2, im), m1)
             for t in range(4):
                 rows[t][midx] = z[t] % self.mod
         return rows
@@ -75,13 +79,14 @@ class EquivalenceFinder:
     def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False,
                trace_bound: bool = False):
         """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r).(m1-object)
-        equal to the m2-object (vertex class or directed edge).
+        equal to the m2-object (vertex class or directed edge); x is given by
+        its integer coordinates, a tuple.
 
         Returns a single (x, r) or None; with all_solutions=True, the list of
-        all (x, r) with x primitive."""
+        all (x, r) with x primitive (no two give the same x/p^r)."""
         p = self.p
-        v1 = _det_val_exact(m1, p)
-        v2 = _det_val_exact(m2, p)
+        v1 = val_int(mat_det(m1), p)
+        v2 = val_int(mat_det(m2), p)
         forms = self._forms(m1, m2)
         found = []
         for r in range(rmax + 1):
@@ -111,19 +116,17 @@ class EquivalenceFinder:
             GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
             target = self.den * p ** (2 * r)
             for cvec in enumerate_norm(GK, target):
-                c = [sum(kj[m] * cj for kj, cj in zip(K, cvec)) for m in range(4)]
+                c = tuple(sum(kj[m] * cj for kj, cj in zip(K, cvec))
+                          for m in range(4))
                 if r > 0 and all(ci % p == 0 for ci in c):
                     continue  # imprimitive: already seen at smaller r
-                if trace_bound and abs(sum(t * ci for t, ci in
-                                           zip(self.traces, c))) > 2 * p**r:
+                if trace_bound and abs(self.trd(c)) > 2 * p**r:
                     continue
-                assert sum(ci * gij * cj for ci, row in zip(c, self.gram)
-                           for gij, cj in zip(row, c)) == target
-                x = self.order.element(c)
+                assert self.nrd(c) == p ** (2 * r)
                 if all_solutions:
-                    found.append((x, r))
+                    found.append((c, r))
                 else:
-                    return (x, r)
+                    return (c, r)
         return found if all_solutions else None
 
     # convenience wrappers ------------------------------------------------
@@ -135,12 +138,8 @@ class EquivalenceFinder:
     def stabilizer(self, obj, kind: str, dist: int):
         """All gamma in Gamma fixing the vertex or directed edge obj at
         distance dist from the base vertex (includes +-1)."""
-        sols = self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
+        return self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
                            all_solutions=True, trace_bound=True)
-        out = {}
-        for x, r in sols:
-            out[tuple(c / Fraction(self.p) ** r for c in x.co)] = (x, r)
-        return list(out.values())
 
 
 def _edge_dist(e: Edge) -> int:
@@ -154,7 +153,7 @@ class Pairing:
 
     vertex: Vertex
     target_index: int
-    x: Quat
+    x: tuple  # integer coordinates in the order basis
     r: int
 
 
@@ -163,7 +162,7 @@ class EdgeReduction:
     """g = p^u_exp * (x/p^r) * B_j * sigma with sigma Iwahori mod p^sigma_prec."""
 
     j: int  # index into directed_reps()
-    x: Quat
+    x: tuple
     r: int
     sigma: tuple  # 4 ints
     sigma_prec: int
@@ -203,7 +202,7 @@ class FundamentalDomain:
 
     @cached_property
     def rep_detvals(self) -> list[int]:
-        return [_det_val_exact(m, self.p) for m in self.rep_mats]
+        return [val_int(mat_det(m), self.p) for m in self.rep_mats]
 
     @cached_property
     def rep_dists(self) -> list[int]:
@@ -218,9 +217,15 @@ class FundamentalDomain:
         gens = [(pr.x, pr.r) for pr in self.pairings]
         for stab in self.vertex_stabs:
             for x, r in stab:
-                if not _is_pm_one(x, r):
+                if not self.is_pm_one(x, r):
                     gens.append((x, r))
         return gens
+
+    def is_pm_one(self, x, r: int) -> bool:
+        """Whether gamma = x/p^r, of reduced norm 1, is the central +-1: in a
+        definite algebra trd(gamma)^2 <= 4 nrd(gamma), with equality only
+        for scalars."""
+        return abs(self.finder.trd(x)) == 2 * self.p**r
 
     def locate(self, e: Edge):
         """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e, cached by
@@ -237,62 +242,40 @@ class FundamentalDomain:
         raise RuntimeError("edge not equivalent to any representative")
 
     def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
-        """Full reduction of the edge g.e0; g may have residue entries as long
-        as det_val is the exact valuation of its true determinant."""
+        """Full reduction of the edge g.e0 for an integer matrix g; g may have
+        residue entries as long as det_val is the exact valuation of its true
+        determinant."""
         p = self.p
-        e = normalize_edge(g, p)
-        j, x, r = self.locate(e)
+        j, x, r = self.locate(normalize_edge(g, p))
         Bj = self.rep_mats[j]
         vB = self.rep_detvals[j]
-        # sigma_raw = adj(B_j) adj(X) g ; sigma = sigma_raw / (det(B_j) p^(r+u))
-        # for X = iota(x) = Xint / den, den = p^e_den and nrd(x) = p^(2r)
-        Xint, det = gamma_matrix(self, x, r)
-        e_den = frac_val(det, p) // 2 - r
-        g_int = tuple(int(t) for t in g)
-        raw = mat_mul(mat_adj(Bj), mat_mul(mat_adj(Xint), g_int))
+        # sigma = adj(B_j) adj(X) g / (det(B_j) p^(r+u)) for X = iota(x),
+        # nrd(x) = p^(2r), det(B_j) = +-p^vB; the divisor's exponent
+        # (det_val + vB)/2 + r is >= 0, as g and B_j are integral
+        raw = mat_mul(mat_adj(Bj), mat_mul(mat_adj(self.spl.image(x)), g))
         assert (det_val - vB) % 2 == 0
         u_exp = (det_val - vB) // 2
-        # adj(Xint) = den * adj(X); so raw = den * adj(Bj) adj(X) g and the
-        # true sigma = raw / (den * detB * p^(r+u)).
         detB_unit = 1 if Bj[0] * Bj[3] - Bj[1] * Bj[2] > 0 else -1
-        divisor_exp = e_den + vB + r + u_exp
-        out = []
-        if divisor_exp >= 0:
-            dv = p**divisor_exp
-            for t in raw:
-                assert t % dv == 0, "sigma is not p-integral at claimed scale"
-                out.append(detB_unit * (t // dv))
-            sigma_prec = self.spl.prec - divisor_exp
-        else:
-            dv = p ** (-divisor_exp)
-            out = [detB_unit * t * dv for t in raw]
-            sigma_prec = self.spl.prec
-        sigma = tuple(t % p**sigma_prec for t in out)
+        divisor_exp = vB + r + u_exp
+        dv = p**divisor_exp
+        assert all(t % dv == 0 for t in raw), \
+            "sigma is not p-integral at claimed scale"
+        sigma_prec = self.spl.prec - divisor_exp
+        sigma = tuple(detB_unit * (t // dv) % p**sigma_prec for t in raw)
         assert sigma[2] % p == 0, "reduction witness is not Iwahori"
         assert sigma[0] % p != 0
         return EdgeReduction(j, x, r, sigma, sigma_prec, u_exp)
 
 
 def gamma_matrix(dom: FundamentalDomain, x, r: int):
-    """Integer residue matrix for gamma = x/p^r together with its exact
-    determinant (a power of p times a p-unit)."""
-    X = dom.spl.apply(x)
-    den = max(t.denominator for t in X)
-    Xi = tuple(int(t * den) for t in X)
-    det = Fraction(x.nrd()) * den * den
-    return Xi, det
+    """The integer residue matrix iota(x) of gamma = x/p^r, modulo
+    p^spl.prec, together with its exact determinant nrd(x)."""
+    return dom.spl.image(x), dom.finder.nrd(x)
 
 
 def gamma_vertex(dom: FundamentalDomain, x, r: int, v: Vertex) -> Vertex:
     """gamma = x/p^r applied to the vertex v."""
-    Xi, _ = gamma_matrix(dom, x, r)
-    m = mat_mul(tuple(Fraction(t) for t in Xi), v.matrix())
-    return normalize_vertex(m, dom.p)
-
-
-def _is_pm_one(x: Quat, r: int) -> bool:
-    """Whether x/p^r is a central +-1 (scalar part only)."""
-    return all(c == 0 for c in x.co[1:])
+    return normalize_vertex(mat_mul(dom.spl.image(x), v.matrix()), dom.p)
 
 
 # a search that finds more vertex orbits than this is taken to be a bug

@@ -58,7 +58,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .cocycles import weight_coeff_rows
-from .domain import EdgeReduction, FundamentalDomain, gamma_matrix, gamma_vertex
+from .domain import EdgeReduction, FundamentalDomain, gamma_vertex
 from .lifting import Lift, sigma_series_matrix
 from .padics import (
     PadicNumber,
@@ -283,8 +283,7 @@ def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
     p, pr = dom.p, lifts[0].params
     k, t = pr.k, pr.t
     K = UnramifiedField(p, tau[3])
-    Xi, _ = gamma_matrix(dom, x, r)
-    gtau = _mobius(Xi, tau, K)
+    gtau = _mobius(dom.spl.image(x), tau, K)
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):

@@ -44,10 +44,9 @@ from operator import mul
 
 from .budget import checkpoint
 from .cocycles import HarmonicCocycle, act_on, weight_action
-from .domain import (EdgeReduction, FundamentalDomain, build_up_table,
-                     gamma_matrix)
+from .domain import EdgeReduction, FundamentalDomain, build_up_table
 from .padics import PrecisionError, inv_mod, val_int
-from .tree import frac_val, mat_adj, mat_mul
+from .tree import mat_adj, mat_mul
 
 
 def _field_width(mod: int, terms: int) -> int:
@@ -165,16 +164,12 @@ def _phi_scaled(dom: FundamentalDomain, coc: HarmonicCocycle, k: int):
 
 
 def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
-    """Iwahori witness sigma with iota(x/p^r) B = B sigma, as residue matrix."""
-    p = dom.p
-    Xi, det = gamma_matrix(dom, x, r)  # Xi = p^e_den iota(x), nrd(x) = p^(2r)
-    e = vB + frac_val(det, p) // 2
-    raw = mat_mul(mat_adj(B), mat_mul(Xi, B))
-    out = []
-    for t in raw:
-        assert t % p**e == 0
-        out.append((det_unit * (t // p**e)) % p ** (dom.spl.prec - e))
-    return tuple(out), dom.spl.prec - e
+    """Iwahori witness sigma with iota(x/p^r) B = B sigma, as residue matrix:
+    adj(B) iota(x) B / (det(B) p^r), nrd(x) = p^(2r), det(B) = det_unit p^vB."""
+    p, e = dom.p, vB + r
+    raw = mat_mul(mat_adj(B), mat_mul(dom.spl.image(x), B))
+    assert all(t % p**e == 0 for t in raw)
+    return tuple(det_unit * (t // p**e) % p ** (dom.spl.prec - e) for t in raw)
 
 
 def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
@@ -214,7 +209,7 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
         det_unit = 1 if det > 0 else -1
         stab = dom.edge_stabs[j // 2]
         # the average reads only the columns 0..k, those of phis[j]
-        Ts = [sigma_series_matrix(_stab_sigma(dom, B, vB, det_unit, x, r)[0],
+        Ts = [sigma_series_matrix(_stab_sigma(dom, B, vB, det_unit, x, r),
                                   k, i_max, p, W, n_cols=k + 1)
               for x, r in stab]
         ns = len(stab)

@@ -26,12 +26,11 @@ from .tree import base_vertex, edge_between, geodesic
 
 
 def psi_values(dom: FundamentalDomain, coc: HarmonicCocycle, x, r: int,
-               prec: int, v0=None):
-    """psi(c)(gamma) in V_k: sum of c over the geodesic edges from the chosen
-    base vertex to its gamma-translate, oriented source to target."""
+               prec: int):
+    """psi(c)(gamma) in V_k: sum of c over the geodesic edges from the base
+    vertex to its gamma-translate, oriented source to target."""
     p, k = dom.p, coc.k
-    if v0 is None:
-        v0 = base_vertex(p)
+    v0 = base_vertex(p)
     path = geodesic(v0, gamma_vertex(dom, x, r, v0))
     total = [PadicNumber.zero(p, prec)] * (k + 1)
     for a, b in zip(path, path[1:]):
@@ -41,7 +40,7 @@ def psi_values(dom: FundamentalDomain, coc: HarmonicCocycle, x, r: int,
 
 
 def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
-             tau, n_terms: int, prec: int, base_vertex_override=None):
+             tau, n_terms: int, prec: int):
     """The matrix A with [lam(c_i)] = sum_l A[l][i] [psi(c_l)] in cohomology.
 
     Solved jointly with the coboundary ambiguity: for each generator gamma
@@ -52,7 +51,7 @@ def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
     rows = []
     rhs = [[] for _ in range(d)]
     for x, r in dom.generators():
-        psis = [psi_values(dom, c, x, r, prec, v0=base_vertex_override) for c in basis]
+        psis = [psi_values(dom, c, x, r, prec) for c in basis]
         lams = lambda_values(dom, lifts, x, r, tau, n_terms, prec)
         # coboundary columns: gamma.e_t - e_t for the k+1 unit functionals
         act = gamma_action(dom, x, r, k)

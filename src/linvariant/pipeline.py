@@ -94,13 +94,16 @@ def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
         raise UsageError("weight must be even and >= 2")
 
 
-def validate_row(p: int, nminus: int, nplus: int, weight: int):
-    """validate, and reject weight 2: at k = 0 every coboundary gamma.u - u
-    vanishes, so the cohomology solve in l_matrix cannot determine A."""
+def validate_row(p: int, nminus: int, nplus: int, weight: int, M: int):
+    """validate, and reject weight 2 (at k = 0 every coboundary gamma.u - u
+    vanishes, so the cohomology solve in l_matrix cannot determine A) and
+    fewer than one output digit."""
     validate(p, nminus, nplus, weight)
     if weight == 2:
         raise UsageError("L-operator rows need weight >= 4; at weight 2 "
                          "every coboundary vanishes")
+    if M < 1:
+        raise UsageError("the precision M must be at least 1 digit")
 
 
 @dataclass
@@ -284,8 +287,7 @@ def _min_entry_val(A) -> int:
 
 
 def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
-                     base_vertex_override=None, tau_variant: int = 0,
-                     split_variant: int = 0) -> LResult:
+                     tau_variant: int = 0, split_variant: int = 0) -> LResult:
     """The L-operator row for (p, nminus, nplus, weight) with M output digits.
 
     The algebra, the order, the fundamental domain and the weight-k basis at
@@ -307,7 +309,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     requested M: `prec` is M and the L-invariants are Hensel-lifted at
     precision M.
     """
-    validate_row(p, nminus, nplus, weight)
+    validate_row(p, nminus, nplus, weight, M)
     k = weight - 2
     ctx = build_context(p, nminus, nplus, SIZING_SPLIT_PREC,
                         variant=split_variant)
@@ -325,8 +327,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
         A = None
         try:
-            A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec,
-                         base_vertex_override=base_vertex_override)
+            A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec)
             res = _invariants(actx, basis, A, M, sz.out_prec)
         except PrecisionError:
             if retries == MAX_PRECISION_RETRIES or Mw >= 4 * M:
@@ -424,7 +425,7 @@ def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None):
     stored there.  An entry that cannot be read counts as a miss; a new entry
     is written to a temporary file and renamed, so a killed run leaves no
     partial entry."""
-    validate_row(p, nminus, nplus, weight)
+    validate_row(p, nminus, nplus, weight, M)
     cdir = cache_dir or cache_dir_default()
     os.makedirs(cdir, exist_ok=True)
     key = f"lresult_{p}_{nminus}_{nplus}_{weight}_{M}_v{SCHEMA_VERSION}.json"

@@ -232,18 +232,21 @@ def build_algebra(disc: int) -> QuaternionAlgebra:
     m = max(-a, -b), up to disc: every such disc up to 373 has one there.
     For each m the pairs on that edge are tried in the order (-1, -m), ...,
     (-(m-1), -m), then (-m, -1), ..., (-m, -m); the time budget is checked
-    once per m."""
+    once per m.  A pair is classified only when every odd prime of disc
+    divides a b: an odd prime dividing neither a nor b cannot ramify."""
     if disc in _SYMBOL_TABLE:
         a, b = _SYMBOL_TABLE[disc]
         assert ramified_primes(a, b) == [disc]
         return QuaternionAlgebra(a, b, disc)
     primes = primefactors(disc)
+    odd = [q for q in primes if q != 2]
     for m in range(1, disc + 1):
         checkpoint()
         edge = ([(-a, -m) for a in range(1, m)]
                 + [(-m, -b) for b in range(1, m + 1)])
         for a, b in edge:
-            if ramified_primes(a, b) == primes:
+            if (all(a * b % q == 0 for q in odd)
+                    and ramified_primes(a, b) == primes):
                 return QuaternionAlgebra(a, b, disc)
     raise ValueError(f"no symbol found for discriminant {disc}")
 

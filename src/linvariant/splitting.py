@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padics import PadicNumber, PrecisionError, sqrt_mod_ppow, val_int
-from .quaternions import Order, Quat
+from .quaternions import Order
+from .tree import mat_mul
 
 
 class _SplitFail(Exception):
@@ -42,32 +43,19 @@ def _qmul(ab, x, y):
 @dataclass
 class SplittingMap:
     """An algebra embedding iota with iota(R (x) Z_p) = M_2(Z_p), recorded as
-    integer matrices modulo p^prec (row-major 4-tuples) for the order basis."""
+    integer matrices modulo p^prec (row-major 4-tuples) for the order basis.
+    Elements of R are integer coordinate vectors in that basis."""
 
     order: Order
     p: int
     prec: int
     images: list[tuple]
 
-    def apply(self, x: Quat) -> tuple:
-        """iota(x) for x in R[1/p], as a 4-tuple of Fractions whose entries
-        are canonical representatives modulo p^(prec - denominator exponent)."""
-        co = self.order.coordinates(x)
-        e = 0
-        for c in co:
-            v = val_int(c.denominator, self.p)
-            if c.denominator != self.p**v:
-                raise ValueError("element is not in R[1/p]")
-            e = max(e, v)
+    def image(self, c) -> tuple:
+        """iota(sum_m c_m b_m) modulo p^prec for integer coordinates c."""
         mod = self.p**self.prec
-        scaled = [int(c * self.p**e) % mod for c in co]
-        mat = [0, 0, 0, 0]
-        for cm, im in zip(scaled, self.images):
-            for t in range(4):
-                mat[t] = (mat[t] + cm * im[t]) % mod
-        if e == 0:
-            return tuple(Fraction(v) for v in mat)
-        return tuple(Fraction(v, self.p**e) for v in mat)
+        return tuple(sum(cm * im[t] for cm, im in zip(c, self.images)) % mod
+                     for t in range(4))
 
 
 def _lattice_basis(vecs, p, prec):
@@ -252,49 +240,37 @@ def _finish(order, z1, z2, r1, r2, p, P, prec, variant) -> SplittingMap:
                     raise _SplitFail("image not integral")
                 ent.append(x.residue(prec))
         images.append(tuple(ent))
-    _verify(order, images, p, prec)
-    return SplittingMap(order, p, prec, images)
+    spl = SplittingMap(order, p, prec, images)
+    _verify(spl)
+    return spl
 
 
-def _verify(order, images, p, prec):
-    mod = p**prec
+def _coords(order, x) -> list[int]:
+    co = order.coordinates(x)
+    assert all(c.denominator == 1 for c in co)
+    return [int(c) for c in co]
+
+
+def _verify(spl: SplittingMap):
+    order, p, mod = spl.order, spl.p, spl.p**spl.prec
     # unit of the order maps to the identity
-    one_co = order.coordinates(order.algebra.one())
-    ident = [0, 0, 0, 0]
-    for cm, im in zip(one_co, images):
-        assert cm.denominator == 1
-        for t in range(4):
-            ident[t] = (ident[t] + int(cm) * im[t]) % mod
-    if tuple(ident) != (1 % mod, 0, 0, 1 % mod):
+    if spl.image(_coords(order, order.algebra.one())) != (1 % mod, 0, 0, 1 % mod):
         raise _SplitFail("unit does not map to the identity")
     # trace / determinant vs reduced trace / norm
-    for b, m in zip(order.basis, images):
+    for b, m in zip(order.basis, spl.images):
         tr = (m[0] + m[3]) % mod
         det = (m[0] * m[3] - m[1] * m[2]) % mod
-        if tr != int(Fraction(b.trd())) % mod or det != int(Fraction(b.nrd())) % mod:
+        if tr != int(b.trd()) % mod or det != int(b.nrd()) % mod:
             raise _SplitFail("trace/norm mismatch")
     # surjective mod p: the four images span M_2(F_p)
-    rows = [[im[t] % p for t in range(4)] for im in images]
+    rows = [[im[t] % p for t in range(4)] for im in spl.images]
     if _rank_mod_p(rows, p) != 4:
         raise _SplitFail("images do not span M_2 mod p")
     # multiplicativity spot check (basis products lie in the order)
     x, y = order.basis[1], order.basis[2]
-    co = order.coordinates(x * y)
-    assert all(c.denominator == 1 for c in co)
-    prod = [0, 0, 0, 0]
-    for cm, im in zip(co, images):
-        for t in range(4):
-            prod[t] = (prod[t] + int(cm) * im[t]) % mod
-    mx, my = images[1], images[2]
-    direct = (
-        mx[0] * my[0] + mx[1] * my[2],
-        mx[0] * my[1] + mx[1] * my[3],
-        mx[2] * my[0] + mx[3] * my[2],
-        mx[2] * my[1] + mx[3] * my[3],
-    )
-    for t in range(4):
-        if (direct[t] - prod[t]) % mod != 0:
-            raise _SplitFail("multiplicativity failure")
+    direct = mat_mul(spl.images[1], spl.images[2])
+    if any((a - b) % mod for a, b in zip(direct, spl.image(_coords(order, x * y)))):
+        raise _SplitFail("multiplicativity failure")
 
 
 def _rank_mod_p(rows, p):

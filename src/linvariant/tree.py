@@ -8,13 +8,17 @@ subsets of P^1(Q_p) that are balls or complements of balls: the base edge e0
 complementary set.  A matrix g in GL_2(Q_p) gives the edge g.e0 whose set is
 g(Z_p) under the Mobius action.
 
-All matrices are 4-tuples (a, b, c, d) of integers or Fractions, row-major.
+All matrices are 4-tuples (a, b, c, d), row-major.  The normal forms are
+integer arithmetic; a matrix with Fraction entries is first scaled to
+integers (see `_integral`).  Only the center of an edge, its canonical key,
+is a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .padics import val_int
 
@@ -37,32 +41,14 @@ def mat_adj(m: Mat) -> Mat:
     return (d, -b, -c, a)
 
 
-def frac_val(x, p: int):
-    """p-adic valuation of a rational number; None for 0."""
-    x = Fraction(x)
-    if x == 0:
-        return None
-    v = val_int(x.numerator, p) if x.numerator % p == 0 else 0
-    if x.denominator % p == 0:
-        v -= val_int(x.denominator, p)
-    return v
-
-
-def _canonical_mod(x, p: int, n: int):
-    """Canonical representative of x modulo p^n Z_p, as a Fraction in Z[1/p].
-
-    The representative is 0 when v(x) >= n, else p^v * (unit mod p^(n-v))."""
-    x = Fraction(x)
-    v = frac_val(x, p)
-    if v is None or v >= n:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    if v >= 0:
-        num //= p**v
-    else:
-        den //= p ** (-v)
-    u = num * pow(den, -1, p ** (n - v)) % p ** (n - v)
-    return Fraction(u * p**v) if v >= 0 else Fraction(u, p ** (-v))
+def _integral(m: Mat) -> Mat:
+    """m with integer entries: a matrix with Fraction entries is scaled by
+    the lcm of their denominators, a scalar, which changes neither its
+    vertex nor its edge."""
+    if not any(isinstance(x, Fraction) for x in m):
+        return m
+    s = lcm(*(Fraction(x).denominator for x in m))
+    return tuple(int(x * s) for x in m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,18 +81,18 @@ class Edge:
     n: int
 
     def matrix(self) -> Mat:
-        """A matrix g (integer entries, p-free content) with g.e0 = self."""
-        p = self.p
+        """A matrix g (integer entries, p-free content) with g.e0 = self:
+        [[p^n, center], [0, 1]] for a ball, [[center, p^(n-1)], [1, 0]] for
+        a complement, times p^e for the least e that makes it integral."""
+        p, z = self.p, self.center
+        m = self.n if self.kind == "ball" else self.n - 1
+        vz = -val_int(z.denominator, p) if z.denominator > 1 else (
+            val_int(z.numerator, p) if z else 0)
+        e = -min(m, 0, vz)
+        s, zs = p**e, z.numerator * p**e // z.denominator
         if self.kind == "ball":
-            m = (Fraction(p) ** self.n, self.center, Fraction(0), Fraction(1))
-        else:
-            m = (self.center, Fraction(p) ** (self.n - 1), Fraction(1), Fraction(0))
-        vals = [frac_val(x, p) for x in m if x != 0]
-        e = -min(vals)
-        s = Fraction(p) ** e
-        out = tuple(x * s for x in m)
-        assert all(x.denominator == 1 for x in out)
-        return tuple(int(x) for x in out)
+            return (p ** (m + e), zs, 0, s)
+        return (zs, p ** (m + e), s, 0)
 
     def opposite(self) -> "Edge":
         return Edge(self.p, "compl" if self.kind == "ball" else "ball", self.center, self.n)
@@ -125,46 +111,50 @@ def base_vertex(p: int) -> Vertex:
 
 def normalize_vertex(m: Mat, p: int) -> Vertex:
     """Normal form of the lattice class spanned by the columns of m."""
-    a, b, c, d = (Fraction(x) for x in m)
+    a, b, c, d = _integral(m)
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix")
-    # column operations: make the bottom row (0, z) with v(z) minimal
-    vc, vd = frac_val(c, p), frac_val(d, p)
-    if vd is None or (vc is not None and vc < vd):
-        a, b = b, a
-        c, d = d, c
-    if c != 0:
-        t = c / d
-        a, c = a - t * b, Fraction(0)
-    # now m = [[a, b], [0, d]]
-    A = frac_val(a, p)
-    C = frac_val(d, p)
-    b = b * Fraction(p) ** C / d  # scale col2 to p^C
-    # col1 scaling to p^A does not change b
-    vb = frac_val(b, p)
-    mm = min(A, C) if vb is None else min(A, C, vb)
-    aexp, cexp = A - mm, C - mm
-    bb = _canonical_mod(b / Fraction(p) ** mm, p, aexp)
-    assert bb.denominator == 1
-    return Vertex(p, aexp, int(bb), cexp)
+    # column operations: make the bottom row (0, p^C u), u a unit, with C
+    # minimal; the top left entry is then det/d, of valuation v(det) - C
+    if d == 0 or (c != 0 and val_int(c, p) < val_int(d, p)):
+        b, d = a, c
+    C = val_int(d, p)
+    A = val_int(det, p) - C
+    # scaling the second column by 1/u leaves top right entry b/u
+    mm = min(A, C) if b == 0 else min(A, C, val_int(b, p))
+    aexp = A - mm
+    q = p**aexp
+    bb = b // p**mm * pow(d // p**C, -1, q) % q
+    return Vertex(p, aexp, bb, C - mm)
+
+
+def _center(num: int, den: int, p: int, n: int) -> Fraction:
+    """The canonical representative of num/den modulo p^n Z_p, den = p^e u
+    with u a unit and v(num) >= 0: 0 when v(num/den) >= n, else
+    p^v (unit mod p^(n-v)) for v = v(num/den)."""
+    e = val_int(den, p)
+    if n + e <= 0:
+        return Fraction(0)
+    q = p ** (n + e)
+    if e == 0:
+        return Fraction(num * pow(den, -1, q) % q)
+    return Fraction(num * pow(den // p**e, -1, q) % q, p**e)
 
 
 def normalize_edge(m: Mat, p: int) -> Edge:
     """The edge m.e0, i.e. the ball/complement m(Z_p) in P^1(Q_p)."""
-    a, b, c, d = (Fraction(x) for x in m)
+    a, b, c, d = _integral(m)
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix")
-    vdet = frac_val(det, p)
-    vc, vd = frac_val(c, p), frac_val(d, p)
-    if vd is not None and (vc is None or vd < vc):
+    vdet = val_int(det, p)
+    vd = val_int(d, p) if d else None
+    if vd is not None and (c == 0 or vd < val_int(c, p)):
         n = vdet - 2 * vd
-        center = _canonical_mod(b / d, p, n)
-        return Edge(p, "ball", center, n)
-    n = vdet + 1 - 2 * vc
-    center = _canonical_mod(a / c, p, n)
-    return Edge(p, "compl", center, n)
+        return Edge(p, "ball", _center(b, d, p, n), n)
+    n = vdet + 1 - 2 * val_int(c, p)
+    return Edge(p, "compl", _center(a, c, p, n), n)
 
 
 def distance(v: Vertex, w: Vertex) -> int:

@@ -56,13 +56,14 @@ class TestFdomain:
     def test_budget_checked_in_symbol_search(self, capsys):
         """The symbol search of build_algebra checks the budget: disc 1019
         is outside the symbol table and its first symbol is (-1, -1019),
-        about a million pairs into the search."""
+        about a million pairs into the search, which takes about a second;
+        a budget of half a second runs out inside it."""
         start = time.monotonic()
         code, _, err = run_cli(capsys, "fdomain", "--p", "2", "--nminus",
-                               "1019", "--budget-secs", "2")
+                               "1019", "--budget-secs", "0.5")
         assert code == 4
         assert "budget" in err
-        assert time.monotonic() - start < 2 + 3
+        assert time.monotonic() - start < 0.5 + 3
 
 
 class TestBasis:
@@ -162,6 +163,29 @@ class TestValidation:
             main(list(argv))
         assert exc.value.code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "4", "--prec", "-3"),
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "4", "--prec", "0"),
+        ("slopes", "--p", "2", "--nminus", "3", "--weights", "4..8",
+         "--prec", "0"),
+        ("linv", "--p", "3", "--nminus", "2", "--weight", "4",
+         "--budget-secs", "-1"),
+        ("fdomain", "--p", "3", "--nminus", "2", "--budget-secs", "nan"),
+        ("slopes", "--p", "2", "--nminus", "3", "--weights", "6..4"),
+        ("slopes", "--p", "2", "--nminus", "3", "--weights", "5..5"),
+    ])
+    def test_malformed_values_exit_3(self, capsys, tmp_path, argv):
+        """A precision below one digit, a negative or undefined budget and
+        a weight range without an even weight exit 3 with a message,
+        before anything is computed or written."""
+        try:
+            code = main([*argv, "--cache-dir", str(tmp_path)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 3
+        assert "error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ("linv", "--p", "2", "--nminus", "7", "--weight", "2", "--prec", "12"),

@@ -1,13 +1,14 @@
 """Fundamental domain, edge reduction and U_p coset structure."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
-from linvariant.domain import _edge_dist, build_up_table
+from linvariant.domain import (_edge_dist, build_up_table, gamma_matrix,
+                               gamma_vertex)
+from linvariant.padics import val_int
 from linvariant.pipeline import build_context
 from linvariant.tree import (
     base_vertex,
@@ -70,20 +71,34 @@ class TestDomainShapes:
 
     def test_stabilizers_stabilize(self, ctx23):
         """Every stored stabilizer element fixes its edge/vertex."""
-        from linvariant.integration import gamma_matrix
-        from linvariant.tree import normalize_vertex
-
         dom = ctx23.dom
         for e, stab in zip(dom.geo_edges, dom.edge_stabs):
             for x, r in stab:
                 Xi, _ = gamma_matrix(dom, x, r)
-                m = mat_mul(tuple(Fraction(t) for t in Xi), e.matrix())
-                assert normalize_edge(m, dom.p) == e
+                assert normalize_edge(mat_mul(Xi, e.matrix()), dom.p) == e
+        for v, stab in zip(dom.vertices, dom.vertex_stabs):
+            for x, r in stab:
+                assert gamma_vertex(dom, x, r, v) == v
 
     def test_pairing_elements_have_unit_norm_scale(self, ctx23):
+        """nrd(x) = p^(2r) for every pairing, in the integer Gram form and
+        in the algebra, and gamma_matrix reports it as the determinant."""
         dom = ctx23.dom
         for pr in dom.pairings:
-            assert pr.x.nrd() == Fraction(dom.p) ** (2 * pr.r)
+            assert dom.finder.nrd(pr.x) == dom.p ** (2 * pr.r)
+            assert dom.order.element(pr.x).nrd() == dom.p ** (2 * pr.r)
+            assert gamma_matrix(dom, pr.x, pr.r)[1] == dom.p ** (2 * pr.r)
+            assert gamma_vertex(dom, pr.x, pr.r, pr.vertex) \
+                == dom.vertices[pr.target_index]
+
+    def test_central_elements(self, ctx23):
+        """is_pm_one holds exactly for the scalar stabilizer elements, and
+        every stabilizer holds +-1."""
+        dom = ctx23.dom
+        for stab in dom.edge_stabs + dom.vertex_stabs:
+            scalar = [dom.order.element(x).co[1:] == (0, 0, 0) for x, r in stab]
+            assert [dom.is_pm_one(x, r) for x, r in stab] == scalar
+            assert sum(scalar) == 2
 
 
 class TestEdgeReducer:
@@ -102,20 +117,11 @@ class TestEdgeReducer:
         gens = dom.generators()
         for _ in range(10):
             x, r = gens[rng.randrange(len(gens))]
-            from linvariant.integration import gamma_matrix
-
-            Xi, detf = gamma_matrix(dom, x, r)
-            from linvariant.tree import frac_val
-
-            dv = frac_val(detf, dom.p)
-            out = dom.reduce_matrix(Xi, dv)
+            Xi, det = gamma_matrix(dom, x, r)
+            out = dom.reduce_matrix(Xi, val_int(det, dom.p))
             # witness: iota(out.x / p^out.r) carries rep j back to the edge
-            Xw = dom.spl.apply(out.x)
-            den = max(t.denominator for t in Xw)
-            Xint = tuple(int(t * den) for t in Xw)
             lhs = normalize_edge(
-                mat_mul(tuple(Fraction(t) for t in Xint),
-                        dom.rep_mats[out.j]), dom.p)
+                mat_mul(dom.spl.image(out.x), dom.rep_mats[out.j]), dom.p)
             assert lhs == normalize_edge(Xi, dom.p)
 
     def test_up_table_entries_iwahori(self, ctx23):

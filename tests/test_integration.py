@@ -32,7 +32,7 @@ from linvariant.tree import (
     star,
 )
 
-from conftest import act, value
+from conftest import act, gamma_conj, gamma_mul, value
 from field_reference import (
     Field,
     UnramifiedElement,
@@ -235,7 +235,7 @@ class TestLambdaCocycle:
             x2, r2 = gens[rng.randrange(len(gens))]
             l1 = lam(x1, r1)
             l2 = lam(x2, r2)
-            l12 = lam(x1 * x2, r1 + r2)
+            l12 = lam(gamma_mul(dom, x1, x2), r1 + r2)
             g_l2 = act(dom, k, x1, r1, l2, op)
             for a, b, c in zip(g_l2, l1, l12):
                 assert (a + b - c).is_zero()
@@ -247,7 +247,7 @@ class TestLambdaCocycle:
         op = sz.out_prec
         gens = dom.generators()
         for x, r in gens[:4]:
-            xinv = x.conj()  # x * conj(x) = nrd(x) = p^{2r}, central
+            xinv = gamma_conj(dom, x)  # x * conj(x) = nrd(x) = p^{2r}, central
             [l1] = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
             [l2] = lambda_values(dom, lifts, xinv, r, tau, sz.n_terms, op)
             g_l2 = act(dom, k, x, r, l2, op)

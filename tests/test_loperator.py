@@ -19,7 +19,7 @@ from linvariant.padics import (
     newton_slopes,
 )
 
-from conftest import act
+from conftest import act, gamma_conj, gamma_mul
 
 
 def _pad(n, p, prec):
@@ -169,7 +169,7 @@ class TestPsi:
             x2, r2 = gens[rng.randrange(len(gens))]
             p1 = psi_values(dom, basis[0], x1, r1, op)
             p2 = psi_values(dom, basis[0], x2, r2, op)
-            p12 = psi_values(dom, basis[0], x1 * x2, r1 + r2, op)
+            p12 = psi_values(dom, basis[0], gamma_mul(dom, x1, x2), r1 + r2, op)
             g_p2 = act(dom, k, x1, r1, p2, op)
             for a, b, c in zip(g_p2, p1, p12):
                 assert (a + b - c).is_zero()
@@ -180,7 +180,7 @@ class TestPsi:
         dom = ctx.dom
         op = sz.out_prec
         for x, r in dom.generators()[:4]:
-            xinv = x.conj()
+            xinv = gamma_conj(dom, x)
             p1 = psi_values(dom, basis[0], x, r, op)
             p2 = psi_values(dom, basis[0], xinv, r, op)
             g_p2 = act(dom, k, x, r, p2, op)

@@ -33,6 +33,7 @@ from linvariant.quaternions import (
     _SYMBOL_TABLE,
 )
 from linvariant.splitting import splitting_map
+from linvariant.tree import mat_mul
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +339,21 @@ class TestHilbertSymbols:
             count += 1
         assert count == 88
 
+    def test_build_algebra_classifies_only_candidates(self, monkeypatch):
+        """A pair (a, b) is classified only when the odd primes of disc all
+        divide a b: for disc 1019 that is first the case, among the million
+        pairs walked, for (-1, -1019), its symbol."""
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return ramified_primes(a, b)
+
+        monkeypatch.setattr(quaternions, "ramified_primes", counted)
+        alg = build_algebra(1019)
+        assert (alg.a, alg.b) == (-1, -1019)
+        assert calls == [(-1, -1019)]
+
 
 class TestLattices:
     def test_integer_kernel(self):
@@ -497,37 +513,38 @@ class TestEnumerate:
             assert sols == []
 
 
-def _apply_int(spl, x):
-    """iota(x) mod p^prec for x with p-integral coordinates."""
-    m = spl.apply(x)
-    assert all(v.denominator == 1 for v in m)
-    return tuple(int(v) for v in m)
+def _int_coords(O, x):
+    co = O.coordinates(x)
+    assert all(c.denominator == 1 for c in co)
+    return [int(c) for c in co]
 
 
 class TestSplitting:
     @pytest.mark.parametrize("disc,p", [(2, 3), (3, 2), (5, 2), (7, 2), (2, 5)])
     def test_splitting_properties(self, disc, p):
+        """spl.image on random integer coordinates: a ring homomorphism
+        mod p^20 (sums, products, the unit) that agrees with the reduced
+        trace and norm."""
         alg = build_algebra(disc)
         O = maximal_order(alg)
         spl = splitting_map(O, p, 20)
         mod = p**20
-        # ring homomorphism on random order elements
+        assert spl.image(_int_coords(O, alg.one())) == (1, 0, 0, 1)
         rng = random.Random(5)
         for _ in range(15):
-            x = O.element([rng.randrange(-4, 5) for _ in range(4)])
-            y = O.element([rng.randrange(-4, 5) for _ in range(4)])
-            mx, my = _apply_int(spl, x), _apply_int(spl, y)
-            mxy = _apply_int(spl, x * y)
-            prod = (
-                mx[0] * my[0] + mx[1] * my[2],
-                mx[0] * my[1] + mx[1] * my[3],
-                mx[2] * my[0] + mx[3] * my[2],
-                mx[2] * my[1] + mx[3] * my[3],
-            )
-            assert all((a - b) % mod == 0 for a, b in zip(prod, mxy))
+            cx = [rng.randrange(-4, 5) for _ in range(4)]
+            cy = [rng.randrange(-4, 5) for _ in range(4)]
+            x, y = O.element(cx), O.element(cy)
+            mx, my = spl.image(cx), spl.image(cy)
+            assert all(0 <= t < mod for t in mx)
+            mxy = spl.image(_int_coords(O, x * y))
+            assert all((a - b) % mod == 0
+                       for a, b in zip(mat_mul(mx, my), mxy))
+            msum = spl.image([a + b for a, b in zip(cx, cy)])
+            assert msum == tuple((a + b) % mod for a, b in zip(mx, my))
             # trace and determinant
-            assert (mx[0] + mx[3] - int(Fraction(x.trd()))) % mod == 0
-            assert (mx[0] * mx[3] - mx[1] * mx[2] - int(Fraction(x.nrd()))) % mod == 0
+            assert (mx[0] + mx[3] - int(x.trd())) % mod == 0
+            assert (mx[0] * mx[3] - mx[1] * mx[2] - int(x.nrd())) % mod == 0
 
     def test_variants_differ_but_are_conjugate_compatible(self):
         alg = build_algebra(3)
@@ -538,11 +555,3 @@ class TestSplitting:
         for b, m0, m1 in zip(O.basis, s0.images, s1.images):
             mod = 2**16
             assert (m0[0] + m0[3] - m1[0] - m1[3]) % mod == 0
-
-    def test_rlp_elements(self):
-        alg = build_algebra(2)
-        O = maximal_order(alg)
-        spl = splitting_map(O, 3, 12)
-        x = O.element([1, 1, 0, 0]).scale(Fraction(1, 3))
-        m = spl.apply(x)
-        assert any(v.denominator == 3 for v in m)

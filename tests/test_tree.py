@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linvariant import tree
+import tree_reference as ref
 from linvariant.tree import (
     Edge,
     Vertex,
@@ -38,7 +38,7 @@ def ball_contains(e: Edge, x) -> bool:
     if x == "inf":
         inside = False  # infinity is never in a ball of finite radius
     else:
-        v = tree.frac_val(Fraction(x) - e.center, p)
+        v = ref.frac_val(Fraction(x) - e.center, p)
         inside = v is None or v >= e.n
     return inside if e.kind == "ball" else not inside
 
@@ -47,13 +47,13 @@ def _witness(m, target, p):
     """(u_exp, sigma) with m * p^u_exp * sigma = target; asserts that sigma
     is integral with unit determinant."""
     det_m = mat_det(m)
-    diff = tree.frac_val(mat_det(target), p) - tree.frac_val(det_m, p)
+    diff = ref.frac_val(mat_det(target), p) - ref.frac_val(det_m, p)
     assert diff % 2 == 0
     u_exp = diff // 2
     inv = tuple(Fraction(x) / det_m for x in mat_adj(m))
     sigma = tuple(x / Fraction(p) ** u_exp for x in mat_mul(inv, target))
-    assert all(x == 0 or tree.frac_val(x, p) >= 0 for x in sigma)
-    assert tree.frac_val(mat_det(sigma), p) == 0
+    assert all(x == 0 or ref.frac_val(x, p) >= 0 for x in sigma)
+    assert ref.frac_val(mat_det(sigma), p) == 0
     return u_exp, sigma
 
 
@@ -68,7 +68,7 @@ def edge_witness(m, e):
     m * p^u_exp * sigma = e.matrix() and sigma in the Iwahori subgroup
     (integral, unit determinant, lower-left entry in pZ_p)."""
     u_exp, sigma = _witness(m, e.matrix(), e.p)
-    assert sigma[2] == 0 or tree.frac_val(sigma[2], e.p) >= 1
+    assert sigma[2] == 0 or ref.frac_val(sigma[2], e.p) >= 1
     return u_exp, sigma
 
 
@@ -111,7 +111,7 @@ class TestVertexNormalForm:
             for _ in range(30):
                 v = normalize_vertex(random_glq(rng, p), p)
                 assert 0 <= v.b < p**v.a
-                assert min(v.a, v.c, 99 if v.b == 0 else tree.frac_val(v.b, p)) == 0
+                assert min(v.a, v.c, 99 if v.b == 0 else ref.frac_val(v.b, p)) == 0
 
     def test_witness(self):
         rng = random.Random(3)
@@ -297,3 +297,43 @@ def test_translation_preserves_distance(x, y, e):
     gv = normalize_vertex(mat_mul(g, v.matrix()), p)
     gw = normalize_vertex(mat_mul(g, w.matrix()), p)
     assert distance(gv, gw) == distance(v, w)
+
+
+def _matrix_strategy(draw_entry):
+    return st.tuples(draw_entry, draw_entry, draw_entry, draw_entry).filter(
+        lambda m: mat_det(m) != 0)
+
+
+_P = st.sampled_from([2, 3, 5, 7, 13])
+
+
+@st.composite
+def _int_matrices(draw):
+    p = draw(_P)
+    entry = st.builds(lambda u, e: u * p**e, st.integers(-10**6, 10**6),
+                      st.integers(0, 6))
+    return p, draw(_matrix_strategy(entry))
+
+
+@st.composite
+def _fraction_matrices(draw):
+    p = draw(_P)
+    entry = st.builds(lambda u, e, q: Fraction(u, p**e * q),
+                      st.integers(-10**4, 10**4), st.integers(0, 4),
+                      st.sampled_from([1, 1, 11, 17, 6]))
+    return p, draw(_matrix_strategy(entry))
+
+
+@given(st.one_of(_int_matrices(), _fraction_matrices()))
+@settings(max_examples=400, deadline=None)
+def test_normal_forms_equal_fraction_reference(pm):
+    """Vertex and edge normal forms, and the edge matrices of both
+    directions, equal the Fraction reference on integer and rational
+    matrices."""
+    p, m = pm
+    assert normalize_vertex(m, p) == ref.normalize_vertex(m, p)
+    e = normalize_edge(m, p)
+    assert e == ref.normalize_edge(m, p)
+    for f in (e, e.opposite()):
+        assert f.matrix() == ref.edge_matrix(f)
+        assert all(type(x) is int for x in f.matrix())
