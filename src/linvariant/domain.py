@@ -213,12 +213,16 @@ class FundamentalDomain:
         return [f for e in self.geo_edges for f in (e, e.opposite())]
 
     def generators(self):
-        """Pairing elements plus nontrivial vertex-stabilizer elements."""
+        """Pairing elements plus the nontrivial vertex-stabilizer elements,
+        one of each pair x, -x: -1 acts trivially on V_k and on the tree, so
+        both give the same lambda, psi and coboundary rows."""
         gens = [(pr.x, pr.r) for pr in self.pairings]
+        seen = set()
         for stab in self.vertex_stabs:
             for x, r in stab:
-                if not self.is_pm_one(x, r):
+                if (x, r) not in seen and not self.is_pm_one(x, r):
                     gens.append((x, r))
+                    seen.update({(x, r), (tuple(-c for c in x), r)})
         return gens
 
     def is_pm_one(self, x, r: int) -> bool:

@@ -21,13 +21,15 @@ valuations of a tau + b and c tau + d (see `_mobius`); these are the
 precisions the same quotient gets in PadicNumber coordinates.
 
 The pairing is integer arithmetic.  On each ball the kernel coefficients
-are split into their two Q_p coordinates on (1, w) and held as integers
-under one scale p^s; their products with the exact weight rows W[m][u] are
-formed once per (gamma, ball) and contracted with the integer moment
-residues of every lift (scale p^t, see `lifting`), which are computed once
-per distinct ball reduction.  The ball totals are multiplied by det^(-k/2),
-summed as one PadicNumber per coordinate, and (1/2) Tr is applied only to
-those k+1 pairs of totals at the end.
+c_j, in their two Q_p coordinates on (1, w), are integers under one scale
+p^s, and the moments mu_i of every lift are integers under the scale p^t
+(see `lifting`), computed once per distinct ball reduction.  The integral
+of x^m |_k g is sum_i q_i mu_i over i < n_terms, q_i = sum_u W[m][u] c[i-u]
+with the exact weight rows W.  It is evaluated as S_m = sum_u W[m][u] X_u,
+X_u = sum_j c_j mu_(j+u): k + 1 contractions per lift instead of the
+(k+1)^2 n_terms products q_i per ball.  The ball totals are multiplied by
+det^(-k/2), summed as one PadicNumber per coordinate, and (1/2) Tr is
+applied only to those k+1 pairs of totals at the end.
 
 The kernel series is integer arithmetic with one closed-form precision.
 Write T_i^-1 = p^(v_i) eps_i, where T_i = g^-1 tau_i, v_i >= 1 and eps_i is
@@ -41,13 +43,16 @@ modulo p^(prec + s).  The constant term is the Iwasawa log of the unit part of
 (d tau2 - b)/(d tau1 - b), known to the lower relative precision of the two
 factors (`padics.iwasawa_log`).
 
-The pairing's precision follows the PadicNumber rules term by term, from
-the actual valuations: a product c*m is known to
-min(v(c) + P(m), v(m) + P(c)), where a value that vanishes at its precision
-has that precision as valuation; a sum is known to the lowest precision
-among its terms and that of K_p.  Each entry is then capped at the
-requested target precision, so no entry claims more digits than the same
-sums evaluated in field elements.
+The pairing's precision follows the PadicNumber rules: a product a*b is
+known to min(v(a) + P(b), v(b) + P(a)), where a value that vanishes at its
+precision has that precision as valuation; a sum to the lowest precision
+among its terms and the cap, that of K_p.  The half min_i v(mu_i) + P(q_i)
+is exact: min(cap + min_i v(mu_i), min_u v(W[m][u]) + E_u) with
+E_u = min_i v(mu_i) + P(c[i-u]).  The half min_i v(q_i) + P(mu_i) takes
+v(W[m][u]) + v(c_j) in place of v(q_(j+u)), which is never larger, and
+equal unless q_i cancels.  Each entry is then capped at the requested
+target precision, so no entry claims more digits than the same sums
+evaluated in field elements.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from .padics import (
     val_cap,
     val_int,
 )
-from .tree import base_vertex, edges_leaving_geodesic
+from .tree import base_vertex, edges_leaving_geodesic, mat_det
 
 
 def base_point(p: int, prec: int, variant: int = 0):
@@ -138,17 +143,18 @@ class CoveringBall:
     reduction: object  # EdgeReduction of the edge g.e0
 
 
-def covering(dom: FundamentalDomain, x, r: int):
-    """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau."""
-    p = dom.p
-    v0 = base_vertex(p)
-    balls = []
+def ball_matrices(dom: FundamentalDomain, x, r: int):
+    """The matrices g, ball = g Z_p, of `covering`, and v(det g)."""
+    v0 = base_vertex(dom.p)
     for e in edges_leaving_geodesic(v0, gamma_vertex(dom, x, r, v0)):
         m = e.matrix()
-        det = m[0] * m[3] - m[1] * m[2]
-        dv = val_int(det, p) if det % p == 0 else 0
-        balls.append(CoveringBall(m, dv, dom.reduce_matrix(m, dv)))
-    return balls
+        yield m, val_int(mat_det(m), dom.p)
+
+
+def covering(dom: FundamentalDomain, x, r: int):
+    """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau."""
+    return [CoveringBall(m, dv, dom.reduce_matrix(m, dv))
+            for m, dv in ball_matrices(dom, x, r)]
 
 
 def _unit_split(x, P, p: int):
@@ -207,33 +213,40 @@ def log_kernel_series(K: UnramifiedField, ball: CoveringBall, z1, z2,
     return s, (A, B), prec
 
 
-def _kernel_products(series, W, k: int, p: int, cap: int):
-    """The products sum_u W[m][u] c[i-u] with the coefficients c of a
-    `log_kernel_series`, in its two coordinates on (1, w), as integers
-    under its scale p^s.  Returns s and, per coordinate and m, the numerators,
-    valuations and precisions (unscaled) of the products; cap is the
-    precision of the field, which bounds every sum."""
+def _pairing(series, W, moms, p: int, t: int, cap: int):
+    """The pairing on one ball of a `log_kernel_series` (scale p^s) and the
+    weight rows W with the moments of each lift from `_ball_moments` (scale
+    p^t), reassociated as in the module docstring.  Returns, per lift,
+    coordinate on (1, w) and m, the numerator S of the integral of x^m under
+    the scale p^(s+t), reduced modulo p^(P+s+t), and its precision P
+    (unscaled); cap is the precision of the field, which bounds every sum."""
     s, coords, prc = series
-    n_terms = len(prc)
-    vW = [[val_int(w, p) if w else None for w in row] for row in W]
+    us = range(len(W))
+    # the nonzero weights of each row m, with their valuations
+    wts = [[(u, w, val_int(w, p)) for u, w in enumerate(row) if w]
+           for row in W]
+    # the series half, lift-independent: min_j v(c_j) + P(mu_(j+u))
+    Pm = moms[0][2]
+    F = [[min(map(add, vc, Pm[u:]), default=math.inf) for u in us]
+         for vc in ([val_cap(a, p, P + s) - s for a, P in zip(num, prc)]
+                    for num in coords)]
     out = []
-    for num in coords:
-        rows = []
-        for m in range(k + 1):
-            nums, vals, precs = [], [], []
-            for i in range(n_terms):
-                acc, P = 0, cap
-                for u in range(min(k, i) + 1):
-                    if W[m][u]:
-                        acc += W[m][u] * num[i - u]
-                        P = min(P, vW[m][u] + prc[i - u])
-                acc %= p ** max(P + s, 0)
-                nums.append(acc)
-                vals.append(val_cap(acc, p, P + s) - s)
-                precs.append(P)
-            rows.append((nums, vals, precs))
-        out.append(rows)
-    return s, out
+    for res, vm, _ in moms:
+        # the moment half: cap + min_i v(mu_i), and E_u
+        top = cap + min(vm)
+        E = [min(map(add, vm[u:], prc), default=math.inf) for u in us]
+        per_co = []
+        for num, Fc in zip(coords, F):
+            X = [sum(map(mul, num, res[u:])) for u in us]
+            G = list(map(min, E, Fc))
+            per_m = []
+            for row in wts:
+                P = min(cap, top, *(vw + G[u] for u, _, vw in row))
+                per_m.append((sum(w * X[u] for u, w, _ in row)
+                              % p ** max(P + s + t, 0), P))
+            per_co.append(per_m)
+        out.append(per_co)
+    return out
 
 
 def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
@@ -276,40 +289,35 @@ def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
     integral of x^m, for the base point tau of `base_point`; b vanishes to
     precision, as the integrals lie in Q_p.
 
-    The covering, the kernel series and its products with the weight rows
-    are computed once per ball, the moments once per distinct ball
-    reduction (see `_ball_moments`); the pairing is an integer contraction
-    per lift."""
+    The covering and the kernel series are computed once per ball, the
+    moments once per distinct ball reduction (see `_ball_moments`); the
+    pairing is an integer contraction per lift (`_pairing`)."""
     p, pr = dom.p, lifts[0].params
     k, t = pr.k, pr.t
     K = UnramifiedField(p, tau[3])
+    cap = K.prec
     gtau = _mobius(dom.spl.image(x), tau, K)
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
         series = log_kernel_series(K, ball, tau, gtau, n_terms)
-        W = weight_coeff_rows(ball.matrix, k)
-        s, cfs = _kernel_products(series, W, k, p, K.prec)
-        moms = _ball_moments(lifts, ball.reduction, n_terms)
+        s = series[0]
+        pairs = _pairing(series, weight_coeff_rows(ball.matrix, k),
+                         _ball_moments(lifts, ball.reduction, n_terms), p, t,
+                         cap)
         # P |_k g for P = x^m: the coefficient rows W times
         # det^(-k/2) = sgn * p^-e, a factor known to dprec
-        det = ball.matrix[0] * ball.matrix[3] - ball.matrix[1] * ball.matrix[2]
         dv = ball.det_val
         e = dv * (k // 2)
-        sgn = (1 if det > 0 else -1) ** (k // 2)
+        sgn = (1 if mat_det(ball.matrix) > 0 else -1) ** (k // 2)
         dprec = -e + target_prec + abs(dv) * k + 8
-        Pm = moms[0][2]
-        # lift-independent half of the product precisions
-        low = [[min(map(add, vals, Pm)) for _, vals, _ in rows] for rows in cfs]
-        for (res, vm, _), part in zip(moms, parts):
-            for co, rows in enumerate(cfs):
-                for m, (nums, _, precs) in enumerate(rows):
-                    P = min(K.prec, low[co][m], min(map(add, vm, precs)))
-                    S = sum(map(mul, nums, res)) % p ** max(P + s + t, 0)
+        for coords, part in zip(pairs, parts):
+            for co, rows in enumerate(coords):
+                for m, (S, P) in enumerate(rows):
                     v = val_cap(S, p, P + s + t) - s - t
                     part[m][co].append((sgn * S, s + t + e,
                                         min(P - e, v + dprec)))
-    return [[tuple(_sum_parts(p, terms, K.prec) for terms in coords)
+    return [[tuple(_sum_parts(p, terms, cap) for terms in coords)
              for coords in part] for part in parts]
 
 

@@ -1,11 +1,25 @@
 """Overconvergent lifts of harmonic cocycles by iterated U_p/p^(k/2).
 
 The cocycle is turned into a vector-valued function phi on the directed edge
-representatives (moments 0..k of the associated distribution), lifted to a
-function with moments 0..i_max by stabilizer averaging, and iterated under the
-normalized U_p operator.  Moments of index i at iteration n are correct modulo
-p^(n - max(i-k,0) + 1) relative to the fixed point, which is enough to read off
-the extra moments k+1.. to any target precision by choosing n large.
+representatives (moments 0..k of the associated distribution), and the lift
+iterates the normalized U_p operator from phi alone, resetting the exactly
+known moments 0..k after each sweep.  After sweep n, moment i is correct
+modulo p^(n - max(i-k,0) + 1) relative to the fixed point, and at most
+modulo p^(W - k/2), the division's loss; choosing n large reads off the
+extra moments k+1.. to any target precision.
+
+Why phi alone, and only the moments 0..n+k at sweep n.  Row i of every
+sweep matrix C (below) has v(C[i][m]) >= m, as p | c and p | p d - l c.
+Let every moment m > k after sweep n differ from the fixed point (integral
+under the scale p^t) by e_m with v(e_m) >= n + 1 - (m - k); for m > n + k
+the bound is <= 0, so any integer meets it.  After the next sweep moment
+i > k differs from it by sum_m C[i][m] e_m / p^(k/2), of valuation
+>= n + 1 + k/2 >= n + 2 - (i - k): U_p/p^(k/2) contracts the kernel of the
+specialisation to moments 0..k, its fixed point is unique, and the start
+does not matter.  So sweep n reads the moments 0..n+k-1 of the sweep before
+and computes only 0..n+k, and the lift keeps the moments up to
+i_max = n_it + k, the last one whose precision holds a digit (`LiftParams`
+derives it).
 
 All heavy arithmetic is plain integers modulo p^W, with a single global scale
 p^t making every stored moment integral.
@@ -32,8 +46,8 @@ of B = 2 bitlen(p^W - 1) + bitlen(terms) + 1 bits per entry, which holds a
 sum of `terms` products of two residues, so no carry crosses into the next
 field; unpacking reads each field and reduces it mod p^W.  `make_lift`
 stores each C by columns, cols[m] = sum_i C[i][m] 2^(B i), so that one sweep
-is a sum of residue-times-column products and a single unpack
-(terms = p (i_max + 1)).
+is a sum of residue-times-column products over the live columns and a single
+unpack of the live fields (terms = p (i_max + 1)).
 """
 
 from __future__ import annotations
@@ -45,8 +59,8 @@ from operator import mul
 from .budget import checkpoint
 from .cocycles import HarmonicCocycle, act_on, weight_action
 from .domain import EdgeReduction, FundamentalDomain, build_up_table
-from .padics import PrecisionError, inv_mod, val_int
-from .tree import mat_adj, mat_mul
+from .padics import PrecisionError, inv_mod
+from .tree import mat_adj
 
 
 def _field_width(mod: int, terms: int) -> int:
@@ -103,9 +117,13 @@ def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
 class LiftParams:
     k: int
     t: int  # global scale exponent
-    i_max: int
     n_it: int
     W: int  # working modulus exponent
+
+    @property
+    def i_max(self) -> int:
+        """The last moment with a certified digit after n_it sweeps."""
+        return self.n_it + self.k
 
 
 @dataclass
@@ -163,24 +181,14 @@ def _phi_scaled(dom: FundamentalDomain, coc: HarmonicCocycle, k: int):
     return out
 
 
-def _stab_sigma(dom: FundamentalDomain, B, vB: int, det_unit: int, x, r: int):
-    """Iwahori witness sigma with iota(x/p^r) B = B sigma, as residue matrix:
-    adj(B) iota(x) B / (det(B) p^r), nrd(x) = p^(2r), det(B) = det_unit p^vB."""
-    p, e = dom.p, vB + r
-    raw = mat_mul(mat_adj(B), mat_mul(dom.spl.image(x), B))
-    assert all(t % p**e == 0 for t in raw)
-    return tuple(det_unit * (t // p**e) % p ** (dom.spl.prec - e) for t in raw)
-
-
 def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
               params: LiftParams) -> list[Lift]:
-    """The lifts of every cocycle of the basis: an initial stabilizer-averaged
-    lift followed by params.n_it sweeps of the normalized U_p operator,
-    resetting the exactly-known moments 0..k.  The substitution matrices of
-    the stabilizers and of the U_p cosets are built once for the whole basis;
-    the time budget is checked after each sweep.  Raises PrecisionError when
-    the basis does not determine the moments 0..k to p^W under the scale
-    p^t."""
+    """The lifts of every cocycle of the basis: params.n_it sweeps of the
+    normalized U_p operator from phi alone, sweep n computing the moments
+    0..n+k (see the module docstring).  The substitution matrices of the
+    U_p cosets are built once for the whole basis; the time budget is
+    checked after each sweep.  Raises PrecisionError when the basis does
+    not determine the moments 0..k to p^W under the scale p^t."""
     p, k = dom.p, params.k
     W, i_max, t = params.W, params.i_max, params.t
     mod = p**W
@@ -199,30 +207,6 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
             else:
                 phis.append([a // p ** (e - t) % mod for a in res])
         all_phis.append(phis)
-    reps = dom.directed_reps()
-    # initial lift: average phi over the edge stabilizer
-    all_vecs = [[] for _ in basis]
-    for j, e in enumerate(reps):
-        B = e.matrix()
-        det = B[0] * B[3] - B[1] * B[2]
-        vB = val_int(det, p) if det % p == 0 else 0
-        det_unit = 1 if det > 0 else -1
-        stab = dom.edge_stabs[j // 2]
-        # the average reads only the columns 0..k, those of phis[j]
-        Ts = [sigma_series_matrix(_stab_sigma(dom, B, vB, det_unit, x, r),
-                                  k, i_max, p, W, n_cols=k + 1)
-              for x, r in stab]
-        ns = len(stab)
-        a = val_int(ns, p) if ns % p == 0 else 0
-        uinv = inv_mod(ns // p**a, mod)
-        for phis, vecs in zip(all_phis, all_vecs):
-            vec = []
-            for m in range(i_max + 1):
-                q = sum(sum(map(mul, T[m], phis[j])) for T in Ts) % mod
-                assert q % p**a == 0, "stabilizer average is not p-integral"
-                vec.append((q // p**a) * uinv % mod)
-            vec[:k + 1] = phis[j]
-            vecs.append(vec)
     # the sweep matrices C = P_l T_sigma in closed form, column-packed
     width = _field_width(mod, p * (i_max + 1))
     combined = []
@@ -235,25 +219,28 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
             row.append((ent.j, [_pack(col, width) for col in zip(*C)]))
         combined.append(row)
     half = p ** (k // 2)
-    for _ in range(params.n_it):
-        all_vecs = [_up_sweep(combined, phis, vecs, k, mod, half, width)
+    all_vecs = all_phis
+    for n in range(1, params.n_it + 1):
+        all_vecs = [_up_sweep(combined, phis, vecs, n + k + 1, k, mod, half,
+                              width)
                     for phis, vecs in zip(all_phis, all_vecs)]
         checkpoint()
     return [Lift(dom, params, vecs, phis)
             for phis, vecs in zip(all_phis, all_vecs)]
 
 
-def _up_sweep(combined, phis, vecs, k: int, mod: int, half: int, B: int):
-    """One normalized U_p sweep of the moment vectors of one lift: per rep j,
-    the packed sum of src[m] * cols[m] over its cosets (j', cols) and the
-    moments m of src = vecs[j'], unpacked once."""
-    n = len(vecs[0])
+def _up_sweep(combined, phis, vecs, n_out: int, k: int, mod: int, half: int,
+              B: int):
+    """One normalized U_p sweep of the moment vectors of one lift, giving
+    the moments 0..n_out-1: per rep j, the packed sum of src[m] * cols[m]
+    over its cosets (j', cols) and the live moments m < len(src) of
+    src = vecs[j'], of which the first n_out fields are unpacked."""
     new = []
     for j, row in enumerate(combined):
         X = 0
         for jp, cols in row:
             X += sum(map(mul, vecs[jp], cols))
-        vec = _unpack(X, B, n, mod)
+        vec = _unpack(X, B, n_out, mod)
         for i, q in enumerate(vec):
             assert q % half == 0, "U_p value not divisible by p^(k/2)"
             vec[i] = q // half

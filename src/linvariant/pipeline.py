@@ -29,7 +29,7 @@ from .cocycles import (
     normalizing_element,
 )
 from .domain import FundamentalDomain, compute_fundamental_domain
-from .integration import base_point, covering
+from .integration import ball_matrices, base_point
 from .lifting import LiftParams, make_lift, _phi_scaled
 from .loperator import (
     eigenspace,
@@ -180,8 +180,8 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     Mt = M + margin
     maxD = 0
     for x, r in ctx.dom.generators():
-        for ball in covering(ctx.dom, x, r):
-            maxD = max(maxD, abs(ball.det_val))
+        for _, dv in ball_matrices(ctx.dom, x, r):
+            maxD = max(maxD, dv)
         checkpoint()
     minv = e_max = 0
     for c in basis0:
@@ -201,9 +201,8 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     logN = ilog(N, p) + 1
     n_it = Mt + halfD + t_sc + logN + 2
     W = Mt + halfD + t_sc + logN + k // 2 + 6
-    i_max = W + k + 6
     return Sizing(
-        lift=LiftParams(k=k, t=t_sc, i_max=i_max, n_it=n_it, W=W),
+        lift=LiftParams(k=k, t=t_sc, n_it=n_it, W=W),
         n_terms=N,
         split_prec=W + 30,
         # make_lift needs basis_prec - e + t_sc >= W for every scale e

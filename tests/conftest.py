@@ -113,6 +113,12 @@ def row32_m8():
 
 
 @pytest.fixture(scope="session")
+def row23_m12():
+    """(2, 3, 1) at weight 6 (k = 4), sized for M = 12."""
+    return _row(2, 3, 4, 12)
+
+
+@pytest.fixture(scope="session")
 def row27_m12():
     """(2, 7, 1) at weight 4, sized for M = 12: a basis of two cocycles."""
     return _row(2, 7, 2, 12)

@@ -286,8 +286,7 @@ class TestProperties:
         # its guaranteed precision
         pr = sz.lift
         for extra in (1, 3):
-            pr_x = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max,
-                              n_it=pr.n_it + extra, W=pr.W)
+            pr_x = LiftParams(k=pr.k, t=pr.t, n_it=pr.n_it + extra, W=pr.W)
             [lift_x] = make_lift(dom, basis, pr_x)
             for j in range(len(lift.vecs)):
                 for i in range(pr.i_max + 1):

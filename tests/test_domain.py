@@ -101,6 +101,39 @@ class TestDomainShapes:
             assert sum(scalar) == 2
 
 
+    @pytest.mark.parametrize("ctx_name, count", [
+        ("ctx23", 9), ("ctx25", 4), ("ctx27", 3), ("ctx32", 20)])
+    def test_generators_one_per_sign(self, request, ctx_name, count):
+        """generators() is the pairings, then one element of each class
+        x, -x of the nontrivial vertex-stabilizer elements: no two are equal
+        up to sign as group elements x/p^r, none is +-1, and every stabilizer
+        element it drops is a kept one up to sign (its negative, or a second
+        copy from the stabilizer of the other vertex of an edge)."""
+        dom = request.getfixturevalue(ctx_name).dom
+        p = dom.p
+
+        def same_up_to_sign(g, h):
+            (x, r), (y, s) = g, h
+            gx, hy = [c * p**s for c in x], [c * p**r for c in y]
+            return gx == hy or gx == [-c for c in hy]
+
+        gens = dom.generators()
+        assert len(gens) == count
+        for i, g in enumerate(gens):
+            assert not dom.is_pm_one(*g)
+            assert not any(same_up_to_sign(g, h) for h in gens[:i])
+        n_pair = len(dom.pairings)
+        assert gens[:n_pair] == [(pr.x, pr.r) for pr in dom.pairings]
+        kept = gens[n_pair:]
+        stab_elts = [g for stab in dom.vertex_stabs for g in stab
+                     if not dom.is_pm_one(*g)]
+        assert all(g in stab_elts for g in kept)
+        dropped = [g for g in stab_elts if g not in kept]
+        assert dropped
+        for g in dropped:
+            assert any(same_up_to_sign(g, h) for h in kept)
+
+
 class TestEdgeReducer:
     """Reduction of arbitrary edges to the domain's directed reps."""
 

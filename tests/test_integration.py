@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,16 +13,19 @@ from linvariant.cocycles import harmonic_basis, weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
     CoveringBall,
+    _ball_moments,
     _coordinate_totals,
     _halved_trace,
     _mobius,
+    _pairing,
     base_point,
     covering,
     lambda_values,
     log_kernel_series,
 )
 from linvariant.lifting import sigma_series_matrix
-from linvariant.padics import PadicNumber, PrecisionError, UnramifiedField
+from linvariant.padics import (PadicNumber, PrecisionError, UnramifiedField,
+                               val_cap, val_int)
 from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import (
     base_vertex,
@@ -153,6 +157,71 @@ def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
                     acc = acc + cf * mom
                 total[m] = total[m] + dfac * acc
     return totals
+
+
+def reference_kernel_products(series, W, k, p, cap):
+    """The products sum_u W[m][u] c[i-u] with the coefficients c of a
+    `log_kernel_series`, in its two coordinates on (1, w), as integers
+    under its scale p^s.  Returns s and, per coordinate and m, the numerators,
+    valuations and precisions (unscaled) of the products; cap is the
+    precision of the field, which bounds every sum."""
+    s, coords, prc = series
+    n_terms = len(prc)
+    vW = [[val_int(w, p) if w else None for w in row] for row in W]
+    out = []
+    for num in coords:
+        rows = []
+        for m in range(k + 1):
+            nums, vals, precs = [], [], []
+            for i in range(n_terms):
+                acc, P = 0, cap
+                for u in range(min(k, i) + 1):
+                    if W[m][u]:
+                        acc += W[m][u] * num[i - u]
+                        P = min(P, vW[m][u] + prc[i - u])
+                acc %= p ** max(P + s, 0)
+                nums.append(acc)
+                vals.append(val_cap(acc, p, P + s) - s)
+                precs.append(P)
+            rows.append((nums, vals, precs))
+        out.append(rows)
+    return s, out
+
+
+def reference_pairing(series, W, moms, p, t, cap):
+    """`integration._pairing` through the products of the kernel series
+    with the weight rows, each with its own valuation and precision, then
+    contracted with the moments: a product q*mu is known to
+    min(v(q) + P(mu), v(mu) + P(q))."""
+    k = len(W) - 1
+    s, cfs = reference_kernel_products(series, W, k, p, cap)
+    Pm = moms[0][2]
+    low = [[min(map(add, vals, Pm)) for _, vals, _ in rows] for rows in cfs]
+    out = []
+    for res, vm, _ in moms:
+        per_co = []
+        for co, rows in enumerate(cfs):
+            per_m = []
+            for m, (nums, _, precs) in enumerate(rows):
+                P = min(cap, low[co][m], min(map(add, vm, precs)))
+                S = sum(map(mul, nums, res)) % p ** max(P + s + t, 0)
+                per_m.append((S, P))
+            per_co.append(per_m)
+        out.append(per_co)
+    return out
+
+
+def assert_pairings_agree(new, old, p, s, t):
+    """Both pairings agree modulo the new precision, which is never larger
+    than the old one.  Returns the number of entries compared."""
+    count = 0
+    for lift_new, lift_old in zip(new, old, strict=True):
+        for co_new, co_old in zip(lift_new, lift_old, strict=True):
+            for (S, P), (S0, P0) in zip(co_new, co_old, strict=True):
+                assert P <= P0
+                assert (S - S0) % p ** max(P + s + t, 0) == 0
+                count += 1
+    return count
 
 
 def _random_point(p, rng):
@@ -308,6 +377,64 @@ class TestIntegerPairing:
             vals += [t.val for v in got for t in v if not t.is_zero()]
         if v_min is not None:
             assert min(vals) == v_min
+
+
+class TestReassociatedPairing:
+    @pytest.mark.parametrize("row", ["row23_m12", "row32_m8", "row27_m12"])
+    def test_equals_convolved_reference_on_covering_balls(self, request, row):
+        """On every covering ball of every generator, the reassociated
+        pairing agrees with the convolved one modulo its precision, which
+        is never larger."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        dom, p, t = ctx.dom, ctx.p, sz.lift.t
+        K = UnramifiedField(p, tau[3])
+        count = 0
+        for x, r in dom.generators():
+            gtau = _mobius(dom.spl.image(x), tau, K)
+            for ball in covering(dom, x, r):
+                series = log_kernel_series(K, ball, tau, gtau, sz.n_terms)
+                W = weight_coeff_rows(ball.matrix, k)
+                moms = _ball_moments(lifts, ball.reduction, sz.n_terms)
+                count += assert_pairings_agree(
+                    _pairing(series, W, moms, p, t, K.prec),
+                    reference_pairing(series, W, moms, p, t, K.prec),
+                    p, series[0], t)
+        assert count > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 3),
+           n_terms=st.integers(1, 25), s=st.integers(0, 4),
+           t=st.integers(0, 4), cap=st.integers(1, 30),
+           n_lifts=st.integers(1, 3), data=st.data())
+    def test_equals_convolved_reference_on_random_data(
+            self, p, half_k, n_terms, s, t, cap, n_lifts, data):
+        """The same on random kernel series, weight rows and moments, with
+        entries of every valuation and zeros, so that the products
+        sum_u W[m][u] c[i-u] can cancel."""
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        k = 2 * half_k
+
+        def residue(P):
+            if P <= 0 or rng.random() < 0.15:
+                return 0
+            return rng.randrange(p**P) * p ** rng.randrange(3) % p**P
+
+        mat = [rng.randrange(-p**3, p**3) * p ** rng.randrange(3)
+               for _ in range(4)]
+        W = weight_coeff_rows(mat, k)
+        prc = [rng.randrange(-2, cap + 1) for _ in range(n_terms)]
+        coords = [[residue(cap + s) for _ in range(n_terms)]
+                  for _ in range(2)]
+        Pmom = [rng.randrange(-3, 20) for _ in range(n_terms)]
+        moms = []
+        for _ in range(n_lifts):
+            res = [residue(P) for P in Pmom]
+            moms.append((res, [val_cap(a, p, P) - t for a, P in zip(res, Pmom)],
+                         [P - t for P in Pmom]))
+        series = (s, coords, prc)
+        assert_pairings_agree(_pairing(series, W, moms, p, t, cap),
+                              reference_pairing(series, W, moms, p, t, cap),
+                              p, s, t)
 
 
 @lru_cache(maxsize=None)

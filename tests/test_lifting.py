@@ -1,19 +1,22 @@
 """Overconvergent moment lifting: substitution rows and packed sweeps
-against schoolbook references, fixed point, stability, Riemann oracle."""
+against schoolbook references, the live-window lift against full-width
+sweeps from a stabilizer-averaged start, fixed point, stability, Riemann
+oracle."""
 
 import random
 from dataclasses import replace
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linvariant.cocycles import harmonic_basis
 from linvariant.domain import build_up_table
 from linvariant.lifting import (LiftParams, _field_width, _pack, _up_sweep,
                                 make_lift, sigma_series_matrix)
-from linvariant.padics import inv_mod
+from linvariant.padics import inv_mod, val_int
 from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
-from linvariant.tree import mat_mul
+from linvariant.tree import mat_adj, mat_det, mat_mul
 
 
 def reference_sigma_series_matrix(sigma, k, i_max, p, W, n_rows=None,
@@ -58,23 +61,24 @@ def reference_sigma_series_matrix(sigma, k, i_max, p, W, n_rows=None,
     return rows
 
 
-def reference_up_sweep(combined, phis, vecs, i_max, k, mod, half):
+def reference_up_sweep(combined, phis, vecs, n_out, k, mod, half):
     """One normalized U_p sweep with the combined matrices C stored by rows,
-    entry by entry: combined[j] lists (j', C)."""
+    entry by entry: combined[j] lists (j', C).  Reads the moments m <
+    len(vecs[j']) and gives the moments i < n_out."""
     new = []
     for j in range(len(vecs)):
-        acc = [0] * (i_max + 1)
+        acc = [0] * n_out
         for jp, C in combined[j]:
             src = vecs[jp]
-            for i in range(i_max + 1):
+            for i in range(n_out):
                 Ci = C[i]
                 s = 0
-                for m in range(i_max + 1):
+                for m in range(len(src)):
                     if Ci[m]:
                         s += Ci[m] * src[m]
                 acc[i] += s
         vec = []
-        for i in range(i_max + 1):
+        for i in range(n_out):
             q = acc[i] % mod
             assert q % half == 0, "U_p value not divisible by p^(k/2)"
             vec.append(q // half)
@@ -84,26 +88,64 @@ def reference_up_sweep(combined, phis, vecs, i_max, k, mod, half):
     return new
 
 
-def reference_combined(dom, pr):
+def reference_combined(dom, pr, i_max=None):
     """The combined sweep matrices C = P_l T_sigma by rows, entry by entry,
-    from the schoolbook substitution rows."""
+    from the schoolbook substitution rows, for the moments up to i_max
+    (default pr.i_max)."""
     p, mod = dom.p, dom.p**pr.W
+    n = (pr.i_max if i_max is None else i_max) + 1
     out = []
     for ents in build_up_table(dom):
         row = []
         for ell, ent in enumerate(ents):
-            T = reference_sigma_series_matrix(ent.sigma, pr.k, pr.i_max, p, pr.W)
+            T = reference_sigma_series_matrix(ent.sigma, pr.k, n - 1, p, pr.W)
             C = []
-            for i in range(pr.i_max + 1):
-                acc = [0] * (pr.i_max + 1)
+            for i in range(n):
+                acc = [0] * n
                 for nu in range(i + 1):
                     cf = comb(i, nu) * p**nu * ell ** (i - nu) % mod
-                    for m in range(pr.i_max + 1):
+                    for m in range(n):
                         acc[m] += cf * T[nu][m]
                 C.append([v % mod for v in acc])
             row.append((ent.j, C))
         out.append(row)
     return out
+
+
+def stab_sigma(dom, B, x, r):
+    """Iwahori witness sigma with iota(x/p^r) B = B sigma, as residue matrix:
+    adj(B) iota(x) B / (det(B) p^r), nrd(x) = p^(2r), det(B) = +-p^vB."""
+    p, det = dom.p, mat_det(B)
+    e = val_int(det, p) + r
+    raw = mat_mul(mat_adj(B), mat_mul(dom.spl.image(x), B))
+    assert all(t % p**e == 0 for t in raw)
+    sign = 1 if det > 0 else -1
+    return tuple(sign * (t // p**e) % p ** (dom.spl.prec - e) for t in raw)
+
+
+def averaged_start(dom, lift, i_max):
+    """The lift's phi averaged over each edge stabilizer, moments 0..i_max,
+    with the moments 0..k reset to phi: the start of the lift before it
+    began from phi alone.  The average must be p-integral."""
+    p, pr = dom.p, lift.params
+    k, mod = pr.k, p**pr.W
+    vecs = []
+    for j, phi in enumerate(lift.phis):
+        B = dom.rep_mats[j]
+        stab = dom.edge_stabs[j // 2]
+        Ts = [reference_sigma_series_matrix(stab_sigma(dom, B, x, r), k,
+                                            i_max, p, pr.W, n_cols=k + 1)
+              for x, r in stab]
+        a = val_int(len(stab), p)
+        uinv = inv_mod(len(stab) // p**a, mod)
+        vec = []
+        for m in range(i_max + 1):
+            q = sum(T[m][u] * phi[u] for T in Ts for u in range(k + 1)) % mod
+            assert q % p**a == 0, "stabilizer average is not p-integral"
+            vec.append((q // p**a) * uinv % mod)
+        vec[:k + 1] = phi
+        vecs.append(vec)
+    return vecs
 
 
 class TestPackedKernels:
@@ -136,28 +178,31 @@ class TestPackedKernels:
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), W=st.integers(1, 90),
            n=st.integers(1, 60), reps=st.integers(1, 4),
-           half_k=st.integers(0, 5), seed=st.integers(0, 2**32))
-    def test_up_sweep_equals_reference(self, p, W, n, reps, half_k, seed):
+           half_k=st.integers(0, 5), data=st.data())
+    def test_up_sweep_equals_reference(self, p, W, n, reps, half_k, data):
         """The column-packed sweep equals the row-by-row one on random
-        matrices and moment vectors with residues up to p^W - 1."""
-        rng = random.Random(seed)
+        matrices and moment vectors with residues up to p^W - 1, reading
+        n_in live moments and giving n_out of the n packed ones."""
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
         mod = p**W
         k = min(2 * half_k, n - 1)
+        n_in = data.draw(st.integers(k + 1, n))
+        n_out = data.draw(st.integers(k + 1, n))
         res = lambda count: [rng.randrange(mod) for _ in range(count)]
         combined = [[(rng.randrange(reps), [res(n) for _ in range(n)])
                      for _ in range(p)] for _ in range(reps)]
-        vecs = [res(n) for _ in range(reps)]
+        vecs = [res(n_in) for _ in range(reps)]
         phis = [res(k + 1) for _ in range(reps)]
         width = _field_width(mod, p * n)
         packed = [[(jp, [_pack([C[i][m] for i in range(n)], width)
                          for m in range(n)]) for jp, C in row]
                   for row in combined]
-        assert (_up_sweep(packed, phis, vecs, k, mod, 1, width)
-                == reference_up_sweep(combined, phis, vecs, n - 1, k, mod, 1))
+        assert (_up_sweep(packed, phis, vecs, n_out, k, mod, 1, width)
+                == reference_up_sweep(combined, phis, vecs, n_out, k, mod, 1))
 
     def test_make_lift_equals_reference_sweeps(self, row32_m6):
         """Every residue of the lift equals that of the schoolbook sweeps
-        run from the same initial lift."""
+        run from phi alone, sweep n giving the moments 0..n+k."""
         ctx, k, M, sz, basis, lifts, tau = row32_m6
         pr = sz.lift
         p = ctx.p
@@ -165,10 +210,36 @@ class TestPackedKernels:
         starts = make_lift(ctx.dom, basis, replace(pr, n_it=0))
         for lift, start in zip(lifts, starts):
             vecs = start.vecs
-            for _ in range(pr.n_it):
-                vecs = reference_up_sweep(combined, start.phis, vecs, pr.i_max,
-                                          k, p**pr.W, p ** (k // 2))
+            assert vecs == start.phis
+            for n in range(1, pr.n_it + 1):
+                vecs = reference_up_sweep(combined, start.phis, vecs,
+                                          n + k + 1, k, p**pr.W,
+                                          p ** (k // 2))
             assert vecs == lift.vecs
+            assert len(vecs[0]) == pr.i_max + 1
+
+    @pytest.mark.parametrize("row", ["row32_m6", "row27_m12"])
+    def test_live_window_equals_averaged_full_width(self, request, row):
+        """The lift agrees, modulo p^moment_prec(i) for every moment i, with
+        full-width schoolbook sweeps over the moments 0..W+k+6 from the
+        stabilizer-averaged start: neither the start nor the moments
+        without a certified digit change a certified one."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        pr, p = sz.lift, ctx.p
+        wide = pr.W + k + 6
+        assert wide > pr.i_max
+        combined = reference_combined(ctx.dom, pr, wide)
+        for lift in lifts:
+            vecs = averaged_start(ctx.dom, lift, wide)
+            for _ in range(pr.n_it):
+                vecs = reference_up_sweep(combined, lift.phis, vecs, wide + 1,
+                                          k, p**pr.W, p ** (k // 2))
+            for j, vec in enumerate(lift.vecs):
+                assert len(vec) == pr.i_max + 1
+                for i, a in enumerate(vec):
+                    assert lift.moment_prec(i) >= 1
+                    assert (a - vecs[j][i]) % p ** lift.moment_prec(i) == 0, \
+                        (j, i)
 
 
 class TestFixedPoint:
@@ -178,8 +249,7 @@ class TestFixedPoint:
         ctx, k, M, sz, basis, [lift0], tau = row32_m6
         p = ctx.p
         pr = sz.lift
-        pr1 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 1,
-                        W=pr.W)
+        pr1 = LiftParams(k=pr.k, t=pr.t, n_it=pr.n_it + 1, W=pr.W)
         [lift1] = make_lift(ctx.dom, basis, pr1)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):
@@ -193,8 +263,7 @@ class TestFixedPoint:
         ctx, k, M, sz, basis, [lift0], tau = row32_m6
         p = ctx.p
         pr = sz.lift
-        pr3 = LiftParams(k=pr.k, t=pr.t, i_max=pr.i_max, n_it=pr.n_it + 3,
-                        W=pr.W)
+        pr3 = LiftParams(k=pr.k, t=pr.t, n_it=pr.n_it + 3, W=pr.W)
         [lift3] = make_lift(ctx.dom, basis, pr3)
         for j in range(len(lift0.vecs)):
             for i in range(pr.i_max + 1):

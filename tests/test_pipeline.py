@@ -283,18 +283,18 @@ def test_budget_checked_between_sample_elements(monkeypatch):
 
 
 def test_budget_checked_in_sizing_scan(monkeypatch):
-    """A budget that runs out during the covering of the first generator in
-    the sizing stops the row there."""
+    """A budget that runs out during the covering balls of the first
+    generator in the sizing stops the row there."""
     budget = Budget(seconds=1e6)
-    covering = pipeline.covering
+    ball_matrices = pipeline.ball_matrices
     calls = []
 
     def exhausting(*args):
         calls.append(args)
         budget.seconds = 0.0
-        return covering(*args)
+        return ball_matrices(*args)
 
-    monkeypatch.setattr(pipeline, "covering", exhausting)
+    monkeypatch.setattr(pipeline, "ball_matrices", exhausting)
     with budget.active(), pytest.raises(BudgetExceeded):
         compute_l_result(3, 2, 1, 4, 4)
     assert len(calls) == 1
@@ -333,8 +333,8 @@ def _expansion(text, p):
 
 
 def test_high_weight_row_agrees_across_precisions():
-    """(2,3,1) at weight 20, whose stabilizer averages read the widest
-    truncation of the suite (k = 18): the row computes at M = 8, after a
+    """(2,3,1) at weight 20, whose lift sweeps start from the widest
+    exact moments of the suite (k = 18): the row computes at M = 8, after a
     retry at a higher working precision, and its L-invariant agrees modulo
     2^10 with that of the row at M = 12, both 2^-2 + 2^3 + 2^4 + 2^7."""
     rows = [compute_l_result(2, 3, 1, 20, M) for M in (8, 12)]
