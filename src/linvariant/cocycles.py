@@ -133,33 +133,15 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
                    prec: int) -> list[HarmonicCocycle]:
     """Basis of the space of Gamma-invariant harmonic cocycles of weight k.
 
-    Every returned cocycle carries at least `prec` digits; the kernel solve
-    runs at a padded working precision until that holds.  Padding cannot
-    raise the digits of the action past the splitting's precision, so once
-    the working precision reaches it a shortfall raises PrecisionError.
-    The time budget is checked after each stabilizer element and each star
-    edge taken into the conditions."""
-    pad = 0
-    while True:
-        out = _harmonic_basis_at(dom, k, prec + pad)
-        if not out:
-            return out
-        got = min(c.prec for c in out)
-        if got >= prec:
-            return out
-        if prec + pad >= dom.spl.prec:
-            raise PrecisionError(
-                f"harmonic basis needs a splitting beyond p^{dom.spl.prec}")
-        pad += max(10, prec - got)
-        if pad > 40 * (k + 2):
-            raise PrecisionError("harmonic basis solve keeps losing precision")
-
-
-def _harmonic_basis_at(dom: FundamentalDomain, k: int,
-                       prec: int) -> list[HarmonicCocycle]:
+    The kernel is solved once, at the splitting's precision, which bounds
+    the digits of every action; a returned cocycle carries what the solve
+    leaves of them.  Raises PrecisionError when some cocycle carries fewer
+    than `prec` digits.  The time budget is checked after each stabilizer
+    element and each star edge taken into the conditions."""
     p, n = dom.p, k + 1
     ngeo = len(dom.geo_edges)
-    ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0, prec)
+    ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0,
+                   dom.spl.prec)
     # each block of k+1 conditions: the sum over its (rep, sign, action)
     # terms of sign * action on the values of the geometric rep
     blocks = []
@@ -179,9 +161,10 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int,
         blocks.append(block)
     rows = []
     for block in blocks:
-        acc = [[PadicNumber.zero(p, prec)] * (ngeo * n) for _ in range(n)]
+        acc = [[PadicNumber.zero(p, dom.spl.prec)] * (ngeo * n)
+               for _ in range(n)]
         for geo, sign, act in block:
-            P = min(prec, act.prec) - act.scale
+            P = act.prec - act.scale
             for num, row in zip(acc, act.rows):
                 for m, a in enumerate(row):
                     num[geo * n + m] += PadicNumber(p, -act.scale, sign * a, P)
@@ -196,6 +179,9 @@ def _harmonic_basis_at(dom: FundamentalDomain, k: int,
         res = [c.residue(P) for c in vals]
         out.append(HarmonicCocycle(
             dom, k, [res[j * n: (j + 1) * n] for j in range(ngeo)], P))
+    if any(c.prec < prec for c in out):
+        raise PrecisionError(
+            f"harmonic basis needs a splitting beyond p^{dom.spl.prec}")
     return out
 
 

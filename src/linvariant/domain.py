@@ -76,8 +76,7 @@ class EquivalenceFinder:
                 rows[t][midx] = z[t] % self.mod
         return rows
 
-    def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False,
-               trace_bound: bool = False):
+    def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False):
         """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r).(m1-object)
         equal to the m2-object (vertex class or directed edge); x is given by
         its integer coordinates, a tuple.
@@ -120,8 +119,6 @@ class EquivalenceFinder:
                           for m in range(4))
                 if r > 0 and all(ci % p == 0 for ci in c):
                     continue  # imprimitive: already seen at smaller r
-                if trace_bound and abs(self.trd(c)) > 2 * p**r:
-                    continue
                 assert self.nrd(c) == p ** (2 * r)
                 if all_solutions:
                     found.append((c, r))
@@ -139,7 +136,7 @@ class EquivalenceFinder:
         """All gamma in Gamma fixing the vertex or directed edge obj at
         distance dist from the base vertex (includes +-1)."""
         return self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
-                           all_solutions=True, trace_bound=True)
+                           all_solutions=True)
 
 
 def _edge_dist(e: Edge) -> int:

@@ -85,9 +85,9 @@ def _unpack(X: int, B: int, n: int, mod: int) -> list:
 
 
 def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
-                        n_rows=None, n_cols=None, det=None):
-    """Rows m < n_rows of the weight-k substitution matrix of sigma (see the
-    module docstring), to degree < n_cols (both default i_max + 1), mod p^W.
+                        n_rows=None, det=None):
+    """Rows m < n_rows (default i_max + 1) of the weight-k substitution
+    matrix of sigma (see the module docstring), to degree i_max, mod p^W.
     sigma must be Iwahori; det defaults to its determinant, which must then
     be a unit, and is passed for a sigma of determinant p times a unit."""
     a, b, c, d = (int(t) for t in sigma)
@@ -98,7 +98,7 @@ def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
     assert det % p != 0, "det must be a unit"
     ainv = inv_mod(a % mod, mod)
     c1, d1, b1 = c * ainv % mod, d * ainv % mod, b * ainv % mod
-    n = i_max + 1 if n_cols is None else n_cols
+    n = i_max + 1
     dfac = pow(inv_mod(det % mod, mod), k // 2, mod)
     # det^(-k/2) (a - c x)^k, an exact polynomial
     row = [dfac * comb(k, i) * (-c) ** i * a ** (k - i) % mod

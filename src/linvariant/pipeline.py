@@ -149,13 +149,13 @@ class Sizing:
     lift: LiftParams
     n_terms: int
     split_prec: int
-    basis_prec: int
     tau_prec: int
     out_prec: int
 
 
-# Splitting precision of the context a row is sized on, and precision of
-# the weight-k basis that probes the dimension and bounds the moments.
+# Splitting precision of the context a row is sized on, and the digits
+# every weight-k basis must carry: the probe basis, which gives the
+# dimension and bounds the moments, and the basis of each attempt.
 SIZING_SPLIT_PREC = 60
 SIZING_BASIS_PREC = 40
 
@@ -163,8 +163,12 @@ SIZING_BASIS_PREC = 40
 def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
     """Choose scale, truncation and iteration counts for M output digits.
 
-    basis0 is the weight-k harmonic basis of ctx at SIZING_BASIS_PREC.
-    The time budget is checked after the covering of each generator.
+    basis0 is the weight-k harmonic basis of ctx, of at least
+    SIZING_BASIS_PREC digits.  No basis precision is sized: the basis of an
+    attempt carries the digits of its splitting, at p^split_prec, and
+    `make_lift` checks that they determine the moments 0..k to p^W under
+    the scale p^t.  The time budget is checked after the covering of each
+    generator.
 
     The series term pairing moment i has valuation at least
     (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
@@ -183,10 +187,9 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
         for _, dv in ball_matrices(ctx.dom, x, r):
             maxD = max(maxD, dv)
         checkpoint()
-    minv = e_max = 0
+    minv = 0
     for c in basis0:
         for res, e, P in _phi_scaled(ctx.dom, c, k):
-            e_max = max(e_max, e)
             for a in res:
                 if a:
                     minv = min(minv, val_int(a, p) - e)
@@ -205,8 +208,6 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
         lift=LiftParams(k=k, t=t_sc, n_it=n_it, W=W),
         n_terms=N,
         split_prec=W + 30,
-        # make_lift needs basis_prec - e + t_sc >= W for every scale e
-        basis_prec=W - t_sc + max(10, e_max),
         tau_prec=W + 12,
         out_prec=M + 8,
     )
@@ -289,15 +290,16 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
                      tau_variant: int = 0, split_variant: int = 0) -> LResult:
     """The L-operator row for (p, nminus, nplus, weight) with M output digits.
 
-    The algebra, the order, the fundamental domain and the weight-k basis at
-    SIZING_BASIS_PREC are computed once.  The stages from `size_parameters`
-    to the L-matrix A run at a working precision Mw, first Mw = M; each
-    attempt recomputes only the splitting, at the precision the sizing asks
-    for (see `resplit`).  The invariants read off A (characteristic
-    polynomial, Newton slopes, Atkin-Lehner eigenspaces and traces, Hensel
-    lifts) lose about (d-1)*v absolute digits when the entries of the d x d
-    matrix A have valuation -v, which the sizing does not foresee.  When one
-    of them raises PrecisionError, the attempt is rerun with Mw raised by
+    The algebra, the order, the fundamental domain and the probe weight-k
+    basis are computed once.  The stages from `size_parameters` to the
+    L-matrix A run at a working precision Mw, first Mw = M; each attempt
+    recomputes the splitting, at the precision the sizing asks for (see
+    `resplit`), and the basis, solved once at that precision.  The
+    invariants read off A (characteristic polynomial, Newton slopes,
+    Atkin-Lehner eigenspaces and traces, Hensel lifts) lose about (d-1)*v
+    absolute digits when the entries of the d x d matrix A have valuation
+    -v, which the sizing does not foresee.  When one of them raises
+    PrecisionError, the attempt is rerun with Mw raised by
     max(1, d-1)*max(1, v), where -v is the lowest entry valuation of A.
     When `l_matrix` raises it (an integration step loses its digits, or the
     cohomology solve is inconsistent or has a kernel), there is no A to
@@ -320,7 +322,7 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     while True:
         sz = size_parameters(ctx, k, Mw, basis0)
         actx = resplit(ctx, sz.split_prec, variant=split_variant)
-        basis = harmonic_basis(actx.dom, k, sz.basis_prec)
+        basis = harmonic_basis(actx.dom, k, SIZING_BASIS_PREC)
         d = len(basis)
         lifts = make_lift(actx.dom, basis, sz.lift)
         tau = base_point(p, sz.tau_prec, variant=tau_variant)

@@ -222,9 +222,6 @@ class QuaternionAlgebra:
         return Quat.of((self.a, self.b), coords)
 
 
-_SYMBOL_TABLE = {2: (-1, -1), 3: (-1, -3), 5: (-2, -5), 7: (-1, -7), 11: (-1, -11), 13: (-2, -13)}
-
-
 def build_algebra(disc: int) -> QuaternionAlgebra:
     """The definite quaternion algebra over Q ramified exactly at the primes
     dividing disc and at infinity; disc is squarefree with an odd number of
@@ -234,10 +231,6 @@ def build_algebra(disc: int) -> QuaternionAlgebra:
     (-(m-1), -m), then (-m, -1), ..., (-m, -m); the time budget is checked
     once per m.  A pair is classified only when every odd prime of disc
     divides a b: an odd prime dividing neither a nor b cannot ramify."""
-    if disc in _SYMBOL_TABLE:
-        a, b = _SYMBOL_TABLE[disc]
-        assert ramified_primes(a, b) == [disc]
-        return QuaternionAlgebra(a, b, disc)
     primes = primefactors(disc)
     odd = [q for q in primes if q != 2]
     for m in range(1, disc + 1):

@@ -96,7 +96,7 @@ def _row(p, nminus, k, M):
     sz = size_parameters(ctx, k, M,
                          harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
     ctx = resplit(ctx, sz.split_prec)
-    basis = harmonic_basis(ctx.dom, k, sz.basis_prec)
+    basis = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     lifts = make_lift(ctx.dom, basis, sz.lift)
     return ctx, k, M, sz, basis, lifts, base_point(p, sz.tau_prec)
 

@@ -21,6 +21,7 @@ from linvariant.pipeline import (
     SIZING_BASIS_PREC,
     SIZING_SPLIT_PREC,
     build_context,
+    resplit,
 )
 from linvariant.tree import mat_adj, star
 
@@ -177,6 +178,31 @@ class TestDimensions:
         except PrecisionError:
             return
         assert len(basis) == want
+
+
+class TestSplittingPrecision:
+    """The basis is solved once, at the splitting's precision."""
+
+    @pytest.mark.parametrize("ctx_name,w", [
+        ("ctx23", 4), ("ctx23", 6), ("ctx23", 8), ("ctx27", 8), ("ctx32", 6)])
+    def test_more_splitting_digits_change_no_basis_digit(self, request,
+                                                         ctx_name, w):
+        """The bases on splittings at p^60 and p^90 have the same dimension
+        and agree modulo the lower basis precision."""
+        ctx = request.getfixturevalue(ctx_name)
+        low = harmonic_basis(resplit(ctx, 60).dom, w - 2, SIZING_BASIS_PREC)
+        high = harmonic_basis(resplit(ctx, 90).dom, w - 2, SIZING_BASIS_PREC)
+        assert len(low) == len(high) > 0
+        mod = ctx.p ** min(c.prec for c in low + high)
+        for a, b in zip(low, high):
+            for ra, rb in zip(a.values, b.values):
+                assert all((x - y) % mod == 0 for x, y in zip(ra, rb))
+
+    def test_coarse_splitting_raises(self):
+        """(2, 7) at weight 26 needs a splitting beyond the sizing one."""
+        ctx = build_context(2, 7, 1, SIZING_SPLIT_PREC)
+        with pytest.raises(PrecisionError, match="splitting beyond p\\^60"):
+            harmonic_basis(ctx.dom, 24, SIZING_BASIS_PREC)
 
 
 def _random_vertex(p, rng, depth=3):

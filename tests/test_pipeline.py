@@ -92,15 +92,16 @@ def test_l_matrix_shortfall_doubles_working_precision(monkeypatch):
 
 
 def test_basis_precision_covers_moment_scale():
-    """At weight 24 the scale e = v*k/2 of the cocycle moments passes the
-    margin of 10 digits; the attempt's basis still gives `make_lift` its W
-    digits under the scale p^t: P - e + t >= W."""
+    """At weight 24 the scale e = v*k/2 of the cocycle moments passes 10
+    digits; the attempt's basis, solved at the precision of its splitting,
+    still gives `make_lift` its W digits under the scale p^t:
+    P - e + t >= W."""
     k = 22
     ctx = build_context(2, 3, 1, SIZING_SPLIT_PREC)
     sz = size_parameters(ctx, k, 8,
                          harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
     dom = resplit(ctx, sz.split_prec).dom
-    moments = [(e, P) for c in harmonic_basis(dom, k, sz.basis_prec)
+    moments = [(e, P) for c in harmonic_basis(dom, k, SIZING_BASIS_PREC)
                for _, e, P in _phi_scaled(dom, c, k)]
     assert max(e for e, _ in moments) > 10
     assert all(P - e + sz.lift.t >= sz.lift.W for e, P in moments)
@@ -118,12 +119,40 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_basis_solves(monkeypatch, module):
+    """The number of kernel solves of each call of `harmonic_basis` through
+    module."""
+    solves = _count_calls(monkeypatch, cocycles, "solve_linear")
+    per_call = []
+    basis = module.harmonic_basis
+
+    def solving(*args, **kwargs):
+        before = len(solves)
+        out = basis(*args, **kwargs)
+        per_call.append(len(solves) - before)
+        return out
+
+    monkeypatch.setattr(module, "harmonic_basis", solving)
+    return per_call
+
+
+@pytest.mark.parametrize("ctx_name,w", [
+    ("ctx23", 4), ("ctx23", 6), ("ctx23", 8), ("ctx27", 8), ("ctx32", 6)])
+def test_basis_solved_once(monkeypatch, request, ctx_name, w):
+    """Each basis is one kernel solve, at p = 2 too, where a solve at the
+    requested precision would fall a few digits short of it."""
+    ctx = request.getfixturevalue(ctx_name)
+    per_call = _count_basis_solves(monkeypatch, cocycles)
+    basis = cocycles.harmonic_basis(ctx.dom, w - 2, SIZING_BASIS_PREC)
+    assert per_call == [1] and basis
+
+
 def test_each_artefact_once_per_row(monkeypatch):
     """A row that retries once computes its domain once, the weight-k basis
-    once for the sizing plus once per attempt, and sizes and lifts each
-    attempt once.  The action of each (x, r, k) is built once per domain: a
-    domain under a new splitting starts without the actions but shares the
-    located edges.  The invariants restrict the L-matrix once to each
+    once for the sizing plus once per attempt, each by one kernel solve, and
+    sizes and lifts each attempt once.  The action of each (x, r, k) is
+    built once per domain: a domain under a new splitting starts without the
+    actions but shares the located edges.  The invariants restrict the L-matrix once to each
     nonempty W_N eigenspace."""
     domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
     bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
@@ -159,10 +188,12 @@ def test_each_artefact_once_per_row(monkeypatch):
         return invariants(*args)
 
     monkeypatch.setattr(pipeline, "_invariants", short_once)
+    basis_solves = _count_basis_solves(monkeypatch, pipeline)
     res = compute_l_result(3, 2, 1, 4, 4)
     assert len(attempts) == 2
     assert len(domains) == 1
     assert len(bases) == 1 + len(attempts)
+    assert basis_solves == [1] * len(bases)
     assert len(sizings) == len(attempts)
     assert len(lifts) == len(attempts)
     # every attempt sizes with the one probe basis

@@ -30,7 +30,6 @@ from linvariant.quaternions import (
     primefactors,
     ramified_primes,
     xgcd,
-    _SYMBOL_TABLE,
 )
 from linvariant.splitting import splitting_map
 from linvariant.tree import mat_mul
@@ -316,28 +315,31 @@ class TestHilbertSymbols:
 
     @pytest.mark.parametrize("disc", [2, 3, 5, 7, 11, 13])
     def test_build_algebra(self, disc):
+        """The symbols of the small discriminants, on which the committed
+        rows were computed."""
+        symbol = {2: (-1, -1), 3: (-1, -3), 5: (-2, -5), 7: (-1, -7),
+                  11: (-1, -11), 13: (-2, -13)}[disc]
         alg = build_algebra(disc)
+        assert (alg.a, alg.b) == symbol
         assert ramified_primes(alg.a, alg.b) == [disc]
         assert alg.a < 0 and alg.b < 0
 
     def test_build_algebra_edge_walk_equals_square_walk(self, monkeypatch):
-        """Outside the symbol table, the edge walk of build_algebra finds
-        the symbol the square walk finds, for every admissible disc up to
-        300.  ramified_primes is memoized, so that each pair is classified
-        once across the walks."""
+        """The edge walk of build_algebra finds the symbol the square walk
+        finds, for every admissible disc up to 300.  ramified_primes is
+        memoized, so that each pair is classified once across the walks."""
         cached = functools.lru_cache(maxsize=None)(ramified_primes)
         monkeypatch.setattr(quaternions, "ramified_primes", cached)
         first = square_walk_symbols(300)
         count = 0
         for disc in range(2, 301):
             fac = sympy.factorint(disc)
-            if (disc in _SYMBOL_TABLE or any(e > 1 for e in fac.values())
-                    or len(fac) % 2 == 0):
+            if any(e > 1 for e in fac.values()) or len(fac) % 2 == 0:
                 continue
             alg = build_algebra(disc)
             assert (alg.a, alg.b) == first[tuple(sorted(fac))], disc
             count += 1
-        assert count == 88
+        assert count == 94
 
     def test_build_algebra_classifies_only_candidates(self, monkeypatch):
         """A pair (a, b) is classified only when the odd primes of disc all
