@@ -38,23 +38,21 @@ from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
 
 
 def weight_coeff_rows(mat, k: int):
-    """Rows W[i] = coefficients of (a x + b)^i (c x + d)^(k-i), exact.
-
-    x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m."""
+    """Rows W[i] = coefficients of (a x + b)^i (c x + d)^(k-i), exact, with
+    x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m; the time budget is
+    checked after each row."""
     a, b, c, d = mat
     rows = []
     for i in range(k + 1):
-        left = [0] * (i + 1)
-        for s in range(i + 1):
-            left[s] = comb(i, s) * a**s * b ** (i - s)
-        right = [0] * (k - i + 1)
-        for s in range(k - i + 1):
-            right[s] = comb(k - i, s) * c**s * d ** (k - i - s)
+        left = [comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)]
+        right = [comb(k - i, s) * c**s * d ** (k - i - s)
+                 for s in range(k - i + 1)]
         row = [0] * (k + 1)
         for s1, v1 in enumerate(left):
             for s2, v2 in enumerate(right):
                 row[s1 + s2] += v1 * v2
         rows.append(row)
+        checkpoint()
     return rows
 
 
@@ -136,8 +134,9 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
     The kernel is solved once, at the splitting's precision, which bounds
     the digits of every action; a returned cocycle carries what the solve
     leaves of them.  Raises PrecisionError when some cocycle carries fewer
-    than `prec` digits.  The time budget is checked after each stabilizer
-    element and each star edge taken into the conditions."""
+    than `prec` digits.  Each edge stabilizer gives one block of conditions
+    per pair x, -x of its nontrivial elements (`one_per_sign`).  The time
+    budget is checked after each such block and each star edge."""
     p, n = dom.p, k + 1
     ngeo = len(dom.geo_edges)
     ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0,
@@ -146,11 +145,10 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
     # terms of sign * action on the values of the geometric rep
     blocks = []
     for jg, stab in enumerate(dom.edge_stabs):
-        for x, r in stab:
-            if not dom.is_pm_one(x, r):
-                blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
-                               (jg, -1, ident)])
-                checkpoint()
+        for x, r in dom.one_per_sign(stab):
+            blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
+                           (jg, -1, ident)])
+            checkpoint()
     for v in dom.vertices:
         block = []
         for e in star(v):

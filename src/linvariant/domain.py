@@ -13,9 +13,11 @@ its reduced norm that of the integer Gram form.
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
-elements and edge/vertex stabilizers.  The domain then reduces arbitrary
-edges to its directed representatives (`FundamentalDomain.locate` and
-`FundamentalDomain.reduce_matrix`) with one cached EquivalenceFinder.  Every
+elements and edge/vertex stabilizers.  One cached search,
+`FundamentalDomain.locate`, classifies every edge against the directed
+representatives found so far: the breadth-first search takes an edge as a
+new representative only when nothing matches, and every match it finds is
+kept for the harmonic basis and the U_p table (`reduce_matrix`).  Every
 search checks the active time budget once per exponent r (see `budget`).
 """
 
@@ -176,51 +178,50 @@ class FundamentalDomain:
     pairings: list[Pairing] = field(default_factory=list)
     edge_stabs: list[list] = field(default_factory=list)  # per geometric edge
     vertex_stabs: list[list] = field(default_factory=list)
+    # the matrix and the distance to the base of each directed
+    # representative, extended with geo_edges as the search adds them
+    rep_mats: list = field(default_factory=list, compare=False, repr=False)
+    rep_dists: list = field(default_factory=list, compare=False, repr=False)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
-    # by locate; exact, so a copy of the domain under a more precise
-    # splitting that agrees with this one shares it
+    # by locate from the domain search on; exact, so a copy of the domain
+    # under a more precise splitting that agrees with this one shares it
     located: dict = field(default_factory=dict, compare=False, repr=False)
     # (x, r, k) -> cocycles.gamma_action; it depends on the splitting, so a
     # copy of the domain under another splitting starts without it
     actions: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
-    # Cached on first use (the rep matrices only once the domain is
-    # complete); dataclasses.replace copies none of them, so a domain under
-    # a new splitting builds its own finder.
+    # Cached on first use (the determinant valuations only once the domain
+    # is complete); dataclasses.replace copies neither, so a domain under a
+    # new splitting builds its own finder.
 
     @cached_property
     def finder(self) -> EquivalenceFinder:
         return EquivalenceFinder(self.order, self.spl)
 
     @cached_property
-    def rep_mats(self) -> list[tuple]:
-        return [e.matrix() for e in self.directed_reps()]
-
-    @cached_property
     def rep_detvals(self) -> list[int]:
         return [val_int(mat_det(m), self.p) for m in self.rep_mats]
-
-    @cached_property
-    def rep_dists(self) -> list[int]:
-        # an edge and its opposite have the same endpoints
-        return [d for e in self.geo_edges for d in [_edge_dist(e)] * 2]
 
     def directed_reps(self) -> list[Edge]:
         return [f for e in self.geo_edges for f in (e, e.opposite())]
 
+    def one_per_sign(self, elements):
+        """The elements x/p^r other than +-1, the first of each pair x, -x in
+        list order: -1 acts trivially on V_k (k even) and on the tree, so x
+        and -x give the same lambda, psi, coboundary and invariance rows."""
+        kept, seen = [], set()
+        for x, r in elements:
+            if (x, r) not in seen and not self.is_pm_one(x, r):
+                kept.append((x, r))
+                seen.update({(x, r), (tuple(-c for c in x), r)})
+        return kept
+
     def generators(self):
         """Pairing elements plus the nontrivial vertex-stabilizer elements,
-        one of each pair x, -x: -1 acts trivially on V_k and on the tree, so
-        both give the same lambda, psi and coboundary rows."""
-        gens = [(pr.x, pr.r) for pr in self.pairings]
-        seen = set()
-        for stab in self.vertex_stabs:
-            for x, r in stab:
-                if (x, r) not in seen and not self.is_pm_one(x, r):
-                    gens.append((x, r))
-                    seen.update({(x, r), (tuple(-c for c in x), r)})
-        return gens
+        one of each pair x, -x (`one_per_sign`) over all stabilizers."""
+        return [(pr.x, pr.r) for pr in self.pairings] + self.one_per_sign(
+            g for stab in self.vertex_stabs for g in stab)
 
     def is_pm_one(self, x, r: int) -> bool:
         """Whether gamma = x/p^r, of reduced norm 1, is the central +-1: in a
@@ -229,18 +230,18 @@ class FundamentalDomain:
         return abs(self.finder.trd(x)) == 2 * self.p**r
 
     def locate(self, e: Edge):
-        """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e, cached by
-        canonical edge in `located`."""
-        if e in self.located:
-            return self.located[e]
-        m, d_e = e.matrix(), _edge_dist(e)
-        for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
-            res = self.finder.search(B, m, "edge", d_e + d + 1)
-            if res is not None:
-                out = (j, res[0], res[1])
-                self.located[e] = out
-                return out
-        raise RuntimeError("edge not equivalent to any representative")
+        """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e for the
+        first such representative j, cached by canonical edge in `located`;
+        None when e is equivalent to no representative yet, which on a
+        complete domain does not happen."""
+        if e not in self.located:
+            m, d_e = e.matrix(), _edge_dist(e)
+            for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
+                res = self.finder.search(B, m, "edge", d_e + d + 1)
+                if res is not None:
+                    self.located[e] = (j, *res)
+                    break
+        return self.located.get(e)
 
     def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
         """Full reduction of the edge g.e0 for an integer matrix g; g may have
@@ -285,33 +286,28 @@ MAX_VERTICES = 200
 
 def compute_fundamental_domain(order: Order,
                                spl: SplittingMap) -> FundamentalDomain:
-    """The domain by breadth-first search from the base vertex."""
+    """The domain by breadth-first search from the base vertex: a star edge
+    that `locate` matches to no representative so far becomes one."""
     p = spl.p
     dom = FundamentalDomain(p, order, spl)
     eq = dom.finder
     v0 = base_vertex(p)
     dom.vertices.append(v0)
     queue = [v0]
-    reps = []  # (matrix, distance) of each directed representative so far
     while queue:
         v = queue.pop(0)
         for e in star(v):
-            m, d_e = e.matrix(), _edge_dist(e)
-            if any(eq.search(m, B, "edge", d_e + d + 1) is not None
-                   for B, d in reps):
+            if dom.locate(e) is not None:
                 continue
             dom.geo_edges.append(e)
-            reps += [(f.matrix(), d_e) for f in (e, e.opposite())]
+            dom.rep_mats += [e.matrix(), e.opposite().matrix()]
+            dom.rep_dists += [_edge_dist(e)] * 2
             u = e.target()
-            hit = None
             for i, w in enumerate(dom.vertices):
                 g = eq.vertex_equiv(u, w)
                 if g is not None:
-                    hit = (i, g)
+                    dom.pairings.append(Pairing(u, i, *g))
                     break
-            if hit is not None:
-                i, (x, r) = hit
-                dom.pairings.append(Pairing(u, i, x, r))
             else:
                 dom.vertices.append(u)
                 queue.append(u)

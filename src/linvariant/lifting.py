@@ -87,9 +87,10 @@ def _unpack(X: int, B: int, n: int, mod: int) -> list:
 def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
                         n_rows=None, det=None):
     """Rows m < n_rows (default i_max + 1) of the weight-k substitution
-    matrix of sigma (see the module docstring), to degree i_max, mod p^W.
-    sigma must be Iwahori; det defaults to its determinant, which must then
-    be a unit, and is passed for a sigma of determinant p times a unit."""
+    matrix of sigma (see the module docstring), to degree i_max, mod p^W,
+    checking the time budget after each row.  sigma must be Iwahori; det
+    defaults to its determinant, which must then be a unit, and is passed
+    for a sigma of determinant p times a unit."""
     a, b, c, d = (int(t) for t in sigma)
     mod = p**W
     assert a % p != 0 and c % p == 0
@@ -110,6 +111,7 @@ def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
         row = [x] + [x := (c1 * x + d1 * u - b1 * v) % mod
                      for u, v in zip(row, row[1:])]
         rows.append(row)
+        checkpoint()
     return rows
 
 

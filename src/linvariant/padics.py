@@ -63,6 +63,7 @@ def sqrt_mod_ppow(u: int, p: int, prec: int) -> int:
     for k in range(3, prec):  # fix one bit at a time: r^2 = u mod 2^(k+1)
         if (r * r - u) % (1 << (k + 1)) != 0:
             r += 1 << (k - 1)
+        checkpoint()
     return r % m
 
 

@@ -428,7 +428,10 @@ def cached_l_result(p, nminus, nplus, weight, M, cache_dir=None):
     partial entry."""
     validate_row(p, nminus, nplus, weight, M)
     cdir = cache_dir or cache_dir_default()
-    os.makedirs(cdir, exist_ok=True)
+    try:
+        os.makedirs(cdir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"unusable cache directory {cdir}: {exc.strerror}")
     key = f"lresult_{p}_{nminus}_{nplus}_{weight}_{M}_v{SCHEMA_VERSION}.json"
     path = os.path.join(cdir, key)
     try:

@@ -222,6 +222,48 @@ class TestValidation:
         assert time.monotonic() - start < 2 + 3
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "4",
+         "--prec", "2000"),
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "4",
+         "--prec", "20000"),
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "200",
+         "--prec", "12"),
+        ("basis", "--p", "2", "--nminus", "3", "--weight", "400"),
+    ])
+    def test_budget_checked_in_inner_loops(self, capsys, tmp_path, argv):
+        """The rows of the lift's substitution matrices (--prec 2000), the
+        2-adic square root of the splitting (--prec 20000) and the weight
+        rows of the actions (--weight 200 and 400) check the budget: each
+        run took 50 s or more past its budget of 1 s when only the loops
+        around them checked, and now exits 4 within 3 s."""
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, *argv, "--budget-secs", "1",
+                               "--cache-dir", str(tmp_path))
+        assert code == 4
+        assert "budget" in err
+        assert time.monotonic() - start < 3
+
+    def test_unusable_cache_dir_exit_3(self, capsys, tmp_path):
+        """A regular file as the cache directory, given by --cache-dir or
+        by $CACHE_DIR, is reported before any computation (a budget of 0 s
+        would stop one with exit 4), with a message and no traceback."""
+        path = tmp_path / "file"
+        path.write_text("")
+        row = ("linv", "--p", "2", "--nminus", "3", "--weight", "4",
+               "--budget-secs", "0")
+        code, _, err = run_cli(capsys, *row, "--cache-dir", str(path))
+        assert code == 3
+        assert err.startswith(f"error: unusable cache directory {path}")
+        proc = subprocess.run([sys.executable, "-m", "linvariant.cli", *row],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC,
+                                   "CACHE_DIR": str(path)})
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"error: unusable cache directory {path}")
+        assert "Traceback" not in proc.stderr
+        assert path.read_text() == ""
+
     def test_coarse_sizing_splitting_exits_2(self, capsys, tmp_path):
         """(2, 11) at weight 20 needs more splitting digits than the sizing
         context has: the row is undecidable (exit 2), never reported with

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linvariant import cocycles
 from linvariant.cocycles import (
     act_on,
     as_padics,
@@ -178,6 +179,24 @@ class TestDimensions:
         except PrecisionError:
             return
         assert len(basis) == want
+
+
+class TestConditions:
+    @pytest.mark.parametrize("p, nminus, pairs", [(3, 2, 2), (13, 2, 5)])
+    def test_one_block_per_sign_pair(self, p, nminus, pairs, monkeypatch):
+        """The basis takes one invariance block of k+1 rows per pair x, -x
+        of nontrivial edge-stabilizer elements, and one harmonicity block
+        per vertex: -1 acts trivially, so -x would repeat the rows of x."""
+        dom = build_context(p, nminus, 1, 40).dom
+        assert sum(len(s) - 2 for s in dom.edge_stabs) == 2 * pairs
+        assert sum(len(dom.one_per_sign(s)) for s in dom.edge_stabs) == pairs
+        sizes = []
+        solve = cocycles.solve_linear
+        monkeypatch.setattr(cocycles, "solve_linear",
+                            lambda rows: sizes.append(len(rows)) or solve(rows))
+        k = 2
+        harmonic_basis(dom, k, PREC)
+        assert sizes == [(pairs + len(dom.vertices)) * (k + 1)]
 
 
 class TestSplittingPrecision:

@@ -180,30 +180,34 @@ class TestEdgeReducer:
         assert len(dom.located) == n0
 
     def test_locate_replays_the_uncached_search(self):
-        """For a `dims-survey` space, (2, 13) at weight 8 built at 40/25
-        digits, every edge located by the basis, the U_p table and the
-        stars of the vertices within distance 2 of the base gives the same
+        """For two `dims-survey` spaces, (2, 13) at weight 8 and (13, 2) at
+        weight 2 built at 40/25 digits, every edge located by the domain
+        search, the basis, the U_p table and the stars of the vertices
+        within distance 2 (for p = 13, 1) of the base gives the same
         (j, x, r) as a search that rebuilds each representative's distance
         on every call, as locate did before it cached them."""
-        dom = build_context(2, 13, 1, 40).dom
-        harmonic_basis(dom, 6, 25)
-        build_up_table(dom)
-        ring = [base_vertex(2)]
-        for _ in range(2):
-            ring = [u for v in ring for u in neighbors(v)]
-            for v in ring:
-                for e in star(v):
-                    dom.locate(e)
-        assert len(dom.located) > 3 * len(dom.rep_mats)
-        assert dom.rep_dists == [_edge_dist(f) for f in dom.directed_reps()]
-        for e, found in dom.located.items():
-            d_e = _edge_dist(e)
-            for j, f in enumerate(dom.directed_reps()):
-                res = dom.finder.search(f.matrix(), e.matrix(), "edge",
-                                        d_e + _edge_dist(f) + 1)
-                if res is not None:
-                    break
-            assert found == (j, *res)
+        for p, nminus, w, depth in [(2, 13, 8, 2), (13, 2, 2, 1)]:
+            dom = build_context(p, nminus, 1, 40).dom
+            harmonic_basis(dom, w - 2, 25)
+            build_up_table(dom)
+            ring = [base_vertex(p)]
+            for _ in range(depth):
+                ring = [u for v in ring for u in neighbors(v)]
+                for v in ring:
+                    for e in star(v):
+                        dom.locate(e)
+            assert len(dom.located) > 3 * len(dom.rep_mats)
+            assert dom.rep_mats == [f.matrix() for f in dom.directed_reps()]
+            assert dom.rep_dists == [_edge_dist(f)
+                                     for f in dom.directed_reps()]
+            for e, found in dom.located.items():
+                d_e = _edge_dist(e)
+                for j, f in enumerate(dom.directed_reps()):
+                    res = dom.finder.search(f.matrix(), e.matrix(), "edge",
+                                            d_e + _edge_dist(f) + 1)
+                    if res is not None:
+                        break
+                assert found == (j, *res)
 
     def test_locate_checks_the_budget(self, ctx23):
         """Locating an edge not yet located searches, and the search stops
@@ -217,3 +221,34 @@ class TestEdgeReducer:
                 dom.locate(e)
         assert e not in dom.located
         assert dom.locate(e)[0] in range(len(dom.directed_reps()))
+
+
+@pytest.mark.parametrize("p, nminus", [(2, 13), (3, 2), (13, 2)])
+class TestOneClassifier:
+    """`locate` is the domain's only edge classifier: the domain search
+    keeps what it finds, and the basis searches only what it did not."""
+
+    def test_domain_search_locates_every_star_edge(self, p, nminus):
+        """Right after the domain is built, every star edge of every vertex
+        representative is a directed representative or already located."""
+        dom = build_context(p, nminus, 1, 40).dom
+        reps = set(dom.directed_reps())
+        edges = [e for v in dom.vertices for e in star(v)]
+        assert all(e in reps or e in dom.located for e in edges)
+        assert any(e in dom.located for e in edges)
+
+    def test_basis_searches_only_representatives(self, p, nminus,
+                                                 monkeypatch):
+        """On a fresh domain, every search the weight-4 basis makes
+        locates a representative edge itself."""
+        dom = build_context(p, nminus, 1, 40).dom
+        search, targets = dom.finder.search, []
+
+        def spy(m1, m2, *args):
+            targets.append(m2)
+            return search(m1, m2, *args)
+
+        monkeypatch.setattr(dom.finder, "search", spy)
+        harmonic_basis(dom, 2, 25)
+        assert targets
+        assert all(m in dom.rep_mats for m in targets)
