@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .budget import checkpoint
 from .domain import FundamentalDomain, gamma_matrix
 from .padics import PadicNumber, PrecisionError, solve_linear, val_int
-from .quaternions import Quat, enumerate_norm
+from .quaternions import enumerate_norm
 from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
 
 
@@ -188,30 +188,26 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
 # ----------------------------------------------------------------------
 
 
-def _normalizes_rp(order, x: Quat, p: int) -> bool:
-    """Whether x normalizes R[1/p] (conjugation keeps p-integral coords)."""
-    xi = x.inverse()
-    for b in order.basis:
-        co = order.coordinates(x * b * xi)
-        for c in co:
-            d = c.denominator
-            while d % p == 0:
-                d //= p
-            if d != 1:
-                return False
-    return True
+def _normalizes_rp(order, x, p: int) -> bool:
+    """Whether x normalizes R[1/p]: x b x^-1 = x b conj(x) / nrd(x) has
+    p-integral coordinates for every basis element b, that is the prime-to-p
+    part of nrd(x) divides every coordinate of x b conj(x)."""
+    n = order.nrd(x)
+    n //= p ** val_int(n, p)
+    xc = order.conj(x)
+    return all(t % n == 0 for m in range(4)
+               for t in order.mul(order.mul(x, [int(s == m) for s in range(4)]), xc))
 
 
 def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool = False):
     """An element of R of reduced norm nrd_target (times p^(2r) when
     parity_p) normalizing R[1/p], as (integer coordinates, r); used for the
     two involutions."""
-    p = dom.p
-    fd = dom.finder
+    p, order = dom.p, dom.order
     for r in range(0, 3 if parity_p else 1):
         target = nrd_target * p ** (2 * r)
-        for c in enumerate_norm(fd.gram, fd.den * target):
-            if _normalizes_rp(dom.order, dom.order.element(c), p):
+        for c in enumerate_norm(order.gram, 2 * target):  # gram is 2 nrd
+            if _normalizes_rp(order, c, p):
                 return tuple(c), r
     raise RuntimeError(f"no normalizing element of reduced norm {nrd_target}")
 

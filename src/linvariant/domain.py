@@ -1,15 +1,16 @@
 """Fundamental domain of Gamma = R[1/p]^x_1 acting on the Bruhat-Tits tree.
 
 Gamma is the group of reduced-norm-1 units of R[1/p], acting through the
-splitting iotauat p.  Equivalence of two vertices/edges under Gamma reduces to
+splitting iota at p.  Equivalence of two vertices/edges under Gamma reduces to
 finding x in R with nrd(x) = p^(2r) satisfying congruence conditions that cut
 out a finite-index sublattice of R; candidates are found by integer
 Fincke-Pohst enumeration on that sublattice, whose basis is a Hermite form
-and whose Gram matrix is the order's integer norm form restricted to it.
+and whose Gram matrix is the order's integer trace form (twice the reduced
+norm) restricted to it.
 The search runs on integers, and a group element gamma = x/p^r is carried
 as (c, r) for x = sum_m c_m b_m, c the integer coordinates of x in the order
 basis: its matrix is one integer combination of the splitting images and
-its reduced norm that of the integer Gram form.
+its reduced norm and trace those of the order (`Order.nrd`, `Order.trd`).
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 
 from .budget import checkpoint
 from .padics import val_int
@@ -48,25 +48,11 @@ class EquivalenceFinder:
     """Searches for Gamma-elements carrying one vertex/edge to another."""
 
     def __init__(self, order: Order, spl: SplittingMap):
+        self.order = order
         self.spl = spl
         self.p = spl.p
-        # the norm form scaled to integers by the lcm of its denominators
-        # (2 for every order in use); targets are scaled alike
-        gram = order.gram()
-        self.den = lcm(*(g.denominator for row in gram for g in row))
-        self.gram = [[int(g * self.den) for g in row] for row in gram]
-        self.traces = [int(b.trd()) for b in order.basis]
         self.images = spl.images  # iota of the order basis, mod p^prec
         self.mod = spl.p**spl.prec
-
-    def nrd(self, c) -> int:
-        """The reduced norm of the order element with coordinates c."""
-        return sum(ci * gij * cj for ci, row in zip(c, self.gram)
-                   for gij, cj in zip(row, c)) // self.den
-
-    def trd(self, c) -> int:
-        """The reduced trace of the order element with coordinates c."""
-        return sum(t * ci for t, ci in zip(self.traces, c))
 
     def _forms(self, m1, m2):
         """Rows of linear forms c -> entries of adj(m2) * iota(sum c b) * m1."""
@@ -112,16 +98,16 @@ class EquivalenceFinder:
                 assert s + 4 <= self.spl.prec
                 rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
             K = congruence_kernel(rows, modulus)
-            KG = [[sum(a * b for a, b in zip(ki, col)) for col in zip(*self.gram)]
-                  for ki in K]
+            KG = [[sum(a * b for a, b in zip(ki, col))
+                   for col in zip(*self.order.gram)] for ki in K]
             GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
-            target = self.den * p ** (2 * r)
+            target = 2 * p ** (2 * r)  # the Gram form is 2 nrd
             for cvec in enumerate_norm(GK, target):
                 c = tuple(sum(kj[m] * cj for kj, cj in zip(K, cvec))
                           for m in range(4))
                 if r > 0 and all(ci % p == 0 for ci in c):
                     continue  # imprimitive: already seen at smaller r
-                assert self.nrd(c) == p ** (2 * r)
+                assert self.order.nrd(c) == p ** (2 * r)
                 if all_solutions:
                     found.append((c, r))
                 else:
@@ -227,7 +213,7 @@ class FundamentalDomain:
         """Whether gamma = x/p^r, of reduced norm 1, is the central +-1: in a
         definite algebra trd(gamma)^2 <= 4 nrd(gamma), with equality only
         for scalars."""
-        return abs(self.finder.trd(x)) == 2 * self.p**r
+        return abs(self.order.trd(x)) == 2 * self.p**r
 
     def locate(self, e: Edge):
         """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e for the
@@ -272,7 +258,7 @@ class FundamentalDomain:
 def gamma_matrix(dom: FundamentalDomain, x, r: int):
     """The integer residue matrix iota(x) of gamma = x/p^r, modulo
     p^spl.prec, together with its exact determinant nrd(x)."""
-    return dom.spl.image(x), dom.finder.nrd(x)
+    return dom.spl.image(x), dom.order.nrd(x)
 
 
 def gamma_vertex(dom: FundamentalDomain, x, r: int, v: Vertex) -> Vertex:

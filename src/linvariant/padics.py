@@ -59,12 +59,21 @@ def sqrt_mod_ppow(u: int, p: int, prec: int) -> int:
         return r
     if u % 8 != 1:
         raise ValueError("2-adic unit square roots require u = 1 mod 8")
-    r = 1
-    for k in range(3, prec):  # fix one bit at a time: r^2 = u mod 2^(k+1)
-        if (r * r - u) % (1 << (k + 1)) != 0:
-            r += 1 << (k - 1)
+    if prec <= 3:
+        return 1 % m
+    # Newton on the inverse square root, s <- s (3 - u s^2) / 2: from
+    # u s^2 = 1 mod 2^k it gives u s^2 = 1 mod 2^(2k-2), and r = u s then
+    # has r^2 = u (u s^2) = u
+    s, k = 1, 3
+    while k < prec:
+        k = min(2 * k - 2, prec)
+        s = (s * (3 - u * s * s) >> 1) % (1 << k)
         checkpoint()
-    return r % m
+    # of the four roots modulo 2^prec, the one = 1 mod 4 in (0, 2^(prec-1))
+    r = u * s % m
+    if r % 4 == 3:
+        r = m - r
+    return r % (m >> 1)
 
 
 def _tonelli(a: int, p: int) -> int:

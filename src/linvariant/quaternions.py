@@ -1,22 +1,24 @@
 """Definite rational quaternion algebras and their orders.
 
-B = (a, b / Q) has basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji.
-Elements are coordinate 4-tuples of Fractions.  Provides a primality test
-and trial-division factoring for the small integers met here, Hilbert
-symbols, construction of an algebra of prescribed discriminant, maximal and
-Eichler orders, integer lattice utilities (one Hermite normal form,
-congruence lattices, fraction-free elimination) and integer Fincke-Pohst
-enumeration of vectors of given reduced norm.  The lattice code runs on
-plain integers; Fractions appear only in Quat coordinates.
+B = (a, b / Q) has basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji,
+and `qmul` is its product on coordinate 4-sequences.  An order holds its
+basis as integer rows over one denominator, and its elements are their
+integer coordinates in that basis, multiplied through the order's integer
+multiplication table.  Provides a primality test and trial-division
+factoring for the small integers met here, Hilbert symbols, construction of
+an algebra of prescribed discriminant, maximal and Eichler orders, integer
+lattice utilities (one Hermite normal form, congruence lattices,
+fraction-free elimination) and integer Fincke-Pohst enumeration of vectors
+of given reduced norm.  Everything here runs on plain integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .budget import checkpoint
 
@@ -86,71 +88,19 @@ def primefactors(n: int) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Quat:
-    """x0 + x1 i + x2 j + x3 k in (a, b / Q)."""
-
-    ab: tuple
-    co: tuple  # 4 Fractions
-
-    @staticmethod
-    def of(ab, coords) -> "Quat":
-        return Quat(ab, tuple(Fraction(c) for c in coords))
-
-    def __add__(self, other):
-        return Quat(self.ab, tuple(x + y for x, y in zip(self.co, other.co)))
-
-    def __sub__(self, other):
-        return Quat(self.ab, tuple(x - y for x, y in zip(self.co, other.co)))
-
-    def __neg__(self):
-        return Quat(self.ab, tuple(-x for x in self.co))
-
-    def scale(self, s) -> "Quat":
-        s = Fraction(s)
-        return Quat(self.ab, tuple(s * x for x in self.co))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = self.ab
-        x0, x1, x2, x3 = self.co
-        y0, y1, y2, y3 = other.co
-        return Quat(
-            self.ab,
-            (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def conj(self) -> "Quat":
-        x0, x1, x2, x3 = self.co
-        return Quat(self.ab, (x0, -x1, -x2, -x3))
-
-    def trd(self) -> Fraction:
-        return 2 * self.co[0]
-
-    def nrd(self) -> Fraction:
-        a, b = self.ab
-        x0, x1, x2, x3 = self.co
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
-
-    def inverse(self) -> "Quat":
-        n = self.nrd()
-        if n == 0:
-            raise ZeroDivisionError("zero divisor")
-        return self.conj().scale(Fraction(1, 1) / n)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.co)
+def qmul(ab, x, y):
+    """The product of x = x0 + x1 i + x2 j + x3 k and y in (a, b / Q), on
+    coordinate 4-sequences of integers or PadicNumbers (the products of
+    coordinates are formed before a and b multiply them)."""
+    a, b = ab
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return [
+        x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - a * b * (x3 * y3),
+        x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
+        x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -206,21 +156,6 @@ class QuaternionAlgebra:
     b: int
     disc: int
 
-    def one(self) -> Quat:
-        return Quat.of((self.a, self.b), (1, 0, 0, 0))
-
-    def gens(self):
-        ab = (self.a, self.b)
-        return (
-            Quat.of(ab, (1, 0, 0, 0)),
-            Quat.of(ab, (0, 1, 0, 0)),
-            Quat.of(ab, (0, 0, 1, 0)),
-            Quat.of(ab, (0, 0, 0, 1)),
-        )
-
-    def quat(self, coords) -> Quat:
-        return Quat.of((self.a, self.b), coords)
-
 
 def build_algebra(disc: int) -> QuaternionAlgebra:
     """The definite quaternion algebra over Q ramified exactly at the primes
@@ -229,17 +164,19 @@ def build_algebra(disc: int) -> QuaternionAlgebra:
     m = max(-a, -b), up to disc: every such disc up to 373 has one there.
     For each m the pairs on that edge are tried in the order (-1, -m), ...,
     (-(m-1), -m), then (-m, -1), ..., (-m, -m); the time budget is checked
-    once per m.  A pair is classified only when every odd prime of disc
-    divides a b: an odd prime dividing neither a nor b cannot ramify."""
+    once per m.  Only pairs whose product a b is divisible by the odd part D
+    of disc are classified, as an odd prime dividing neither a nor b cannot
+    ramify: on edge m these are the pairs whose other entry is a multiple of
+    g = D / gcd(D, m)."""
     primes = primefactors(disc)
-    odd = [q for q in primes if q != 2]
+    odd = disc if disc % 2 else disc // 2  # disc is squarefree
     for m in range(1, disc + 1):
         checkpoint()
-        edge = ([(-a, -m) for a in range(1, m)]
-                + [(-m, -b) for b in range(1, m + 1)])
+        g = odd // gcd(odd, m)
+        edge = ([(-a, -m) for a in range(g, m, g)]
+                + [(-m, -b) for b in range(g, m + 1, g)])
         for a, b in edge:
-            if (all(a * b % q == 0 for q in odd)
-                    and ramified_primes(a, b) == primes):
+            if ramified_primes(a, b) == primes:
                 return QuaternionAlgebra(a, b, disc)
     raise ValueError(f"no symbol found for discriminant {disc}")
 
@@ -297,15 +234,6 @@ def hermite_rows(gens: list[list[int]]) -> list[list[int]]:
             if q:
                 rows[j] = [y - q * x for x, y in zip(piv, rows[j])]
     return rows[k:]
-
-
-def hnf_basis(generators: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis (as rows) of the lattice spanned by the given rational row
-    vectors, via Hermite normal form."""
-    den = lcm(*(x.denominator for g in generators for x in g))
-    H = hermite_rows([[x.numerator * (den // x.denominator) for x in g]
-                      for g in generators])
-    return [[Fraction(x, den) for x in row] for row in H]
 
 
 def congruence_kernel(forms: list[list[int]], modulus: int) -> list[list[int]]:
@@ -374,68 +302,106 @@ def _adjugate(M: list[list[int]]) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 
+def _lowest_terms(rows: list[list[int]], den: int):
+    """(rows, den) divided by the gcd of den and every entry."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
+
+
 @dataclass
 class Order:
-    """A Z-order in a quaternion algebra, with a row basis in (1,i,j,k)
-    coordinates.  level is the Eichler level (1 for a maximal order)."""
+    """A Z-order in a quaternion algebra.  Its basis is b_m = (rows[m][0] +
+    rows[m][1] i + rows[m][2] j + rows[m][3] k) / den, integer rows over
+    their least common denominator, and an element is the tuple c of its
+    integer coordinates, x = sum_m c_m b_m.  level is the Eichler level (1
+    for a maximal order)."""
 
     algebra: QuaternionAlgebra
-    basis: list[Quat]
+    rows: list[list[int]]
+    den: int
     level: int = 1
 
     @cached_property
-    def _basis_matrix(self):
-        """(B, den, adj(B), det(B)): the basis as integer coordinate rows
-        over one denominator, with its adjugate and determinant."""
-        den = lcm(*(c.denominator for b in self.basis for c in b.co))
-        B = [[c.numerator * (den // c.denominator) for c in b.co] for b in self.basis]
-        adj = _adjugate(B)
-        return B, den, adj, sum(B[0][j] * adj[j][0] for j in range(4))
+    def _inverse(self):
+        """(adj(B), det(B)) for B = rows, with B adj(B) = det(B) I."""
+        adj = _adjugate(self.rows)
+        return adj, sum(self.rows[0][j] * adj[j][0] for j in range(4))
 
-    def gram(self) -> list[list[Fraction]]:
-        """Gram matrix of the reduced norm form in this basis; on (1, i, j, k)
-        the form is diag(1, -a, -b, ab)."""
-        B, den = self._basis_matrix[:2]
+    def _solve(self, v, vden: int):
+        """The coordinates of (v on 1, i, j, k) / vden in this basis, or None
+        when they are not all integers: v / vden = c B / den, so
+        c = den v adj(B) / (vden det(B))."""
+        adj, det = self._inverse
+        out = []
+        for col in zip(*adj):
+            c, rem = divmod(self.den * sum(map(mul, v, col)), vden * det)
+            if rem:
+                return None
+            out.append(c)
+        return tuple(out)
+
+    @cached_property
+    def table(self):
+        """table[m][n]: the coordinates of b_m b_n; an entry is None where
+        the product leaves the lattice, which for an order it never does."""
+        ab = (self.algebra.a, self.algebra.b)
+        return [[self._solve(qmul(ab, x, y), self.den**2) for y in self.rows]
+                for x in self.rows]
+
+    @cached_property
+    def one(self):
+        """The coordinates of 1 (None when the lattice does not hold it)."""
+        return self._solve((1, 0, 0, 0), 1)
+
+    @cached_property
+    def gram(self) -> list[list[int]]:
+        """The integer Gram matrix trd(b_m conj(b_n)) of the trace form, so
+        that c^T gram c = 2 nrd(c); on (1, i, j, k) the norm form is
+        diag(1, -a, -b, ab)."""
         a, b = self.algebra.a, self.algebra.b
         form = (1, -a, -b, a * b)
-        return [[Fraction(sum(f * x * y for f, x, y in zip(form, bi, bj)), den * den)
-                 for bj in B] for bi in B]
+        return [[2 * sum(map(mul, form, map(mul, x, y))) // self.den**2
+                 for y in self.rows] for x in self.rows]
 
-    def element(self, coords) -> Quat:
-        B, den, _, _ = self._basis_matrix
-        return Quat(self.basis[0].ab, tuple(
-            Fraction(sum(c * row[i] for c, row in zip(coords, B)), den)
-            for i in range(4)))
+    def element(self, c) -> list[int]:
+        """den x on (1, i, j, k) for the element x with coordinates c."""
+        return [sum(map(mul, c, col)) for col in zip(*self.rows)]
 
-    def coordinates(self, x: Quat) -> list[Fraction]:
-        """Coordinates of x in this basis: x B^-1 = den x adj(B) / det(B)."""
-        _, den, adj, det = self._basis_matrix
-        xden = lcm(*(c.denominator for c in x.co))
-        X = [c.numerator * (xden // c.denominator) for c in x.co]
-        return [Fraction(den * sum(X[i] * adj[i][j] for i in range(4)), det * xden)
-                for j in range(4)]
+    def mul(self, x, y) -> tuple:
+        """The coordinates of x y."""
+        T = self.table
+        return tuple(sum(xm * yn * Tmn[t] for xm, Tm in zip(x, T) if xm
+                         for yn, Tmn in zip(y, Tm) if yn)
+                     for t in range(4))
 
-    def contains(self, x: Quat) -> bool:
-        try:
-            co = self.coordinates(x)
-        except ZeroDivisionError:
-            return False
-        return all(c.denominator == 1 for c in co)
+    def conj(self, x) -> tuple:
+        """The coordinates of conj(x) = trd(x) - x."""
+        t = self.trd(x)
+        return tuple(t * o - c for o, c in zip(self.one, x))
+
+    def nrd(self, c) -> int:
+        """The reduced norm of the element with coordinates c."""
+        return sum(ci * gij * cj for ci, row in zip(c, self.gram)
+                   for gij, cj in zip(row, c)) // 2
+
+    def trd(self, c) -> int:
+        """The reduced trace of the element with coordinates c: twice its
+        coordinate on 1."""
+        return 2 * sum(ci * row[0] for ci, row in zip(c, self.rows)) // self.den
 
     def reduced_discriminant(self) -> int:
         """sqrt(det) of the trace form trd(x conj(y)) = 2 (B/den) diag(1, -a,
         -b, ab) (B/den)^T, that is 4 |a b det(B)| / den^4."""
-        _, den, _, det = self._basis_matrix
-        rd, rem = divmod(abs(4 * self.algebra.a * self.algebra.b * det), den**4)
+        det = self._inverse[1]
+        rd, rem = divmod(abs(4 * self.algebra.a * self.algebra.b * det),
+                         self.den**4)
         assert rem == 0
         return rd
 
 
 def maximal_order(alg: QuaternionAlgebra) -> Order:
     """A maximal order, by saturating Z<1,i,j,k> one prime at a time."""
-    one, qi, qj, qk = alg.gens()
-    basis = [one, qi, qj, qk]
-    order = Order(alg, basis)
+    order = Order(alg, [[int(i == j) for j in range(4)] for i in range(4)], 1)
     while True:
         rd = order.reduced_discriminant()
         if rd == alg.disc:
@@ -450,56 +416,47 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
 
 
 def _enlarge_at(order: Order, q: int):
-    """An order strictly containing this one with index q, or None."""
+    """An order strictly containing this one with index q, or None: the
+    lattice spanned by the order and x = sum_m c_m b_m / q, for the first c
+    in [0, q)^4 with x integral over Z (trd and nrd in Z) for which that
+    lattice is larger, multiplicatively closed and holds 1."""
+    a, b = order.algebra.a, order.algebra.b
+    D = order.den * q
+    scaled = [[q * x for x in row] for row in order.rows]
+    rd = order.reduced_discriminant()
     for c in itertools.product(range(q), repeat=4):
-        if all(x == 0 for x in c):
+        if not any(c):
             continue
-        x = order.element(c).scale(Fraction(1, q))
-        if x.trd().denominator != 1 or x.nrd().denominator != 1:
+        v = order.element(c)  # x = v / D
+        if (2 * v[0] % D
+                or (v[0]**2 - a * v[1]**2 - b * v[2]**2 + a * b * v[3]**2) % D**2):
             continue
-        rows = [list(b.co) for b in order.basis] + [list(x.co)]
-        new_rows = hnf_basis([[Fraction(v) for v in r] for r in rows])
-        if len(new_rows) != 4:
-            continue
-        cand = Order(order.algebra, [order.algebra.quat(r) for r in new_rows])
-        if cand.reduced_discriminant() == order.reduced_discriminant():
+        cand = Order(order.algebra, *_lowest_terms(hermite_rows(scaled + [v]), D))
+        if cand.reduced_discriminant() == rd:
             continue  # same lattice
-        # must be multiplicatively closed to be an order
-        if all(
-            cand.contains(bi * bj) for bi in cand.basis for bj in cand.basis
-        ) and cand.contains(order.algebra.one()):
+        if cand.one is not None and all(t is not None for row in cand.table
+                                        for t in row):
             return cand
     return None
 
 
 def eichler_order(alg: QuaternionAlgebra, maxorder: Order, level: int) -> Order:
     """An Eichler order of the given level inside a maximal order (level must
-    be coprime to the discriminant)."""
+    be coprime to the discriminant): for each prime power q^e exactly
+    dividing it, the elements whose splitting at q is upper triangular
+    modulo q^e."""
     from .splitting import splitting_map  # local import to avoid a cycle
 
-    if level == 1:
-        return Order(alg, list(maxorder.basis), 1)
     assert gcd(level, alg.disc) == 1
-    order = Order(alg, list(maxorder.basis), 1)
-    lev = level
-    basis_rows = [[Fraction(x) for x in b.co] for b in maxorder.basis]
-    for q in primefactors(level):
-        e = 0
-        while lev % q == 0:
-            lev //= q
-            e += 1
-        spl = splitting_map(Order(alg, [alg.quat(r) for r in basis_rows]), q, e + 6)
+    rows, den = maxorder.rows, maxorder.den
+    for q, e in factorint(level).items():
+        spl = splitting_map(Order(alg, rows, den), q, e + 6)
         forms = [[int(spl.images[m][2]) for m in range(4)]]  # lower-left entries
         K = congruence_kernel(forms, q**e)
-        basis_rows = [
-            [
-                sum(Fraction(K[t][m]) * basis_rows[m][s] for m in range(4))
-                for s in range(4)
-            ]
-            for t in range(4)
-        ]
-        basis_rows = hnf_basis(basis_rows)
-    out = Order(alg, [alg.quat(r) for r in basis_rows], level)
+        rows, den = _lowest_terms(hermite_rows(
+            [[sum(K[t][m] * rows[m][s] for m in range(4)) for s in range(4)]
+             for t in range(4)]), den)
+    out = Order(alg, rows, den, level)
     assert out.reduced_discriminant() == alg.disc * level
     return out
 

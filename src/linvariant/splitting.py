@@ -5,7 +5,11 @@ Strategy: find an order element y whose minimal polynomial splits over Q_p
 e = (y - lambda_2)/(lambda_1 - lambda_2), and let the algebra act by left
 multiplication on the two-dimensional left ideal B e.  Conjugating by a basis
 of a stable lattice makes the order land in M_2(Z_p) surjectively mod p.
-The images are stored as integer matrices modulo p^prec.
+y is searched among small integer coordinates in the order basis, by the
+order's integer trace and norm; y and the basis then enter as p-adic
+coordinates on (1, i, j, k), read from the order's rows over its
+denominator, and multiply by `quaternions.qmul`.  The images are stored as
+integer matrices modulo p^prec.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padics import PadicNumber, PrecisionError, sqrt_mod_ppow, val_int
-from .quaternions import Order
+from .quaternions import Order, qmul
 from .tree import mat_mul
 
 
@@ -25,19 +29,6 @@ class _SplitFail(Exception):
 
 def _pn(x, p, prec) -> PadicNumber:
     return PadicNumber.from_fraction(Fraction(x), p, prec)
-
-
-def _qmul(ab, x, y):
-    """Quaternion product for coordinate 4-lists of PadicNumber."""
-    a, b = ab
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return [
-        x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - a * b * (x3 * y3),
-        x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
-        x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
-        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-    ]
 
 
 @dataclass
@@ -121,17 +112,12 @@ def splitting_map(order: Order, p: int, prec: int, variant: int = 0) -> Splittin
     discriminant).  `variant` selects a different (equally valid) splitting,
     used to check that downstream results do not depend on the choice."""
     P = prec + 12
-    alg = order.algebra
-    ab = (alg.a, alg.b)
     skip = variant
     for c in _candidates():
-        y = order.element(c)
-        T = Fraction(y.trd())
-        disc = T * T - 4 * Fraction(y.nrd())
-        if disc == 0:
+        T = order.trd(c)
+        d = T * T - 4 * order.nrd(c)
+        if d == 0:
             continue
-        assert disc.denominator == 1
-        d = int(disc)
         v = val_int(d, p)
         if v % 2:
             continue
@@ -143,7 +129,7 @@ def splitting_map(order: Order, p: int, prec: int, variant: int = 0) -> Splittin
             if pow(u % p, (p - 1) // 2, p) != 1:
                 continue
         try:
-            spl = _build(order, y, T, d, v, p, P, prec, variant)
+            spl = _build(order, c, T, d, v, p, P, prec, variant)
         except (_SplitFail, PrecisionError):
             continue
         if skip > 0:
@@ -153,12 +139,12 @@ def splitting_map(order: Order, p: int, prec: int, variant: int = 0) -> Splittin
     raise RuntimeError("no splitting element found")
 
 
-def _build(order, y, T, disc_int, v, p, P, prec, variant) -> SplittingMap:
+def _build(order, c, T, disc_int, v, p, P, prec, variant) -> SplittingMap:
     ab = (order.algebra.a, order.algebra.b)
     su = sqrt_mod_ppow(disc_int // p**v, p, 2 * P)
     s = PadicNumber(p, v // 2, su, v // 2 + 2 * P)
     lam2 = (_pn(T, p, 2 * P) - s) * _pn(Fraction(1, 2), p, 2 * P)
-    yco = [_pn(x, p, 2 * P) for x in y.co]
+    yco = [_pn(Fraction(x, order.den), p, 2 * P) for x in order.element(c)]
     e = [(yco[0] - lam2) / s, yco[1] / s, yco[2] / s, yco[3] / s]
     # pick z2 = g * e among i, j, k (variant rotates the choice)
     gens = [
@@ -167,7 +153,7 @@ def _build(order, y, T, disc_int, v, p, P, prec, variant) -> SplittingMap:
     last_fail = _SplitFail("no independent companion")
     for gi in range(3):
         g = gens[(gi + variant) % 3]
-        z1, z2 = e, _qmul(ab, g, e)
+        z1, z2 = e, qmul(ab, g, e)
         # find the best 2x2 row minor
         best = None
         for r1 in range(4):
@@ -202,10 +188,10 @@ def _finish(order, z1, z2, r1, r2, p, P, prec, variant) -> SplittingMap:
         return alpha, beta
 
     raw = []
-    for b in order.basis:
-        bco = [_pn(x, p, 2 * P) for x in b.co]
-        a1, a2 = in_ideal_coords(_qmul(ab, bco, z1))
-        b1, b2 = in_ideal_coords(_qmul(ab, bco, z2))
+    for row in order.rows:
+        bco = [_pn(Fraction(x, order.den), p, 2 * P) for x in row]
+        a1, a2 = in_ideal_coords(qmul(ab, bco, z1))
+        b1, b2 = in_ideal_coords(qmul(ab, bco, z2))
         raw.append([[a1, b1], [a2, b2]])
     # stabilize a lattice under the action
     if variant % 2 == 0:
@@ -245,31 +231,25 @@ def _finish(order, z1, z2, r1, r2, p, P, prec, variant) -> SplittingMap:
     return spl
 
 
-def _coords(order, x) -> list[int]:
-    co = order.coordinates(x)
-    assert all(c.denominator == 1 for c in co)
-    return [int(c) for c in co]
-
-
 def _verify(spl: SplittingMap):
     order, p, mod = spl.order, spl.p, spl.p**spl.prec
     # unit of the order maps to the identity
-    if spl.image(_coords(order, order.algebra.one())) != (1 % mod, 0, 0, 1 % mod):
+    if spl.image(order.one) != (1 % mod, 0, 0, 1 % mod):
         raise _SplitFail("unit does not map to the identity")
-    # trace / determinant vs reduced trace / norm
-    for b, m in zip(order.basis, spl.images):
+    # trace / determinant vs reduced trace / norm of the basis elements
+    for b, m in enumerate(spl.images):
+        e = [int(t == b) for t in range(4)]
         tr = (m[0] + m[3]) % mod
         det = (m[0] * m[3] - m[1] * m[2]) % mod
-        if tr != int(b.trd()) % mod or det != int(b.nrd()) % mod:
+        if tr != order.trd(e) % mod or det != order.nrd(e) % mod:
             raise _SplitFail("trace/norm mismatch")
     # surjective mod p: the four images span M_2(F_p)
     rows = [[im[t] % p for t in range(4)] for im in spl.images]
     if _rank_mod_p(rows, p) != 4:
         raise _SplitFail("images do not span M_2 mod p")
     # multiplicativity spot check (basis products lie in the order)
-    x, y = order.basis[1], order.basis[2]
     direct = mat_mul(spl.images[1], spl.images[2])
-    if any((a - b) % mod for a, b in zip(direct, spl.image(_coords(order, x * y)))):
+    if any((a - b) % mod for a, b in zip(direct, spl.image(order.table[1][2]))):
         raise _SplitFail("multiplicativity failure")
 
 

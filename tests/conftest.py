@@ -33,23 +33,15 @@ def act(dom, k, x, r, omega, prec):
     return out
 
 
-def _coords(order, q):
-    co = order.coordinates(q)
-    assert all(c.denominator == 1 for c in co)
-    return tuple(int(c) for c in co)
-
-
 def gamma_mul(dom, x1, x2):
     """The coordinates of x1 x2 for order elements given by coordinates, as
     the domain carries group elements."""
-    o = dom.order
-    return _coords(o, o.element(x1) * o.element(x2))
+    return dom.order.mul(x1, x2)
 
 
 def gamma_conj(dom, x):
     """The coordinates of the conjugate of x; x conj(x) = nrd(x)."""
-    o = dom.order
-    return _coords(o, o.element(x).conj())
+    return dom.order.conj(x)
 
 
 def value(c, e, prec):

@@ -54,13 +54,13 @@ class TestFdomain:
         assert "budget" in err
 
     def test_budget_checked_in_symbol_search(self, capsys):
-        """The symbol search of build_algebra checks the budget: disc 1019
-        is outside the symbol table and its first symbol is (-1, -1019),
-        about a million pairs into the search, which takes about a second;
-        a budget of half a second runs out inside it."""
+        """The symbol search of build_algebra checks the budget: for the
+        prime disc 99999989 it walks about 10^8 edges before it reaches
+        its first candidate pair (-1, -99999989), which takes far longer
+        than a second; a budget of half a second runs out inside it."""
         start = time.monotonic()
         code, _, err = run_cli(capsys, "fdomain", "--p", "2", "--nminus",
-                               "1019", "--budget-secs", "0.5")
+                               "99999989", "--budget-secs", "0.5")
         assert code == 4
         assert "budget" in err
         assert time.monotonic() - start < 0.5 + 3
@@ -236,7 +236,9 @@ class TestValidation:
         2-adic square root of the splitting (--prec 20000) and the weight
         rows of the actions (--weight 200 and 400) check the budget: each
         run took 50 s or more past its budget of 1 s when only the loops
-        around them checked, and now exits 4 within 3 s."""
+        around them checked, and now exits 4 within 3 s.  The square root
+        now lifts by Newton steps in milliseconds, so the --prec 20000 row
+        runs out later, in the weight rows of its actions."""
         start = time.monotonic()
         code, _, err = run_cli(capsys, *argv, "--budget-secs", "1",
                                "--cache-dir", str(tmp_path))

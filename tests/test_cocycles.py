@@ -153,11 +153,14 @@ class TestDimensions:
             return
         assert len(basis) == want
 
-    # Eichler orders of level N^+ > 1; each dimension equals the count of
-    # weight-k newforms of level p N^- N^+ new at p N^- (Cohen-Oesterle).
+    # Eichler orders of level N^+ > 1, prime-power levels included, and
+    # maximal orders of three-prime N^- (denominators other than 2); each
+    # dimension equals the count of weight-k newforms of level p N^- N^+ new
+    # at p N^- (Cohen-Oesterle).
     @pytest.mark.parametrize("p,nminus,nplus,w,dim", [
         (*s, oracle.harmonic_dim(*s))
-        for s in [(3, 2, 5, 4), (3, 2, 5, 2), (5, 3, 2, 4), (3, 2, 7, 4)]])
+        for s in [(3, 2, 5, 4), (3, 2, 5, 2), (5, 3, 2, 4), (3, 2, 7, 4),
+                  (5, 2, 9, 4), (3, 2, 25, 2), (7, 30, 1, 4), (5, 42, 1, 2)]])
     def test_dims_eichler(self, p, nminus, nplus, w, dim):
         ctx = build_context(p, nminus, nplus, 40)
         assert len(harmonic_basis(ctx.dom, w - 2, PREC)) == dim

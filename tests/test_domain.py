@@ -82,11 +82,15 @@ class TestDomainShapes:
 
     def test_pairing_elements_have_unit_norm_scale(self, ctx23):
         """nrd(x) = p^(2r) for every pairing, in the integer Gram form and
-        in the algebra, and gamma_matrix reports it as the determinant."""
+        on (1, i, j, k) in the algebra, and gamma_matrix reports it as the
+        determinant."""
         dom = ctx23.dom
+        a, b = dom.order.algebra.a, dom.order.algebra.b
         for pr in dom.pairings:
-            assert dom.finder.nrd(pr.x) == dom.p ** (2 * pr.r)
-            assert dom.order.element(pr.x).nrd() == dom.p ** (2 * pr.r)
+            assert dom.order.nrd(pr.x) == dom.p ** (2 * pr.r)
+            v0, v1, v2, v3 = dom.order.element(pr.x)
+            assert v0**2 - a * v1**2 - b * v2**2 + a * b * v3**2 \
+                == dom.order.den**2 * dom.p ** (2 * pr.r)
             assert gamma_matrix(dom, pr.x, pr.r)[1] == dom.p ** (2 * pr.r)
             assert gamma_vertex(dom, pr.x, pr.r, pr.vertex) \
                 == dom.vertices[pr.target_index]
@@ -96,7 +100,7 @@ class TestDomainShapes:
         every stabilizer holds +-1."""
         dom = ctx23.dom
         for stab in dom.edge_stabs + dom.vertex_stabs:
-            scalar = [dom.order.element(x).co[1:] == (0, 0, 0) for x, r in stab]
+            scalar = [dom.order.element(x)[1:] == [0, 0, 0] for x, r in stab]
             assert [dom.is_pm_one(x, r) for x, r in stab] == scalar
             assert sum(scalar) == 2
 

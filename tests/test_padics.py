@@ -1,5 +1,6 @@
 """Tests for capped-precision p-adic arithmetic."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -139,12 +140,30 @@ class TestIntHelpers:
 
     def test_sqrt_random(self):
         for a in range(1, 40):
-            u = a * a * 7 % 3**9
-            if u % 3 == 0:
-                continue
-            r = sqrt_mod_ppow(u * inv_mod(7, 3**9) * 7 % 3**9, 3, 9) if False else None
-        r = sqrt_mod_ppow(22 * 22 % 3**9, 3, 9)
-        assert (r * r - 22 * 22) % 3**9 == 0
+            if a % 3:
+                r = sqrt_mod_ppow(a * a % 3**9, 3, 9)
+                assert (r * r - a * a) % 3**9 == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.integers(-2**400, 2**400).map(lambda t: 8 * t + 1),
+           prec=st.integers(1, 300))
+    def test_sqrt_2adic_equals_bit_loop(self, u, prec):
+        """The 2-adic Newton lift returns the root that a loop fixing one
+        bit per step returns: 1 for prec <= 3, else the root r = 1 mod 4
+        with 0 < r < 2^(prec-1)."""
+        m = 2**prec
+        r = 1
+        for k in range(3, prec):  # r^2 = u mod 2^(k+1)
+            if (r * r - u) % (1 << (k + 1)) != 0:
+                r += 1 << (k - 1)
+        assert sqrt_mod_ppow(u, 2, prec) == r % m
+
+    def test_sqrt_2adic_high_precision(self):
+        """Newton steps double the digits: 20,000 bits at once, where the
+        bit loop took several seconds."""
+        u = 8 * random.Random(6).getrandbits(20000) + 1
+        r = sqrt_mod_ppow(u, 2, 20000)
+        assert (r * r - u) % 2**20000 == 0 and r % 4 == 1 and 0 < r < 2**19999
 
 
 class TestUnramified:

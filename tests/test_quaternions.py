@@ -2,6 +2,7 @@
 
 import functools
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -16,23 +17,25 @@ from linvariant.quaternions import (
     FACTOR_BOUND,
     PRIME_BOUND,
     Order,
-    Quat,
     QuaternionAlgebra,
     build_algebra,
     congruence_kernel,
     eichler_order,
     enumerate_norm,
     factorint,
+    hermite_rows,
     hilbert_symbol,
-    hnf_basis,
     isprime,
     maximal_order,
     primefactors,
+    qmul,
     ramified_primes,
     xgcd,
 )
 from linvariant.splitting import splitting_map
 from linvariant.tree import mat_mul
+
+import order_reference
 
 
 # ----------------------------------------------------------------------
@@ -181,42 +184,93 @@ def square_walk_symbols(bound_max):
     return first
 
 
+def admissible(disc: int) -> bool:
+    """disc is squarefree with an odd number of prime factors."""
+    fac = sympy.factorint(disc)
+    return all(e == 1 for e in fac.values()) and len(fac) % 2 == 1
+
+
+def rational_rows(order: Order):
+    return [[Fraction(x, order.den) for x in row] for row in order.rows]
+
+
+def _unit(m: int):
+    return tuple(int(t == m) for t in range(4))
+
+
 class TestQuatArithmetic:
+    """Order.mul, conj, nrd and trd on coordinates: in the Lipschitz order
+    Z<1, i, j, k> of (-1, -1) the coordinates are those on (1, i, j, k), and
+    the maximal orders of discriminants 2, 5 and 30 have denominators 2, 4
+    and 2."""
+
     def setup_method(self):
-        self.alg = QuaternionAlgebra(-1, -1, 2)
-        self.one, self.i, self.j, self.k = self.alg.gens()
+        self.lipschitz = Order(QuaternionAlgebra(-1, -1, 2),
+                               [list(_unit(m)) for m in range(4)], 1)
+        self.orders = [maximal_order(build_algebra(d)) for d in (2, 5, 30)]
+
+    @staticmethod
+    def _random(rng, n=5):
+        return tuple(rng.randrange(-n, n + 1) for _ in range(4))
 
     def test_hamilton_relations(self):
-        i, j, k = self.i, self.j, self.k
-        assert i * j == k
-        assert j * i == -k
-        assert i * i == -self.one
-        assert k * k == -self.one
-        assert j * k == i and k * j == -i
-        assert k * i == j and i * k == -j
+        O = self.lipschitz
+        one, i, j, k = (_unit(m) for m in range(4))
+        neg = lambda x: tuple(-t for t in x)
+        assert O.one == one
+        assert O.mul(i, j) == k and O.mul(j, i) == neg(k)
+        assert O.mul(i, i) == neg(one) and O.mul(k, k) == neg(one)
+        assert O.mul(j, k) == i and O.mul(k, j) == neg(i)
+        assert O.mul(k, i) == j and O.mul(i, k) == neg(j)
 
     def test_norm_multiplicative(self):
         rng = random.Random(1)
-        for _ in range(30):
-            x = self.alg.quat([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)])
-            y = self.alg.quat([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)])
-            assert (x * y).nrd() == x.nrd() * y.nrd()
+        for O in self.orders:
+            for _ in range(30):
+                x, y = self._random(rng, 9), self._random(rng, 9)
+                assert O.nrd(O.mul(x, y)) == O.nrd(x) * O.nrd(y)
 
     def test_conj_antihomomorphism(self):
         rng = random.Random(2)
-        for _ in range(20):
-            x = self.alg.quat([rng.randrange(-5, 6) for _ in range(4)])
-            y = self.alg.quat([rng.randrange(-5, 6) for _ in range(4)])
-            assert (x * y).conj() == y.conj() * x.conj()
+        for O in self.orders:
+            for _ in range(20):
+                x, y = self._random(rng), self._random(rng)
+                assert O.conj(O.mul(x, y)) == O.mul(O.conj(y), O.conj(x))
 
     def test_char_equation(self):
-        x = self.alg.quat([3, 1, -2, 5])
-        lhs = x * x - x.scale(x.trd()) + self.one.scale(x.nrd())
-        assert lhs.is_zero()
+        """x^2 - trd(x) x + nrd(x) = 0."""
+        rng = random.Random(3)
+        for O in [self.lipschitz] + self.orders:
+            for _ in range(10):
+                x = self._random(rng)
+                lhs = [s - O.trd(x) * t + O.nrd(x) * o
+                       for s, t, o in zip(O.mul(x, x), x, O.one)]
+                assert lhs == [0] * 4
 
     def test_inverse(self):
-        x = self.alg.quat([2, 1, 1, 0])
-        assert x * x.inverse() == self.one
+        """x conj(x) = conj(x) x = nrd(x), so conj(x) / nrd(x) inverts x."""
+        rng = random.Random(4)
+        for O in self.orders:
+            for _ in range(10):
+                x = self._random(rng)
+                n = tuple(O.nrd(x) * o for o in O.one)
+                assert O.mul(x, O.conj(x)) == O.mul(O.conj(x), x) == n
+
+    def test_table_is_the_algebra_product(self):
+        """On (1, i, j, k), den x is element(x): so qmul of two elements is
+        den times the element of their product, and the Gram form is twice
+        the norm form."""
+        rng = random.Random(5)
+        for O in self.orders:
+            a, b = O.algebra.a, O.algebra.b
+            for _ in range(20):
+                x, y = self._random(rng), self._random(rng)
+                assert qmul((a, b), O.element(x), O.element(y)) == \
+                    [O.den * t for t in O.element(O.mul(x, y))]
+                v = O.element(x)
+                assert (v[0]**2 - a * v[1]**2 - b * v[2]**2 + a * b * v[3]**2
+                        == O.den**2 * O.nrd(x))
+                assert 2 * v[0] == O.den * O.trd(x)
 
 
 # the least strong pseudoprimes to the first 4, 9 and 12 prime bases (psi_4,
@@ -324,6 +378,15 @@ class TestHilbertSymbols:
         assert ramified_primes(alg.a, alg.b) == [disc]
         assert alg.a < 0 and alg.b < 0
 
+    def test_build_algebra_large_prime(self):
+        """The walk visits on edge m only the multiples of disc / gcd(disc,
+        m), so a prime disc reaches its symbol after disc edges of at most
+        one pair each (the whole walk took about two minutes for 10007)."""
+        start = time.monotonic()
+        alg = build_algebra(10007)
+        assert (alg.a, alg.b) == (-1, -10007)
+        assert time.monotonic() - start < 1
+
     def test_build_algebra_edge_walk_equals_square_walk(self, monkeypatch):
         """The edge walk of build_algebra finds the symbol the square walk
         finds, for every admissible disc up to 300.  ramified_primes is
@@ -344,7 +407,7 @@ class TestHilbertSymbols:
     def test_build_algebra_classifies_only_candidates(self, monkeypatch):
         """A pair (a, b) is classified only when the odd primes of disc all
         divide a b: for disc 1019 that is first the case, among the million
-        pairs walked, for (-1, -1019), its symbol."""
+        pairs of the edges before it, for (-1, -1019), its symbol."""
         calls = []
 
         def counted(a, b):
@@ -377,9 +440,9 @@ class TestLattices:
             assert (b[0] + 2 * b[1] + 3 * b[2] + 4 * b[3]) % 9 == 0
 
     def test_hnf_basis(self):
-        rows = [[Fraction(2), Fraction(0)], [Fraction(3), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        basis = hnf_basis(rows)
-        assert len(basis) == 2
+        # the lattice of (x, y) with x + y even
+        assert hermite_rows([[2, 0], [3, 1], [1, -1]]) == [[2, 0], [1, 1]]
+        assert hermite_rows([[2, 0], [4, 0], [0, 0]]) == [[2, 0]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -408,57 +471,66 @@ class TestLattices:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_hnf_basis_equals_reference(self, data):
-        """Rational generator sets of any rank, zero rows included."""
+        """Rational generator sets of any rank, zero rows included, scaled to
+        integers by the lcm of their denominators as the orders are: the
+        Hermite rows over that denominator are sympy's Hermite basis."""
         n = data.draw(st.integers(1, 4))
         frac = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
         gens = data.draw(st.lists(st.lists(frac, min_size=n, max_size=n),
                                   min_size=1, max_size=6))
-        assert hnf_basis(gens) == reference_hnf_basis(gens)
+        den = lcm(*(x.denominator for g in gens for x in g))
+        H = hermite_rows([[int(x * den) for x in g] for g in gens])
+        assert [[Fraction(x, den) for x in row] for row in H] == \
+            reference_hnf_basis(gens)
 
 
 class TestOrders:
     @pytest.mark.parametrize("disc", [2, 3, 5, 7, 11, 13])
     def test_maximal_order(self, disc):
+        """The reduced discriminant is disc, the lattice holds 1, the table
+        is integral and trd, nrd integral on the basis."""
         alg = build_algebra(disc)
         O = maximal_order(alg)
         assert O.reduced_discriminant() == disc
-        assert O.contains(alg.one())
-        for bi in O.basis:
-            assert Fraction(bi.trd()).denominator == 1
-            assert Fraction(bi.nrd()).denominator == 1
-            for bj in O.basis:
-                assert O.contains(bi * bj)
+        assert O.one is not None
+        assert all(t is not None for row in O.table for t in row)
+        for row in O.rows:
+            assert 2 * row[0] % O.den == 0
+            assert sum(f * x * x for f, x in zip(
+                (1, -alg.a, -alg.b, alg.a * alg.b), row)) % O.den**2 == 0
+        assert gcd(O.den, *(x for row in O.rows for x in row)) == 1
 
     def test_hurwitz_order(self):
         # [PAPER-ADJACENT KNOWN FACT] the maximal order of (-1,-1) contains
         # (1+i+j+k)/2
-        alg = build_algebra(2)
-        O = maximal_order(alg)
-        x = alg.quat([Fraction(1, 2)] * 4)
-        assert O.contains(x)
+        O = maximal_order(build_algebra(2))
+        assert O._solve((1, 1, 1, 1), 2) is not None
+        assert O._solve((1, 1, 1, 0), 2) is None
 
     def test_eichler_order(self):
         alg = build_algebra(2)
         O = maximal_order(alg)
         E = eichler_order(alg, O, 3)
         assert E.reduced_discriminant() == 6
-        for bi in E.basis:
-            for bj in E.basis:
-                assert E.contains(bi * bj)
-        for b in E.basis:
-            assert O.contains(b)
+        assert E.level == 3
+        assert all(t is not None for row in E.table for t in row)
+        for row in E.rows:
+            assert O._solve(row, E.den) is not None
 
     @pytest.mark.parametrize("disc,level", [(2, 1), (2, 3), (3, 5), (7, 1)])
     @settings(max_examples=40, deadline=None)
-    @given(coords=st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
-                           min_size=4, max_size=4))
-    def test_coordinates_invert_element(self, disc, level, coords):
-        """coordinates (one adjugate per order) inverts element exactly."""
+    @given(num=st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+           d=st.integers(1, 12))
+    def test_coordinates_invert_element(self, disc, level, num, d):
+        """The coordinates of element(num) / d, with den x = element(x), are
+        num / d: solved exactly, and None unless they are integers."""
         alg = build_algebra(disc)
         O = eichler_order(alg, maximal_order(alg), level)
-        x = O.element(coords)
-        assert O.coordinates(x) == coords
-        assert O.contains(x) == all(c.denominator == 1 for c in coords)
+        got = O._solve(O.element(num), d * O.den)
+        if all(c % d == 0 for c in num):
+            assert got == tuple(c // d for c in num)
+        else:
+            assert got is None
 
     def test_class_number_one_unit_counts(self):
         # [DERIVED] norm-1 element counts of the constructed maximal orders,
@@ -468,8 +540,22 @@ class TestOrders:
         for disc, count in expect.items():
             alg = build_algebra(disc)
             O = maximal_order(alg)
-            sols = enumerate_norm(*_integral(O.gram(), 1))
+            sols = enumerate_norm(O.gram, 2)  # the Gram form is 2 nrd
             assert len(sols) == count, disc
+
+    @pytest.mark.parametrize("disc", [d for d in range(2, 150) if admissible(d)])
+    def test_equal_fraction_reference(self, disc):
+        """The maximal order, and its Eichler orders of the levels 3, 5, 9,
+        15 and 25 coprime to disc, have the rational basis of the Fraction
+        construction of `order_reference`."""
+        alg = build_algebra(disc)
+        O, ref = maximal_order(alg), order_reference.maximal_order(alg)
+        assert rational_rows(O) == [list(b.co) for b in ref.basis]
+        for level in (3, 5, 9, 15, 25):
+            if gcd(level, disc) == 1:
+                E = eichler_order(alg, O, level)
+                Eref = order_reference.eichler_order(alg, ref, level)
+                assert rational_rows(E) == [list(b.co) for b in Eref.basis]
 
 
 class TestEnumerate:
@@ -515,12 +601,6 @@ class TestEnumerate:
             assert sols == []
 
 
-def _int_coords(O, x):
-    co = O.coordinates(x)
-    assert all(c.denominator == 1 for c in co)
-    return [int(c) for c in co]
-
-
 class TestSplitting:
     @pytest.mark.parametrize("disc,p", [(2, 3), (3, 2), (5, 2), (7, 2), (2, 5)])
     def test_splitting_properties(self, disc, p):
@@ -531,22 +611,21 @@ class TestSplitting:
         O = maximal_order(alg)
         spl = splitting_map(O, p, 20)
         mod = p**20
-        assert spl.image(_int_coords(O, alg.one())) == (1, 0, 0, 1)
+        assert spl.image(O.one) == (1, 0, 0, 1)
         rng = random.Random(5)
         for _ in range(15):
             cx = [rng.randrange(-4, 5) for _ in range(4)]
             cy = [rng.randrange(-4, 5) for _ in range(4)]
-            x, y = O.element(cx), O.element(cy)
             mx, my = spl.image(cx), spl.image(cy)
             assert all(0 <= t < mod for t in mx)
-            mxy = spl.image(_int_coords(O, x * y))
+            mxy = spl.image(O.mul(cx, cy))
             assert all((a - b) % mod == 0
                        for a, b in zip(mat_mul(mx, my), mxy))
             msum = spl.image([a + b for a, b in zip(cx, cy)])
             assert msum == tuple((a + b) % mod for a, b in zip(mx, my))
             # trace and determinant
-            assert (mx[0] + mx[3] - int(x.trd())) % mod == 0
-            assert (mx[0] * mx[3] - mx[1] * mx[2] - int(x.nrd())) % mod == 0
+            assert (mx[0] + mx[3] - O.trd(cx)) % mod == 0
+            assert (mx[0] * mx[3] - mx[1] * mx[2] - O.nrd(cx)) % mod == 0
 
     def test_variants_differ_but_are_conjugate_compatible(self):
         alg = build_algebra(3)
@@ -554,6 +633,6 @@ class TestSplitting:
         s0 = splitting_map(O, 2, 16)
         s1 = splitting_map(O, 2, 16, variant=1)
         # both are valid splittings; traces and dets agree even if images differ
-        for b, m0, m1 in zip(O.basis, s0.images, s1.images):
+        for m0, m1 in zip(s0.images, s1.images):
             mod = 2**16
             assert (m0[0] + m0[3] - m1[0] - m1[3]) % mod == 0
