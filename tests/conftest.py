@@ -111,6 +111,19 @@ def row23_m12():
 
 
 @pytest.fixture(scope="session")
+def row32_k6():
+    """(3, 2, 1) at weight 8 (k = 6), sized for M = 4."""
+    return _row(3, 2, 6, 4)
+
+
+@pytest.fixture(scope="session")
+def row23_k10():
+    """(2, 3, 1) at weight 12 (k = 10), sized for M = 4: three cocycles,
+    and W = 53 < i_max = 54, so the lift builds no column m >= W."""
+    return _row(2, 3, 10, 4)
+
+
+@pytest.fixture(scope="session")
 def row27_m12():
     """(2, 7, 1) at weight 4, sized for M = 12: a basis of two cocycles."""
     return _row(2, 7, 2, 12)

@@ -1,7 +1,7 @@
-"""Overconvergent moment lifting: substitution rows and packed sweeps
-against schoolbook references, the live-window lift against full-width
-sweeps from a stabilizer-averaged start, fixed point, stability, Riemann
-oracle."""
+"""Overconvergent moment lifting: substitution rows, packing and packed
+sweeps against schoolbook references, the scheduled sweeps against
+full-modulus sweeps from phi, the live-window lift against full-width sweeps
+from a stabilizer-averaged start, fixed point, stability, Riemann oracle."""
 
 import random
 from dataclasses import replace
@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from linvariant.cocycles import harmonic_basis
 from linvariant.domain import build_up_table
-from linvariant.lifting import (LiftParams, _field_width, _pack, _up_sweep,
-                                make_lift, sigma_series_matrix)
+from linvariant.lifting import (LiftParams, _field_width, _pack,
+                                _sweep_lifts, _unpack, _up_sweep, make_lift,
+                                sigma_series_matrix)
 from linvariant.padics import inv_mod, val_int
 from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import mat_adj, mat_det, mat_mul
@@ -88,17 +89,23 @@ def reference_up_sweep(combined, phis, vecs, n_out, k, mod, half):
     return new
 
 
-def reference_combined(dom, pr, i_max=None):
+def up_table(dom):
+    """table[j][l] = (j', sigma): the reductions of the U_p cosets."""
+    return [[(ent.j, ent.sigma) for ent in ents]
+            for ents in build_up_table(dom)]
+
+
+def reference_combined(table, p, k, W, i_max):
     """The combined sweep matrices C = P_l T_sigma by rows, entry by entry,
-    from the schoolbook substitution rows, for the moments up to i_max
-    (default pr.i_max)."""
-    p, mod = dom.p, dom.p**pr.W
-    n = (pr.i_max if i_max is None else i_max) + 1
+    from the schoolbook substitution rows, for the moments up to i_max, with
+    table[j][l] = (j', sigma) as `up_table` gives it."""
+    mod = p**W
+    n = i_max + 1
     out = []
-    for ents in build_up_table(dom):
+    for cosets in table:
         row = []
-        for ell, ent in enumerate(ents):
-            T = reference_sigma_series_matrix(ent.sigma, pr.k, n - 1, p, pr.W)
+        for ell, (jp, sigma) in enumerate(cosets):
+            T = reference_sigma_series_matrix(sigma, k, n - 1, p, W)
             C = []
             for i in range(n):
                 acc = [0] * n
@@ -107,9 +114,20 @@ def reference_combined(dom, pr, i_max=None):
                     for m in range(n):
                         acc[m] += cf * T[nu][m]
                 C.append([v % mod for v in acc])
-            row.append((ent.j, C))
+            row.append((jp, C))
         out.append(row)
     return out
+
+
+def reference_sweeps(table, phis, p, k, W, n_it):
+    """The moment vectors of one lift after n_it schoolbook sweeps from phi
+    alone, every sweep modulo p^W, sweep n giving the moments 0..n+k."""
+    combined = reference_combined(table, p, k, W, n_it + k)
+    vecs = phis
+    for n in range(1, n_it + 1):
+        vecs = reference_up_sweep(combined, phis, vecs, n + k + 1, k, p**W,
+                                  p ** (k // 2))
+    return vecs
 
 
 def stab_sigma(dom, B, x, r):
@@ -178,45 +196,105 @@ class TestPackedKernels:
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), W=st.integers(1, 90),
            n=st.integers(1, 60), reps=st.integers(1, 4),
-           half_k=st.integers(0, 5), data=st.data())
-    def test_up_sweep_equals_reference(self, p, W, n, reps, half_k, data):
+           lifts=st.integers(1, 3), half_k=st.integers(0, 5), data=st.data())
+    def test_up_sweep_equals_reference(self, p, W, n, reps, lifts, half_k,
+                                       data):
         """The column-packed sweep equals the row-by-row one on random
-        matrices and moment vectors with residues up to p^W - 1, reading
-        n_in live moments and giving n_out of the n packed ones."""
+        matrices and moment vectors with residues up to p^W - 1, for a
+        modulus p^E, E <= W, reading n_in of the n live moments and giving
+        n_out of the n packed ones, for several lifts at once."""
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        mod = p**W
+        mod = p ** data.draw(st.integers(1, W))
         k = min(2 * half_k, n - 1)
         n_in = data.draw(st.integers(k + 1, n))
         n_out = data.draw(st.integers(k + 1, n))
-        res = lambda count: [rng.randrange(mod) for _ in range(count)]
+        res = lambda count: [rng.randrange(p**W) for _ in range(count)]
         combined = [[(rng.randrange(reps), [res(n) for _ in range(n)])
                      for _ in range(p)] for _ in range(reps)]
-        vecs = [res(n_in) for _ in range(reps)]
-        phis = [res(k + 1) for _ in range(reps)]
-        width = _field_width(mod, p * n)
+        all_vecs = [[res(n) for _ in range(reps)] for _ in range(lifts)]
+        all_phis = [[res(k + 1) for _ in range(reps)] for _ in range(lifts)]
+        width = _field_width(p**W, p * n)
         packed = [[(jp, [_pack([C[i][m] for i in range(n)], width)
                          for m in range(n)]) for jp, C in row]
                   for row in combined]
-        assert (_up_sweep(packed, phis, vecs, n_out, k, mod, 1, width)
-                == reference_up_sweep(combined, phis, vecs, n_out, k, mod, 1))
+        assert (_up_sweep(packed, all_phis, all_vecs, n_in, n_out, k, mod, 1,
+                          width)
+                == [reference_up_sweep(combined, phis,
+                                       [v[:n_in] for v in vecs], n_out, k,
+                                       mod, 1)
+                    for phis, vecs in zip(all_phis, all_vecs)])
 
-    def test_make_lift_equals_reference_sweeps(self, row32_m6):
+    @settings(max_examples=50, deadline=None)
+    @given(W=st.integers(1, 300), terms=st.integers(0, 1000),
+           n=st.integers(0, 40), data=st.data())
+    def test_pack_round_trip(self, W, terms, n, data):
+        """The field width is the bound for `terms` products of two
+        residues mod p^W rounded up to whole bytes, and unpacking the first
+        n_read fields of a packed vector of values below 2^B gives them
+        reduced modulo a random modulus."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        B = _field_width(p**W, terms)
+        bound = 2 * (p**W - 1).bit_length() + terms.bit_length() + 1
+        assert B % 8 == 0 and bound <= B < bound + 8
+        vals = data.draw(st.lists(st.integers(0, 2**B - 1), min_size=n,
+                                  max_size=n))
+        mod = data.draw(st.integers(1, 2**B))
+        n_read = data.draw(st.integers(0, n))
+        assert (_unpack(_pack(vals, B), B, n_read, mod)
+                == [v % mod for v in vals[:n_read]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 5),
+           W=st.integers(1, 40), n_it=st.integers(0, 12),
+           reps=st.integers(1, 3), lifts=st.integers(1, 2), data=st.data())
+    def test_scheduled_sweeps_equal_reference(self, p, half_k, W, n_it, reps,
+                                              lifts, data):
+        """On random Iwahori cosets and random phi, the sweeps run modulo
+        p^E_n, skipped while E_n <= k/2, reading and giving only the
+        moments that reach the result, give every residue of the sweeps
+        run from phi modulo p^W.  phi_m is divisible by p^(k/2 - m), so
+        that every U_p value is divisible by p^(k/2)."""
+        k, mod = 2 * half_k, p**W
+        unit = st.integers(0, mod - 1).filter(lambda t: t % p)
+        table = []
+        for _ in range(reps):
+            cosets = []
+            for _ in range(p):
+                a, d = data.draw(unit), data.draw(unit)
+                c = p * data.draw(st.integers(0, (mod - 1) // p))
+                # a d - b c a unit, as p | c
+                b = data.draw(st.integers(0, mod - 1))
+                cosets.append((data.draw(st.integers(0, reps - 1)),
+                               (a, b, c, d)))
+            table.append(cosets)
+        all_phis = [[[p ** max(half_k - m, 0)
+                      * data.draw(st.integers(0, mod - 1)) % mod
+                      for m in range(k + 1)] for _ in range(reps)]
+                    for _ in range(lifts)]
+        pr = LiftParams(k=k, t=0, n_it=n_it, W=W)
+        assert (_sweep_lifts(table, all_phis, p, pr)
+                == [reference_sweeps(table, phis, p, k, W, n_it)
+                    for phis in all_phis])
+
+    @pytest.mark.parametrize("row, n_it", [
+        pytest.param(row, n_it,
+                     id=row if n_it is None else f"{row}-n_it{n_it}")
+        for row, n_it in [("row32_m6", None), ("row32_m6", 0),
+                          ("row32_m6", 1), ("row32_m6", 2),
+                          ("row32_k6", None), ("row23_k10", None)]])
+    def test_make_lift_equals_reference_sweeps(self, request, row, n_it):
         """Every residue of the lift equals that of the schoolbook sweeps
-        run from phi alone, sweep n giving the moments 0..n+k."""
-        ctx, k, M, sz, basis, lifts, tau = row32_m6
-        pr = sz.lift
-        p = ctx.p
-        combined = reference_combined(ctx.dom, pr)
-        starts = make_lift(ctx.dom, basis, replace(pr, n_it=0))
-        for lift, start in zip(lifts, starts):
-            vecs = start.vecs
-            assert vecs == start.phis
-            for n in range(1, pr.n_it + 1):
-                vecs = reference_up_sweep(combined, start.phis, vecs,
-                                          n + k + 1, k, p**pr.W,
-                                          p ** (k // 2))
-            assert vecs == lift.vecs
-            assert len(vecs[0]) == pr.i_max + 1
+        run from phi alone at the full modulus p^W, sweep n giving the
+        moments 0..n+k, with the sized number of sweeps or n_it of them."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        pr = sz.lift if n_it is None else replace(sz.lift, n_it=n_it)
+        if n_it is not None:
+            lifts = make_lift(ctx.dom, basis, pr)
+        table = up_table(ctx.dom)
+        for lift in lifts:
+            assert lift.vecs == reference_sweeps(table, lift.phis, ctx.p, k,
+                                                 pr.W, pr.n_it)
+            assert all(len(v) == pr.i_max + 1 for v in lift.vecs)
 
     @pytest.mark.parametrize("row", ["row32_m6", "row27_m12"])
     def test_live_window_equals_averaged_full_width(self, request, row):
@@ -228,7 +306,7 @@ class TestPackedKernels:
         pr, p = sz.lift, ctx.p
         wide = pr.W + k + 6
         assert wide > pr.i_max
-        combined = reference_combined(ctx.dom, pr, wide)
+        combined = reference_combined(up_table(ctx.dom), p, k, pr.W, wide)
         for lift in lifts:
             vecs = averaged_start(ctx.dom, lift, wide)
             for _ in range(pr.n_it):
