@@ -20,28 +20,41 @@ p^-e (A + B w) known modulo p^P, with e and P in closed form from the
 valuations of a tau + b and c tau + d (see `_mobius`); these are the
 precisions the same quotient gets in PadicNumber coordinates.
 
+Each ball g Z_p is integrated on the directed representative B_j of its
+reduction g = p^u (x'/p^r') B_j sigma (`reduce_matrix`).  Row i of the
+substitution matrix of the Iwahori sigma is x^i |_k sigma^-1, so
+Phi(g)(F) = Phi(B_j)(F |_k sigma^-1), and sigma maps Z_p onto itself, so
+h = g sigma^-1 = p^(u-r') iota(x') B_j has h Z_p = g Z_p: the integral of
+P K over the ball is Phi(B_j)((P |_k h) K(h z)), the stored moments of B_j
+(`Lift.moments`) against the kernel series and weight rows of h, with no
+substitution matrix.  h is integral, v(det h) = v(det g), and h is known
+modulo p^(S + u - r'), S the splitting's precision: the kernel series caps
+its numerators and denominators there, and each ball's total (an integer
+under p^(s+t), below) at S + u - r' - s - t.
+
 The pairing is integer arithmetic.  On each ball the kernel coefficients
 c_j, in their two Q_p coordinates on (1, w), are integers under one scale
 p^s, and the moments mu_i of every lift are integers under the scale p^t
-(see `lifting`), computed once per distinct ball reduction.  The integral
-of x^m |_k g is sum_i q_i mu_i over i < n_terms, q_i = sum_u W[m][u] c[i-u]
-with the exact weight rows W.  It is evaluated as S_m = sum_u W[m][u] X_u,
+(see `lifting`).  The integral of x^m |_k h is sum_i q_i mu_i over
+i < n_terms, q_i = sum_u W[m][u] c[i-u] with the weight rows W.  It is
+evaluated as S_m = sum_u W[m][u] X_u,
 X_u = sum_j c_j mu_(j+u): k + 1 contractions per lift instead of the
 (k+1)^2 n_terms products q_i per ball.  The ball totals are multiplied by
 det^(-k/2), summed as one PadicNumber per coordinate, and (1/2) Tr is
 applied only to those k+1 pairs of totals at the end.
 
 The kernel series is integer arithmetic with one closed-form precision.
-Write T_i^-1 = p^(v_i) eps_i, where T_i = g^-1 tau_i, v_i >= 1 and eps_i is
-a unit pair known modulo p^(R_i), R_i being the lower relative precision of
-a - c tau_i and d tau_i - b.  Then T_i^-n = p^(n v_i) eps_i^n is known to
-n v_i + R_i, and coefficient n >= 1, (T_1^-n - T_2^-n)/n, to
-min_i(n v_i + R_i) - v_p(n), capped at the precision prec of K_p.  The
-p-part of each 1/n goes into the scale p^s; the powers eps_i^n (one fixed
-2x2 multiplication) and the inverses of the unit parts of the n are taken
-modulo p^(prec + s).  The constant term is the Iwasawa log of the unit part of
-(d tau2 - b)/(d tau1 - b), known to the lower relative precision of the two
-factors (`padics.iwasawa_log`).
+For the ball's matrix h = (a, b, c, d) known modulo p^H, write
+T_i^-1 = p^(v_i) eps_i, where T_i = h^-1 tau_i, v_i >= 1 and eps_i is a
+unit pair known modulo p^(R_i), R_i being the lower relative precision of
+a - c tau_i and d tau_i - b, each known to p^H at most.  Then
+T_i^-n = p^(n v_i) eps_i^n is known to n v_i + R_i, and coefficient n >= 1,
+(T_1^-n - T_2^-n)/n, to min_i(n v_i + R_i) - v_p(n), capped at the
+precision prec of K_p.  The p-part of each 1/n goes into the scale p^s; the
+powers eps_i^n (one fixed 2x2 multiplication) and the inverses of the unit
+parts of the n are taken modulo p^(prec + s).  The constant term is the
+Iwasawa log of the unit part of (d tau2 - b)/(d tau1 - b), known to the
+lower relative precision of the two factors (`padics.iwasawa_log`).
 
 The pairing's precision follows the PadicNumber rules: a product a*b is
 known to min(v(a) + P(b), v(b) + P(a)), where a value that vanishes at its
@@ -63,8 +76,8 @@ from fractions import Fraction
 from operator import add, mul
 
 from .cocycles import weight_coeff_rows
-from .domain import EdgeReduction, FundamentalDomain, gamma_vertex
-from .lifting import Lift, sigma_series_matrix
+from .domain import FundamentalDomain, gamma_vertex
+from .lifting import Lift
 from .padics import (
     PadicNumber,
     PrecisionError,
@@ -79,7 +92,7 @@ from .padics import (
     val_cap,
     val_int,
 )
-from .tree import base_vertex, edges_leaving_geodesic, mat_det
+from .tree import base_vertex, edges_leaving_geodesic, mat_det, mat_mul
 
 
 def base_point(p: int, prec: int, variant: int = 0):
@@ -138,9 +151,10 @@ def _mobius(mat, tau, K: UnramifiedField):
 
 @dataclass
 class CoveringBall:
-    matrix: tuple  # integer matrix g with ball = g Z_p
-    det_val: int
-    reduction: object  # EdgeReduction of the edge g.e0
+    matrix: tuple  # h with ball = h Z_p, integer residues modulo p^prec
+    prec: int  # math.inf when h is exact
+    det_val: int  # v(det h)
+    j: int  # the directed representative B_j that h pulls the ball back to
 
 
 def ball_matrices(dom: FundamentalDomain, x, r: int):
@@ -152,9 +166,19 @@ def ball_matrices(dom: FundamentalDomain, x, r: int):
 
 
 def covering(dom: FundamentalDomain, x, r: int):
-    """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau."""
-    return [CoveringBall(m, dv, dom.reduce_matrix(m, dv))
-            for m, dv in ball_matrices(dom, x, r)]
+    """Covering of P^1(Q_p) adapted to the geodesic from tau to gamma tau,
+    each ball g Z_p as h Z_p, h = p^(u-r') iota(x') B_j for the reduction
+    g = p^u (x'/p^r') B_j sigma (see the module docstring)."""
+    p, S = dom.p, dom.spl.prec
+    balls = []
+    for m, dv in ball_matrices(dom, x, r):
+        red = dom.reduce_matrix(m, dv)
+        # iota(x') B_j = p^-e h modulo p^S, with h = g sigma^-1 integral
+        e = red.u_exp - red.r
+        h = mat_mul(dom.spl.image(red.x), dom.rep_mats[red.j])
+        h = tuple(a % p**S * p ** max(e, 0) // p ** max(-e, 0) for a in h)
+        balls.append(CoveringBall(h, S + e, dv, red.j))
+    return balls
 
 
 def _unit_split(x, P, p: int):
@@ -169,22 +193,24 @@ def _unit_split(x, P, p: int):
 
 def log_kernel_series(K: UnramifiedField, ball: CoveringBall, z1, z2,
                       n_terms: int):
-    """Coefficients of log((g z - tau2)/(g z - tau1)) as a series in z on
-    Z_p, for the base points tau_i given by their coordinates z_i (see
-    `_mobius`): constant log((d tau2 - b)/(d tau1 - b)), then
-    (T1^-n - T2^-n)/n for n >= 1, where T_i = g^-1 tau_i.  Returns (s, (A, B), P): coefficient n is
+    """Coefficients of log((h z - tau2)/(h z - tau1)) as a series in z on
+    Z_p, for the ball's matrix h, known modulo p^ball.prec, and the base
+    points tau_i given by their coordinates z_i (see `_mobius`): constant
+    log((d tau2 - b)/(d tau1 - b)), then (T1^-n - T2^-n)/n for n >= 1, where
+    T_i = h^-1 tau_i.  Returns (s, (A, B), P): coefficient n is
     p^-s (A[n] + B[n] w) known modulo p^P[n] (see the module docstring)."""
-    p, Q = K.p, K.prec
+    p, Q, H = K.p, K.prec, ball.prec
     a, b, c, d = ball.matrix
-    vc = val_int(c, p) if c else math.inf
-    vd = val_int(d, p) if d else math.inf
+    vc, vd = val_cap(c, p, H), val_cap(d, p, H)
     mod = p**Q
     parts = []
     for za, zb, e, P in (z1, z2):
         pe = p**e
-        # p^e (a - c tau) and p^e (d tau - b)
-        vn, num, Rn = _unit_split((a * pe - c * za, -c * zb), P + e + vc, p)
-        vden, den, Rd = _unit_split((d * za - b * pe, d * zb), P + e + vd, p)
+        # p^e (a - c tau) and p^e (d tau - b), known to p^H from h
+        vn, num, Rn = _unit_split((a * pe - c * za, -c * zb),
+                                  min(P + e + vc, H), p)
+        vden, den, Rd = _unit_split((d * za - b * pe, d * zb),
+                                    min(P + e + vd, H), p)
         if vn - vden < 1:
             raise ValueError("base point reduces into a covering ball")
         eps = pair_mul(num, pair_unit_inverse(den, K, mod), K, mod)
@@ -215,7 +241,7 @@ def log_kernel_series(K: UnramifiedField, ball: CoveringBall, z1, z2,
 
 def _pairing(series, W, moms, p: int, t: int, cap: int):
     """The pairing on one ball of a `log_kernel_series` (scale p^s) and the
-    weight rows W with the moments of each lift from `_ball_moments` (scale
+    weight rows W with the moments of each lift from `Lift.moments` (scale
     p^t), reassociated as in the module docstring.  Returns, per lift,
     coordinate on (1, w) and m, the numerator S of the integral of x^m under
     the scale p^(s+t), reduced modulo p^(P+s+t), and its precision P
@@ -249,28 +275,6 @@ def _pairing(series, W, moms, p: int, t: int, cap: int):
     return out
 
 
-def _ball_moments(lifts: list[Lift], reduction: EdgeReduction, n_terms: int):
-    """Per lift, the moments Phi(g)(x^i), i < n_terms, of the ball with this
-    reduction: numerators under the lift scale p^t, and unscaled valuations
-    and precisions.  Each lift keeps them per (rep, sigma mod p^W, sigma
-    precision), so the substitution rows are built once per distinct
-    reduction and attempt and then dropped."""
-    pr = lifts[0].params
-    p, mod = lifts[0].dom.p, lifts[0].dom.p ** pr.W
-    key = (reduction.j, tuple(c % mod for c in reduction.sigma),
-           reduction.sigma_prec, n_terms)
-    todo = [lift for lift in lifts if key not in lift.memo]
-    if todo:
-        T = sigma_series_matrix(reduction.sigma, pr.k, pr.i_max, p, pr.W,
-                                n_rows=n_terms)
-        for lift in todo:
-            res, precs = lift.moments(reduction, T)
-            lift.memo[key] = (res,
-                              [val_cap(r, p, P) - pr.t for r, P in zip(res, precs)],
-                              [P - pr.t for P in precs])
-    return [lift.memo[key] for lift in lifts]
-
-
 def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                   tau, n_terms: int, target_prec: int):
     """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
@@ -290,30 +294,33 @@ def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
     precision, as the integrals lie in Q_p.
 
     The covering and the kernel series are computed once per ball, the
-    moments once per distinct ball reduction (see `_ball_moments`); the
+    moments of the representatives once per lift (`Lift.moments`); the
     pairing is an integer contraction per lift (`_pairing`)."""
     p, pr = dom.p, lifts[0].params
     k, t = pr.k, pr.t
     K = UnramifiedField(p, tau[3])
     cap = K.prec
     gtau = _mobius(dom.spl.image(x), tau, K)
+    moms = [lift.moments(n_terms) for lift in lifts]
     # per lift, m and coordinate: the balls' (numerator, scale, precision)
     parts = [[([], []) for _ in range(k + 1)] for _ in lifts]
     for ball in covering(dom, x, r):
         series = log_kernel_series(K, ball, tau, gtau, n_terms)
         s = series[0]
-        pairs = _pairing(series, weight_coeff_rows(ball.matrix, k),
-                         _ball_moments(lifts, ball.reduction, n_terms), p, t,
-                         cap)
-        # P |_k g for P = x^m: the coefficient rows W times
-        # det^(-k/2) = sgn * p^-e, a factor known to dprec
+        # the weight rows of h are residues modulo p^ball.prec
+        W = [[w % p**ball.prec for w in row]
+             for row in weight_coeff_rows(ball.matrix, k)]
+        pairs = _pairing(series, W, [mom[ball.j] for mom in moms], p, t, cap)
+        # P |_k h for P = x^m: the coefficient rows W times det^(-k/2) =
+        # sgn * p^-e, known to dprec; nrd(x') > 0, so sgn is that of det B_j
         dv = ball.det_val
         e = dv * (k // 2)
-        sgn = (1 if mat_det(ball.matrix) > 0 else -1) ** (k // 2)
+        sgn = (1 if mat_det(dom.rep_mats[ball.j]) > 0 else -1) ** (k // 2)
         dprec = -e + target_prec + abs(dv) * k + 8
         for coords, part in zip(pairs, parts):
             for co, rows in enumerate(coords):
                 for m, (S, P) in enumerate(rows):
+                    P = min(P, ball.prec - s - t)
                     v = val_cap(S, p, P + s + t) - s - t
                     part[m][co].append((sgn * S, s + t + e,
                                         min(P - e, v + dprec)))

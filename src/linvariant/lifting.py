@@ -72,15 +72,15 @@ single unpack of those fields (terms = p min(i_max, W)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from math import comb
 from operator import add, mul
 
 from .budget import checkpoint
 from .cocycles import HarmonicCocycle, act_on, weight_action
-from .domain import EdgeReduction, FundamentalDomain, build_up_table
-from .padics import PrecisionError, inv_mod
+from .domain import FundamentalDomain, build_up_table
+from .padics import PrecisionError, inv_mod, val_cap
 from .tree import mat_adj
 
 
@@ -153,7 +153,8 @@ class LiftParams:
 
 @dataclass
 class Lift:
-    """Moments of the overconvergent lift on the directed representatives.
+    """Moments of the overconvergent lift on the directed representatives,
+    the only moments the Coleman integration reads (see `integration`).
 
     vecs[j][i] = p^t * Phi(B_j)(x^i) mod p^W."""
 
@@ -161,9 +162,6 @@ class Lift:
     params: LiftParams
     vecs: list
     phis: list  # scaled exact low moments, per directed rep
-    # moments of this lift per distinct ball reduction, filled by the
-    # Coleman integration and dropped with the lift
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def moment_prec(self, i: int) -> int:
         """Absolute precision (scaled world) of vecs[.][i]."""
@@ -172,22 +170,16 @@ class Lift:
             return pr.W
         return min(pr.W - pr.k // 2, pr.n_it + 1 - (i - pr.k))
 
-    def moments(self, reduction: EdgeReduction, T):
-        """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their
-        absolute precisions (scaled world), given the reduction of the edge
-        g.e0 produced by `FundamentalDomain.reduce_matrix` and the first
-        rows T = sigma_series_matrix(reduction.sigma, k, i_max, p, W,
-        n_rows=len(T)) of its substitution matrix: moment i is row i paired
-        with the moments of the rep reduction.j.  Each residue is reduced
-        modulo p^prec."""
-        p = self.dom.p
-        vec = self.vecs[reduction.j]
-        res, precs = [], []
-        for i, Ti in enumerate(T):
-            prec = min(self.moment_prec(i), reduction.sigma_prec)
-            res.append(sum(map(mul, Ti, vec)) % p ** max(prec, 0))
-            precs.append(prec)
-        return res, precs
+    def moments(self, n_terms: int):
+        """Per directed rep j, the moments p^t Phi(B_j)(x^i), i < n_terms <=
+        i_max + 1, reduced modulo p^P, P their precisions (scaled world), as
+        (residues, valuations, precisions), the last two unscaled."""
+        p, t = self.dom.p, self.params.t
+        precs = [self.moment_prec(i) for i in range(n_terms)]
+        res = [[a % p ** max(P, 0) for a, P in zip(vec, precs)]
+               for vec in self.vecs]
+        return [(r, [val_cap(a, p, P) - t for a, P in zip(r, precs)],
+                 [P - t for P in precs]) for r in res]
 
 
 def _phi_scaled(dom: FundamentalDomain, coc: HarmonicCocycle, k: int):

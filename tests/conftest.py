@@ -124,6 +124,12 @@ def row23_k10():
 
 
 @pytest.fixture(scope="session")
+def row53_m8():
+    """(5, 3, 1) at weight 4 (k = 2), sized for M = 8."""
+    return _row(5, 3, 2, 8)
+
+
+@pytest.fixture(scope="session")
 def row27_m12():
     """(2, 7, 1) at weight 4, sized for M = 12: a basis of two cocycles."""
     return _row(2, 7, 2, 12)

@@ -13,11 +13,11 @@ from linvariant.cocycles import harmonic_basis, weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
     CoveringBall,
-    _ball_moments,
     _coordinate_totals,
     _halved_trace,
     _mobius,
     _pairing,
+    ball_matrices,
     base_point,
     covering,
     lambda_values,
@@ -25,7 +25,7 @@ from linvariant.integration import (
 )
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import (PadicNumber, PrecisionError, UnramifiedField,
-                               val_cap, val_int)
+                               ilog, val_cap, val_int)
 from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import (
     base_vertex,
@@ -36,7 +36,7 @@ from linvariant.tree import (
     star,
 )
 
-from conftest import act, gamma_conj, gamma_mul, value
+from conftest import _row, act, gamma_conj, gamma_mul, value
 from field_reference import (
     Field,
     UnramifiedElement,
@@ -78,12 +78,12 @@ def reference_iwasawa_log(x: UnramifiedElement) -> UnramifiedElement:
     return acc * inv
 
 
-def reference_log_kernel_series(K, ball, tau1, tau2, n_terms):
+def reference_log_kernel_series(K, mat, tau1, tau2, n_terms):
     """Coefficients (in K) of log((g z - tau2)/(g z - tau1)) as a series in
-    z on Z_p, term by term in field elements: constant
-    log(f2 T2 / (f1 T1)) with f_i = c tau_i - a, then
+    z on Z_p for the exact integer matrix g = mat, term by term in field
+    elements: constant log(f2 T2 / (f1 T1)) with f_i = c tau_i - a, then
     sum_n (T1^-n - T2^-n)/n z^n, where T_i = g^{-1} tau_i."""
-    a, b, c, d = ball.matrix
+    a, b, c, d = mat
     conv = lambda t: K.element(Fraction(t))
     out = []
     T = []
@@ -115,25 +115,46 @@ def series_elements(K: Field, series):
             for a, b, P in zip(A, B, precs)]
 
 
+def reference_ball_moments(lift, reduction, T):
+    """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their absolute
+    precisions (scaled world), given the reduction of the edge g.e0 produced
+    by `FundamentalDomain.reduce_matrix` and the first rows
+    T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, n_rows=len(T))
+    of its substitution matrix: moment i is row i paired with the moments of
+    the rep reduction.j, so the sigma of the reduction is applied to the
+    moments rather than pulled back into the integrand.  Each residue is
+    reduced modulo p^prec."""
+    p = lift.dom.p
+    vec = lift.vecs[reduction.j]
+    res, precs = [], []
+    for i, Ti in enumerate(T):
+        prec = min(lift.moment_prec(i), reduction.sigma_prec)
+        res.append(sum(map(mul, Ti, vec)) % p ** max(prec, 0))
+        precs.append(prec)
+    return res, precs
+
+
 def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
                             target_prec):
     """The untraced totals of lambda_values evaluated term by term in field
-    elements: every kernel coefficient, weight-row product, moment and
-    pairing is a PadicNumber or UnramifiedElement, so each digit's
-    precision follows the PadicNumber rules.  tau is the field element."""
+    elements on the balls g Z_p of the covering, with the exact edge
+    matrices g and the moments Phi(g) of `reference_ball_moments`: every
+    kernel coefficient, weight-row product, moment and pairing is a
+    PadicNumber or UnramifiedElement, so each digit's precision follows the
+    PadicNumber rules.  tau is the field element."""
     p, pr = dom.p, lifts[0].params
     k = pr.k
     K = tau.field
     Xi, _ = gamma_matrix(dom, x, r)
     tau2 = mobius(Xi, tau)
     totals = [[K.zero() for _ in range(k + 1)] for _ in lifts]
-    for ball in covering(dom, x, r):
-        lser = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
-        T = sigma_series_matrix(ball.reduction.sigma, k, pr.i_max, p, pr.W,
+    for g, dv in ball_matrices(dom, x, r):
+        reduction = dom.reduce_matrix(g, dv)
+        lser = reference_log_kernel_series(K, g, tau, tau2, n_terms)
+        T = sigma_series_matrix(reduction.sigma, k, pr.i_max, p, pr.W,
                                 n_rows=n_terms)
-        W = weight_coeff_rows(ball.matrix, k)
-        det = ball.matrix[0] * ball.matrix[3] - ball.matrix[1] * ball.matrix[2]
-        dv = ball.det_val
+        W = weight_coeff_rows(g, k)
+        det = g[0] * g[3] - g[1] * g[2]
         sgn = 1 if det > 0 else -1
         dfac = K.element(PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
                                      -dv * (k // 2) + target_prec + abs(dv) * k + 8))
@@ -148,7 +169,7 @@ def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
                 row.append(cf)
             cfs.append(row)
         for lift, total in zip(lifts, totals):
-            res, precs = lift.moments(ball.reduction, T)
+            res, precs = reference_ball_moments(lift, reduction, T)
             momK = [K.element(PadicNumber(p, -pr.t, a, P - pr.t))
                     for a, P in zip(res, precs)]
             for m in range(k + 1):
@@ -334,6 +355,34 @@ class TestLambdaCocycle:
             for _, b in totals:
                 assert b.is_zero() or b.val >= M - 2
 
+    @pytest.mark.parametrize("p, nminus, k", [
+        (7, 2, 2), (7, 2, 4), (3, 2, 2), (3, 2, 4), (2, 3, 6), (2, 7, 6),
+        (5, 3, 2), (3, 5, 2), (11, 2, 2)])
+    def test_norm_relation_on_torsion(self, p, nminus, k):
+        """For a generator gamma with gamma^n = +-1, n minimal,
+        sum_(j<n) gamma^j . lam(gamma) = lam(gamma^n) = 0 by the cocycle law,
+        as +-1 fixes tau and acts trivially on V_k: an oracle for every
+        integrated value on the torsion generators, modulo the precision
+        lam claims, with no frozen numbers."""
+        ctx, k, M, sz, basis, lifts, tau = _row(p, nminus, k, 8)
+        dom = ctx.dom
+        op = sz.out_prec
+        checked = 0
+        for x, r in dom.generators():
+            y, n = x, 1
+            while n <= 6 and not dom.is_pm_one(y, n * r):
+                y, n = gamma_mul(dom, y, x), n + 1
+            if n > 6:
+                continue
+            for lam in lambda_values(dom, lifts, x, r, tau, sz.n_terms, op):
+                total, term = lam, lam
+                for _ in range(n - 1):
+                    term = act(dom, k, x, r, term, op)
+                    total = [a + b for a, b in zip(total, term)]
+                assert all(t.is_zero() for t in total)
+                checked += 1
+        assert checked > 0
+
     def test_identity_like_stabilizer_gives_zero_psi_path(self, row32_m8):
         """Covering for a vertex-stabilizing gamma is the single star."""
         ctx, k, M, sz, basis, lifts, tau = row32_m8
@@ -344,14 +393,17 @@ class TestLambdaCocycle:
 
 
 class TestIntegerPairing:
-    @pytest.mark.parametrize("row, n_gens, v_min", [
-        ("row32_m8", 12, None),  # p = 3, w^2 = n: one cocycle
-        ("row27_m12", None, -3),  # p = 2, d = 2: entries down to 2^-3
+    @pytest.mark.parametrize("row, v_min", [
+        ("row23_m12", None),  # p = 2, k = 4
+        ("row32_m8", None),  # p = 3, w^2 = n: one cocycle
+        ("row27_m12", -3),  # p = 2, d = 2: entries down to 2^-3
+        ("row53_m8", None),  # p = 5, k = 2
     ])
-    def test_matches_field_element_reference(self, request, row, n_gens,
-                                             v_min):
-        """The integer contraction agrees with the term-by-term field
-        evaluation in value, and each entry is known to exactly
+    def test_matches_field_element_reference(self, request, row, v_min):
+        """On every generator, the integer contraction on the pulled-back
+        balls agrees with the term-by-term field evaluation on the balls
+        g Z_p with the moments Phi(g) (`reference_lambda_values`) modulo
+        the lower precision, and each entry is known to
         min(target_prec, reference precision): traced entries and both
         coordinates of the untraced totals."""
         ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
@@ -359,7 +411,7 @@ class TestIntegerPairing:
         op = sz.out_prec
         tau_ref = reference_base_point(dom.p, tau[3])
         vals = []
-        for x, r in dom.generators()[:n_gens]:
+        for x, r in dom.generators():
             ref = reference_lambda_values(dom, lifts, x, r, tau_ref,
                                           sz.n_terms, op)
             got = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
@@ -383,18 +435,21 @@ class TestReassociatedPairing:
     @pytest.mark.parametrize("row", ["row23_m12", "row32_m8", "row27_m12"])
     def test_equals_convolved_reference_on_covering_balls(self, request, row):
         """On every covering ball of every generator, the reassociated
-        pairing agrees with the convolved one modulo its precision, which
-        is never larger."""
+        pairing of the pulled-back kernel series and weight rows with the
+        moments of the ball's representative agrees with the convolved one
+        modulo its precision, which is never larger."""
         ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
         dom, p, t = ctx.dom, ctx.p, sz.lift.t
         K = UnramifiedField(p, tau[3])
+        reps = [lift.moments(sz.n_terms) for lift in lifts]
         count = 0
         for x, r in dom.generators():
             gtau = _mobius(dom.spl.image(x), tau, K)
             for ball in covering(dom, x, r):
                 series = log_kernel_series(K, ball, tau, gtau, sz.n_terms)
-                W = weight_coeff_rows(ball.matrix, k)
-                moms = _ball_moments(lifts, ball.reduction, sz.n_terms)
+                W = [[w % p**ball.prec for w in row]
+                     for row in weight_coeff_rows(ball.matrix, k)]
+                moms = [rep[ball.j] for rep in reps]
                 count += assert_pairings_agree(
                     _pairing(series, W, moms, p, t, K.prec),
                     reference_pairing(series, W, moms, p, t, K.prec),
@@ -523,15 +578,83 @@ class TestKernelSeries:
                                      v0.matrix()), p)
         edges = edges_leaving_geodesic(v0, w)
         ball = CoveringBall(
-            edges[data.draw(st.integers(0, len(edges) - 1))].matrix(), 0, None)
+            edges[data.draw(st.integers(0, len(edges) - 1))].matrix(),
+            math.inf, 0, None)
         z1 = coords(tau)
         got = series_elements(K, log_kernel_series(
             K, ball, z1, _mobius(X, z1, K), n_terms))
-        want = reference_log_kernel_series(K, ball, tau, tau2, n_terms)
+        want = reference_log_kernel_series(K, ball.matrix, tau, tau2, n_terms)
         assert len(got) == len(want) == n_terms
         for g, r in zip(got, want):
             for x, y in ((g.a, r.a), (g.b, r.b)):
                 assert (x - y).is_zero()
+
+
+class TestChangeOfVariables:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), variant=st.sampled_from([0, 1]),
+           half_k=st.integers(0, 3), extra=st.integers(8, 30),
+           H=st.integers(5, 60), data=st.data())
+    def test_pulled_back_kernel_pairs_raw_moments(self, p, variant, half_k,
+                                                  extra, H, data):
+        """For a covering-ball matrix g, an Iwahori sigma of unit determinant
+        and h = g sigma^-1 (residues modulo p^H), pairing the kernel series
+        and weight rows of g with the moments T_sigma mu equals
+        det(sigma)^(k/2) times pairing those of h with mu, as row i of T_sigma
+        is x^i |_k sigma^-1.  Both sides are truncated to their first n_terms
+        moments, and every kernel coefficient c_n, n >= 1, has valuation at
+        least n - log_p(n), so they agree modulo the lower claimed precision
+        and the truncation bound n_terms - k - log_p(n_terms - k)."""
+        k = 2 * half_k
+        n_terms = k + extra
+        cap, Wm = 40, 80
+        entry = st.integers(-p**3, p**3)
+        X = tuple(data.draw(entry) for _ in range(4))
+        assume(X[0] * X[3] != X[1] * X[2])
+        K = UnramifiedField(p, cap)
+        z1 = base_point(p, cap, variant)
+        z2 = _mobius(X, z1, K)
+        v0 = base_vertex(p)
+        w = normalize_vertex(mat_mul(tuple(Fraction(t) for t in X),
+                                     v0.matrix()), p)
+        edges = edges_leaving_geodesic(v0, w)
+        g = edges[data.draw(st.integers(0, len(edges) - 1))].matrix()
+        unit = st.integers(1, p**4).filter(lambda a: a % p)
+        a, d = data.draw(unit), data.draw(unit)
+        b, c = data.draw(st.integers(-p**4, p**4)), p * data.draw(entry)
+        det = a * d - b * c
+        # h = g adj(sigma) / det(sigma), modulo p^H
+        dinv = pow(det, -1, p**H)
+        h = tuple(e * dinv % p**H for e in mat_mul(g, (d, -b, -c, a)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        L = n_terms + 10
+        mu = [rng.randrange(p**Wm) for _ in range(L)]
+        T = sigma_series_matrix((a, b, c, d), k, L - 1, p, Wm,
+                                n_rows=n_terms)
+        t_mu = [sum(map(mul, row, mu)) % p**Wm for row in T]
+
+        def pairing(mat, prec, moments):
+            series = log_kernel_series(K, CoveringBall(mat, prec, 0, None),
+                                       z1, z2, n_terms)
+            W = [[e % p**prec if prec < math.inf else e for e in row]
+                 for row in weight_coeff_rows(mat, k)]
+            moms = [(moments, [val_cap(m, p, Wm) for m in moments],
+                     [Wm] * n_terms)]
+            [per_co] = _pairing(series, W, moms, p, 0, cap)
+            # the weight rows of a residue matrix cap every total
+            return series[0], [[(S, min(P, prec - series[0])) for S, P in rows]
+                               for rows in per_co]
+
+        s_g, on_g = pairing(g, math.inf, t_mu)
+        s_h, on_h = pairing(h, H, mu[:n_terms])
+        E = max(s_g, s_h)
+        fac = pow(det, half_k, p ** (cap + 2 * E + Wm))
+        trunc = n_terms - k - ilog(n_terms - k, p)
+        for rows_g, rows_h in zip(on_g, on_h, strict=True):
+            for (S, P), (S_h, P_h) in zip(rows_g, rows_h, strict=True):
+                bound = min(P, P_h, trunc)
+                diff = S * p ** (E - s_g) - fac * S_h * p ** (E - s_h)
+                assert diff % p ** max(bound + E, 0) == 0
 
 
 def _sized_domain(ctx, k, M):
@@ -547,23 +670,31 @@ class TestKernelPrecision:
         ("ctx27", 6, 12), ("ctx27", 6, 24), ("ctx32", 2, 8)])
     def test_claims_confirmed_by_finer_base_point(self, request, ctx_name,
                                                   k, M):
-        """Every covering ball's kernel coefficients (constant and n >= 1),
-        both coordinates, agree with the same series from the base point
-        at tau_prec + 50 to the precision they claim.  The Teichmuller base
-        point is canonical, so the finer series is an independent oracle."""
-        dom, sz = _sized_domain(request.getfixturevalue(ctx_name), k, M)
+        """Every covering ball's pulled-back kernel coefficients (constant
+        and n >= 1), both coordinates, agree to the precision they claim
+        with the same series from a splitting 30 digits finer, which gives
+        the pulled-back matrices h to 30 more digits, and from the base point
+        at tau_prec + 50.  The Teichmuller base point is canonical and the
+        finer splitting agrees with the coarser one to its precision, so the
+        finer series is an independent oracle."""
+        ctx = request.getfixturevalue(ctx_name)
+        dom, sz = _sized_domain(ctx, k, M)
+        fine = resplit(ctx, sz.split_prec + 30).dom
         p = dom.p
         fields = [UnramifiedField(p, sz.tau_prec),
                   UnramifiedField(p, sz.tau_prec + 50)]
         taus = [base_point(p, K.prec) for K in fields]
         checked = 0
         for x, r in dom.generators():
-            Xi, _ = gamma_matrix(dom, x, r)
-            zs = [(tau, _mobius(Xi, tau, K)) for tau, K in zip(taus, fields)]
-            for ball in covering(dom, x, r):
+            zs = [(tau, _mobius(gamma_matrix(d, x, r)[0], tau, K))
+                  for d, tau, K in zip((dom, fine), taus, fields)]
+            for ball, ball_hi in zip(covering(dom, x, r),
+                                     covering(fine, x, r), strict=True):
+                assert (ball.j, ball.det_val) == (ball_hi.j, ball_hi.det_val)
+                assert ball_hi.prec == ball.prec + 30
                 (s, lo, P), (S, hi, P_hi) = (
-                    log_kernel_series(K, ball, z1, z2, sz.n_terms)
-                    for K, (z1, z2) in zip(fields, zs))
+                    log_kernel_series(K, b, z1, z2, sz.n_terms)
+                    for K, b, (z1, z2) in zip(fields, (ball, ball_hi), zs))
                 assert all(a <= b for a, b in zip(P, P_hi))
                 E = max(s, S)
                 for co_lo, co_hi in zip(lo, hi):
