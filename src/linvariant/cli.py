@@ -18,6 +18,7 @@ import sys
 
 from .budget import Budget, BudgetExceeded
 from .cocycles import harmonic_basis
+from .domain import DomainTooLarge
 from .padics import PrecisionError
 from .pipeline import (
     SIZING_BASIS_PREC,
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     try:
         with Budget(seconds=args.budget_secs).active():
             return COMMANDS[args.cmd](args)
-    except UsageError as exc:
+    except (UsageError, DomainTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BudgetExceeded as exc:

@@ -18,8 +18,11 @@ elements and edge/vertex stabilizers.  One cached search,
 `FundamentalDomain.locate`, classifies every edge against the directed
 representatives found so far: the breadth-first search takes an edge as a
 new representative only when nothing matches, and every match it finds is
-kept for the harmonic basis and the U_p table (`reduce_matrix`).  Every
-search checks the active time budget once per exponent r (see `budget`).
+kept for the harmonic basis and the U_p table (`reduce_matrix`).  The
+search (`FundamentalDomain.search`) reads the domain's own order and
+splitting, so a copy of the domain under another splitting searches with
+that one.  Every search checks the active time budget once per exponent r
+(see `budget`).
 """
 
 from __future__ import annotations
@@ -42,89 +45,6 @@ from .tree import (
     normalize_vertex,
     star,
 )
-
-
-class EquivalenceFinder:
-    """Searches for Gamma-elements carrying one vertex/edge to another."""
-
-    def __init__(self, order: Order, spl: SplittingMap):
-        self.order = order
-        self.spl = spl
-        self.p = spl.p
-        self.images = spl.images  # iota of the order basis, mod p^prec
-        self.mod = spl.p**spl.prec
-
-    def _forms(self, m1, m2):
-        """Rows of linear forms c -> entries of adj(m2) * iota(sum c b) * m1."""
-        adj2 = mat_adj(m2)
-        rows = [[0] * 4 for _ in range(4)]  # entry t, coefficient of c_m
-        for midx, im in enumerate(self.images):
-            z = mat_mul(mat_mul(adj2, im), m1)
-            for t in range(4):
-                rows[t][midx] = z[t] % self.mod
-        return rows
-
-    def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False):
-        """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r).(m1-object)
-        equal to the m2-object (vertex class or directed edge); x is given by
-        its integer coordinates, a tuple.
-
-        Returns a single (x, r) or None; with all_solutions=True, the list of
-        all (x, r) with x primitive (no two give the same x/p^r)."""
-        p = self.p
-        v1 = val_int(mat_det(m1), p)
-        v2 = val_int(mat_det(m2), p)
-        forms = self._forms(m1, m2)
-        found = []
-        for r in range(rmax + 1):
-            checkpoint()
-            V = v1 + v2 + 2 * r
-            if V % 2:
-                continue
-            s = V // 2
-            if s < 0:
-                continue
-            if kind == "edge":
-                modulus = p ** (s + 1)
-                assert s + 1 + 4 <= self.spl.prec
-                rows = [
-                    [p * forms[0][m] % modulus for m in range(4)],
-                    [p * forms[1][m] % modulus for m in range(4)],
-                    [forms[2][m] % modulus for m in range(4)],
-                    [p * forms[3][m] % modulus for m in range(4)],
-                ]
-            else:
-                modulus = p**s
-                assert s + 4 <= self.spl.prec
-                rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
-            K = congruence_kernel(rows, modulus)
-            KG = [[sum(a * b for a, b in zip(ki, col))
-                   for col in zip(*self.order.gram)] for ki in K]
-            GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
-            target = 2 * p ** (2 * r)  # the Gram form is 2 nrd
-            for cvec in enumerate_norm(GK, target):
-                c = tuple(sum(kj[m] * cj for kj, cj in zip(K, cvec))
-                          for m in range(4))
-                if r > 0 and all(ci % p == 0 for ci in c):
-                    continue  # imprimitive: already seen at smaller r
-                assert self.order.nrd(c) == p ** (2 * r)
-                if all_solutions:
-                    found.append((c, r))
-                else:
-                    return (c, r)
-        return found if all_solutions else None
-
-    # convenience wrappers ------------------------------------------------
-
-    def vertex_equiv(self, v: Vertex, w: Vertex):
-        rmax = v.dist_to_base() + w.dist_to_base() + 1
-        return self.search(v.matrix(), w.matrix(), "vertex", rmax)
-
-    def stabilizer(self, obj, kind: str, dist: int):
-        """All gamma in Gamma fixing the vertex or directed edge obj at
-        distance dist from the base vertex (includes +-1)."""
-        return self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
-                           all_solutions=True)
 
 
 def _edge_dist(e: Edge) -> int:
@@ -177,17 +97,76 @@ class FundamentalDomain:
     actions: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
-    # Cached on first use (the determinant valuations only once the domain
-    # is complete); dataclasses.replace copies neither, so a domain under a
-    # new splitting builds its own finder.
-
-    @cached_property
-    def finder(self) -> EquivalenceFinder:
-        return EquivalenceFinder(self.order, self.spl)
-
+    # cached on first use, once the domain is complete
     @cached_property
     def rep_detvals(self) -> list[int]:
         return [val_int(mat_det(m), self.p) for m in self.rep_mats]
+
+    def _forms(self, m1, m2):
+        """Rows of linear forms c -> entries of adj(m2) * iota(sum c b) * m1."""
+        adj2, mod = mat_adj(m2), self.p**self.spl.prec
+        rows = [[0] * 4 for _ in range(4)]  # entry t, coefficient of c_m
+        for midx, im in enumerate(self.spl.images):
+            z = mat_mul(mat_mul(adj2, im), m1)
+            for t in range(4):
+                rows[t][midx] = z[t] % mod
+        return rows
+
+    def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False):
+        """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r).(m1-object)
+        equal to the m2-object (vertex class or directed edge); x is given by
+        its integer coordinates, a tuple.
+
+        Returns a single (x, r) or None; with all_solutions=True, the list of
+        all (x, r) with x primitive (no two give the same x/p^r)."""
+        p = self.p
+        v1 = val_int(mat_det(m1), p)
+        v2 = val_int(mat_det(m2), p)
+        forms = self._forms(m1, m2)
+        found = []
+        for r in range(rmax + 1):
+            checkpoint()
+            V = v1 + v2 + 2 * r
+            if V % 2:
+                continue
+            s = V // 2
+            if s < 0:
+                continue
+            if kind == "edge":
+                modulus = p ** (s + 1)
+                assert s + 1 + 4 <= self.spl.prec
+                rows = [
+                    [p * forms[0][m] % modulus for m in range(4)],
+                    [p * forms[1][m] % modulus for m in range(4)],
+                    [forms[2][m] % modulus for m in range(4)],
+                    [p * forms[3][m] % modulus for m in range(4)],
+                ]
+            else:
+                modulus = p**s
+                assert s + 4 <= self.spl.prec
+                rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
+            K = congruence_kernel(rows, modulus)
+            KG = [[sum(a * b for a, b in zip(ki, col))
+                   for col in zip(*self.order.gram)] for ki in K]
+            GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
+            target = 2 * p ** (2 * r)  # the Gram form is 2 nrd
+            for cvec in enumerate_norm(GK, target):
+                c = tuple(sum(kj[m] * cj for kj, cj in zip(K, cvec))
+                          for m in range(4))
+                if r > 0 and all(ci % p == 0 for ci in c):
+                    continue  # imprimitive: already seen at smaller r
+                assert self.order.nrd(c) == p ** (2 * r)
+                if all_solutions:
+                    found.append((c, r))
+                else:
+                    return (c, r)
+        return found if all_solutions else None
+
+    def stabilizer(self, obj, kind: str, dist: int):
+        """All gamma in Gamma fixing the vertex or directed edge obj at
+        distance dist from the base vertex (includes +-1)."""
+        return self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
+                           all_solutions=True)
 
     def directed_reps(self) -> list[Edge]:
         return [f for e in self.geo_edges for f in (e, e.opposite())]
@@ -223,7 +202,7 @@ class FundamentalDomain:
         if e not in self.located:
             m, d_e = e.matrix(), _edge_dist(e)
             for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
-                res = self.finder.search(B, m, "edge", d_e + d + 1)
+                res = self.search(B, m, "edge", d_e + d + 1)
                 if res is not None:
                     self.located[e] = (j, *res)
                     break
@@ -266,8 +245,15 @@ def gamma_vertex(dom: FundamentalDomain, x, r: int, v: Vertex) -> Vertex:
     return normalize_vertex(mat_mul(dom.spl.image(x), v.matrix()), dom.p)
 
 
-# a search that finds more vertex orbits than this is taken to be a bug
+# The most vertex orbits a domain may have.  Every vertex stabilizer holds
+# +-1, so a level of Eichler mass m has at least 2m of them, and
+# `pipeline.validate` rejects a level with 2m past this bound; the search
+# can still pass it when stabilizers are larger than +-1.
 MAX_VERTICES = 200
+
+
+class DomainTooLarge(RuntimeError):
+    """The search found more than MAX_VERTICES vertex orbits."""
 
 
 def compute_fundamental_domain(order: Order,
@@ -276,7 +262,6 @@ def compute_fundamental_domain(order: Order,
     that `locate` matches to no representative so far becomes one."""
     p = spl.p
     dom = FundamentalDomain(p, order, spl)
-    eq = dom.finder
     v0 = base_vertex(p)
     dom.vertices.append(v0)
     queue = [v0]
@@ -290,7 +275,8 @@ def compute_fundamental_domain(order: Order,
             dom.rep_dists += [_edge_dist(e)] * 2
             u = e.target()
             for i, w in enumerate(dom.vertices):
-                g = eq.vertex_equiv(u, w)
+                g = dom.search(u.matrix(), w.matrix(), "vertex",
+                               u.dist_to_base() + w.dist_to_base() + 1)
                 if g is not None:
                     dom.pairings.append(Pairing(u, i, *g))
                     break
@@ -298,14 +284,16 @@ def compute_fundamental_domain(order: Order,
                 dom.vertices.append(u)
                 queue.append(u)
                 if len(dom.vertices) > MAX_VERTICES:
-                    raise RuntimeError("fundamental domain larger than expected")
+                    raise DomainTooLarge(
+                        f"the fundamental domain has more than {MAX_VERTICES} "
+                        "vertex orbits")
     for e in dom.geo_edges:
-        stab = eq.stabilizer(e, "edge", _edge_dist(e))
+        stab = dom.stabilizer(e, "edge", _edge_dist(e))
         # closed under negation (contains the central -1), so of even order
         assert len(stab) >= 2 and len(stab) % 2 == 0
         dom.edge_stabs.append(stab)
     for v in dom.vertices:
-        dom.vertex_stabs.append(eq.stabilizer(v, "vertex", v.dist_to_base()))
+        dom.vertex_stabs.append(dom.stabilizer(v, "vertex", v.dist_to_base()))
     return dom
 
 

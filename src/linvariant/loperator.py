@@ -94,7 +94,7 @@ def restrict_operator(A, sub_basis, prec: int):
     return [[sols[j][t] for j in range(s)] for t in range(s)]
 
 
-def eigenspace(M, eig: int, prec: int):
+def eigenspace(M, eig: int):
     """Basis of the eigenspace of M (a +-1-involution matrix) for eigenvalue
     eig, as column vectors."""
     d = len(M)

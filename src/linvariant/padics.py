@@ -569,27 +569,17 @@ def charpoly(A):
 def newton_slopes(coeffs):
     """Valuations of the roots from the Newton polygon.
 
-    coeffs: [a_0, ..., a_d] low to high (a_d must be a certified unit or at
-    least known nonzero).  Returns a list of (valuation: Fraction, multiplicity)
-    sorted by descending valuation.  Raises PrecisionError when a needed hull
-    vertex is indistinguishable from zero at working precision.
+    coeffs: [a_0, ..., a_d] low to high.  Returns a list of (valuation:
+    Fraction, multiplicity) sorted by descending valuation.  The polygon is
+    one lower hull over all coefficients: one indistinguishable from zero
+    enters it at its precision, a lower bound on its valuation, and
+    PrecisionError is raised when such a point is a hull vertex, as the
+    polygon then depends on digits not computed.  a_0 and a_d are always
+    vertices, so both must be known nonzero (0 is not an eigenvalue of an
+    invertible operator, so an undetermined a_0 is not taken to be zero).
     """
-    d = len(coeffs) - 1
-    pts = []
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            pts.append((i, None, c.prec))
-        else:
-            pts.append((i, c.val, c.prec))
-    if pts[d][1] is None:
-        raise PrecisionError("leading coefficient not determined")
-    # lower convex hull over known points, from i=0 (or first known) to d.
-    # a_0 may be genuinely 0 (zero eigenvalues) -- but 0 is not an eigenvalue of
-    # an invertible operator; treat undetermined low coefficients as +infinity
-    # and certify below.
-    known = [(i, v) for i, v, _ in pts if v is not None]
     hull = []
-    for pt in known:
+    for pt in enumerate(c.prec if c.is_zero() else c.val for c in coeffs):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
@@ -597,21 +587,11 @@ def newton_slopes(coeffs):
             else:
                 break
         hull.append(pt)
-    # certify: every undetermined point must lie (weakly) above the hull
-    def hull_y(x):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= x <= x2:
-                return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-        return None
-    for i, v, prc in pts:
-        if v is None and i <= d:
-            hy = hull_y(i)
-            if hy is not None and Fraction(prc) < hy:
-                raise PrecisionError(
-                    f"Newton polygon vertex at index {i} not determined (O(p^{prc}))"
-                )
-    if hull[0][0] != 0:
-        raise PrecisionError("lowest coefficient indistinguishable from zero")
+    for i, y in hull:
+        if coeffs[i].is_zero():
+            raise PrecisionError(
+                "lowest coefficient indistinguishable from zero" if i == 0 else
+                f"Newton polygon vertex at index {i} not determined (O(p^{y}))")
     out = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))  # root valuation, multiplicity

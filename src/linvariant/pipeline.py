@@ -28,7 +28,7 @@ from .cocycles import (
     involution_matrix,
     normalizing_element,
 )
-from .domain import FundamentalDomain, compute_fundamental_domain
+from .domain import MAX_VERTICES, FundamentalDomain, compute_fundamental_domain
 from .integration import ball_matrices, base_point
 from .lifting import LiftParams, make_lift, _phi_scaled
 from .loperator import (
@@ -90,6 +90,14 @@ def validate(p: int, nminus: int, nplus: int, weight: int | None = None):
         raise UsageError(
             "Nminus must have an odd number of prime factors (definite algebra)"
         )
+    # Eichler's mass formula; every vertex stabilizer holds +-1, so the
+    # domain has at least 2 mass vertex orbits
+    mass = Fraction(math.prod(q - 1 for q in fac), 12) * math.prod(
+        q ** (e - 1) * (q + 1) for q, e in factorint(nplus).items())
+    if 2 * mass > MAX_VERTICES:
+        raise UsageError(
+            f"the fundamental domain would have at least {math.ceil(2 * mass)}"
+            f" vertex orbits, more than the {MAX_VERTICES} supported")
     if weight is not None and (weight < 2 or weight % 2 != 0):
         raise UsageError("weight must be even and >= 2")
 
@@ -131,8 +139,8 @@ def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
     The domain, with its cache of edge locations, depends only on the order
     and p, so it carries over when the new splitting agrees with the old one
     to the old precision; otherwise the domain is computed afresh.  The
-    actions of group elements, and the equivalence finder, depend on the
-    splitting, so the new domain starts without them."""
+    actions of group elements depend on the splitting, so the new domain
+    starts without them, and its searches use the new splitting."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
     mod = ctx.p ** min(split_prec, dom.spl.prec)
@@ -364,8 +372,8 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int) -> LResult:
         (diff[i][j] - diff2[i][j]).val >= M - 2
         for i in range(d) for j in range(d)
     )
-    plus = eigenspace(MN, 1, out_prec)
-    minus = eigenspace(MN, -1, out_prec)
+    plus = eigenspace(MN, 1)
+    minus = eigenspace(MN, -1)
     if len(plus) + len(minus) != d:
         raise PrecisionError("Atkin-Lehner eigenspaces do not span at precision")
     # the characteristic polynomial of A on each nonempty W_N eigenspace,

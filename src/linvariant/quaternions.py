@@ -281,19 +281,19 @@ def bareiss(G: list[list[int]]) -> list[list[int]]:
     return A
 
 
-def _det(M: list[list[int]]) -> int:
+def det(M: list[list[int]]) -> int:
     """Determinant of a small integer matrix, by cofactor expansion."""
     if len(M) == 1:
         return M[0][0]
-    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
                for j in range(len(M)) if M[0][j])
 
 
 def _adjugate(M: list[list[int]]) -> list[list[int]]:
     """adj(M), with M adj(M) = det(M) I."""
     n = len(M)
-    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:]
-                                     for t, row in enumerate(M) if t != j])
+    return [[(-1) ** (i + j) * det([row[:i] + row[i + 1:]
+                                    for t, row in enumerate(M) if t != j])
              for j in range(n)] for i in range(n)]
 
 

@@ -8,8 +8,10 @@ of a stable lattice makes the order land in M_2(Z_p) surjectively mod p.
 y is searched among small integer coordinates in the order basis, by the
 order's integer trace and norm; y and the basis then enter as p-adic
 coordinates on (1, i, j, k), read from the order's rows over its
-denominator, and multiply by `quaternions.qmul`.  The images are stored as
-integer matrices modulo p^prec.
+denominator, and multiply by `quaternions.qmul`.  The lattice basis and
+the matrices of the action are row-major 4-tuples of p-adic numbers,
+combined with the `tree` matrix helpers.  The images are stored as integer
+matrices modulo p^prec.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padics import PadicNumber, PrecisionError, sqrt_mod_ppow, val_int
-from .quaternions import Order, qmul
-from .tree import mat_mul
+from .quaternions import Order, det, qmul
+from .tree import mat_adj, mat_det, mat_mul
 
 
 class _SplitFail(Exception):
@@ -49,10 +51,10 @@ class SplittingMap:
                      for t in range(4))
 
 
-def _lattice_basis(vecs, p, prec):
-    """Column basis (2x2, PadicNumber) of the Z_p-lattice spanned by the
-    given 2-vectors."""
-    vecs = [list(v) for v in vecs]
+def _lattice_basis(mats):
+    """A 2x2 matrix whose columns are a basis of the Z_p-lattice spanned
+    by the columns of the given 2x2 matrices."""
+    vecs = [(m[c], m[c + 2]) for m in mats for c in (0, 1)]
     # first pivot: entry of minimal valuation anywhere
     best = None
     for ci, v in enumerate(vecs):
@@ -81,20 +83,7 @@ def _lattice_basis(vecs, p, prec):
     if best2 is None:
         raise _SplitFail("lattice of rank < 2")
     c2 = rest[best2[1]]
-    return [[c1[0], c2[0]], [c1[1], c2[1]]]
-
-
-def _mat2_mul(A, B):
-    return [
-        [A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]],
-        [A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]],
-    ]
-
-
-def _mat2_inv(A):
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    di = det.inverse()
-    return [[A[1][1] * di, -A[0][1] * di], [-A[1][0] * di, A[0][0] * di]]
+    return (c1[0], c2[0], c1[1], c2[1])
 
 
 def _candidates():
@@ -192,39 +181,28 @@ def _finish(order, z1, z2, r1, r2, p, P, prec, variant) -> SplittingMap:
         bco = [_pn(Fraction(x, order.den), p, 2 * P) for x in row]
         a1, a2 = in_ideal_coords(qmul(ab, bco, z1))
         b1, b2 = in_ideal_coords(qmul(ab, bco, z2))
-        raw.append([[a1, b1], [a2, b2]])
+        raw.append((a1, b1, a2, b2))
     # stabilize a lattice under the action
-    if variant % 2 == 0:
-        Tm = [[_pn(1, p, 2 * P), _pn(0, p, 2 * P)], [_pn(0, p, 2 * P), _pn(1, p, 2 * P)]]
-    else:
-        Tm = [[_pn(1, p, 2 * P), _pn(1, p, 2 * P)], [_pn(1, p, 2 * P), _pn(0, p, 2 * P)]]
+    Tm = tuple(_pn(x, p, 2 * P)
+               for x in ((1, 0, 0, 1) if variant % 2 == 0 else (1, 1, 1, 0)))
     for _ in range(40):
-        cols = [[Tm[0][0], Tm[1][0]], [Tm[0][1], Tm[1][1]]]
-        vecs = list(cols)
-        for M in raw:
-            for v0 in cols:
-                vecs.append(
-                    [M[0][0] * v0[0] + M[0][1] * v0[1], M[1][0] * v0[0] + M[1][1] * v0[1]]
-                )
-        Tn = _lattice_basis(vecs, p, P)
-        od = (Tm[0][0] * Tm[1][1] - Tm[0][1] * Tm[1][0]).valuation()
-        nd = (Tn[0][0] * Tn[1][1] - Tn[0][1] * Tn[1][0]).valuation()
+        Tn = _lattice_basis([Tm] + [mat_mul(M, Tm) for M in raw])
+        od = mat_det(Tm).valuation()
+        nd = mat_det(Tn).valuation()
         Tm = Tn
         if nd == od:
             break
     else:
         raise _SplitFail("lattice did not stabilize")
-    Ti = _mat2_inv(Tm)
+    di = mat_det(Tm).inverse()
+    Ti = tuple(x * di for x in mat_adj(Tm))
     images = []
     for M in raw:
-        MM = _mat2_mul(Ti, _mat2_mul(M, Tm))
         ent = []
-        for r in range(2):
-            for cidx in range(2):
-                x = MM[r][cidx]
-                if not x.is_zero() and x.val < 0:
-                    raise _SplitFail("image not integral")
-                ent.append(x.residue(prec))
+        for x in mat_mul(Ti, mat_mul(M, Tm)):
+            if not x.is_zero() and x.val < 0:
+                raise _SplitFail("image not integral")
+            ent.append(x.residue(prec))
         images.append(tuple(ent))
     spl = SplittingMap(order, p, prec, images)
     _verify(spl)
@@ -239,38 +217,13 @@ def _verify(spl: SplittingMap):
     # trace / determinant vs reduced trace / norm of the basis elements
     for b, m in enumerate(spl.images):
         e = [int(t == b) for t in range(4)]
-        tr = (m[0] + m[3]) % mod
-        det = (m[0] * m[3] - m[1] * m[2]) % mod
-        if tr != order.trd(e) % mod or det != order.nrd(e) % mod:
+        if ((m[0] + m[3] - order.trd(e)) % mod
+                or (mat_det(m) - order.nrd(e)) % mod):
             raise _SplitFail("trace/norm mismatch")
     # surjective mod p: the four images span M_2(F_p)
-    rows = [[im[t] % p for t in range(4)] for im in spl.images]
-    if _rank_mod_p(rows, p) != 4:
+    if det([list(im) for im in spl.images]) % p == 0:
         raise _SplitFail("images do not span M_2 mod p")
     # multiplicativity spot check (basis products lie in the order)
     direct = mat_mul(spl.images[1], spl.images[2])
     if any((a - b) % mod for a, b in zip(direct, spl.image(order.table[1][2]))):
         raise _SplitFail("multiplicativity failure")
-
-
-def _rank_mod_p(rows, p):
-    A = [list(r) for r in rows]
-    n = len(A)
-    m = len(A[0])
-    rank = 0
-    for c in range(m):
-        piv = None
-        for r in range(rank, n):
-            if A[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][c], -1, p)
-        for r in range(n):
-            if r != rank and A[r][c] % p:
-                f = A[r][c] * inv % p
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[rank])]
-        rank += 1
-    return rank

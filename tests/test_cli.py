@@ -10,7 +10,10 @@ import time
 
 import pytest
 
+from linvariant import domain
+from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cli import main
+from linvariant.quaternions import build_algebra
 
 ORACLE = os.path.join(os.path.dirname(__file__), "..", "benchmark",
                       "oracle.py")
@@ -53,17 +56,33 @@ class TestFdomain:
         assert code == 4
         assert "budget" in err
 
-    def test_budget_checked_in_symbol_search(self, capsys):
-        """The symbol search of build_algebra checks the budget: for the
-        prime disc 99999989 it walks about 10^8 edges before it reaches
-        its first candidate pair (-1, -99999989), which takes far longer
-        than a second; a budget of half a second runs out inside it."""
-        start = time.monotonic()
-        code, _, err = run_cli(capsys, "fdomain", "--p", "2", "--nminus",
-                               "99999989", "--budget-secs", "0.5")
-        assert code == 4
-        assert "budget" in err
-        assert time.monotonic() - start < 0.5 + 3
+    def test_budget_checked_in_symbol_search(self):
+        """The symbol search of build_algebra checks the budget on each
+        edge m: for the prime disc 1201 the edges m < 1201 hold no pair, so
+        a budget that runs out at its 1001st check stops the search inside
+        them, before it reaches its first candidate pair."""
+
+        class Checks(Budget):
+            left = 1000
+
+            def check(self):
+                self.left -= 1
+                if self.left < 0:
+                    raise BudgetExceeded("check budget exceeded")
+
+        with Checks().active():
+            with pytest.raises(BudgetExceeded):
+                build_algebra(1201)
+        assert build_algebra(1201).disc == 1201
+
+    def test_search_past_max_vertices_exit_3(self, capsys, monkeypatch):
+        """A search that finds more vertex orbits than MAX_VERTICES, which
+        validate cannot rule out when stabilizers are larger than +-1,
+        exits 3 with a message."""
+        monkeypatch.setattr(domain, "MAX_VERTICES", 1)
+        code, _, err = run_cli(capsys, "fdomain", "--p", "3", "--nminus", "2")
+        assert code == 3
+        assert err.startswith("error: ") and "vertex orbits" in err
 
 
 class TestBasis:
@@ -141,13 +160,21 @@ class TestValidation:
          "--weight", "4"),
         ("linv", "--p", "5", "--nminus", "2", "--nplus", str(5 * 10**8 + 1),
          "--weight", "4"),
+        # a domain of more than MAX_VERTICES = 200 vertex orbits: Eichler
+        # mass 1510/12, 1202/12 and 99999988/12
+        ("fdomain", "--p", "2", "--nminus", "1511"),
+        ("basis", "--p", "3", "--nminus", "2", "--nplus", "1201",
+         "--weight", "4"),
+        ("fdomain", "--p", "2", "--nminus", "99999989"),
     ])
     def test_past_the_bounds_exit_3(self, argv):
         """In a fresh interpreter: an error message and exit 3, no
-        traceback."""
+        traceback, within seconds."""
+        start = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "linvariant.cli", *argv],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": SRC})
+        assert time.monotonic() - start < 10
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr

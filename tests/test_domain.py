@@ -1,8 +1,11 @@
 """Fundamental domain, edge reduction and U_p coset structure."""
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
+from sympy import factorint
 
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
@@ -138,6 +141,31 @@ class TestDomainShapes:
             assert any(same_up_to_sign(g, h) for h in kept)
 
 
+# every level the tests build a domain for, the `dims-survey` levels among
+# them, (2, 105) and Eichler levels N^+ = 2, 3, 4, 5, 7, 9, 25
+MASS_LEVELS = [
+    (2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 19, 1),
+    (3, 2, 1), (3, 5, 1), (3, 13, 1), (5, 2, 1), (5, 3, 1), (5, 7, 1),
+    (5, 19, 1), (7, 2, 1), (7, 3, 1), (11, 2, 1), (13, 2, 1), (2, 31, 1),
+    (2, 41, 1), (2, 43, 1), (2, 105, 1), (5, 42, 1), (7, 30, 1), (5, 3, 2),
+    (5, 19, 2), (5, 2, 3), (3, 5, 4), (3, 2, 5), (3, 2, 7), (5, 2, 9),
+    (3, 2, 25)]
+
+
+@pytest.mark.parametrize("p, nminus, nplus", MASS_LEVELS)
+def test_stabilizers_satisfy_the_mass_formula(p, nminus, nplus):
+    """Eichler's mass formula, with mass = (1/12) prod_{q | N^-} (q - 1)
+    prod_{q^e || N^+} q^(e-1) (q + 1): the vertex orbits of Gamma are the
+    classes of two Eichler orders of level N^+, each of that mass, and the
+    edge orbits those of one of level p N^+, of mass (p + 1) mass; every
+    stabilizer holds +-1, which acts trivially."""
+    dom = build_context(p, nminus, nplus, 40).dom
+    mass = Fraction(prod(q - 1 for q in factorint(nminus)), 12) * prod(
+        q ** (e - 1) * (q + 1) for q, e in factorint(nplus).items())
+    assert sum(Fraction(2, len(s)) for s in dom.vertex_stabs) == 2 * mass
+    assert sum(Fraction(2, len(s)) for s in dom.edge_stabs) == (p + 1) * mass
+
+
 class TestEdgeReducer:
     """Reduction of arbitrary edges to the domain's directed reps."""
 
@@ -179,7 +207,7 @@ class TestEdgeReducer:
         e = dom.directed_reps()[0]
         found = dom.locate(e)
         n0 = len(dom.located)
-        monkeypatch.setattr(dom.finder, "search", None)  # a search would fail
+        monkeypatch.setattr(dom, "search", None)  # a search would fail
         assert dom.locate(e) == found
         assert len(dom.located) == n0
 
@@ -207,8 +235,8 @@ class TestEdgeReducer:
             for e, found in dom.located.items():
                 d_e = _edge_dist(e)
                 for j, f in enumerate(dom.directed_reps()):
-                    res = dom.finder.search(f.matrix(), e.matrix(), "edge",
-                                            d_e + _edge_dist(f) + 1)
+                    res = dom.search(f.matrix(), e.matrix(), "edge",
+                                     d_e + _edge_dist(f) + 1)
                     if res is not None:
                         break
                 assert found == (j, *res)
@@ -246,13 +274,13 @@ class TestOneClassifier:
         """On a fresh domain, every search the weight-4 basis makes
         locates a representative edge itself."""
         dom = build_context(p, nminus, 1, 40).dom
-        search, targets = dom.finder.search, []
+        search, targets = dom.search, []
 
         def spy(m1, m2, *args):
             targets.append(m2)
             return search(m1, m2, *args)
 
-        monkeypatch.setattr(dom.finder, "search", spy)
+        monkeypatch.setattr(dom, "search", spy)
         harmonic_basis(dom, 2, 25)
         assert targets
         assert all(m in dom.rep_mats for m in targets)

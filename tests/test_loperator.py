@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linvariant.loperator as loperator
 from linvariant.loperator import (
@@ -20,10 +21,23 @@ from linvariant.padics import (
 )
 
 from conftest import act, gamma_conj, gamma_mul
+from newton_reference import newton_slopes as two_pass_newton_slopes
 
 
 def _pad(n, p, prec):
     return PadicNumber.from_int(n, p, prec)
+
+
+def _coefficient(p):
+    """A p-adic number with valuation and precision in [-10, 14]: one
+    indistinguishable from zero, or a unit times p^v known to p^prec."""
+    zero = st.integers(-10, 14).map(lambda prec: PadicNumber.zero(p, prec))
+    unit = st.tuples(st.integers(0, 50), st.integers(1, p - 1)).map(
+        lambda t: t[0] * p + t[1])
+    known = st.integers(-10, 13).flatmap(lambda v: st.builds(
+        lambda u, prec: PadicNumber(p, v, u, prec), unit,
+        st.integers(v + 1, 14)))
+    return st.one_of(zero, known)
 
 
 def _poly_mul(a, b, p, prec):
@@ -89,6 +103,22 @@ class TestNewtonSlopes:
         coeffs = [PadicNumber.zero(p, 4), PadicNumber.one(p, 20)]
         with pytest.raises(PrecisionError):
             newton_slopes(coeffs)
+
+    @given(st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.lists(_coefficient(p), min_size=1, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_hull_matches_two_pass_reference(self, coeffs):
+        """The one hull over all coefficients gives the slopes of the
+        two-pass reference (a hull over the known coefficients, then a check
+        of the undetermined ones against it) wherever the reference returns,
+        and raises PrecisionError wherever it raises."""
+        try:
+            want = two_pass_newton_slopes(coeffs)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                newton_slopes(coeffs)
+        else:
+            assert newton_slopes(coeffs) == want
 
     def test_fractional_slope(self):
         """x^2 - p has the slope 1/2 with multiplicity 2."""
@@ -196,8 +226,8 @@ class TestInvolutionSplitting:
         zero = PadicNumber.zero(p, prec)
         one = PadicNumber.one(p, prec)
         W = [[zero, one], [one, zero]]
-        plus = eigenspace(W, 1, prec)
-        minus = eigenspace(W, -1, prec)
+        plus = eigenspace(W, 1)
+        minus = eigenspace(W, -1)
         assert len(plus) == 1 and len(minus) == 1
 
     def test_restrict_operator_diagonal(self):
