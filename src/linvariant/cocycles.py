@@ -18,41 +18,41 @@ and the basis solve raises PrecisionError instead of losing rank.
 A cocycle is stored by its values on the geometric edge representatives of a
 fundamental domain, as integer residues with one precision per cocycle (the
 normalization makes every value p-integral, so the scale is p^0); the space
-is computed as the kernel of the stabilizer-invariance and harmonicity
-conditions.  Also provides the two Atkin-Lehner involutions given by
-normalizing elements of reduced norms N and p.
+is the kernel of the stabilizer-invariance and harmonicity conditions, and
+the two Atkin-Lehner involutions, given by normalizing elements of reduced
+norms N and p, are solved on the values, all as integer rows under one
+scale (`padics.solve_linear`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from .budget import checkpoint
 from .domain import FundamentalDomain, gamma_matrix
-from .padics import PadicNumber, PrecisionError, solve_linear, val_int
+from .padics import PrecisionError, solve_linear, val_int
 from .quaternions import enumerate_norm
 from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
 
 
-def weight_coeff_rows(mat, k: int):
-    """Rows W[i] = coefficients of (a x + b)^i (c x + d)^(k-i), exact, with
-    x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m; the time budget is
-    checked after each row."""
-    a, b, c, d = mat
-    rows = []
-    for i in range(k + 1):
-        left = [comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)]
-        right = [comb(k - i, s) * c**s * d ** (k - i - s)
-                 for s in range(k - i + 1)]
-        row = [0] * (k + 1)
-        for s1, v1 in enumerate(left):
-            for s2, v2 in enumerate(right):
-                row[s1 + s2] += v1 * v2
-        rows.append(row)
+def weight_coeff_rows(mat, k: int, mod: int):
+    """Rows W[i] = coefficients of (a x + b)^i (c x + d)^(k-i) modulo mod,
+    with x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m.  The rows for degree
+    n + 1 are those for n times a x + b, after (c x + d)^(n+1); the time
+    budget is checked after each row of each degree."""
+    a, b, c, d = (t % mod for t in mat)
+
+    def times(f, u, v):
+        """f (u x + v) modulo mod."""
         checkpoint()
+        return [v * f[0] % mod] + [(u * s + v * t) % mod for s, t
+                                   in zip(f, f[1:])] + [u * f[-1] % mod]
+
+    rows = [[1]]
+    for _ in range(k):
+        rows = [times(rows[0], c, d)] + [times(r, a, b) for r in rows]
     return rows
 
 
@@ -72,8 +72,8 @@ def weight_action(p: int, mat, det: int, k: int, prec: int) -> Action:
     v = val_int(det, p)
     mod = p**prec
     unit = pow(det // p**v, -(k // 2), mod)
-    return Action([[w * unit % mod for w in row]
-                   for row in weight_coeff_rows(mat, k)], v * (k // 2), prec)
+    return Action([[w * unit % mod for w in row] for row in
+                   weight_coeff_rows(mat, k, mod)], v * (k // 2), prec)
 
 
 def gamma_action(dom: FundamentalDomain, x, r: int, k: int) -> Action:
@@ -97,10 +97,15 @@ def act_on(p: int, act: Action, vec, prec: int):
     return [sum(map(mul, row, res)) % mod for row in act.rows], s + act.scale, P
 
 
-def as_padics(p: int, vec) -> list[PadicNumber]:
-    """The entries of a V_k value (residues, scale, precision)."""
-    res, s, P = vec
-    return [PadicNumber(p, -s, a, P - s) for a in res]
+def stack_values(p: int, vecs, E: int):
+    """V_k values (residues, scale, precision or one per entry) as in
+    `Action`, stacked into one (residues, precisions) pair of `solve_linear`
+    under the scale p^-E, at least each value's own."""
+    res, precs = [], []
+    for r, s, P in vecs:
+        res += [a * p ** (E - s) for a in r]
+        precs += [q + E - s for q in P] if isinstance(P, list) else [P + E - s] * len(r)
+    return res, precs
 
 
 @dataclass
@@ -135,51 +140,54 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
     the digits of every action; a returned cocycle carries what the solve
     leaves of them.  Raises PrecisionError when some cocycle carries fewer
     than `prec` digits.  Each edge stabilizer gives one block of conditions
-    per pair x, -x of its nontrivial elements (`one_per_sign`).  The time
-    budget is checked after each such block and each star edge."""
-    p, n = dom.p, k + 1
-    ngeo = len(dom.geo_edges)
-    ident = Action([[int(i == m) for m in range(n)] for i in range(n)], 0,
-                   dom.spl.prec)
-    # each block of k+1 conditions: the sum over its (rep, sign, action)
-    # terms of sign * action on the values of the geometric rep
+    per pair x, -x of its nontrivial elements (`one_per_sign`), each vertex
+    one: the sum of its terms sign * action (None for the identity) on a
+    rep's values, as integers under the largest scale of any action.  The
+    time budget is checked after each stabilizer block and star edge."""
+    p, n, ngeo = dom.p, k + 1, len(dom.geo_edges)
     blocks = []
     for jg, stab in enumerate(dom.edge_stabs):
         for x, r in dom.one_per_sign(stab):
-            blocks.append([(jg, 1, gamma_action(dom, x, r, k)),
-                           (jg, -1, ident)])
+            blocks.append([(jg, 1, gamma_action(dom, x, r, k)), (jg, -1, None)])
             checkpoint()
     for v in dom.vertices:
         block = []
         for e in star(v):
             j, x, r = dom.locate(e)
-            block.append((j // 2, 1 - 2 * (j % 2),
-                          ident if dom.is_pm_one(x, r) else gamma_action(dom, x, r, k)))
+            block.append((j // 2, 1 - 2 * (j % 2), None if dom.is_pm_one(x, r)
+                          else gamma_action(dom, x, r, k)))
             checkpoint()
         blocks.append(block)
+    E = max([a.scale for blk in blocks for _, _, a in blk if a], default=0)
     rows = []
     for block in blocks:
-        acc = [[PadicNumber.zero(p, dom.spl.prec)] * (ngeo * n)
-               for _ in range(n)]
+        acc = [[0] * (ngeo * n) for _ in range(n)]
+        # a rep's entries are known to the lowest precision of its terms
+        P = [dom.spl.prec] * ngeo
         for geo, sign, act in block:
-            P = act.prec - act.scale
+            if act is None:
+                for m, num in enumerate(acc):
+                    num[geo * n + m] += sign * p**E
+                continue
+            P[geo] = min(P[geo], act.prec - act.scale)
+            f, cols = sign * p ** (E - act.scale), slice(geo * n, geo * n + n)
             for num, row in zip(acc, act.rows):
-                for m, a in enumerate(row):
-                    num[geo * n + m] += PadicNumber(p, -act.scale, sign * a, P)
-        rows += acc
-    _, kernel = solve_linear(rows)
+                num[cols] = [s + f * a for s, a in zip(num[cols], row)]
+        rows += [(num, [P[g] + E for g in range(ngeo) for _ in range(n)])
+                 for num in acc]
+    _, kernel = solve_linear(p, E, rows)
     out = []
     for vals in kernel:
-        # normalize: first minimal-valuation entry becomes exactly 1
-        inv = min((c for c in vals if not c.is_zero()), key=lambda c: c.val).inverse()
-        vals = [c * inv for c in vals]
-        P = min(c.prec for c in vals)
-        res = [c.residue(P) for c in vals]
-        out.append(HarmonicCocycle(
-            dom, k, [res[j * n: (j + 1) * n] for j in range(ngeo)], P))
-    if any(c.prec < prec for c in out):
-        raise PrecisionError(
-            f"harmonic basis needs a splitting beyond p^{dom.spl.prec}")
+        # the first entry c0 of lowest valuation becomes exactly 1; c / c0 is
+        # known to min(P(c) - v0, P0 - 2 v0 + v(c))
+        v0, u0, P0 = min((t for t in vals if t[1]), key=lambda t: t[0])
+        P = min(min(Pc - v0, P0 - 2 * v0 + v) for v, _, Pc in vals)
+        if P < prec:
+            raise PrecisionError(
+                f"harmonic basis needs a splitting beyond p^{dom.spl.prec}")
+        inv = pow(u0, -1, p**P)
+        res = [u * inv * p ** (v - v0) % p**P if u else 0 for v, u, _ in vals]
+        out.append(HarmonicCocycle(dom, k, [res[j * n:j * n + n] for j in range(ngeo)], P))
     return out
 
 
@@ -214,18 +222,15 @@ def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool 
 
 def involution_matrix(dom: FundamentalDomain, k: int, w,
                       basis: list[HarmonicCocycle], prec: int):
-    """Matrix M with w . c_i = sum_l M[l][i] c_l, solved on the stacked
-    values of the cocycles on the geometric reps, where
-    (w . c)(e) = w . c(w^-1 e)."""
-    p = dom.p
-    Wi = dom.spl.image(w)
-    act = gamma_action(dom, w, 0, k)
-    rows, rhs = [], [[] for _ in basis]
-    for jg, e in enumerate(dom.geo_edges):
-        pre = normalize_edge(mat_mul(mat_adj(Wi), e.matrix()), p)
-        for c, col in zip(basis, rhs):
-            col += as_padics(p, act_on(p, act, c.value(pre, prec), prec))
-        for i in range(k + 1):
-            rows.append([PadicNumber(p, 0, c.values[jg][i], c.prec) for c in basis])
-    cols, _ = solve_linear(rows, rhs)
-    return [[cols[i][l] for i in range(len(basis))] for l in range(len(basis))]
+    """Matrix M with w . c_i = sum_l M[l][i] c_l, entries (val, unit, prec)
+    triples, solved on the stacked values of the cocycles on the geometric
+    reps, where (w . c)(e) = w . c(w^-1 e)."""
+    p, act, Wi = dom.p, gamma_action(dom, w, 0, k), mat_adj(dom.spl.image(w))
+    pres = [normalize_edge(mat_mul(Wi, e.matrix()), p) for e in dom.geo_edges]
+    images = [[act_on(p, act, c.value(e, prec), prec) for e in pres]
+              for c in basis]
+    E = max(s for vecs in images for _, s, _ in vecs)
+    rows = [([c.values[j][i] * p**E for c in basis], [c.prec + E for c in basis])
+            for j in range(len(pres)) for i in range(k + 1)]
+    cols, _ = solve_linear(p, E, rows, [stack_values(p, v, E) for v in images])
+    return [list(row) for row in zip(*cols)]

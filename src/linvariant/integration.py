@@ -10,15 +10,15 @@ the period
 is evaluated by covering P^1(Q_p) with the balls of the edges pointing away
 from the geodesic between the reductions of tau and gamma tau, expanding the
 logarithmic kernel as a power series on each ball, and pairing with the
-moments of the overconvergent lift.  The log is the Iwasawa branch.
+moments of the overconvergent lift.  The log is the Iwasawa branch.  All of
+it is integer arithmetic, and every precision follows the rules of `padics`.
 
 Every element of K_p is an integer pair (x0, x1) for x0 + x1 w, reduced
 modulo a power of p (see `padics.pair_mul`).  The base point is
 x^(p^(2 prec)) modulo p^prec for a residue generator x, which agrees with
 its Teichmuller lift to that precision.  Its image gamma tau is held as
 p^-e (A + B w) known modulo p^P, with e and P in closed form from the
-valuations of a tau + b and c tau + d (see `_mobius`); these are the
-precisions the same quotient gets in PadicNumber coordinates.
+valuations of a tau + b and c tau + d (see `_mobius`).
 
 Each ball g Z_p is integrated on the directed representative B_j of its
 reduction g = p^u (x'/p^r') B_j sigma (`reduce_matrix`).  Row i of the
@@ -32,54 +32,48 @@ modulo p^(S + u - r'), S the splitting's precision: the kernel series caps
 its numerators and denominators there, and each ball's total (an integer
 under p^(s+t), below) at S + u - r' - s - t.
 
-The pairing is integer arithmetic.  On each ball the kernel coefficients
-c_j, in their two Q_p coordinates on (1, w), are integers under one scale
-p^s, and the moments mu_i of every lift are integers under the scale p^t
-(see `lifting`).  The integral of x^m |_k h is sum_i q_i mu_i over
-i < n_terms, q_i = sum_u W[m][u] c[i-u] with the weight rows W.  It is
-evaluated as S_m = sum_u W[m][u] X_u,
-X_u = sum_j c_j mu_(j+u): k + 1 contractions per lift instead of the
-(k+1)^2 n_terms products q_i per ball.  The ball totals are multiplied by
-det^(-k/2), summed as one PadicNumber per coordinate, and (1/2) Tr is
-applied only to those k+1 pairs of totals at the end.
+On each ball the kernel coefficients c_j, in their two Q_p coordinates on
+(1, w), are integers under one scale p^s, and the moments mu_i of every lift
+are integers under the scale p^t (see `lifting`).  The integral of x^m |_k h
+is sum_i q_i mu_i over i < n_terms, q_i = sum_u W[m][u] c[i-u] with the
+weight rows W, evaluated as S_m = sum_u W[m][u] X_u, X_u = sum_j c_j mu_(j+u):
+k + 1 contractions per lift instead of the (k+1)^2 n_terms products q_i per
+ball.  The ball totals are multiplied by det^(-k/2) and summed per
+coordinate under one scale (`_sum_parts`); (1/2) Tr of those k+1 pairs of
+totals gives lam as residues with one precision per entry (`_halved_trace`).
 
-The kernel series is integer arithmetic with one closed-form precision.
-For the ball's matrix h = (a, b, c, d) known modulo p^H, write
-T_i^-1 = p^(v_i) eps_i, where T_i = h^-1 tau_i, v_i >= 1 and eps_i is a
-unit pair known modulo p^(R_i), R_i being the lower relative precision of
-a - c tau_i and d tau_i - b, each known to p^H at most.  Then
-T_i^-n = p^(n v_i) eps_i^n is known to n v_i + R_i, and coefficient n >= 1,
-(T_1^-n - T_2^-n)/n, to min_i(n v_i + R_i) - v_p(n), capped at the
-precision prec of K_p.  The p-part of each 1/n goes into the scale p^s; the
-powers eps_i^n (one fixed 2x2 multiplication) and the inverses of the unit
-parts of the n are taken modulo p^(prec + s).  The constant term is the
-Iwasawa log of the unit part of (d tau2 - b)/(d tau1 - b), known to the
-lower relative precision of the two factors (`padics.iwasawa_log`).
+The kernel series has one closed-form precision.  For the ball's matrix
+h = (a, b, c, d) known modulo p^H, write T_i^-1 = p^(v_i) eps_i, where
+T_i = h^-1 tau_i, v_i >= 1 and eps_i is a unit pair known modulo p^(R_i),
+R_i being the lower relative precision of a - c tau_i and d tau_i - b, each
+known to p^H at most.  Then T_i^-n = p^(n v_i) eps_i^n is known to
+n v_i + R_i, and coefficient n >= 1, (T_1^-n - T_2^-n)/n, to
+min_i(n v_i + R_i) - v_p(n), capped at the precision prec of K_p.  The
+p-part of each 1/n goes into the scale p^s; the powers eps_i^n and the
+inverses of the unit parts of the n are taken modulo p^(prec + s).  The
+constant term is the Iwasawa log of the unit part of
+(d tau2 - b)/(d tau1 - b), known to the lower relative precision of the two
+factors (`padics.iwasawa_log`).
 
-The pairing's precision follows the PadicNumber rules: a product a*b is
-known to min(v(a) + P(b), v(b) + P(a)), where a value that vanishes at its
-precision has that precision as valuation; a sum to the lowest precision
-among its terms and the cap, that of K_p.  The half min_i v(mu_i) + P(q_i)
-is exact: min(cap + min_i v(mu_i), min_u v(W[m][u]) + E_u) with
-E_u = min_i v(mu_i) + P(c[i-u]).  The half min_i v(q_i) + P(mu_i) takes
-v(W[m][u]) + v(c_j) in place of v(q_(j+u)), which is never larger, and
-equal unless q_i cancels.  Each entry is then capped at the requested
-target precision, so no entry claims more digits than the same sums
-evaluated in field elements.
+The pairing's precisions are capped at that of K_p.  The half
+min_i v(mu_i) + P(q_i) is exact: min(cap + min_i v(mu_i),
+min_u v(W[m][u]) + E_u) with E_u = min_i v(mu_i) + P(c[i-u]).  The half
+min_i v(q_i) + P(mu_i) takes v(W[m][u]) + v(c_j) in place of v(q_(j+u)),
+which is never larger, and equal unless q_i cancels.  Each entry is then
+capped at the requested target precision, so no entry claims more digits
+than the same sums evaluated in field elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
 from .cocycles import weight_coeff_rows
 from .domain import FundamentalDomain, gamma_vertex
 from .lifting import Lift
 from .padics import (
-    PadicNumber,
     PrecisionError,
     UnramifiedField,
     ilog,
@@ -278,20 +272,23 @@ def _pairing(series, W, moms, p: int, t: int, cap: int):
 def lambda_values(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                   tau, n_terms: int, target_prec: int):
     """lam(c)(gamma) in V_k for the cocycle c of each lift (all lifts share
-    their parameters): entry m of each vector is lam(c)(gamma)(x^m), the
-    half trace of the coordinate totals of `_coordinate_totals`, known to
-    at most target_prec."""
+    their parameters), as (residues, scale, precisions) in the convention of
+    `cocycles.Action` with one precision per entry: entry m is
+    lam(c)(gamma)(x^m), the half trace of the coordinate totals of
+    `_coordinate_totals`, known to at most target_prec."""
     K = UnramifiedField(dom.p, tau[3])
-    return [[_halved_trace(K, a, b).with_prec(target_prec) for a, b in vec]
-            for vec in _coordinate_totals(dom, lifts, x, r, tau, n_terms,
-                                          target_prec)]
+    E, totals = _coordinate_totals(dom, lifts, x, r, tau, n_terms,
+                                   target_prec)
+    traced = ([_halved_trace(K, E, a, b, target_prec) for a, b in v] for v in totals)
+    return [([t for t, _ in v], E + (K.p == 2), [P for _, P in v]) for v in traced]
 
 
 def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                        tau, n_terms: int, target_prec: int):
     """Per lift and m, the two coordinates (a, b) on (1, w) of the untraced
     integral of x^m, for the base point tau of `base_point`; b vanishes to
-    precision, as the integrals lie in Q_p.
+    precision, as the integrals lie in Q_p.  Returns E and the coordinates,
+    each a (residue, precision) pair under the scale p^-E (`_sum_parts`).
 
     The covering and the kernel series are computed once per ball, the
     moments of the representatives once per lift (`Lift.moments`); the
@@ -308,8 +305,7 @@ def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
         series = log_kernel_series(K, ball, tau, gtau, n_terms)
         s = series[0]
         # the weight rows of h are residues modulo p^ball.prec
-        W = [[w % p**ball.prec for w in row]
-             for row in weight_coeff_rows(ball.matrix, k)]
+        W = weight_coeff_rows(ball.matrix, k, p**ball.prec)
         pairs = _pairing(series, W, [mom[ball.j] for mom in moms], p, t, cap)
         # P |_k h for P = x^m: the coefficient rows W times det^(-k/2) =
         # sgn * p^-e, known to dprec; nrd(x') > 0, so sgn is that of det B_j
@@ -324,22 +320,30 @@ def _coordinate_totals(dom: FundamentalDomain, lifts: list[Lift], x, r: int,
                     v = val_cap(S, p, P + s + t) - s - t
                     part[m][co].append((sgn * S, s + t + e,
                                         min(P - e, v + dprec)))
-    return [[tuple(_sum_parts(p, terms, cap) for terms in coords)
-             for coords in part] for part in parts]
+    E = max(sc for _, sc, _ in parts[0][0][0])
+    return E, [[tuple(_sum_parts(p, terms, cap, E) for terms in coords)
+                for coords in part] for part in parts]
 
 
-def _halved_trace(K: UnramifiedField, a: PadicNumber,
-                  b: PadicNumber) -> PadicNumber:
-    """(1/2) Tr(a + b w) = (2a - B b)/2 for w^2 + B w + C = 0; 1/2 is taken
-    to two digits past the lower precision of a and b, so at p = 2 the
-    division costs one digit."""
-    return (a + a - K.B * b) * PadicNumber.from_fraction(
-        Fraction(1, 2), K.p, min(a.prec, b.prec) + 2)
+def _halved_trace(K: UnramifiedField, E: int, a, b, cap: int):
+    """(1/2) Tr(a + b w) = (2a - B b)/2 for w^2 + B w + C = 0, known to at
+    most cap, for a and b as (residue, precision) under the scale p^-E; the
+    result is one under p^-(E + h), h = 1 at p = 2 and 0 otherwise.  1/2 is
+    taken to two digits past the lower precision of a and b, so at p = 2
+    the division costs one digit."""
+    p, h = K.p, int(K.p == 2)
+    (na, Pa), (nb, Pb) = a, b
+    # 2a - B b, known to the lower precision of its terms (B = 0 at odd p)
+    P = min(Pa, Pb) if K.B else Pa
+    tr = (2 * na - K.B * nb) % p ** max(P, 0)
+    # times 1/2, of valuation -h
+    P = min(P, min(Pa, Pb) + 2 + h + val_cap(tr, p, P) - E, cap + E + h)
+    mod = p ** max(P, 0)
+    return (tr if h else tr * pow(2, -1, mod)) % mod, P
 
 
-def _sum_parts(p: int, terms, cap: int) -> PadicNumber:
-    """The sum of the balls' numerator * p^-scale, known to the lowest of
-    their precisions and cap."""
-    E = max(sc for _, sc, _ in terms)
-    num = sum(n * p ** (E - sc) for n, sc, _ in terms)
-    return PadicNumber(p, -E, num, min(cap, *(P for _, _, P in terms)))
+def _sum_parts(p: int, terms, cap: int, E: int):
+    """The sum of the balls' numerator * p^-scale, as (residue, precision)
+    under p^-E, known to the lowest of their precisions and cap."""
+    P = min(cap, *(P for _, _, P in terms)) + E
+    return sum(n * p ** (E - sc) for n, sc, _ in terms) % p ** max(P, 0), P

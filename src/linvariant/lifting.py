@@ -108,17 +108,15 @@ def _unpack(X: int, B: int, n: int, mod: int) -> list:
 
 
 def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
-                        n_rows=None, det=None):
-    """Rows m < n_rows (default i_max + 1) of the weight-k substitution
-    matrix of sigma (see the module docstring), to degree i_max, mod p^W,
-    checking the time budget after each row.  sigma must be Iwahori; det
-    defaults to its determinant, which must then be a unit, and is passed
-    for a sigma of determinant p times a unit."""
+                        n_rows: int, det: int):
+    """Rows m < n_rows of the weight-k substitution matrix of sigma (see the
+    module docstring), to degree i_max, mod p^W, for an Iwahori sigma and
+    the unit det standing for its determinant (that of sigma, or for a
+    sigma of determinant p times a unit, that unit).  The time budget is
+    checked every 256 entries of a row."""
     a, b, c, d = (int(t) for t in sigma)
     mod = p**W
     assert a % p != 0 and c % p == 0
-    if det is None:
-        det = a * d - b * c
     assert det % p != 0, "det must be a unit"
     ainv = inv_mod(a % mod, mod)
     c1, d1, b1 = c * ainv % mod, d * ainv % mod, b * ainv % mod
@@ -129,12 +127,14 @@ def sigma_series_matrix(sigma, k: int, i_max: int, p: int, W: int,
            for i in range(min(k + 1, n))]
     row += [0] * (n - len(row))
     rows = [row]
-    for _ in range((i_max + 1 if n_rows is None else n_rows) - 1):
-        x = -b1 * row[0] % mod
-        row = [x] + [x := (c1 * x + d1 * u - b1 * v) % mod
-                     for u, v in zip(row, row[1:])]
+    for _ in range(n_rows - 1):
+        prev, x = row, -b1 * row[0] % mod
+        row = [x]
+        for lo in range(0, n - 1, 256):
+            row += [x := (c1 * x + d1 * u - b1 * v) % mod
+                    for u, v in zip(prev[lo:lo + 256], prev[lo + 1:lo + 257])]
+            checkpoint()
         rows.append(row)
-        checkpoint()
     return rows
 
 
@@ -205,8 +205,8 @@ def make_lift(dom: FundamentalDomain, basis: list[HarmonicCocycle],
     0..n+k modulo p^E_n, and only those the next sweep reads, after
     skipping the sweeps that keep no digit (see the module docstring and
     `_sweep_lifts`).  The substitution matrices of the U_p cosets are built
-    once for the whole basis; the time budget is checked after each built
-    matrix row and each sweep.  Raises PrecisionError when the basis does
+    once for the whole basis; the time budget is checked every 256 entries
+    of a built matrix row and after each sweep.  Raises PrecisionError when the basis does
     not determine the moments 0..k to p^W under the scale p^t."""
     p, k, W, t = dom.p, params.k, params.W, params.t
     mod = p**W

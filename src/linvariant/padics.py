@@ -2,19 +2,23 @@
 
 Elements of Q_p are stored as (valuation, unit, absolute precision): the number
 is unit * p^valuation known modulo p^precision, with the unit reduced modulo
-p^(precision - valuation).  Precision propagates pessimistically (min rule).
+p^(precision - valuation).  Precision propagates by the first-order rules,
+with v(x) = P(x) for an x indistinguishable from zero:
+P(x y) = min(P(x) + v(y), P(y) + v(x)), P(x +- y) = min(P(x), P(y)) and
+P(1/x) = P(x) - 2 v(x).
 
 Also provides the quadratic unramified extension K_p = Q_p(w): the field
 holds only p, its precision and the constants of w, and its elements are
 integer pairs x0 + x1 w reduced modulo p^N, with products, powers, unit
 inverses and the Iwasawa branch of the p-adic logarithm on those.  Last come
-capped-precision Gaussian elimination and a division-free characteristic
-polynomial.
+the Gauss-Jordan elimination, on integer residues under one scale by the
+same rules, and a division-free characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .budget import checkpoint
 
@@ -153,8 +157,7 @@ class PadicNumber:
         if q == 0:
             return cls.zero(p, prec)
         num, den = q.numerator, q.denominator
-        vn = val_int(num, p) if num % p == 0 else 0
-        vd = val_int(den, p) if den % p == 0 else 0
+        vn, vd = val_int(num, p), val_int(den, p)
         v = vn - vd
         num //= p**vn
         den //= p**vd
@@ -295,22 +298,14 @@ class PadicNumber:
 
     def expansion_str(self) -> str:
         """Digit expansion, e.g. '1 + 3^2 + 2*3^7' for display."""
-        if self.unit == 0:
-            return f"O({self.p}^{self.prec})"
-        terms = []
-        u, v = self.unit, self.val
-        while u and v < self.prec:
-            d = u % self.p
+        terms, u, v = [], self.unit, self.val
+        while u:
+            u, d = divmod(u, self.p)
             if d:
-                if v == 0:
-                    terms.append(f"{d}")
-                elif d == 1:
-                    terms.append(f"{self.p}^{v}")
-                else:
-                    terms.append(f"{d}*{self.p}^{v}")
-            u //= self.p
+                terms.append(f"{d}" if v == 0 else
+                             f"{self.p}^{v}" if d == 1 else f"{d}*{self.p}^{v}")
             v += 1
-        return " + ".join(terms) + f" + O({self.p}^{self.prec})"
+        return " + ".join(terms + [f"O({self.p}^{self.prec})"])
 
 
 # ----------------------------------------------------------------------
@@ -444,86 +439,99 @@ def iwasawa_log(K: UnramifiedField, u, R):
 # ----------------------------------------------------------------------
 
 
-def _entry_key(x: PadicNumber):
-    """Pivot quality: smaller valuation = better (more unit-like)."""
-    if x.is_zero():
-        return None
-    return x.val
-
-
-def solve_linear(A, rhs=()):
-    """Solve A x = b over Q_p with max-unit pivoting, for every b in rhs.
-
-    A is a list of rows of PadicNumber; rhs a list of right-hand sides, each
-    a list of PadicNumber (empty to just compute the kernel).  The pivots
-    depend on A alone, so A is eliminated once for all of them.  Returns
-    (xs, kernel_basis) where xs holds a particular solution per right-hand
-    side and kernel_basis a list of vectors spanning the kernel at working
-    precision.  Raises PrecisionError when a system is inconsistent beyond
-    precision noise.  The time budget is checked once per pivot column.
-    """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    M = [row[:] for row in A]
-    bs = [list(b) for b in rhs]
-    pivots = []  # (row, col)
-    used_rows = set()
-    used_cols = set()
+def solve_linear(p: int, E: int, A, rhs=()):
+    """Solve A x = b over Q_p for every b in rhs (none to compute only the
+    kernel) by one Gauss-Jordan elimination on integers.  The rows of A and
+    the right-hand sides are pairs (residues, precisions), entry j being
+    residues[j] p^-E known modulo p^(precisions[j] - E).  The pivot is the
+    first entry of lowest valuation known nonzero, row-major, in the rows
+    and columns not pivoted yet; the right-hand sides ride along as
+    columns.  Precision follows the rules of the module docstring, so every
+    result is that of the same elimination on PadicNumbers; an update
+    a y / pivot that is not integral first multiplies every residue by the
+    missing power of p, so every step is exact.  Returns a solution per
+    right-hand side and a kernel basis at working precision, entries
+    (val, unit, prec); raises PrecisionError on a system inconsistent beyond
+    precision noise.  The time budget is checked once per pivot."""
+    nrows, ncols = len(A), len(A[0][0]) if A else 0
+    P0 = A[0][1][0] - E if nrows and ncols else 0
+    zero = (P0, 0, P0)
+    Q = [[*P, *(b[1][i] for b in rhs)] for i, (_, P) in enumerate(A)]
+    pw = [p**i for i in range(max([0] + [q for r in Q for q in r]) + 1)]
+    M = [[a % pw[max(q, 0)] for a, q in zip([*R, *(b[0][i] for b in rhs)], Qi)]
+         for i, ((R, _), Qi) in enumerate(zip(A, Q))]
+    rows, cols, colpiv = list(range(nrows)), list(range(ncols)), {}
     while True:
         best = None
-        for i in range(nrows):
-            if i in used_rows:
-                continue
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
-                k = _entry_key(M[i][j])
-                if k is not None and (best is None or k < best[0]):
-                    best = (k, i, j)
+        for i in rows:
+            g = gcd(*[M[i][j] for j in cols])
+            if g and (best is None or val_int(g, p) < best[0]):
+                v = val_int(g, p)
+                best = v, i, next(j for j in cols if M[i][j] % pw[v + 1])
         if best is None:
             break
         checkpoint()
-        _, pi, pj = best
-        used_rows.add(pi)
-        used_cols.add(pj)
-        pivots.append((pi, pj))
-        pv = M[pi][pj].inverse()
+        wn, pi, pj = best
+        rows.remove(pi)
+        cols.remove(pj)
+        colpiv[pj] = pi
+        # valuations of the pivot row and column, that of a zero its precision
+        vy = [val_int(y, p) if y else q for y, q in zip(M[pi], Q[pi])]
+        va = [val_int(r[pj], p) if r[pj] else q[pj] for r, q in zip(M, Q)]
+        d = (wn - min(v for v, r in zip(va, M) if r[pj])
+             - min(v for v, y in zip(vy, M[pi]) if y))
+        if d > 0:
+            M = [[a * p**d for a in r] for r in M]
+            Q = [[q + d for q in r] for r in Q]
+            wn, va, vy = wn + d, [v + d for v in va], [v + d for v in vy]
+            pw = [p**i for i in range(len(pw) + d)]
+        prow, Qp, pwn = M[pi], Q[pi], pw[wn]
+        uinv = pow(prow[pj] // pwn, -1, pw[-1])
         for i in range(nrows):
-            if i == pi:
-                continue
-            f = M[i][pj] * pv
-            # Even when f is indistinguishable from zero it is only known to
-            # be O(p^f.prec); the update must run so that this uncertainty
-            # caps the precision of the remaining entries.
-            for j in range(ncols):
-                M[i][j] = M[i][j] - f * M[pi][j]
-            for b in bs:
-                b[i] = b[i] - f * b[pi]
-    colpiv = {j: i for i, j in pivots}
-    p = A[0][0].p if nrows and ncols else None
-    defprec = A[0][0].prec if nrows and ncols else 0
+            if i != pi:
+                # f = a / pivot, of valuation vf and precision Pf
+                vf, Pf = va[i] - wn, min(Q[i][pj] - wn, Qp[pj] - 2 * wn + va[i])
+                Q[i] = [min(q, Pf + v, qy + vf) for q, v, qy in zip(Q[i], vy, Qp)]
+                fa = M[i][pj] * uinv
+                M[i] = [(m - fa * y // pwn) % pw[max(q, 0)]
+                        for m, y, q in zip(M[i], prow, Q[i])]
+
+    def quotient(i, c, j):
+        """M[i][c] / M[i][j] as a (val, unit, prec) triple."""
+        b, m = M[i][c], M[i][j]
+        if not m:
+            raise PrecisionError("cannot invert an element indistinguishable from zero")
+        vm, vb = val_int(m, p), val_int(b, p) if b else Q[i][c]
+        P = min(Q[i][c] - vm, Q[i][j] - 2 * vm + vb)
+        mod = pw[P - vb + vm]
+        return (vb - vm, b // pw[vb] * pow(m // pw[vm], -1, mod) % mod, P) if b else (P, 0, P)
+
     xs = []
-    for b in bs:
-        for i in range(nrows):
-            if i not in used_rows and not b[i].is_zero():
-                raise PrecisionError("inconsistent linear system")
-        x = []
-        for j in range(ncols):
-            if j in colpiv:
-                i = colpiv[j]
-                x.append(b[i] * M[i][j].inverse())
-            else:
-                x.append(PadicNumber.zero(p, defprec))
-        xs.append(x)
+    for c in range(ncols, ncols + len(rhs)):
+        if any(M[i][c] for i in rows):
+            raise PrecisionError("inconsistent linear system")
+        xs.append([quotient(colpiv[j], c, j) if j in colpiv else zero for j in range(ncols)])
     kernel = []
-    free_cols = [j for j in range(ncols) if j not in colpiv]
-    for f in free_cols:
-        vec = [PadicNumber.zero(p, defprec) for _ in range(ncols)]
-        vec[f] = PadicNumber.one(p, defprec)
+    for f in cols:
+        vec = [zero] * ncols
+        vec[f] = (0, 1, P0) if P0 > 0 else zero
         for j, i in colpiv.items():
-            vec[j] = -(M[i][f] * M[i][j].inverse())
+            v, u, P = quotient(i, f, j)
+            vec[j] = v, -u % pw[P - v], P
         kernel.append(vec)
     return xs, kernel
+
+
+def solve_padics(A, rhs=()):
+    """`solve_linear` on PadicNumber rows and right-hand sides, under the
+    least scale p^-E, E >= 0, making all integral, with PadicNumber results."""
+    vecs = [*A, *rhs]
+    p = vecs[0][0].p
+    E = max([0] + [-x.val for v in vecs for x in v if x.unit])
+    ints = [([x.unit * p ** (x.val + E) if x.unit else 0 for x in v],
+             [x.prec + E for x in v]) for v in vecs]
+    out = solve_linear(p, E, ints[:len(A)], ints[len(A):])
+    return [[[PadicNumber(p, *t) for t in v] for v in vs] for vs in out]
 
 
 def mat_mul(A, B):
@@ -546,24 +554,16 @@ def charpoly(A):
     for t in range(2, n + 1):
         a = A[t - 1][t - 1]
         R = [A[t - 1][j] for j in range(t - 1)]
-        Ccol = [A[i][t - 1] for i in range(t - 1)]
+        w = [A[i][t - 1] for i in range(t - 1)]
         Bm = [[A[i][j] for j in range(t - 1)] for i in range(t - 1)]
         items = [one, -a]
-        w = Ccol
         for _ in range(t - 1):
             items.append(-sum((R[j] * w[j] for j in range(t - 1)), a * 0))
             w = mat_vec(Bm, w)
-        # Toeplitz multiply: newpoly[i] = sum_j items[i-j] * poly[j]
-        newpoly = []
-        for i in range(t + 1):
-            s = one * 0
-            for j in range(len(poly)):
-                if 0 <= i - j < len(items):
-                    s = s + items[i - j] * poly[j]
-            newpoly.append(s)
-        poly = newpoly
-    poly_low_to_high = list(reversed(poly))
-    return poly_low_to_high
+        # Toeplitz multiply: new poly[i] = sum_j items[i-j] * poly[j]
+        poly = [sum((items[i - j] * poly[j] for j in range(len(poly))
+                     if 0 <= i - j < len(items)), one * 0) for i in range(t + 1)]
+    return poly[::-1]
 
 
 def newton_slopes(coeffs):
@@ -592,11 +592,9 @@ def newton_slopes(coeffs):
             raise PrecisionError(
                 "lowest coefficient indistinguishable from zero" if i == 0 else
                 f"Newton polygon vertex at index {i} not determined (O(p^{y}))")
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))  # root valuation, multiplicity
-    out.sort(key=lambda t: -t[0])
-    return out
+    # (root valuation, multiplicity) per segment
+    return sorted(((Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2)
+                   in zip(hull, hull[1:])), key=lambda t: -t[0])
 
 
 def poly_eval(coeffs, x):
@@ -612,22 +610,18 @@ def hensel_root(coeffs, p: int, slope: int, prec: int) -> PadicNumber:
     x = p^slope * y, finds the unit root mod p by scanning, lifts by Newton."""
     d = len(coeffs) - 1
     # g(y) = f(p^s y) / p^c, normalized to integral coefficients
-    sub = [c * PadicNumber.from_fraction(Fraction(p**slope if slope >= 0 else 1,
-                                                  1 if slope >= 0 else p**(-slope)) ** i, p, prec + 8 * (d + 1))
+    sub = [c * PadicNumber.from_fraction(Fraction(p) ** (slope * i), p, prec + 8 * (d + 1))
            for i, c in enumerate(coeffs)]
     vmin = min(c.val for c in sub if not c.is_zero())
     scale = PadicNumber(p, -vmin, 1, -vmin + prec + 4 * (d + 1))
     g = [c * scale for c in sub]
     dg = [g[i] * i for i in range(1, d + 1)]
-    root0 = None
     for y0 in range(1, p):
         y = PadicNumber.from_int(y0, p, prec + 4)
         if poly_eval(g, y).val >= 1 and poly_eval(dg, y).val == 0:
-            root0 = y
             break
-    if root0 is None:
+    else:
         raise PrecisionError("no simple unit root found for refinement")
-    y = root0
     for _ in range(prec.bit_length() + 3):
         y = y - poly_eval(g, y) / poly_eval(dg, y)
     return y * PadicNumber.from_fraction(Fraction(p) ** slope, p, prec + abs(slope) + 4)

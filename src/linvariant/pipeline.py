@@ -272,26 +272,19 @@ class LResult:
 
 def _int_trace(M, d: int):
     """The trace of an involution matrix as the unique plausible integer."""
-    tr = M[0][0]
-    for i in range(1, d):
-        tr = tr + M[i][i]
-    for e in range(-d, d + 1):
-        if (e - d) % 2 == 0 and (tr - e).is_zero():
+    tr = sum((M[i][i] for i in range(1, d)), M[0][0])
+    for e in range(-d, d + 1, 2):
+        if (tr - e).is_zero():
             return e
     raise PrecisionError("involution trace is not an integer at precision")
 
 
-def _negate(M):
-    return [[-c for c in row] for row in M]
+def _padic_matrix(p: int, M, sign: int = 1):
+    """sign times a matrix of (val, unit, prec) triples, as PadicNumber."""
+    return [[PadicNumber(p, v, sign * u, P) for v, u, P in row] for row in M]
 
 
 MAX_PRECISION_RETRIES = 3
-
-
-def _min_entry_val(A) -> int:
-    """Lowest valuation among the entries of A that are known to be nonzero
-    (0 when there are none)."""
-    return min((c.val for row in A for c in row if not c.is_zero()), default=0)
 
 
 def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
@@ -336,13 +329,15 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
         tau = base_point(p, sz.tau_prec, variant=tau_variant)
         A = None
         try:
-            A = l_matrix(actx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec)
+            A = _padic_matrix(p, l_matrix(actx.dom, basis, lifts, tau,
+                                          sz.n_terms, sz.out_prec))
             res = _invariants(actx, basis, A, M, sz.out_prec)
         except PrecisionError:
             if retries == MAX_PRECISION_RETRIES or Mw >= 4 * M:
                 raise
-            step = (Mw if A is None
-                    else max(1, d - 1) * max(1, -_min_entry_val(A)))
+            # -v, v the lowest valuation of an entry known nonzero
+            step = Mw if A is None else max(1, d - 1) * max(1, -min(
+                (c.val for row in A for c in row if not c.is_zero()), default=0))
             Mw = min(Mw + step, 4 * M)
             retries += 1
             checkpoint()
@@ -361,8 +356,8 @@ def _invariants(ctx: Context, basis, A, M: int, out_prec: int) -> LResult:
     # Atkin-Lehner matrices in newform labeling (see module docstring)
     wN, _ = normalizing_element(ctx.dom, ctx.nminus * ctx.nplus)
     wp, _ = normalizing_element(ctx.dom, p, parity_p=True)
-    MN = _negate(involution_matrix(ctx.dom, k, wN, basis, out_prec))
-    Mp = _negate(involution_matrix(ctx.dom, k, wp, basis, out_prec))
+    MN, Mp = (_padic_matrix(p, involution_matrix(ctx.dom, k, w, basis, out_prec), -1)
+              for w in (wN, wp))
     checkpoint()
     # commutation of A with W_N, within the available precision
     diff = mat_mul(A, MN)

@@ -1,10 +1,12 @@
 import os
 import shutil
+from math import comb
 
 import pytest
 
-from linvariant.cocycles import as_padics, gamma_action, harmonic_basis
-from linvariant.integration import base_point
+from linvariant.cocycles import gamma_action, harmonic_basis
+from linvariant.integration import _coordinate_totals, base_point, lambda_values
+from linvariant.loperator import psi_values
 from linvariant.lifting import make_lift
 from linvariant.padics import PadicNumber
 from linvariant.pipeline import (
@@ -16,6 +18,50 @@ from linvariant.pipeline import (
 )
 
 CACHE = os.path.join(os.path.dirname(__file__), "..", ".cache")
+
+
+def as_padics(p, vec):
+    """The entries of a V_k value (residues, scale, precision) in the
+    convention of `cocycles.Action`, its precision one for the vector or
+    one per entry, as PadicNumber."""
+    res, s, P = vec
+    precs = P if isinstance(P, list) else [P] * len(res)
+    return [PadicNumber(p, -s, a, q - s) for a, q in zip(res, precs)]
+
+
+def psis(dom, coc, x, r, prec):
+    """psi_values as a list of PadicNumber."""
+    return as_padics(dom.p, psi_values(dom, coc, x, r, prec))
+
+
+def lambdas(dom, lifts, x, r, tau, n_terms, prec):
+    """lambda_values as one list of PadicNumber per lift."""
+    return [as_padics(dom.p, vec)
+            for vec in lambda_values(dom, lifts, x, r, tau, n_terms, prec)]
+
+
+def coordinate_totals(dom, lifts, x, r, tau, n_terms, prec):
+    """_coordinate_totals as pairs of PadicNumber."""
+    E, totals = _coordinate_totals(dom, lifts, x, r, tau, n_terms, prec)
+    return [[tuple(PadicNumber(dom.p, -E, a, P - E) for a, P in pair)
+             for pair in vec] for vec in totals]
+
+
+def exact_weight_rows(mat, k):
+    """The rows of `cocycles.weight_coeff_rows` as exact integers: the
+    coefficients of (a x + b)^i (c x + d)^(k-i)."""
+    a, b, c, d = mat
+    rows = []
+    for i in range(k + 1):
+        left = [comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)]
+        right = [comb(k - i, s) * c**s * d ** (k - i - s)
+                 for s in range(k - i + 1)]
+        row = [0] * (k + 1)
+        for s1, v1 in enumerate(left):
+            for s2, v2 in enumerate(right):
+                row[s1 + s2] += v1 * v2
+        rows.append(row)
+    return rows
 
 
 def act(dom, k, x, r, omega, prec):

@@ -24,10 +24,8 @@ import random
 from fractions import Fraction
 
 from linvariant.domain import gamma_matrix
-from linvariant.integration import _coordinate_totals, lambda_values
 from linvariant.lifting import LiftParams, make_lift
 from linvariant import loperator
-from linvariant.loperator import psi_values
 from linvariant.padics import PadicNumber
 from linvariant.pipeline import compute_l_result
 from linvariant.tree import (
@@ -43,7 +41,7 @@ from linvariant.tree import (
     star,
 )
 
-from conftest import act, gamma_mul, value
+from conftest import act, coordinate_totals, gamma_mul, lambdas, psis, value
 from test_lifting import riemann_moments
 from test_tree import ball_contains, random_glq
 
@@ -260,22 +258,22 @@ class TestProperties:
 
         def lam(x, r, key):
             if key not in lam_cache:
-                [lam_cache[key]] = lambda_values(dom, lifts, x, r, tau,
+                [lam_cache[key]] = lambdas(dom, lifts, x, r, tau,
                                                  sz.n_terms, op)
             return lam_cache[key]
 
         for _ in range(50):
             i1, i2 = rng.randrange(len(gens)), rng.randrange(len(gens))
             (x1, r1), (x2, r2) = gens[i1], gens[i2]
-            p1 = psi_values(dom, basis[0], x1, r1, op)
-            p2 = psi_values(dom, basis[0], x2, r2, op)
+            p1 = psis(dom, basis[0], x1, r1, op)
+            p2 = psis(dom, basis[0], x2, r2, op)
             x12 = gamma_mul(dom, x1, x2)
-            p12 = psi_values(dom, basis[0], x12, r1 + r2, op)
+            p12 = psis(dom, basis[0], x12, r1 + r2, op)
             gp2 = act(dom, k, x1, r1, p2, op)
             assert all((a + b - c).is_zero()
                        for a, b, c in zip(gp2, p1, p12))
             l1, l2 = lam(x1, r1, i1), lam(x2, r2, i2)
-            [l12] = lambda_values(dom, lifts, x12, r1 + r2, tau,
+            [l12] = lambdas(dom, lifts, x12, r1 + r2, tau,
                                   sz.n_terms, op)
             gl2 = act(dom, k, x1, r1, l2, op)
             assert all((a + b - c).is_zero()
@@ -323,7 +321,7 @@ class TestProperties:
         # (i) the auxiliary field coordinate of the untraced integrals
         # vanishes
         for x, r in gens[:6]:
-            [totals] = _coordinate_totals(dom, lifts, x, r, tau,
+            [totals] = coordinate_totals(dom, lifts, x, r, tau,
                                           sz.n_terms, op)
             for _, b in totals:
                 assert b.is_zero() or b.val >= M - 2

@@ -257,15 +257,23 @@ class TestValidation:
         ("linv", "--p", "2", "--nminus", "3", "--weight", "200",
          "--prec", "12"),
         ("basis", "--p", "2", "--nminus", "3", "--weight", "400"),
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "3000",
+         "--prec", "5"),
+        ("linv", "--p", "2", "--nminus", "3", "--weight", "20000",
+         "--prec", "5"),
     ])
     def test_budget_checked_in_inner_loops(self, capsys, tmp_path, argv):
         """The rows of the lift's substitution matrices (--prec 2000), the
         2-adic square root of the splitting (--prec 20000) and the weight
-        rows of the actions (--weight 200 and 400) check the budget: each
+        rows of the actions (--weight 200 to 20000) check the budget: each
         run took 50 s or more past its budget of 1 s when only the loops
-        around them checked, and now exits 4 within 3 s.  The square root
-        now lifts by Newton steps in milliseconds, so the --prec 20000 row
-        runs out later, in the weight rows of its actions."""
+        around them checked (weight 3000 10.6 s, and weight 20000 was still
+        building a dense identity of 4 * 10^8 entries at 12 s), and now
+        exits 4 within 3 s.  The square root now lifts by Newton steps in
+        milliseconds, so the --prec 20000 row runs out later: in the
+        pivots of the basis solve, or with a little more time in the rows
+        of the lift's substitution matrices, each checked every 256
+        entries."""
         start = time.monotonic()
         code, _, err = run_cli(capsys, *argv, "--budget-secs", "1",
                                "--cache-dir", str(tmp_path))

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from linvariant import cocycles
 from linvariant.cocycles import (
     act_on,
-    as_padics,
     harmonic_basis,
     involution_matrix,
     normalizing_element,
     weight_action,
+    weight_coeff_rows,
 )
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import PadicNumber, PrecisionError
@@ -26,7 +26,7 @@ from linvariant.pipeline import (
 )
 from linvariant.tree import mat_adj, star
 
-from conftest import act, value
+from conftest import act, as_padics, exact_weight_rows, value
 
 PREC = 25
 
@@ -85,6 +85,26 @@ class TestWeightAction:
                 assert (u - v).is_zero()
 
     @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), k=st.integers(0, 16),
+           W=st.integers(1, 40),
+           mat=st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+    def test_weight_rows_are_the_exact_rows_reduced(self, p, k, W, mat):
+        """The weight rows built modulo p^W are the exact coefficients of
+        (a x + b)^i (c x + d)^(k-i) reduced modulo p^W."""
+        assert weight_coeff_rows(mat, k, p**W) == [
+            [w % p**W for w in row] for row in exact_weight_rows(mat, k)]
+
+    def test_weight_rows_check_the_budget_per_row(self, monkeypatch):
+        """Degree n + 1 of the weight rows checks the time budget once per
+        row it builds, n + 2 times, so no row of n + 1 products goes
+        unchecked."""
+        calls = []
+        monkeypatch.setattr(cocycles, "checkpoint", lambda: calls.append(None))
+        k = 40
+        weight_coeff_rows((3, 5, 7, 11), k, 2**20)
+        assert len(calls) == sum(n + 2 for n in range(k))
+
+    @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 4),
            W=st.integers(1, 20), extra=st.integers(0, 4),
            a=st.integers(-40, 40), b=st.integers(-40, 40),
@@ -98,7 +118,8 @@ class TestWeightAction:
             return
         sigma = (a, b, p * c, d)
         k = 2 * half_k
-        T = sigma_series_matrix(sigma, k, k + extra, p, W)
+        T = sigma_series_matrix(sigma, k, k + extra, p, W, k + extra + 1,
+                                _det(sigma))
         adj = mat_adj(sigma)
         rows, e, _ = weight_action(p, adj, _det(adj), k, W)
         assert e == 0
@@ -195,8 +216,9 @@ class TestConditions:
         assert sum(len(dom.one_per_sign(s)) for s in dom.edge_stabs) == pairs
         sizes = []
         solve = cocycles.solve_linear
-        monkeypatch.setattr(cocycles, "solve_linear",
-                            lambda rows: sizes.append(len(rows)) or solve(rows))
+        monkeypatch.setattr(
+            cocycles, "solve_linear",
+            lambda p, E, rows: sizes.append(len(rows)) or solve(p, E, rows))
         k = 2
         harmonic_basis(dom, k, PREC)
         assert sizes == [(pairs + len(dom.vertices)) * (k + 1)]
@@ -282,7 +304,8 @@ class TestInvolutions:
         k = w - 2
         basis = harmonic_basis(dom, k, PREC)
         wN, _ = normalizing_element(dom, 3)
-        Mn = involution_matrix(dom, k, wN, basis, 18)
+        Mn = [[PadicNumber(dom.p, *t) for t in row]
+              for row in involution_matrix(dom, k, wN, basis, 18)]
         d = len(basis)
         for i in range(d):
             for j in range(d):
@@ -297,7 +320,8 @@ class TestInvolutions:
         k = 2
         basis = harmonic_basis(dom, k, PREC)
         wp, _ = normalizing_element(dom, 2, parity_p=True)
-        Mp = involution_matrix(dom, k, wp, basis, 18)
+        Mp = [[PadicNumber(dom.p, *t) for t in row]
+              for row in involution_matrix(dom, k, wp, basis, 18)]
         d = len(basis)
         for i in range(d):
             for j in range(d):

@@ -13,14 +13,12 @@ from linvariant.cocycles import harmonic_basis, weight_coeff_rows
 from linvariant.domain import gamma_matrix
 from linvariant.integration import (
     CoveringBall,
-    _coordinate_totals,
     _halved_trace,
     _mobius,
     _pairing,
     ball_matrices,
     base_point,
     covering,
-    lambda_values,
     log_kernel_series,
 )
 from linvariant.lifting import sigma_series_matrix
@@ -30,13 +28,23 @@ from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
 from linvariant.tree import (
     base_vertex,
     edges_leaving_geodesic,
+    mat_det,
     mat_mul,
     neighbors,
     normalize_vertex,
     star,
 )
 
-from conftest import _row, act, gamma_conj, gamma_mul, value
+from conftest import (
+    _row,
+    act,
+    coordinate_totals,
+    exact_weight_rows,
+    gamma_conj,
+    gamma_mul,
+    lambdas,
+    value,
+)
 from field_reference import (
     Field,
     UnramifiedElement,
@@ -118,9 +126,8 @@ def series_elements(K: Field, series):
 def reference_ball_moments(lift, reduction, T):
     """The scaled moments p^t Phi(g)(x^i) for i < len(T) and their absolute
     precisions (scaled world), given the reduction of the edge g.e0 produced
-    by `FundamentalDomain.reduce_matrix` and the first rows
-    T = sigma_series_matrix(reduction.sigma, k, i_max, p, W, n_rows=len(T))
-    of its substitution matrix: moment i is row i paired with the moments of
+    by `FundamentalDomain.reduce_matrix` and the first rows T of its
+    substitution matrix, from `sigma_series_matrix`: moment i is row i paired with the moments of
     the rep reduction.j, so the sigma of the reduction is applied to the
     moments rather than pulled back into the integrand.  Each residue is
     reduced modulo p^prec."""
@@ -134,7 +141,7 @@ def reference_ball_moments(lift, reduction, T):
     return res, precs
 
 
-def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
+def reference_lambdas(dom, lifts, x, r, tau, n_terms,
                             target_prec):
     """The untraced totals of lambda_values evaluated term by term in field
     elements on the balls g Z_p of the covering, with the exact edge
@@ -152,8 +159,8 @@ def reference_lambda_values(dom, lifts, x, r, tau, n_terms,
         reduction = dom.reduce_matrix(g, dv)
         lser = reference_log_kernel_series(K, g, tau, tau2, n_terms)
         T = sigma_series_matrix(reduction.sigma, k, pr.i_max, p, pr.W,
-                                n_rows=n_terms)
-        W = weight_coeff_rows(g, k)
+                                n_terms, mat_det(reduction.sigma))
+        W = exact_weight_rows(g, k)
         det = g[0] * g[3] - g[1] * g[2]
         sgn = 1 if det > 0 else -1
         dfac = K.element(PadicNumber(p, -dv * (k // 2), sgn ** (k // 2),
@@ -318,7 +325,7 @@ class TestLambdaCocycle:
         rng = random.Random(5)
         gens = dom.generators()
         op = sz.out_prec
-        lam = lambda x, r: lambda_values(dom, lifts, x, r, tau,
+        lam = lambda x, r: lambdas(dom, lifts, x, r, tau,
                                          sz.n_terms, op)[0]
         for _ in range(12):
             x1, r1 = gens[rng.randrange(len(gens))]
@@ -338,8 +345,8 @@ class TestLambdaCocycle:
         gens = dom.generators()
         for x, r in gens[:4]:
             xinv = gamma_conj(dom, x)  # x * conj(x) = nrd(x) = p^{2r}, central
-            [l1] = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
-            [l2] = lambda_values(dom, lifts, xinv, r, tau, sz.n_terms, op)
+            [l1] = lambdas(dom, lifts, x, r, tau, sz.n_terms, op)
+            [l2] = lambdas(dom, lifts, xinv, r, tau, sz.n_terms, op)
             g_l2 = act(dom, k, x, r, l2, op)
             for a, b in zip(l1, g_l2):
                 assert (a + b).is_zero()
@@ -350,7 +357,7 @@ class TestLambdaCocycle:
         ctx, k, M, sz, basis, lifts, tau = row32_m8
         dom = ctx.dom
         for x, r in dom.generators()[:6]:
-            [totals] = _coordinate_totals(dom, lifts, x, r, tau,
+            [totals] = coordinate_totals(dom, lifts, x, r, tau,
                                           sz.n_terms, sz.out_prec)
             for _, b in totals:
                 assert b.is_zero() or b.val >= M - 2
@@ -374,7 +381,7 @@ class TestLambdaCocycle:
                 y, n = gamma_mul(dom, y, x), n + 1
             if n > 6:
                 continue
-            for lam in lambda_values(dom, lifts, x, r, tau, sz.n_terms, op):
+            for lam in lambdas(dom, lifts, x, r, tau, sz.n_terms, op):
                 total, term = lam, lam
                 for _ in range(n - 1):
                     term = act(dom, k, x, r, term, op)
@@ -412,10 +419,10 @@ class TestIntegerPairing:
         tau_ref = reference_base_point(dom.p, tau[3])
         vals = []
         for x, r in dom.generators():
-            ref = reference_lambda_values(dom, lifts, x, r, tau_ref,
+            ref = reference_lambdas(dom, lifts, x, r, tau_ref,
                                           sz.n_terms, op)
-            got = lambda_values(dom, lifts, x, r, tau, sz.n_terms, op)
-            totals = _coordinate_totals(dom, lifts, x, r, tau, sz.n_terms,
+            got = lambdas(dom, lifts, x, r, tau, sz.n_terms, op)
+            totals = coordinate_totals(dom, lifts, x, r, tau, sz.n_terms,
                                         op)
             pairs = []
             for ref_v, got_v, tot_v in zip(ref, got, totals):
@@ -447,8 +454,7 @@ class TestReassociatedPairing:
             gtau = _mobius(dom.spl.image(x), tau, K)
             for ball in covering(dom, x, r):
                 series = log_kernel_series(K, ball, tau, gtau, sz.n_terms)
-                W = [[w % p**ball.prec for w in row]
-                     for row in weight_coeff_rows(ball.matrix, k)]
+                W = weight_coeff_rows(ball.matrix, k, p**ball.prec)
                 moms = [rep[ball.j] for rep in reps]
                 count += assert_pairings_agree(
                     _pairing(series, W, moms, p, t, K.prec),
@@ -476,7 +482,7 @@ class TestReassociatedPairing:
 
         mat = [rng.randrange(-p**3, p**3) * p ** rng.randrange(3)
                for _ in range(4)]
-        W = weight_coeff_rows(mat, k)
+        W = exact_weight_rows(mat, k)
         prc = [rng.randrange(-2, cap + 1) for _ in range(n_terms)]
         coords = [[residue(cap + s) for _ in range(n_terms)]
                   for _ in range(2)]
@@ -553,7 +559,12 @@ class TestIntegerField:
     def test_halved_trace_equals_reference(self, p, data):
         a, b = data.draw(_padic(p)), data.draw(_padic(p))
         K = Field(p, 40)
-        got = _halved_trace(K, a, b)
+        # both integral under p^-10, a zero's residue 0
+        E = 10
+        t, P = _halved_trace(K, E, *((x.unit and x.unit * p ** (x.val + E),
+                                      x.prec + E) for x in (a, b)), 100)
+        h = int(p == 2)
+        got = PadicNumber(p, -E - h, t, P - E - h)
         want = half_trace(UnramifiedElement(K, a, b))
         assert (got.val, got.unit, got.prec) == (want.val, want.unit,
                                                  want.prec)
@@ -629,15 +640,15 @@ class TestChangeOfVariables:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         L = n_terms + 10
         mu = [rng.randrange(p**Wm) for _ in range(L)]
-        T = sigma_series_matrix((a, b, c, d), k, L - 1, p, Wm,
-                                n_rows=n_terms)
+        T = sigma_series_matrix((a, b, c, d), k, L - 1, p, Wm, n_terms,
+                                det)
         t_mu = [sum(map(mul, row, mu)) % p**Wm for row in T]
 
         def pairing(mat, prec, moments):
             series = log_kernel_series(K, CoveringBall(mat, prec, 0, None),
                                        z1, z2, n_terms)
             W = [[e % p**prec if prec < math.inf else e for e in row]
-                 for row in weight_coeff_rows(mat, k)]
+                 for row in exact_weight_rows(mat, k)]
             moms = [(moments, [val_cap(m, p, Wm) for m in moments],
                      [Wm] * n_terms)]
             [per_co] = _pairing(series, W, moms, p, 0, cap)

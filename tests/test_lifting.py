@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from linvariant.cocycles import harmonic_basis
 from linvariant.domain import build_up_table
+from linvariant import lifting
 from linvariant.lifting import (LiftParams, _field_width, _pack,
                                 _sweep_lifts, _unpack, _up_sweep, make_lift,
                                 sigma_series_matrix)
@@ -166,6 +167,16 @@ def averaged_start(dom, lift, i_max):
     return vecs
 
 
+def test_budget_checked_within_long_rows(monkeypatch):
+    """A row of a substitution matrix checks the time budget every 256
+    entries: the second row of 2048 entries, 2047 computed, checks it 8
+    times."""
+    calls = []
+    monkeypatch.setattr(lifting, "checkpoint", lambda: calls.append(None))
+    sigma_series_matrix((1, 0, 0, 1), 0, 2047, 2, 8, 2, 1)
+    assert len(calls) == 8
+
+
 class TestPackedKernels:
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 5),
@@ -182,11 +193,12 @@ class TestPackedKernels:
         a, d = data.draw(unit), data.draw(unit)
         b = data.draw(st.integers(0, mod - 1))
         c = p * data.draw(st.integers(0, (mod - 1) // p))
-        det = None
         if data.draw(st.booleans()):
             # a d - b c = p det mod p^W
             det = data.draw(unit)
             d = (p * det + b * c) * inv_mod(a, mod) % mod
+        else:
+            det = a * d - b * c
         n_rows = data.draw(st.integers(1, i_max + 1))
         k = 2 * half_k
         args = ((a, b, c, d), k, i_max, p, W, n_rows)
@@ -395,7 +407,7 @@ def riemann_moments(ctx, lift, j, depth, n_moments):
     for a in range(p**d):
         g = mat_mul(Bj, (p**d, a, 0, 1))
         r = dom.reduce_matrix(g, vB + d)
-        T = sigma_series_matrix(r.sigma, k, k, p, W, n_rows=k + 1)
+        T = sigma_series_matrix(r.sigma, k, k, p, W, k + 1, mat_det(r.sigma))
         low[a] = [
             sum(T[nu][m] * lift.phis[r.j][m] for m in range(k + 1)) % mod
             for nu in range(k + 1)

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linvariant.loperator as loperator
+from linvariant.cocycles import (
+    harmonic_basis,
+    involution_matrix,
+    normalizing_element,
+)
 from linvariant.loperator import (
     eigenspace,
     l_matrix,
-    psi_values,
     restrict_operator,
 )
 from linvariant.padics import (
@@ -20,7 +24,7 @@ from linvariant.padics import (
     newton_slopes,
 )
 
-from conftest import act, gamma_conj, gamma_mul
+from conftest import act, gamma_conj, gamma_mul, psis
 from newton_reference import newton_slopes as two_pass_newton_slopes
 
 
@@ -176,7 +180,7 @@ class TestPsi:
         ctx, k, M, sz, basis, lifts, tau = row32_m6
         dom = ctx.dom
         for x, r in dom.vertex_stabs[0][:4]:
-            vals = psi_values(dom, basis[0], x, r, sz.out_prec)
+            vals = psis(dom, basis[0], x, r, sz.out_prec)
             assert all(v.is_zero() for v in vals)
 
     def test_nonzero_on_some_generator(self, row32_m6):
@@ -184,7 +188,7 @@ class TestPsi:
         dom = ctx.dom
         assert any(
             any(not v.is_zero()
-                for v in psi_values(dom, basis[0], x, r, sz.out_prec))
+                for v in psis(dom, basis[0], x, r, sz.out_prec))
             for x, r in dom.generators())
 
     def test_z1_law_on_products(self, row32_m6):
@@ -197,9 +201,9 @@ class TestPsi:
         for _ in range(25):
             x1, r1 = gens[rng.randrange(len(gens))]
             x2, r2 = gens[rng.randrange(len(gens))]
-            p1 = psi_values(dom, basis[0], x1, r1, op)
-            p2 = psi_values(dom, basis[0], x2, r2, op)
-            p12 = psi_values(dom, basis[0], gamma_mul(dom, x1, x2), r1 + r2, op)
+            p1 = psis(dom, basis[0], x1, r1, op)
+            p2 = psis(dom, basis[0], x2, r2, op)
+            p12 = psis(dom, basis[0], gamma_mul(dom, x1, x2), r1 + r2, op)
             g_p2 = act(dom, k, x1, r1, p2, op)
             for a, b, c in zip(g_p2, p1, p12):
                 assert (a + b - c).is_zero()
@@ -211,8 +215,8 @@ class TestPsi:
         op = sz.out_prec
         for x, r in dom.generators()[:4]:
             xinv = gamma_conj(dom, x)
-            p1 = psi_values(dom, basis[0], x, r, op)
-            p2 = psi_values(dom, basis[0], xinv, r, op)
+            p1 = psis(dom, basis[0], x, r, op)
+            p2 = psis(dom, basis[0], xinv, r, op)
             g_p2 = act(dom, k, x, r, p2, op)
             for a, b in zip(p1, g_p2):
                 assert (a + b).is_zero()
@@ -262,10 +266,26 @@ class TestLMatrix:
         ctx, k, M, sz, basis, lifts, tau = row32_m6
         solve = loperator.solve_linear
 
-        def with_kernel(rows, rhs):
-            sols, kern = solve(rows, rhs)
-            return sols, kern + [[PadicNumber.one(3, 20)] * len(rows[0])]
+        def with_kernel(p, E, rows, rhs):
+            sols, kern = solve(p, E, rows, rhs)
+            return sols, kern + [[(0, 1, 20)] * len(rows[0][0])]
 
         monkeypatch.setattr(loperator, "solve_linear", with_kernel)
         with pytest.raises(PrecisionError):
             l_matrix(ctx.dom, basis, lifts, tau, sz.n_terms, sz.out_prec)
+
+    @pytest.mark.parametrize("row", ["row32_m6", "row27_m12"])
+    def test_integer_stages_build_no_padic_number(self, request, monkeypatch,
+                                                  row):
+        """The basis, the L-matrix with its psi and lam values, and both
+        involutions run on integers: none of them builds a PadicNumber."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        dom, built, init = ctx.dom, [], PadicNumber.__init__
+        monkeypatch.setattr(PadicNumber, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        assert len(harmonic_basis(dom, k, 20)) == len(basis)
+        l_matrix(dom, basis, lifts, tau, sz.n_terms, sz.out_prec)
+        for target, parity in ((ctx.nminus, False), (ctx.p, True)):
+            w, _ = normalizing_element(dom, target, parity_p=parity)
+            involution_matrix(dom, k, w, basis, sz.out_prec)
+        assert built == []

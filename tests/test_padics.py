@@ -20,12 +20,14 @@ from linvariant.padics import (
     iwasawa_log,
     newton_slopes,
     solve_linear,
+    solve_padics,
     sqrt_mod_ppow,
     val_cap,
     val_int,
 )
 
 from field_reference import Field
+from solve_reference import solve_linear as reference_solve_linear
 
 
 def Q3(x, prec=12):
@@ -271,16 +273,15 @@ class TestIwasawaLog:
 
     def test_half_trace(self):
         x = PadicNumber.from_int(4, 3, 10)
-        half = _halved_trace(UnramifiedField(3, 10), x,
-                             PadicNumber.from_int(6, 3, 10))
-        assert half.eq_at_prec(x)
+        t, P = _halved_trace(UnramifiedField(3, 10), 0, (4, 10), (6, 10), 10)
+        assert PadicNumber(3, 0, t, P).eq_at_prec(x)
 
 
 class TestLinearAlgebra:
     def test_solve_exact(self):
         A = [[Q3(2), Q3(1)], [Q3(1), Q3(1)]]
         b = [Q3(5), Q3(3)]
-        [x], ker = solve_linear(A, [b])
+        [x], ker = solve_padics(A, [b])
         assert x[0].eq_at_prec(Q3(2)) and x[1].eq_at_prec(Q3(1))
         assert ker == []
 
@@ -289,11 +290,11 @@ class TestLinearAlgebra:
         A = [[Q3(2), Q3(1)], [Q3(1), Q3(1)]]
         with Budget(seconds=0, start=time.monotonic() - 1).active():
             with pytest.raises(BudgetExceeded):
-                solve_linear(A, [[Q3(5), Q3(3)]])
+                solve_padics(A, [[Q3(5), Q3(3)]])
 
     def test_kernel(self):
         A = [[Q3(1), Q3(2), Q3(3)], [Q3(2), Q3(4), Q3(6)]]
-        _, ker = solve_linear(A)
+        _, ker = solve_padics(A)
         assert len(ker) == 2
         for v in ker:
             for row in A:
@@ -304,7 +305,7 @@ class TestLinearAlgebra:
         # the naive pivot 3 would cost a digit; max-unit pivoting avoids it
         A = [[Q3(3), Q3(1)], [Q3(1), Q3(0)]]
         b = [Q3(1), Q3(1)]
-        [x], _ = solve_linear(A, [b])
+        [x], _ = solve_padics(A, [b])
         assert x[0].eq_at_prec(Q3(1)) and x[1].eq_at_prec(Q3(-2))
         assert min(xx.prec for xx in x) >= 11
 
@@ -312,7 +313,62 @@ class TestLinearAlgebra:
         A = [[Q3(1)], [Q3(1)]]
         b = [Q3(0), Q3(1)]
         with pytest.raises(PrecisionError):
-            solve_linear(A, [b])
+            solve_padics(A, [b])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_solve_equals_padic_reference(self, data):
+        """The integer elimination gives every solution and kernel entry the
+        (val, unit, prec) of the PadicNumber elimination it replaced, and
+        raises PrecisionError on the same systems.  A = U V + N, with U V of
+        rank at most r and N drawn from entries indistinguishable from
+        zero, mixed precisions and negative valuations; the right-hand
+        sides are in the image or random, so inconsistent systems and
+        right-hand sides of lower valuation than the pivots come up."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+
+        def entry(v_lo=-4):
+            v = data.draw(st.integers(v_lo, 6))
+            if data.draw(st.integers(0, 6)) == 0:
+                return PadicNumber.zero(p, v)
+            return PadicNumber(p, v, data.draw(st.integers(1, p**10)),
+                               v + data.draw(st.integers(-1, 12)))
+
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        r = data.draw(st.integers(0, min(n, m)))
+        U = [[entry(0) for _ in range(r)] for _ in range(n)]
+        V = [[entry() for _ in range(m)] for _ in range(r)]
+        A = [[sum((U[i][t] * V[t][j] for t in range(r)),
+                  PadicNumber.zero(p, 30)) for j in range(m)]
+             for i in range(n)]
+        if data.draw(st.booleans()):
+            A = [[a + entry() for a in row] for row in A]
+        bs = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                y = [entry(-8) for _ in range(m)]
+                bs.append([sum((a * t for a, t in zip(row, y)),
+                               PadicNumber.zero(p, 30)) for row in A])
+            else:
+                bs.append([entry(-8) for _ in range(n)])
+
+        def digits(vecs):
+            return [[(x.val, x.unit, x.prec) for x in v] for v in vecs]
+
+        try:
+            xs, ker = reference_solve_linear(A, bs)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                solve_padics(A, bs)
+            return
+        got_xs, got_ker = solve_padics(A, bs)
+        assert digits(got_xs) == digits(xs)
+        assert digits(got_ker) == digits(ker)
+        # a coarser scale than the least one changes no digit
+        E = 12
+        rows, rhs = ([([x.unit * p ** (x.val + E) if x.unit else 0 for x in v],
+                       [x.prec + E for x in v]) for v in vecs] for vecs in (A, bs))
+        assert solve_linear(p, E, rows, rhs) == (digits(xs), digits(ker))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -346,13 +402,13 @@ class TestLinearAlgebra:
         each = []
         try:
             for b in bs:
-                [x], ker = solve_linear(A, [b])
+                [x], ker = solve_padics(A, [b])
                 each.append(digits(x))
         except PrecisionError:
             with pytest.raises(PrecisionError):
-                solve_linear(A, bs)
+                solve_padics(A, bs)
             return
-        xs, ker_all = solve_linear(A, bs)
+        xs, ker_all = solve_padics(A, bs)
         assert [digits(x) for x in xs] == each
         assert [digits(v) for v in ker_all] == [digits(v) for v in ker]
 
@@ -409,7 +465,8 @@ class TestLinearAlgebra:
 def _substitute(f, sigma, k, order, p, W):
     """f |_k sigma mod p^W, truncated at degree `order`, for the polynomial
     with integer coefficients f (low to high)."""
-    T = sigma_series_matrix(sigma, k, order, p, W, n_rows=len(f))
+    a, b, c, d = sigma
+    T = sigma_series_matrix(sigma, k, order, p, W, len(f), a * d - b * c)
     return [sum(c * T[m][n] for m, c in enumerate(f)) % p**W
             for n in range(order + 1)]
 

@@ -13,7 +13,7 @@ import linvariant.pipeline as pipeline
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
 from linvariant.lifting import _phi_scaled
-from linvariant.padics import PadicNumber, PrecisionError, val_int
+from linvariant.padics import PrecisionError, val_int
 from linvariant.pipeline import (
     SCHEMA_VERSION,
     SIZING_BASIS_PREC,
@@ -250,9 +250,9 @@ def test_resplit_rebuilds_domain_for_another_splitting(ctx32):
 def _fake_l_matrix(monkeypatch, val):
     """Skip the lift and integration stages: the L-matrix is the 1 x 1
     matrix (3^val), and the invariants never come out determined."""
-    entry = PadicNumber(3, val, 1, 20)
     monkeypatch.setattr(pipeline, "make_lift", lambda *a, **kw: None)
-    monkeypatch.setattr(pipeline, "l_matrix", lambda *a, **kw: [[entry]])
+    monkeypatch.setattr(pipeline, "l_matrix",
+                        lambda *a, **kw: [[(val, 1, 20)]])
 
     def always_short(*args):
         raise PrecisionError("simulated shortfall")
