@@ -14,15 +14,26 @@ its reduced norm and trace those of the order (`Order.nrd`, `Order.trd`).
 
 The domain is computed by breadth-first search from the base vertex, recording
 vertex orbit representatives, geometric edge representatives, boundary pairing
-elements and edge/vertex stabilizers.  One cached search,
+elements and edge/vertex stabilizers.  One cached classifier,
 `FundamentalDomain.locate`, classifies every edge against the directed
 representatives found so far: the breadth-first search takes an edge as a
 new representative only when nothing matches, and every match it finds is
-kept for the harmonic basis and the U_p table (`reduce_matrix`).  The
-search (`FundamentalDomain.search`) reads the domain's own order and
-splitting, so a copy of the domain under another splitting searches with
-that one.  Every search checks the active time budget once per exponent r
-(see `budget`).
+kept for the harmonic basis and the U_p table (`reduce_matrix`).
+
+Let f = (a -> b) be a directed representative, v the vertex representative
+of a's orbit and g the element carrying a to v (g = 1 when a = v).  An edge
+e = (v -> u) is equivalent to f exactly when u lies in the Stab(v)-orbit of
+g.b, so the domain records f for each (v, u) of that orbit (`star_reps`),
+and `locate` searches an edge out of a vertex representative only against
+the representative recorded for it.  That search finds the match: for
+primitive x, iota(x) has elementary divisors (1, p^2r), so gamma = x/p^r
+moves the base vertex by exactly 2r, and gamma.f = e bounds r by the
+distances of e and f to the base plus one.  An edge out of any other vertex
+is searched against every representative in turn.  The searches
+(`FundamentalDomain.search`) read the domain's own order and splitting, so
+a copy of the domain under another splitting searches with that one.  Every
+search checks the active time budget once per exponent r, and the
+breadth-first search once per star edge (see `budget`).
 """
 
 from __future__ import annotations
@@ -88,8 +99,11 @@ class FundamentalDomain:
     # representative, extended with geo_edges as the search adds them
     rep_mats: list = field(default_factory=list, compare=False, repr=False)
     rep_dists: list = field(default_factory=list, compare=False, repr=False)
+    # (v, u) -> j for a vertex representative v and a neighbour u with the
+    # edge v -> u equivalent to directed_reps()[j]
+    star_reps: dict = field(default_factory=dict, compare=False, repr=False)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
-    # by locate from the domain search on; exact, so a copy of the domain
+    # by the domain search and locate; exact, so a copy of the domain
     # under a more precise splitting that agrees with this one shares it
     located: dict = field(default_factory=dict, compare=False, repr=False)
     # (x, r, k) -> cocycles.gamma_action; it depends on the splitting, so a
@@ -195,14 +209,24 @@ class FundamentalDomain:
         return abs(self.order.trd(x)) == 2 * self.p**r
 
     def locate(self, e: Edge):
-        """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e for the
-        first such representative j, cached by canonical edge in `located`;
-        None when e is equivalent to no representative yet, which on a
-        complete domain does not happen."""
+        """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e, cached by
+        canonical edge in `located`; None when e is equivalent to no
+        representative yet, which on a complete domain does not happen.
+
+        No two representatives are equivalent, and the search against the
+        one equivalent to e finds it (see the module docstring).  An edge
+        out of a vertex representative is searched only against the
+        representative `star_reps` records for it, if any; any other edge
+        against every one."""
         if e not in self.located:
             m, d_e = e.matrix(), _edge_dist(e)
-            for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
-                res = self.search(B, m, "edge", d_e + d + 1)
+            reps = range(len(self.rep_mats))
+            if (v := e.source()) in self.vertices:
+                j = self.star_reps.get((v, e.target()))
+                reps = [] if j is None else [j]
+            for j in reps:
+                res = self.search(self.rep_mats[j], m, "edge",
+                                  d_e + self.rep_dists[j] + 1)
                 if res is not None:
                     self.located[e] = (j, *res)
                     break
@@ -259,41 +283,46 @@ class DomainTooLarge(RuntimeError):
 def compute_fundamental_domain(order: Order,
                                spl: SplittingMap) -> FundamentalDomain:
     """The domain by breadth-first search from the base vertex: a star edge
-    that `locate` matches to no representative so far becomes one."""
+    that `locate` matches to no representative so far becomes one, located
+    by the first element of its stabilizer (see the module docstring)."""
     p = spl.p
     dom = FundamentalDomain(p, order, spl)
-    v0 = base_vertex(p)
-    dom.vertices.append(v0)
-    queue = [v0]
-    while queue:
-        v = queue.pop(0)
+    dom.vertices.append(base_vertex(p))
+    dom.vertex_stabs.append(dom.stabilizer(dom.vertices[0], "vertex", 0))
+    for i, v in enumerate(dom.vertices):  # the list is the queue
         for e in star(v):
+            checkpoint()
             if dom.locate(e) is not None:
                 continue
+            j, d, u = len(dom.rep_mats), _edge_dist(e), e.target()
+            stab = dom.stabilizer(e, "edge", d)
+            # closed under negation (contains the central -1), so of even order
+            assert len(stab) >= 2 and len(stab) % 2 == 0
+            dom.edge_stabs.append(stab)
+            dom.located[e] = (j, *stab[0])
             dom.geo_edges.append(e)
             dom.rep_mats += [e.matrix(), e.opposite().matrix()]
-            dom.rep_dists += [_edge_dist(e)] * 2
-            u = e.target()
-            for i, w in enumerate(dom.vertices):
+            dom.rep_dists += [d] * 2
+            for iw, w in enumerate(dom.vertices):
                 g = dom.search(u.matrix(), w.matrix(), "vertex",
                                u.dist_to_base() + w.dist_to_base() + 1)
                 if g is not None:
-                    dom.pairings.append(Pairing(u, i, *g))
+                    dom.pairings.append(Pairing(u, iw, *g))
+                    t = gamma_vertex(dom, *g, v)
                     break
             else:
+                iw, t = len(dom.vertices), v
                 dom.vertices.append(u)
-                queue.append(u)
                 if len(dom.vertices) > MAX_VERTICES:
                     raise DomainTooLarge(
                         f"the fundamental domain has more than {MAX_VERTICES} "
                         "vertex orbits")
-    for e in dom.geo_edges:
-        stab = dom.stabilizer(e, "edge", _edge_dist(e))
-        # closed under negation (contains the central -1), so of even order
-        assert len(stab) >= 2 and len(stab) % 2 == 0
-        dom.edge_stabs.append(stab)
-    for v in dom.vertices:
-        dom.vertex_stabs.append(dom.stabilizer(v, "vertex", v.dist_to_base()))
+                dom.vertex_stabs.append(
+                    dom.stabilizer(u, "vertex", u.dist_to_base()))
+            for a, b, k in [(i, u, j), (iw, t, j + 1)]:
+                w = dom.vertices[a]
+                for x, r in dom.vertex_stabs[a]:
+                    dom.star_reps[w, gamma_vertex(dom, x, r, b)] = k
     return dom
 
 

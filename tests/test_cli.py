@@ -56,6 +56,17 @@ class TestFdomain:
         assert code == 4
         assert "budget" in err
 
+    def test_budget_checked_per_star_edge(self, capsys):
+        """The domain search checks the budget on each star edge, as well
+        as in its searches: (2, 421), whose domain takes seconds, exits 4
+        soon after its budget of 1 s runs out."""
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "fdomain", "--p", "2", "--nminus",
+                               "421", "--budget-secs", "1")
+        assert code == 4
+        assert "budget" in err
+        assert time.monotonic() - start < 2.5
+
     def test_budget_checked_in_symbol_search(self):
         """The symbol search of build_algebra checks the budget on each
         edge m: for the prime disc 1201 the edges m < 1201 hold no pair, so
@@ -120,12 +131,11 @@ class TestBasis:
         assert json.loads(out)["dim"] == _oracle().harmonic_dim(2, 31, 1, 8)
 
     def test_budget_checked(self, capsys):
-        """basis honours --budget-secs: this space runs for about a minute
+        """basis honours --budget-secs: this space runs for about 11 s
         unbounded, and exits 4 within 3 s on a budget of 1 s."""
         start = time.monotonic()
-        code, _, err = run_cli(capsys, "basis", "--p", "5", "--nminus", "19",
-                               "--nplus", "2", "--weight", "8",
-                               "--budget-secs", "1")
+        code, _, err = run_cli(capsys, "basis", "--p", "2", "--nminus", "421",
+                               "--weight", "4", "--budget-secs", "1")
         assert code == 4
         assert "budget" in err
         assert time.monotonic() - start < 3

@@ -9,8 +9,8 @@ from sympy import factorint
 
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
-from linvariant.domain import (_edge_dist, build_up_table, gamma_matrix,
-                               gamma_vertex)
+from linvariant.domain import (FundamentalDomain, _edge_dist, build_up_table,
+                               gamma_matrix, gamma_vertex)
 from linvariant.padics import val_int
 from linvariant.pipeline import build_context
 from linvariant.tree import (
@@ -21,6 +21,8 @@ from linvariant.tree import (
     normalize_edge,
     star,
 )
+
+from domain_reference import compute_fundamental_domain as reference_domain
 
 
 def _connected(dom):
@@ -271,8 +273,9 @@ class TestOneClassifier:
 
     def test_basis_searches_only_representatives(self, p, nminus,
                                                  monkeypatch):
-        """On a fresh domain, every search the weight-4 basis makes
-        locates a representative edge itself."""
+        """On a fresh domain the weight-4 basis makes no search: the domain
+        search has located every star edge of every vertex representative,
+        the geometric representatives among them."""
         dom = build_context(p, nminus, 1, 40).dom
         search, targets = dom.search, []
 
@@ -282,5 +285,55 @@ class TestOneClassifier:
 
         monkeypatch.setattr(dom, "search", spy)
         harmonic_basis(dom, 2, 25)
-        assert targets
-        assert all(m in dom.rep_mats for m in targets)
+        assert not targets
+
+
+# (p, N^-, N^+, split variant): the `dims-survey` levels with both
+# splittings, (2, 5) and (2, 7), an Eichler level, and two levels with many
+# pairings
+REFERENCE_LEVELS = [
+    (p, nminus, 1, variant)
+    for p, nminus in [(2, 3), (2, 13), (2, 19), (3, 2), (3, 13), (5, 3),
+                      (5, 7), (7, 3), (11, 2), (13, 2)]
+    for variant in (0, 1)] + [
+    (2, 5, 1, 0), (2, 7, 1, 0), (5, 3, 2, 0), (3, 2, 5, 1), (2, 61, 1, 0),
+    (5, 31, 1, 0)]
+
+
+@pytest.mark.parametrize("p, nminus, nplus, variant", REFERENCE_LEVELS)
+def test_domain_equals_the_linear_scan_reference(p, nminus, nplus, variant):
+    """The domain whose star edges are classified through their vertex's
+    stabilizer equals the one whose `locate` searches every representative
+    in turn: the same vertices, edges, pairings, stabilizers and
+    representatives, and the same location of every edge both located."""
+    dom = build_context(p, nminus, nplus, 40, variant=variant).dom
+    ref = reference_domain(dom.order, dom.spl)
+    for name in ["vertices", "geo_edges", "pairings", "vertex_stabs",
+                 "edge_stabs", "rep_mats", "rep_dists"]:
+        assert getattr(dom, name) == getattr(ref, name), name
+    common = dom.located.keys() & ref.located.keys()
+    assert common
+    assert all(dom.located[e] == ref.located[e] for e in common)
+
+
+def test_domain_search_runs_no_edge_search_that_misses(monkeypatch):
+    """Building the context of (2, 61) runs no edge search that returns
+    None (435 did while `locate` searched every representative in turn),
+    and one edge search per star edge matched to a representative: every
+    location the domain holds but those of the geometric representatives,
+    which come from their stabilizers."""
+    search, results = FundamentalDomain.search, []
+
+    def spy(self, m1, m2, kind, rmax, all_solutions=False):
+        res = search(self, m1, m2, kind, rmax, all_solutions)
+        if kind == "edge" and not all_solutions:
+            results.append(res)
+        return res
+
+    monkeypatch.setattr(FundamentalDomain, "search", spy)
+    dom = build_context(2, 61, 1, 60).dom
+    assert results
+    assert None not in results
+    assert len(results) == len(dom.located) - len(dom.geo_edges)
+    for e, stab in zip(dom.geo_edges, dom.edge_stabs):
+        assert dom.located[e][1:] == stab[0]
