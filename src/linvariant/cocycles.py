@@ -39,20 +39,30 @@ from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
 
 def weight_coeff_rows(mat, k: int, mod: int):
     """Rows W[i] = coefficients of (a x + b)^i (c x + d)^(k-i) modulo mod,
-    with x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m.  The rows for degree
-    n + 1 are those for n times a x + b, after (c x + d)^(n+1); the time
-    budget is checked after each row of each degree."""
+    with x^i |_k g = det(g)^(-k/2) * sum_m W[i][m] x^m.  Each row is the
+    convolution of two powers, each power the one before times a x + b or
+    c x + d; the time budget is checked after each power and each row."""
     a, b, c, d = (t % mod for t in mat)
 
-    def times(f, u, v):
-        """f (u x + v) modulo mod."""
-        checkpoint()
-        return [v * f[0] % mod] + [(u * s + v * t) % mod for s, t
-                                   in zip(f, f[1:])] + [u * f[-1] % mod]
+    def powers(u, v):
+        """(u x + v)^n modulo mod for n = 0..k."""
+        out = [[1]]
+        for _ in range(k):
+            checkpoint()
+            f = out[-1]
+            out.append([(u * s + v * t) % mod
+                        for s, t in zip([0] + f, f + [0])])
+        return out
 
-    rows = [[1]]
-    for _ in range(k):
-        rows = [times(rows[0], c, d)] + [times(r, a, b) for r in rows]
+    left, right = powers(a, b), powers(c, d)
+    rows = []
+    for f, g in zip(left, reversed(right)):
+        row = [0] * (k + 1)
+        for s, fs in enumerate(f):
+            for m, gt in enumerate(g, s):
+                row[m] += fs * gt
+        rows.append([t % mod for t in row])
+        checkpoint()
     return rows
 
 

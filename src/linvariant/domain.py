@@ -202,6 +202,53 @@ class FundamentalDomain:
         return [(pr.x, pr.r) for pr in self.pairings] + self.one_per_sign(
             g for stab in self.vertex_stabs for g in stab)
 
+    # cached on first use, by loperator.l_matrix
+    @cached_property
+    def derivations(self) -> list:
+        """Aligned with `generators()`: None for an element whose lambda is
+        integrated, or (i, j) with gens[n] = +-gens[i] gens[j] for two
+        generators of a vertex stabilizer holding gens[n], so that
+        lambda(gens[n]) = lambda(gens[i]) + gens[i].lambda(gens[j]) (-1 fixes
+        the base point and acts trivially).
+
+        The pairing elements are integrated.  In each stabilizer, every
+        product of two reached elements of the stabilizer is reached, until
+        none is new; then the first element in list order not yet reached
+        is integrated, and so on until all are reached (an element shared
+        with an earlier stabilizer was reached there).  Each ordered pair is
+        multiplied once, exactly (`Order.mul`, divided by p while r > 0 and
+        every coordinate is divisible).  Each (i, j) was reached before n,
+        though not always earlier in the list."""
+        gens, p = self.generators(), self.p
+        where = {}
+        for n, (x, r) in enumerate(gens):
+            where[x, r] = where[tuple(-c for c in x), r] = n
+        table, reached = [None] * len(gens), set(range(len(self.pairings)))
+        for stab in self.vertex_stabs:
+            members = sorted({where[g] for g in stab if g in where})
+            todo, closed = [n for n in members if n in reached], []
+            while True:
+                while todo:
+                    a = todo.pop()
+                    closed.append(a)
+                    for i, j in [pair for b in closed
+                                 for pair in ((a, b), (b, a))]:
+                        (x, r), (y, s) = gens[i], gens[j]
+                        z, t = self.order.mul(x, y), r + s
+                        while t > 0 and all(c % p == 0 for c in z):
+                            z, t = tuple(c // p for c in z), t - 1
+                        m = where.get((z, t))
+                        if m is not None and m not in reached:
+                            table[m] = (i, j)
+                            reached.add(m)
+                            todo.append(m)
+                rest = [n for n in members if n not in reached]
+                if not rest:
+                    break
+                reached.add(rest[0])
+                todo.append(rest[0])
+        return table
+
     def is_pm_one(self, x, r: int) -> bool:
         """Whether gamma = x/p^r, of reduced norm 1, is the central +-1: in a
         definite algebra trd(gamma)^2 <= 4 nrd(gamma), with equality only

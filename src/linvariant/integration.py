@@ -62,6 +62,11 @@ min_i v(q_i) + P(mu_i) takes v(W[m][u]) + v(c_j) in place of v(q_(j+u)),
 which is never larger, and equal unless q_i cancels.  Each entry is then
 capped at the requested target precision, so no entry claims more digits
 than the same sums evaluated in field elements.
+
+`loperator.l_matrix` calls `lambda_values` only on the pairing elements and
+a generating set of each vertex stabilizer (`FundamentalDomain.derivations`);
+the other stabilizer elements follow by the cocycle law
+(`loperator.generator_lambdas`).
 """
 
 from __future__ import annotations

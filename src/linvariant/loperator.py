@@ -10,13 +10,16 @@ the slope tables, computed from the Newton polygon of the characteristic
 polynomial, optionally restricted to Atkin-Lehner eigenspaces.  psi, lam and
 the coboundaries enter the solve for A as integer rows under one scale
 (`padics.solve_linear`); the restriction to eigenspaces takes the small
-PadicNumber matrices of the invariants (`padics.solve_padics`).
+PadicNumber matrices of the invariants (`padics.solve_padics`).  lam is a
+1-cocycle, lam(g h) = lam(g) + g.lam(h), so it is integrated only on the
+pairing elements and a generating set of each vertex stabilizer, and
+derived on the other generators (`generator_lambdas`).
 """
 
 from __future__ import annotations
 
 from .budget import checkpoint
-from .cocycles import HarmonicCocycle, gamma_action, stack_values
+from .cocycles import HarmonicCocycle, act_on, gamma_action, stack_values
 from .domain import FundamentalDomain, gamma_vertex
 from .integration import lambda_values
 from .padics import (
@@ -44,6 +47,42 @@ def psi_values(dom: FundamentalDomain, coc: HarmonicCocycle, x, r: int,
     return [sum(col) % p ** max(P, 0) for col in total], E, P
 
 
+def generator_lambdas(dom: FundamentalDomain, lifts, tau, n_terms: int,
+                      prec: int):
+    """lam(c)(gamma) for each generator gamma of the domain, a list per
+    lift as `lambda_values` gives it, aligned with `dom.generators()`.
+
+    Only the elements `dom.derivations` leaves as None are integrated; the
+    others follow by the cocycle law lam(g h) = lam(g) + g.lam(h), on
+    integers: g acts by `act_on` on lam(h) at its lowest precision, and the
+    sum is taken under the larger scale, one precision per entry, each
+    capped at prec digits before that scale as `lambda_values` caps its
+    entries.  The time budget is checked after each generator."""
+    p, k, gens = dom.p, lifts[0].params.k, dom.generators()
+    lams, todo = [None] * len(gens), list(range(len(gens)))
+    while todo:
+        n = todo.pop(0)
+        if dom.derivations[n] is None:
+            lams[n] = lambda_values(dom, lifts, *gens[n], tau, n_terms, prec)
+        elif any(lams[m] is None for m in dom.derivations[n]):
+            todo.append(n)  # a factor is derived later in the list
+            continue
+        else:
+            i, j = dom.derivations[n]
+            act = gamma_action(dom, *gens[i], k)
+            lams[n] = []
+            for g_val, (res, s, P) in zip(lams[i], lams[j]):
+                h_val = act_on(p, act, (res, s, min(P)), prec)
+                E = max(g_val[1], h_val[1])
+                (a, Pa), (b, Pb) = (stack_values(p, [v], E)
+                                    for v in (g_val, h_val))
+                Ps = [min(u, v, prec + E) for u, v in zip(Pa, Pb)]
+                lams[n].append(([(u + v) % p ** max(q, 0)
+                                 for u, v, q in zip(a, b, Ps)], E, Ps))
+        checkpoint()
+    return lams
+
+
 def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
              tau, n_terms: int, prec: int):
     """The matrix A with [lam(c_i)] = sum_l A[l][i] [psi(c_l)] in cohomology,
@@ -52,14 +91,17 @@ def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
     Solved jointly with the coboundary ambiguity: for each generator gamma
     of the domain, lam_i(gamma) = sum_l A[l][i] psi_l(gamma) + (gamma.u_i - u_i),
     one row per coordinate of V_k, every entry an integer under the largest
-    scale of the psi values, actions and lam values.  The time budget is
-    checked after each generator."""
+    scale of the psi values, actions and lam values.  lam is integrated on
+    the pairings and a generating set of each vertex stabilizer and derived
+    on the other stabilizer elements (`generator_lambdas`); every generator
+    keeps its psi and coboundary rows, so the solve keeps its pivots.  The
+    time budget is checked after each generator."""
     p, k, d = dom.p, basis[0].k, len(basis)
     gens = []
-    for x, r in dom.generators():
+    for (x, r), lams in zip(dom.generators(),
+                            generator_lambdas(dom, lifts, tau, n_terms, prec)):
         gens.append(([psi_values(dom, c, x, r, prec) for c in basis],
-                     gamma_action(dom, x, r, k),
-                     lambda_values(dom, lifts, x, r, tau, n_terms, prec)))
+                     gamma_action(dom, x, r, k), lams))
         checkpoint()
     E = max(v[1] for psis, act, lams in gens for v in (*psis, act, *lams))
     rows = []

@@ -151,6 +151,21 @@ def row32_m8():
 
 
 @pytest.fixture(scope="session")
+def row23_m8():
+    return _row(2, 3, 2, 8)
+
+
+@pytest.fixture(scope="session")
+def row25_m8():
+    return _row(2, 5, 2, 8)
+
+
+@pytest.fixture(scope="session")
+def row72_m8():
+    return _row(7, 2, 2, 8)
+
+
+@pytest.fixture(scope="session")
 def row23_m12():
     """(2, 3, 1) at weight 6 (k = 4), sized for M = 12."""
     return _row(2, 3, 4, 12)

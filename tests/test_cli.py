@@ -13,6 +13,7 @@ import pytest
 from linvariant import domain
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cli import main
+from linvariant.pipeline import build_context
 from linvariant.quaternions import build_algebra
 
 ORACLE = os.path.join(os.path.dirname(__file__), "..", "benchmark",
@@ -245,10 +246,11 @@ class TestValidation:
         assert code == 4
 
     def test_budget_checked_in_domain_and_basis(self, capsys, tmp_path):
-        """The domain search and the basis conditions check the budget: a
-        row whose domain and sizing basis take about a minute exits 4 soon
-        after its budget of 2 s runs out (it took 17.6 s when only later
-        stages checked)."""
+        """A row that runs for minutes unbounded exits 4 soon after its
+        budget of 2 s runs out, with no cache file written.  Its domain and
+        probe basis take about 1 s, so the budget runs out in a later stage
+        (the sizing, an attempt's basis or the lift, by load); the domain
+        search alone is checked by `test_budget_checked_in_domain_search`."""
         start = time.monotonic()
         code, _, err = run_cli(
             capsys, "linv", "--p", "5", "--nminus", "19", "--nplus", "2",
@@ -258,6 +260,18 @@ class TestValidation:
         assert "budget" in err
         assert time.monotonic() - start < 2 + 3
         assert os.listdir(tmp_path) == []
+
+    def test_budget_checked_in_domain_search(self):
+        """The fundamental domain of (2, 1201) takes about 45 s; under a
+        budget of 2 s its search raises BudgetExceeded, from inside
+        `compute_fundamental_domain`, within 5 s (`fdomain --p 2 --nminus
+        1201 --budget-secs 2` exits 4)."""
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info, Budget(seconds=2).active():
+            build_context(2, 1201, 1, 60)
+        assert time.monotonic() - start < 5
+        assert "compute_fundamental_domain" in [
+            entry.name for entry in info.traceback]
 
     @pytest.mark.parametrize("argv", [
         ("linv", "--p", "2", "--nminus", "3", "--weight", "4",

@@ -95,14 +95,15 @@ class TestWeightAction:
             [w % p**W for w in row] for row in exact_weight_rows(mat, k)]
 
     def test_weight_rows_check_the_budget_per_row(self, monkeypatch):
-        """Degree n + 1 of the weight rows checks the time budget once per
-        row it builds, n + 2 times, so no row of n + 1 products goes
-        unchecked."""
+        """The weight rows check the time budget once per power of a x + b
+        and of c x + d they build, and once per row they convolve: 3k + 1
+        times, so no power of n + 1 products and no row of at most
+        (k/2 + 1)^2 products goes unchecked."""
         calls = []
         monkeypatch.setattr(cocycles, "checkpoint", lambda: calls.append(None))
         k = 40
         weight_coeff_rows((3, 5, 7, 11), k, 2**20)
-        assert len(calls) == sum(n + 2 for n in range(k))
+        assert len(calls) == 3 * k + 1
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), half_k=st.integers(0, 4),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -166,6 +167,77 @@ def test_stabilizers_satisfy_the_mass_formula(p, nminus, nplus):
         q ** (e - 1) * (q + 1) for q, e in factorint(nplus).items())
     assert sum(Fraction(2, len(s)) for s in dom.vertex_stabs) == 2 * mass
     assert sum(Fraction(2, len(s)) for s in dom.edge_stabs) == (p + 1) * mass
+
+
+def _up_to_sign(dom, x, r):
+    """x/p^r with x divided by p while r > 0 and every coordinate is
+    divisible, and its sign fixed: a key of the class of +-x/p^r."""
+    while r > 0 and all(c % dom.p == 0 for c in x):
+        x, r = tuple(c // dom.p for c in x), r - 1
+    return max(x, tuple(-c for c in x)), r
+
+
+@pytest.mark.parametrize("p, nminus, nplus", MASS_LEVELS)
+def test_derivations_are_exact_products_in_one_stabilizer(p, nminus, nplus):
+    """Each derived generator is +-gens[i] gens[j], exactly, for two
+    generators of one vertex stabilizer that holds it, and the table has
+    no cycle: every derived entry can be evaluated from integrated ones."""
+    dom = build_context(p, nminus, nplus, 40).dom
+    gens, table = dom.generators(), dom.derivations
+    assert len(table) == len(gens)
+    assert table[:len(dom.pairings)] == [None] * len(dom.pairings)
+    stabs = [{_up_to_sign(dom, *g) for g in stab} for stab in dom.vertex_stabs]
+    known = {n for n, entry in enumerate(table) if entry is None}
+    for n, entry in enumerate(table):
+        if entry is None:
+            continue
+        i, j = entry
+        (x, r), (y, s) = gens[i], gens[j]
+        assert _up_to_sign(dom, dom.order.mul(x, y), r + s) \
+            == _up_to_sign(dom, *gens[n])
+        assert any({_up_to_sign(dom, *gens[m]) for m in (i, j, n)} <= stab
+                   for stab in stabs)
+    while len(known) < len(gens):
+        new = {n for n, entry in enumerate(table)
+               if n not in known and set(entry) <= known}
+        assert new, "the derivation table has a cycle"
+        known |= new
+
+
+@pytest.mark.parametrize("p, nminus, nplus", MASS_LEVELS)
+def test_integrated_elements_generate_every_stabilizer(p, nminus, nplus):
+    """The integrated stabilizer elements generate every vertex stabilizer
+    modulo +-1: closing them under products of two elements of a common
+    stabilizer reaches every element of every stabilizer."""
+    dom = build_context(p, nminus, nplus, 40).dom
+    gens = dom.generators()
+    stabs = [{_up_to_sign(dom, *g) for g in stab if not dom.is_pm_one(*g)}
+             for stab in dom.vertex_stabs]
+    reached = {_up_to_sign(dom, *g)
+               for g, entry in zip(gens, dom.derivations) if entry is None}
+    grown = True
+    while grown:
+        grown = False
+        for stab in stabs:
+            inside = reached & stab
+            for (x, r), (y, s) in product(inside, repeat=2):
+                z = _up_to_sign(dom, dom.order.mul(x, y), r + s)
+                if z in stab and z not in reached:
+                    reached.add(z)
+                    grown = True
+    assert all(stab <= reached for stab in stabs)
+
+
+@pytest.mark.parametrize("ctx_name, integrated", [
+    ("ctx23", 3), ("ctx25", 2), ("ctx27", 3), ("ctx32", 3)])
+def test_integrated_generator_counts(request, ctx_name, integrated):
+    """(2,3) integrates 3 of its 9 generators: the pairing-free domain has
+    two stabilizers of order 12, each S_3 modulo +-1, sharing one element of
+    order 2 (one more generates the second); (2,5) 2 of 4, one per cyclic
+    stabilizer; (2,7) all 3, one pairing and two stabilizers of order 4;
+    (3,2) 3 of 20."""
+    dom = request.getfixturevalue(ctx_name).dom
+    assert dom.derivations.count(None) == integrated
 
 
 class TestEdgeReducer:

@@ -12,8 +12,10 @@ from linvariant.cocycles import (
     involution_matrix,
     normalizing_element,
 )
+from linvariant.integration import lambda_values
 from linvariant.loperator import (
     eigenspace,
+    generator_lambdas,
     l_matrix,
     restrict_operator,
 )
@@ -256,6 +258,50 @@ class TestInvolutionSplitting:
         e0 = [_pad(1, p, prec), _pad(0, p, prec)]
         with pytest.raises(PrecisionError):
             restrict_operator(A, [e0, e0], prec)
+
+
+DERIVED_ROWS = ["row23_m8", "row25_m8", "row32_m8", "row53_m8", "row72_m8"]
+
+
+class TestDerivedLambda:
+    @pytest.mark.parametrize("row", DERIVED_ROWS)
+    def test_derived_equals_integrated(self, request, row):
+        """Every lam value derived by the cocycle law equals the integrated
+        `lambda_values` on the same generator modulo the lower of the two
+        claimed precisions, entry by entry, and both claim at least M
+        digits."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        dom, p, op = ctx.dom, ctx.p, sz.out_prec
+        lams = generator_lambdas(dom, lifts, tau, sz.n_terms, op)
+        derived = [n for n, entry in enumerate(dom.derivations) if entry]
+        assert derived or row == "row72_m8"
+        for n in derived:
+            want = lambda_values(dom, lifts, *dom.generators()[n], tau,
+                                 sz.n_terms, op)
+            for (ra, sa, Pa), (rb, sb, Pb) in zip(lams[n], want):
+                E = max(sa, sb)
+                for a, qa, b, qb in zip(ra, Pa, rb, Pb):
+                    assert min(qa - sa, qb - sb) >= M
+                    q = min(qa + E - sa, qb + E - sb)
+                    assert (a * p ** (E - sa) - b * p ** (E - sb)) % p**q == 0
+
+    @pytest.mark.parametrize("row", DERIVED_ROWS)
+    def test_l_matrix_integrates_only_the_integrated_generators(
+            self, request, monkeypatch, row):
+        """l_matrix calls lambda_values once per generator that
+        `dom.derivations` leaves as None, and on no other."""
+        ctx, k, M, sz, basis, lifts, tau = request.getfixturevalue(row)
+        dom, calls = ctx.dom, []
+
+        def counting(dom, lifts, x, r, *args):
+            calls.append((x, r))
+            return lambda_values(dom, lifts, x, r, *args)
+
+        monkeypatch.setattr(loperator, "lambda_values", counting)
+        l_matrix(dom, basis, lifts, tau, sz.n_terms, sz.out_prec)
+        assert sorted(calls) == sorted(
+            g for g, entry in zip(dom.generators(), dom.derivations)
+            if entry is None)
 
 
 class TestLMatrix:
