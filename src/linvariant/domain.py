@@ -20,20 +20,36 @@ representatives found so far: the breadth-first search takes an edge as a
 new representative only when nothing matches, and every match it finds is
 kept for the harmonic basis and the U_p table (`reduce_matrix`).
 
-Let f = (a -> b) be a directed representative, v the vertex representative
-of a's orbit and g the element carrying a to v (g = 1 when a = v).  An edge
+The searches stop at proven bounds.  For primitive x, iota(x) has
+elementary divisors (1, p^2r), so gamma = x/p^r moves the base vertex by
+exactly 2r; if gamma carries a vertex at distance d(u) from the base to one
+at distance d(w), then 2r <= d(u) + d(w), and if it carries a directed edge
+at distance d_f (that of its nearer end) to one at d_e, then
+2r <= d_e + d_f + 1.  A vertex stabilizer is searched to r <= d, a pairing
+to r <= (d(u) + d(w)) // 2 and an edge to r <= (d_e + d_f + 1) // 2.
+
+`FundamentalDomain.search` returns, among the elements x/p^r carrying one
+object to the other, the one with the smallest r and, among those, the
+smallest (c_3, c_2, c_1, c_0) in lexicographic order (`search_order`):
+`congruence_kernel` gives a lower-triangular basis with a positive
+diagonal, so the order in which `enumerate_norm` visits kernel coordinates
+is this order on c.  Its lists of all solutions are sorted the same way.
+
+Only vertex stabilizers and pairings need a lattice search.  Let
+f = (a -> b) be a directed representative, v the vertex representative of
+a's orbit and g the element carrying a to v (g = 1 when a = v).  An edge
 e = (v -> u) is equivalent to f exactly when u lies in the Stab(v)-orbit of
-g.b, so the domain records f for each (v, u) of that orbit (`star_reps`),
-and `locate` searches an edge out of a vertex representative only against
-the representative recorded for it.  That search finds the match: for
-primitive x, iota(x) has elementary divisors (1, p^2r), so gamma = x/p^r
-moves the base vertex by exactly 2r, and gamma.f = e bounds r by the
-distances of e and f to the base plus one.  An edge out of any other vertex
-is searched against every representative in turn.  The searches
-(`FundamentalDomain.search`) read the domain's own order and splitting, so
-a copy of the domain under another splitting searches with that one.  Every
-search checks the active time budget once per exponent r, and the
-breadth-first search once per star edge (see `budget`).
+g.b, so the domain records, for each (v, u) of that orbit (`star_reps`),
+f and one element gamma_0 = s g (s in Stab(v)) with gamma_0.f = e.  The
+elements carrying f to e are the coset gamma_0 Stab(f), and `locate`
+returns its least element under `search_order`, formed by exact products
+(`compose`): what the search would return.  The stabilizer of a new
+representative (v -> u) is the part of Stab(v) that fixes u, in the same
+order.  An edge out of any other vertex is searched against every
+representative in turn.  The searches read the domain's own order and
+splitting, so a copy of the domain under another splitting searches with
+that one.  Every search checks the active time budget once per exponent r,
+and the breadth-first search once per star edge (see `budget`).
 """
 
 from __future__ import annotations
@@ -60,6 +76,13 @@ from .tree import (
 
 def _edge_dist(e: Edge) -> int:
     return min(e.source().dist_to_base(), e.target().dist_to_base())
+
+
+def search_order(g):
+    """The key under which `FundamentalDomain.search` finds g = (x, r)
+    first: r, then the coordinates of x from the last to the first."""
+    x, r = g
+    return r, x[::-1]
 
 
 @dataclass
@@ -99,8 +122,8 @@ class FundamentalDomain:
     # representative, extended with geo_edges as the search adds them
     rep_mats: list = field(default_factory=list, compare=False, repr=False)
     rep_dists: list = field(default_factory=list, compare=False, repr=False)
-    # (v, u) -> j for a vertex representative v and a neighbour u with the
-    # edge v -> u equivalent to directed_reps()[j]
+    # (v, u) -> (j, gamma_0) for a vertex representative v and a neighbour
+    # u with gamma_0 . directed_reps()[j] = (v -> u)
     star_reps: dict = field(default_factory=dict, compare=False, repr=False)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
     # by the domain search and locate; exact, so a copy of the domain
@@ -110,6 +133,10 @@ class FundamentalDomain:
     # copy of the domain under another splitting starts without it
     actions: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+    # `derivations`, filled on first use; it depends only on the order and
+    # the stabilizers, so a copy of the domain shares it
+    derivation_table: list = field(default_factory=list, compare=False,
+                                   repr=False)
 
     # cached on first use, once the domain is complete
     @cached_property
@@ -131,8 +158,9 @@ class FundamentalDomain:
         equal to the m2-object (vertex class or directed edge); x is given by
         its integer coordinates, a tuple.
 
-        Returns a single (x, r) or None; with all_solutions=True, the list of
-        all (x, r) with x primitive (no two give the same x/p^r)."""
+        Returns the first (x, r) in `search_order` or None; with
+        all_solutions=True, the list in that order of all (x, r) with x
+        primitive (no two give the same x/p^r)."""
         p = self.p
         v1 = val_int(mat_det(m1), p)
         v2 = val_int(mat_det(m2), p)
@@ -176,11 +204,27 @@ class FundamentalDomain:
                     return (c, r)
         return found if all_solutions else None
 
-    def stabilizer(self, obj, kind: str, dist: int):
-        """All gamma in Gamma fixing the vertex or directed edge obj at
-        distance dist from the base vertex (includes +-1)."""
-        return self.search(obj.matrix(), obj.matrix(), kind, 2 * dist + 1,
+    def vertex_stabilizer(self, v: Vertex):
+        """All gamma in Gamma fixing the vertex v (includes +-1), in
+        `search_order`: r <= d(v) (see the module docstring)."""
+        m = v.matrix()
+        return self.search(m, m, "vertex", v.dist_to_base(),
                            all_solutions=True)
+
+    def compose(self, g, h):
+        """The product g h of g = x/p^r and h = y/p^s as the search gives
+        it: x y over p^(r+s), divided by p while the exponent is positive
+        and every coordinate is divisible.  A factor +-1 only sets the
+        sign."""
+        (x, r), (y, s) = g, h
+        if self.is_pm_one(y, s):
+            return (x if self.order.trd(y) > 0 else tuple(-c for c in x)), r
+        if self.is_pm_one(x, r):
+            return (y if self.order.trd(x) > 0 else tuple(-c for c in y)), s
+        p, z, t = self.p, self.order.mul(x, y), r + s
+        while t > 0 and all(c % p == 0 for c in z):
+            z, t = tuple(c // p for c in z), t - 1
+        return z, t
 
     def directed_reps(self) -> list[Edge]:
         return [f for e in self.geo_edges for f in (e, e.opposite())]
@@ -202,8 +246,8 @@ class FundamentalDomain:
         return [(pr.x, pr.r) for pr in self.pairings] + self.one_per_sign(
             g for stab in self.vertex_stabs for g in stab)
 
-    # cached on first use, by loperator.l_matrix
-    @cached_property
+    # filled on first use, by loperator.l_matrix
+    @property
     def derivations(self) -> list:
         """Aligned with `generators()`: None for an element whose lambda is
         integrated, or (i, j) with gens[n] = +-gens[i] gens[j] for two
@@ -216,11 +260,11 @@ class FundamentalDomain:
         none is new; then the first element in list order not yet reached
         is integrated, and so on until all are reached (an element shared
         with an earlier stabilizer was reached there).  Each ordered pair is
-        multiplied once, exactly (`Order.mul`, divided by p while r > 0 and
-        every coordinate is divisible).  Each (i, j) was reached before n,
-        though not always earlier in the list."""
-        gens, p = self.generators(), self.p
-        where = {}
+        multiplied once, exactly (`compose`).  Each (i, j) was reached
+        before n, though not always earlier in the list."""
+        if self.derivation_table:
+            return self.derivation_table
+        gens, where = self.generators(), {}
         for n, (x, r) in enumerate(gens):
             where[x, r] = where[tuple(-c for c in x), r] = n
         table, reached = [None] * len(gens), set(range(len(self.pairings)))
@@ -233,11 +277,7 @@ class FundamentalDomain:
                     closed.append(a)
                     for i, j in [pair for b in closed
                                  for pair in ((a, b), (b, a))]:
-                        (x, r), (y, s) = gens[i], gens[j]
-                        z, t = self.order.mul(x, y), r + s
-                        while t > 0 and all(c % p == 0 for c in z):
-                            z, t = tuple(c // p for c in z), t - 1
-                        m = where.get((z, t))
+                        m = where.get(self.compose(gens[i], gens[j]))
                         if m is not None and m not in reached:
                             table[m] = (i, j)
                             reached.add(m)
@@ -247,7 +287,8 @@ class FundamentalDomain:
                     break
                 reached.add(rest[0])
                 todo.append(rest[0])
-        return table
+        self.derivation_table[:] = table
+        return self.derivation_table
 
     def is_pm_one(self, x, r: int) -> bool:
         """Whether gamma = x/p^r, of reduced norm 1, is the central +-1: in a
@@ -260,23 +301,25 @@ class FundamentalDomain:
         canonical edge in `located`; None when e is equivalent to no
         representative yet, which on a complete domain does not happen.
 
-        No two representatives are equivalent, and the search against the
-        one equivalent to e finds it (see the module docstring).  An edge
-        out of a vertex representative is searched only against the
-        representative `star_reps` records for it, if any; any other edge
-        against every one."""
+        No two representatives are equivalent.  An edge out of a vertex
+        representative is located from its `star_reps` record, if any, by
+        exact products; any other edge by a search against every
+        representative in turn, which finds the element the record would
+        give (see the module docstring)."""
         if e not in self.located:
-            m, d_e = e.matrix(), _edge_dist(e)
-            reps = range(len(self.rep_mats))
             if (v := e.source()) in self.vertices:
-                j = self.star_reps.get((v, e.target()))
-                reps = [] if j is None else [j]
-            for j in reps:
-                res = self.search(self.rep_mats[j], m, "edge",
-                                  d_e + self.rep_dists[j] + 1)
-                if res is not None:
-                    self.located[e] = (j, *res)
-                    break
+                if (rec := self.star_reps.get((v, e.target()))) is not None:
+                    j, g = rec
+                    self.located[e] = (j, *min(
+                        (self.compose(g, t) for t in self.edge_stabs[j // 2]),
+                        key=search_order))
+            else:
+                m, d_e = e.matrix(), _edge_dist(e)
+                for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
+                    res = self.search(B, m, "edge", (d_e + d + 1) // 2)
+                    if res is not None:
+                        self.located[e] = (j, *res)
+                        break
         return self.located.get(e)
 
     def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
@@ -335,14 +378,16 @@ def compute_fundamental_domain(order: Order,
     p = spl.p
     dom = FundamentalDomain(p, order, spl)
     dom.vertices.append(base_vertex(p))
-    dom.vertex_stabs.append(dom.stabilizer(dom.vertices[0], "vertex", 0))
+    dom.vertex_stabs.append(dom.vertex_stabilizer(dom.vertices[0]))
     for i, v in enumerate(dom.vertices):  # the list is the queue
         for e in star(v):
             checkpoint()
             if dom.locate(e) is not None:
                 continue
             j, d, u = len(dom.rep_mats), _edge_dist(e), e.target()
-            stab = dom.stabilizer(e, "edge", d)
+            images = [(s, gamma_vertex(dom, *s, u))
+                      for s in dom.vertex_stabs[i]]
+            stab = [s for s, b in images if b == u]  # Stab(e) in Stab(v)
             # closed under negation (contains the central -1), so of even order
             assert len(stab) >= 2 and len(stab) % 2 == 0
             dom.edge_stabs.append(stab)
@@ -352,24 +397,27 @@ def compute_fundamental_domain(order: Order,
             dom.rep_dists += [d] * 2
             for iw, w in enumerate(dom.vertices):
                 g = dom.search(u.matrix(), w.matrix(), "vertex",
-                               u.dist_to_base() + w.dist_to_base() + 1)
+                               (u.dist_to_base() + w.dist_to_base()) // 2)
                 if g is not None:
                     dom.pairings.append(Pairing(u, iw, *g))
                     t = gamma_vertex(dom, *g, v)
                     break
             else:
-                iw, t = len(dom.vertices), v
+                iw, t, g = len(dom.vertices), v, None
                 dom.vertices.append(u)
                 if len(dom.vertices) > MAX_VERTICES:
                     raise DomainTooLarge(
                         f"the fundamental domain has more than {MAX_VERTICES} "
                         "vertex orbits")
-                dom.vertex_stabs.append(
-                    dom.stabilizer(u, "vertex", u.dist_to_base()))
-            for a, b, k in [(i, u, j), (iw, t, j + 1)]:
-                w = dom.vertices[a]
-                for x, r in dom.vertex_stabs[a]:
-                    dom.star_reps[w, gamma_vertex(dom, x, r, b)] = k
+                dom.vertex_stabs.append(dom.vertex_stabilizer(u))
+            # s . e and s g . e.opposite() for s in the stabilizers of the
+            # vertex representatives v and w = g.u
+            w = dom.vertices[iw]
+            for s, b in images:
+                dom.star_reps[v, b] = (j, s)
+            for s in dom.vertex_stabs[iw]:
+                dom.star_reps[w, gamma_vertex(dom, *s, t)] = (
+                    j + 1, s if g is None else dom.compose(s, g))
     return dom
 
 

@@ -136,10 +136,10 @@ def build_context(p: int, nminus: int, nplus: int, split_prec: int,
 def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
     """ctx with its splitting recomputed at precision split_prec.
 
-    The domain, with its cache of edge locations, depends only on the order
-    and p, so it carries over when the new splitting agrees with the old one
-    to the old precision; otherwise the domain is computed afresh.  The
-    actions of group elements depend on the splitting, so the new domain
+    The domain, with its caches of edge locations and derivations, depends
+    only on the order and p, so it carries over when the new splitting
+    agrees with the old one to the old precision; otherwise the domain is
+    computed afresh.  The actions of group elements depend on the splitting, so the new domain
     starts without them, and its searches use the new splitting."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)

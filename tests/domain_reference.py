@@ -1,11 +1,14 @@
 """The linear-scan domain search: the reference for
 `domain.compute_fundamental_domain`.
 
-`compute_fundamental_domain` classifies the star edges of a vertex
-representative through that vertex's stabilizer and runs a lattice search
-only against the one directed representative that matches.  This module
-keeps the version it replaced, whose `locate` searches every directed
-representative in turn until one hits; the tests compare the two domains.
+`compute_fundamental_domain` locates the star edges of a vertex
+representative by exact products with the stabilizers it holds, reads
+each edge stabilizer off a vertex stabilizer, and stops every search at
+its proven bound.  This module keeps a version that does none of that:
+its `locate` searches every directed representative in turn until one
+hits, every stabilizer is a search of its own, and every search runs to
+the distances of the two objects to the base plus one, which holds
+twice the proven exponent.  The tests compare the two domains.
 """
 
 from __future__ import annotations
@@ -72,10 +75,13 @@ def compute_fundamental_domain(order: Order,
                         f"the fundamental domain has more than {MAX_VERTICES} "
                         "vertex orbits")
     for e in dom.geo_edges:
-        stab = dom.stabilizer(e, "edge", _edge_dist(e))
+        stab = dom.search(e.matrix(), e.matrix(), "edge",
+                          2 * _edge_dist(e) + 1, all_solutions=True)
         # closed under negation (contains the central -1), so of even order
         assert len(stab) >= 2 and len(stab) % 2 == 0
         dom.edge_stabs.append(stab)
     for v in dom.vertices:
-        dom.vertex_stabs.append(dom.stabilizer(v, "vertex", v.dist_to_base()))
+        dom.vertex_stabs.append(dom.search(
+            v.matrix(), v.matrix(), "vertex", 2 * v.dist_to_base() + 1,
+            all_solutions=True))
     return dom

@@ -1,6 +1,9 @@
 """Fundamental domain, edge reduction and U_p coset structure."""
 
+import importlib
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -8,12 +11,14 @@ from math import prod
 import pytest
 from sympy import factorint
 
+import linvariant
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
 from linvariant.domain import (FundamentalDomain, _edge_dist, build_up_table,
                                gamma_matrix, gamma_vertex)
 from linvariant.padics import val_int
 from linvariant.pipeline import build_context
+from linvariant.quaternions import Order
 from linvariant.tree import (
     base_vertex,
     mat_adj,
@@ -24,6 +29,21 @@ from linvariant.tree import (
 )
 
 from domain_reference import compute_fundamental_domain as reference_domain
+
+BENCHMARK = os.path.join(os.path.dirname(__file__), "..", "benchmark")
+
+
+def _spy_searches(monkeypatch):
+    """The (kind, all_solutions) of every `FundamentalDomain.search` call
+    from now on, in a list that grows as they run."""
+    search, calls = FundamentalDomain.search, []
+
+    def spy(self, m1, m2, kind, rmax, all_solutions=False):
+        calls.append((kind, all_solutions))
+        return search(self, m1, m2, kind, rmax, all_solutions)
+
+    monkeypatch.setattr(FundamentalDomain, "search", spy)
+    return calls
 
 
 def _connected(dom):
@@ -228,6 +248,23 @@ def test_integrated_elements_generate_every_stabilizer(p, nminus, nplus):
     assert all(stab <= reached for stab in stabs)
 
 
+def test_a_copy_shares_the_derivations(monkeypatch):
+    """The derivation table depends only on the order and the stabilizers,
+    so a copy of the domain, as `pipeline.resplit` makes one per attempt,
+    reads it without a single `Order.mul`."""
+    dom = build_context(2, 3, 1, 40).dom
+    table = list(dom.derivations)
+    mul, calls = Order.mul, []
+
+    def spy(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(Order, "mul", spy)
+    assert replace(dom).derivations == table
+    assert not calls
+
+
 @pytest.mark.parametrize("ctx_name, integrated", [
     ("ctx23", 3), ("ctx25", 2), ("ctx27", 3), ("ctx32", 3)])
 def test_integrated_generator_counts(request, ctx_name, integrated):
@@ -374,38 +411,76 @@ REFERENCE_LEVELS = [
 
 @pytest.mark.parametrize("p, nminus, nplus, variant", REFERENCE_LEVELS)
 def test_domain_equals_the_linear_scan_reference(p, nminus, nplus, variant):
-    """The domain whose star edges are classified through their vertex's
-    stabilizer equals the one whose `locate` searches every representative
-    in turn: the same vertices, edges, pairings, stabilizers and
-    representatives, and the same location of every edge both located."""
+    """The domain whose star edges are located by exact products and whose
+    searches stop at their proven bounds equals the one whose `locate`
+    searches every representative in turn to the old bounds: the same
+    vertices, edges, pairings, stabilizers and representatives, and the
+    same location of every edge both located, every star edge of every
+    vertex representative among them."""
     dom = build_context(p, nminus, nplus, 40, variant=variant).dom
     ref = reference_domain(dom.order, dom.spl)
     for name in ["vertices", "geo_edges", "pairings", "vertex_stabs",
                  "edge_stabs", "rep_mats", "rep_dists"]:
         assert getattr(dom, name) == getattr(ref, name), name
+    edges = [e for v in dom.vertices for e in star(v)]
+    assert all(ref.locate(e) is not None for e in edges)
     common = dom.located.keys() & ref.located.keys()
-    assert common
+    assert common >= set(edges)
     assert all(dom.located[e] == ref.located[e] for e in common)
 
 
-def test_domain_search_runs_no_edge_search_that_misses(monkeypatch):
-    """Building the context of (2, 61) runs no edge search that returns
-    None (435 did while `locate` searched every representative in turn),
-    and one edge search per star edge matched to a representative: every
-    location the domain holds but those of the geometric representatives,
-    which come from their stabilizers."""
-    search, results = FundamentalDomain.search, []
+@pytest.mark.parametrize("p, nminus, nplus, variant", REFERENCE_LEVELS)
+def test_vertex_searches_stop_at_the_proven_bound(p, nminus, nplus, variant):
+    """gamma = x/p^r moves the base vertex by exactly 2r, so a vertex
+    search to r <= (d(u) + d(w)) // 2 finds what one to d(u) + d(w) + 1
+    does: every vertex stabilizer, every pairing element, and every miss
+    of the pairing search (a new vertex against each vertex before it, a
+    paired one against each vertex before its target)."""
+    dom = build_context(p, nminus, nplus, 40, variant=variant).dom
 
-    def spy(self, m1, m2, kind, rmax, all_solutions=False):
-        res = search(self, m1, m2, kind, rmax, all_solutions)
-        if kind == "edge" and not all_solutions:
-            results.append(res)
-        return res
+    def old(u, w, all_solutions=False):
+        return dom.search(u.matrix(), w.matrix(), "vertex",
+                          u.dist_to_base() + w.dist_to_base() + 1,
+                          all_solutions)
 
-    monkeypatch.setattr(FundamentalDomain, "search", spy)
+    for i, (v, stab) in enumerate(zip(dom.vertices, dom.vertex_stabs)):
+        assert old(v, v, all_solutions=True) == stab
+        assert all(old(v, w) is None for w in dom.vertices[:i])
+    for pr in dom.pairings:
+        assert old(pr.vertex, dom.vertices[pr.target_index]) == (pr.x, pr.r)
+        assert all(old(pr.vertex, w) is None
+                   for w in dom.vertices[:pr.target_index])
+
+
+def test_domain_search_runs_no_edge_search(monkeypatch):
+    """Building the context of (2, 61) runs no edge search and no
+    edge-stabilizer search: its star edges are located by exact products
+    (while `locate` searched every representative in turn, 435 edge
+    searches missed) and each edge stabilizer is read off a vertex
+    stabilizer, whose first element locates the new representative."""
+    calls = _spy_searches(monkeypatch)
     dom = build_context(2, 61, 1, 60).dom
-    assert results
-    assert None not in results
-    assert len(results) == len(dom.located) - len(dom.geo_edges)
+    assert calls
+    assert not [kind for kind, _ in calls if kind == "edge"]
+    assert len(dom.located) > len(dom.geo_edges)
     for e, stab in zip(dom.geo_edges, dom.edge_stabs):
         assert dom.located[e][1:] == stab[0]
+
+
+def test_dims_survey_searches_only_vertex_stabilizers_and_pairings(
+        monkeypatch):
+    """Building every space of the benchmark's `dims-survey` workload, as
+    its seed-0 round does (the domain at 40 digits, then the basis), runs
+    no edge search and exactly one vertex-stabilizer search per vertex
+    representative; every other search is a pairing search."""
+    monkeypatch.syspath_prepend(BENCHMARK)
+    workloads = importlib.import_module("workloads")
+    calls = _spy_searches(monkeypatch)
+    for space in workloads.dims_survey(0, linvariant):
+        calls.clear()
+        dom = build_context(space.p, space.nminus, 1,
+                            workloads.DIMS_SPLIT_PREC,
+                            variant=space.split_variant).dom
+        harmonic_basis(dom, space.weight - 2, workloads.DIMS_BASIS_PREC)
+        assert calls.count(("vertex", True)) == len(dom.vertices)
+        assert {kind for kind, _ in calls} == {"vertex"}
