@@ -452,12 +452,13 @@ def test_vertex_searches_stop_at_the_proven_bound(p, nminus, nplus, variant):
                    for w in dom.vertices[:pr.target_index])
 
 
-def test_domain_search_runs_no_edge_search(monkeypatch):
-    """Building the context of (2, 61) runs no edge search and no
-    edge-stabilizer search: its star edges are located by exact products
-    (while `locate` searched every representative in turn, 435 edge
-    searches missed) and each edge stabilizer is read off a vertex
-    stabilizer, whose first element locates the new representative."""
+def test_domain_search_runs_no_edge_search_that_misses(monkeypatch):
+    """Building the context of (2, 61) runs no edge search that misses,
+    nor any other edge or edge-stabilizer search: its star edges are
+    located by exact products (while `locate` searched every
+    representative in turn, 435 edge searches missed) and each edge
+    stabilizer is read off a vertex stabilizer, whose first element
+    locates the new representative."""
     calls = _spy_searches(monkeypatch)
     dom = build_context(2, 61, 1, 60).dom
     assert calls
