@@ -90,15 +90,14 @@ def primefactors(n: int) -> list[int]:
 
 def qmul(ab, x, y):
     """The product of x = x0 + x1 i + x2 j + x3 k and y in (a, b / Q), on
-    coordinate 4-sequences of integers or PadicNumbers (the products of
-    coordinates are formed before a and b multiply them)."""
+    integer coordinate 4-sequences."""
     a, b = ab
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return [
-        x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - a * b * (x3 * y3),
-        x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
-        x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
         x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     ]
 
@@ -510,4 +509,5 @@ def enumerate_norm(G: list[list[int]], target: int) -> list[tuple]:
                 [shifts[t] + Ak[t] * xk for t in range(k)])
 
     rec(n - 1, C * target, [0] * n)
+    del rec  # rec refers to itself: free the cycle now, not at a collection
     return [v for v in out if any(v)]

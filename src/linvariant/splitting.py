@@ -1,36 +1,40 @@
 """Splitting an order at an unramified prime: R (x) Z_p ~ M_2(Z_p).
 
 Strategy: find an order element y whose minimal polynomial splits over Q_p
-(discriminant a nonzero square), form the rank-one idempotent
-e = (y - lambda_2)/(lambda_1 - lambda_2), and let the algebra act by left
-multiplication on the two-dimensional left ideal B e.  Conjugating by a basis
-of a stable lattice makes the order land in M_2(Z_p) surjectively mod p.
-y is searched among small integer coordinates in the order basis, by the
-order's integer trace and norm; y and the basis then enter as p-adic
-coordinates on (1, i, j, k), read from the order's rows over its
-denominator, and multiply by `quaternions.qmul`.  The lattice basis and
-the matrices of the action are row-major 4-tuples of p-adic numbers,
-combined with the `tree` matrix helpers.  The images are stored as integer
-matrices modulo p^prec.
+(discriminant a nonzero square s^2), form the rank-one idempotent
+e = (y - lambda_2)/s, and let the algebra act by left multiplication on the
+left ideal B e, in the basis z1 = e, z2 = g e for g one of i, j, k.
+Conjugating by a basis of a stable lattice makes the order land in M_2(Z_p)
+surjectively mod p.  y is searched among small integer coordinates in the
+order basis, by the order's integer trace and norm.
+
+Everything runs on integers modulo p^(2P) under one scale per quantity.
+The action does not depend on the scale of e, so e enters as the integer
+vector E = 2 s den e = (2 x_0 - den T + den s, 2 x_1, 2 x_2, 2 x_3), with
+y = x / den on (1, i, j, k) and T its trace.  The coordinates in the ideal
+are Cramer numerators over a row minor D of (z1, z2) times the inverse of
+the unit part of den D, under the scale p^-delta.  The lattice basis L is
+an integer matrix up to a scalar, which changes neither the lattice steps
+nor adj(L) M L / det(L).  Digits are lost only where a p-power divides: in D,
+at each lattice pivot, in the ideal residual (which must vanish to
+p^(prec + delta + v(den) + v(2 s den)) in the scale of E) and in the images
+(which must be divisible by p^(delta + v(det L))).  Where the digits do not
+cover a loss, PrecisionError is raised and the candidate loop moves on.
+The images are stored as integer matrices modulo p^prec.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .padics import PadicNumber, PrecisionError, sqrt_mod_ppow, val_int
+from .padics import PrecisionError, sqrt_mod_ppow, val_int
 from .quaternions import Order, det, qmul
 from .tree import mat_adj, mat_det, mat_mul
 
 
 class _SplitFail(Exception):
     pass
-
-
-def _pn(x, p, prec) -> PadicNumber:
-    return PadicNumber.from_fraction(Fraction(x), p, prec)
 
 
 @dataclass
@@ -51,39 +55,30 @@ class SplittingMap:
                      for t in range(4))
 
 
-def _lattice_basis(mats):
-    """A 2x2 matrix whose columns are a basis of the Z_p-lattice spanned
-    by the columns of the given 2x2 matrices."""
-    vecs = [(m[c], m[c + 2]) for m in mats for c in (0, 1)]
+def _lattice_basis(mats, p, K):
+    """(B, m): the columns of p^m B are a basis of the Z_p-lattice spanned
+    by the columns of the given 2x2 matrices, whose entries are p-adic
+    integers known modulo p^K; m is their least valuation, and B is known
+    modulo p^(K - m)."""
+    mod = p**K
+    vecs = [(m[c] % mod, m[c + 2] % mod) for m in mats for c in (0, 1)]
     # first pivot: entry of minimal valuation anywhere
-    best = None
-    for ci, v in enumerate(vecs):
-        for ri in range(2):
-            if not v[ri].is_zero():
-                key = v[ri].val
-                if best is None or key < best[0]:
-                    best = (key, ci, ri)
+    best = min(((val_int(y, p), ci, ri) for ci, v in enumerate(vecs)
+                for ri, y in enumerate(v) if y), default=None)
     if best is None:
         raise _SplitFail("degenerate lattice")
-    _, ci, ri = best
-    c1 = vecs[ci]
-    piv = c1[ri].inverse()
-    rest = []
-    for j, v in enumerate(vecs):
-        if j == ci:
-            continue
-        f = v[ri] * piv
-        rest.append([v[0] - f * c1[0], v[1] - f * c1[1]])
-    ro = 1 - ri
-    best2 = None
-    for j, v in enumerate(rest):
-        if not v[ro].is_zero():
-            if best2 is None or v[ro].val < best2[0]:
-                best2 = (v[ro].val, j)
-    if best2 is None:
+    m, ci, ri = best
+    c1, ro, pm = vecs[ci], 1 - ri, p**m
+    piv = pow(c1[ri] // pm, -1, mod)
+    # the second column: of the v - (v[ri] / c1[ri]) c1, whose entry in
+    # row ri vanishes, the first with an entry of least valuation in row ro
+    rest = [(v[ro] - v[ri] // pm * piv * c1[ro]) % mod
+            for j, v in enumerate(vecs) if j != ci]
+    x = min((y for y in rest if y), key=lambda y: val_int(y, p), default=0)
+    if not x:
         raise _SplitFail("lattice of rank < 2")
-    c2 = rest[best2[1]]
-    return (c1[0], c2[0], c1[1], c2[1])
+    c2 = (0, x) if ri == 0 else (x, 0)
+    return (c1[0] // pm, c2[0] // pm, c1[1] // pm, c2[1] // pm), m
 
 
 def _candidates():
@@ -129,82 +124,85 @@ def splitting_map(order: Order, p: int, prec: int, variant: int = 0) -> Splittin
 
 
 def _build(order, c, T, disc_int, v, p, P, prec, variant) -> SplittingMap:
-    ab = (order.algebra.a, order.algebra.b)
-    su = sqrt_mod_ppow(disc_int // p**v, p, 2 * P)
-    s = PadicNumber(p, v // 2, su, v // 2 + 2 * P)
-    lam2 = (_pn(T, p, 2 * P) - s) * _pn(Fraction(1, 2), p, 2 * P)
-    yco = [_pn(Fraction(x, order.den), p, 2 * P) for x in order.element(c)]
-    e = [(yco[0] - lam2) / s, yco[1] / s, yco[2] / s, yco[3] / s]
-    # pick z2 = g * e among i, j, k (variant rotates the choice)
-    gens = [
-        [_pn(1 if t == m else 0, p, 2 * P) for t in range(4)] for m in range(1, 4)
-    ]
+    ab, den = (order.algebra.a, order.algebra.b), order.den
+    # s is known modulo p^(v/2 + 2P), so E modulo p^KE, and the minors of
+    # (z1, z2) modulo p^KD, KD - KE the least valuation in E
+    KE = 2 * P + v // 2 + val_int(den, p)
+    s = p**(v // 2) * sqrt_mod_ppow(disc_int // p**v, p, 2 * P)
+    x = order.element(c)
+    E = [(2 * x[0] - den * (T - s)) % p**KE, 2 * x[1], 2 * x[2], 2 * x[3]]
+    KD = KE + min(val_int(y, p) for y in E if y)
     last_fail = _SplitFail("no independent companion")
     for gi in range(3):
-        g = gens[(gi + variant) % 3]
-        z1, z2 = e, qmul(ab, g, e)
-        # find the best 2x2 row minor
-        best = None
-        for r1 in range(4):
-            for r2 in range(r1 + 1, 4):
-                det2 = z1[r1] * z2[r2] - z1[r2] * z2[r1]
-                if not det2.is_zero():
-                    if best is None or det2.val < best[0]:
-                        best = (det2.val, r1, r2)
+        # z2 = g e for g among i, j, k (variant rotates the choice), and
+        # the row minor of (z1, z2) of least valuation
+        Z2 = qmul(ab, [int(t == (gi + variant) % 3 + 1) for t in range(4)], E)
+        minors = ((r1, r2, (E[r1] * Z2[r2] - E[r2] * Z2[r1]) % p**KD)
+                  for r1, r2 in itertools.combinations(range(4), 2))
+        best = min(((val_int(D, p), r1, r2, D) for r1, r2, D in minors if D),
+                   default=None)
         if best is None:
             continue
-        _, r1, r2 = best
         try:
-            return _finish(order, z1, z2, r1, r2, p, P, prec, variant)
+            return _finish(order, E, Z2, best, KE, KD, v, p, prec, variant)
         except (_SplitFail, PrecisionError) as exc:
             last_fail = exc
     raise last_fail
 
 
-def _finish(order, z1, z2, r1, r2, p, P, prec, variant) -> SplittingMap:
-    ab = (order.algebra.a, order.algebra.b)
-    det2 = z1[r1] * z2[r2] - z1[r2] * z2[r1]
-    di = det2.inverse()
-
-    def in_ideal_coords(t):
-        """Solve alpha z1 + beta z2 = t; fail if t is outside the ideal."""
-        alpha = (t[r1] * z2[r2] - t[r2] * z2[r1]) * di
-        beta = (z1[r1] * t[r2] - z1[r2] * t[r1]) * di
-        for r in range(4):
-            resid = alpha * z1[r] + beta * z2[r] - t[r]
-            if not resid.with_prec(prec).is_zero():
-                raise _SplitFail("vector outside the left ideal")
-        return alpha, beta
-
-    raw = []
-    for row in order.rows:
-        bco = [_pn(Fraction(x, order.den), p, 2 * P) for x in row]
-        a1, a2 = in_ideal_coords(qmul(ab, bco, z1))
-        b1, b2 = in_ideal_coords(qmul(ab, bco, z2))
-        raw.append((a1, b1, a2, b2))
-    # stabilize a lattice under the action
-    Tm = tuple(_pn(x, p, 2 * P)
-               for x in ((1, 0, 0, 1) if variant % 2 == 0 else (1, 1, 1, 0)))
+def _finish(order, Z1, Z2, best, KE, KD, v, p, prec, variant) -> SplittingMap:
+    ab, den = (order.algebra.a, order.algebra.b), order.den
+    vD, r1, r2, D = best
+    mod, vden = p**KD, val_int(den, p)
+    # den b z1 and den b z2 for each basis element b, and by Cramer's rule
+    # den D times the coordinates (a1, b1, a2, b2) of b in (z1, z2)
+    ts = [(qmul(ab, row, Z1), qmul(ab, row, Z2)) for row in order.rows]
+    num = [tuple(y % mod for y in
+                 [t[r1] * Z2[r2] - t[r2] * Z2[r1] for t in tt]
+                 + [Z1[r1] * t[r2] - Z1[r2] * t[r1] for t in tt]) for tt in ts]
+    # the raw matrices are the integer matrices num / p^r0 times the inverse
+    # of the unit part of den D, under the scale p^-delta, known modulo p^K
+    r0 = min((val_int(y, p) for M in num for y in M if y), default=KD)
+    K = min(KD - r0, KD - vD)
+    ui = pow(den * D // p**(vden + vD), -1, p**K)
+    raw = [tuple(y // p**r0 * ui % p**K for y in M) for M in num]
+    delta = vden + vD - r0
+    # the residual of each row's coordinates, in the scale of E times
+    # den p^delta, vanishes to p^need when b z lies in the ideal; it is
+    # checked to the digits it is known to
+    need = prec + delta + vden + val_int(2 * den, p) + v // 2
+    pn, pd = p**min(need, K + KD - KE, KE), p**delta
+    for tt, M in zip(ts, raw):
+        if any((den * (al * Z1[r] + be * Z2[r]) - pd * t[r]) % pn
+               for t, al, be in zip(tt, M[:2], M[2:]) for r in range(4)):
+            raise _SplitFail("vector outside the left ideal")
+    # stabilize a lattice under the action: Tm is a basis up to a scalar,
+    # known modulo p^K, and t the valuation of its determinant
+    Tm, t = ((1, 0, 0, 1) if variant % 2 == 0 else (1, 1, 1, 0)), 0
     for _ in range(40):
-        Tn = _lattice_basis([Tm] + [mat_mul(M, Tm) for M in raw])
-        od = mat_det(Tm).valuation()
-        nd = mat_det(Tn).valuation()
-        Tm = Tn
-        if nd == od:
+        # the columns of Tm and of the M Tm under one scale
+        Tn, m = _lattice_basis([tuple(pd * y for y in Tm)]
+                               + [mat_mul(M, Tm) for M in raw], p, K)
+        K -= m
+        dn = mat_det(Tn) % p**K
+        if not dn:
+            raise PrecisionError("lattice determinant indistinguishable from zero")
+        od, t, Tm = t, val_int(dn, p), Tn
+        if t + 2 * m == od + 2 * delta:
             break
     else:
         raise _SplitFail("lattice did not stabilize")
-    di = mat_det(Tm).inverse()
-    Ti = tuple(x * di for x in mat_adj(Tm))
-    images = []
-    for M in raw:
-        ent = []
-        for x in mat_mul(Ti, mat_mul(M, Tm)):
-            if not x.is_zero() and x.val < 0:
-                raise _SplitFail("image not integral")
-            ent.append(x.residue(prec))
-        images.append(tuple(ent))
-    spl = SplittingMap(order, p, prec, images)
+    # iota(b) = adj(Tm) M Tm / (p^delta det(Tm))
+    if delta + t + prec > K:
+        raise PrecisionError("images need more digits")
+    ps, out = p**(delta + t), p**prec
+    prods = [[y % p**K for y in mat_mul(mat_adj(Tm), mat_mul(M, Tm))]
+             for M in raw]
+    if any(y % ps for im in prods for y in im):
+        raise _SplitFail("image not integral")
+    di = pow(mat_det(Tm) // p**t, -1, out)
+    spl = SplittingMap(order, p, prec,
+                       [tuple(y // ps * di % out for y in im) for im in prods])
     _verify(spl)
     return spl
 
@@ -223,7 +221,9 @@ def _verify(spl: SplittingMap):
     # surjective mod p: the four images span M_2(F_p)
     if det([list(im) for im in spl.images]) % p == 0:
         raise _SplitFail("images do not span M_2 mod p")
-    # multiplicativity spot check (basis products lie in the order)
-    direct = mat_mul(spl.images[1], spl.images[2])
-    if any((a - b) % mod for a, b in zip(direct, spl.image(order.table[1][2]))):
-        raise _SplitFail("multiplicativity failure")
+    # multiplicativity on every product of basis elements (which lie in
+    # the order)
+    for x, row in zip(spl.images, order.table):
+        for y, xy in zip(spl.images, row):
+            if any((a - b) % mod for a, b in zip(mat_mul(x, y), spl.image(xy))):
+                raise _SplitFail("multiplicativity failure")

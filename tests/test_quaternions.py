@@ -1,6 +1,8 @@
 """Tests for quaternion algebras, orders, lattices and norm enumeration."""
 
 import functools
+import gc
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -36,6 +38,7 @@ from linvariant.splitting import splitting_map
 from linvariant.tree import mat_mul
 
 import order_reference
+import splitting_reference
 
 
 # ----------------------------------------------------------------------
@@ -600,6 +603,18 @@ class TestEnumerate:
         if scale == 2 and target % 2:
             assert sols == []
 
+    def test_leaves_no_reference_cycle(self):
+        """One call frees all it made without the cycle collector: its
+        recursive closure does not keep itself alive."""
+        G = maximal_order(build_algebra(13)).gram
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_norm(G, 4)) > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestSplitting:
     @pytest.mark.parametrize("disc,p", [(2, 3), (3, 2), (5, 2), (7, 2), (2, 5)])
@@ -636,3 +651,50 @@ class TestSplitting:
         for m0, m1 in zip(s0.images, s1.images):
             mod = 2**16
             assert (m0[0] + m0[3] - m1[0] - m1[3]) % mod == 0
+
+
+def splitting_outcome(split, order, p, prec, variant):
+    """The images of a splitting, or RuntimeError when no candidate gives
+    one."""
+    try:
+        return split(order, p, prec, variant).images
+    except RuntimeError:
+        return RuntimeError
+
+
+class TestSplittingReference:
+    """`splitting_map` on integer residues against the PadicNumber
+    construction of `splitting_reference`: the same images, so the same
+    candidate, companion and lattice pivots, or no splitting from either.
+    The reference checks multiplicativity on b_1 b_2 alone, so
+    equal images also show that the check on all 16 basis products rejects
+    no splitting the reference returns."""
+
+    DISCS = [d for d in range(2, 79) if admissible(d)]  # one or three primes
+
+    def assert_same(self, order, p, precs, variants=range(3)):
+        for prec, variant in itertools.product(precs, variants):
+            assert splitting_outcome(splitting_map, order, p, prec, variant) \
+                == splitting_outcome(splitting_reference.splitting_map, order,
+                                     p, prec, variant), (p, prec, variant)
+
+    @pytest.mark.parametrize("disc", DISCS)
+    def test_maximal_order(self, disc):
+        O = maximal_order(build_algebra(disc))
+        for p in (2, 3, 5, 7, 11, 13):
+            if disc % p:
+                self.assert_same(O, p, (20, 40, 60, 100))
+
+    @pytest.mark.parametrize("disc", DISCS)
+    def test_eichler_orders(self, disc):
+        """Each level q^e is cut out by the splitting of the maximal order at
+        q to p^(e + 6); the Eichler order is then split at the least prime
+        prime to disc q."""
+        alg = build_algebra(disc)
+        O = maximal_order(alg)
+        for q, e in ((3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2)):
+            if disc % q:
+                self.assert_same(O, q, (e + 6,))
+                E = eichler_order(alg, O, q**e)
+                p = next(p for p in (2, 3, 5, 7, 11) if disc * q % p)
+                self.assert_same(E, p, (30, 60))
