@@ -34,7 +34,7 @@ from .budget import checkpoint
 from .domain import FundamentalDomain, gamma_matrix
 from .padics import PrecisionError, solve_linear, val_int
 from .quaternions import enumerate_norm
-from .tree import Edge, mat_adj, mat_mul, normalize_edge, star
+from .tree import Edge, mat_adj, mat_mul, normalize_edge
 
 
 def weight_coeff_rows(mat, k: int, mod: int):
@@ -162,7 +162,7 @@ def harmonic_basis(dom: FundamentalDomain, k: int,
             checkpoint()
     for v in dom.vertices:
         block = []
-        for e in star(v):
+        for e in dom.stars[v]:
             j, x, r = dom.locate(e)
             block.append((j // 2, 1 - 2 * (j % 2), None if dom.is_pm_one(x, r)
                           else gamma_action(dom, x, r, k)))
@@ -220,13 +220,16 @@ def _normalizes_rp(order, x, p: int) -> bool:
 def normalizing_element(dom: FundamentalDomain, nrd_target: int, parity_p: bool = False):
     """An element of R of reduced norm nrd_target (times p^(2r) when
     parity_p) normalizing R[1/p], as (integer coordinates, r); used for the
-    two involutions."""
-    p, order = dom.p, dom.order
+    two involutions.  Searched once per order: it is recorded in
+    `dom.normalizers`, which copies of the domain share."""
+    key, p, order = (nrd_target, parity_p), dom.p, dom.order
+    if key in dom.normalizers:
+        return dom.normalizers[key]
     for r in range(0, 3 if parity_p else 1):
         target = nrd_target * p ** (2 * r)
         for c in enumerate_norm(order.gram, 2 * target):  # gram is 2 nrd
             if _normalizes_rp(order, c, p):
-                return tuple(c), r
+                return dom.normalizers.setdefault(key, (tuple(c), r))
     raise RuntimeError(f"no normalizing element of reduced norm {nrd_target}")
 
 

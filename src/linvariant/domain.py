@@ -126,9 +126,12 @@ class FundamentalDomain:
     # u with gamma_0 . directed_reps()[j] = (v -> u)
     star_reps: dict = field(default_factory=dict, compare=False, repr=False)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
-    # by the domain search and locate; exact, so a copy of the domain
-    # under a more precise splitting that agrees with this one shares it
+    # by the domain search and locate; star(v) per vertex representative;
+    # `cocycles.normalizing_element` per (norm, parity).  Exact, so a copy of
+    # the domain under a splitting that agrees with this one shares them
     located: dict = field(default_factory=dict, compare=False, repr=False)
+    stars: dict = field(default_factory=dict, compare=False, repr=False)
+    normalizers: dict = field(default_factory=dict, compare=False, repr=False)
     # (x, r, k) -> cocycles.gamma_action; it depends on the splitting, so a
     # copy of the domain under another splitting starts without it
     actions: dict = field(default_factory=dict, init=False, compare=False,
@@ -380,7 +383,7 @@ def compute_fundamental_domain(order: Order,
     dom.vertices.append(base_vertex(p))
     dom.vertex_stabs.append(dom.vertex_stabilizer(dom.vertices[0]))
     for i, v in enumerate(dom.vertices):  # the list is the queue
-        for e in star(v):
+        for e in dom.stars.setdefault(v, star(v)):
             checkpoint()
             if dom.locate(e) is not None:
                 continue

@@ -32,19 +32,23 @@ from .padics import (
 from .tree import base_vertex, edge_between, geodesic
 
 
-def psi_values(dom: FundamentalDomain, coc: HarmonicCocycle, x, r: int,
-               prec: int):
-    """psi(c)(gamma) in V_k: sum of c over the geodesic edges from the base
-    vertex to its gamma-translate, oriented source to target, as
-    (residues, scale, precision) in the convention of `cocycles.Action`,
-    each value capped at prec digits before its scale."""
+def psi_values(dom: FundamentalDomain, basis: list[HarmonicCocycle], x,
+               r: int, prec: int):
+    """psi(c)(gamma) in V_k for each c of the basis: the sum of c over the
+    geodesic edges from the base vertex to its gamma-translate (built once),
+    oriented source to target, as (residues, scale, precision) as in
+    `cocycles.Action`, each value capped at prec digits before its scale."""
     p, v0 = dom.p, base_vertex(dom.p)
     path = geodesic(v0, gamma_vertex(dom, x, r, v0))
-    vals = [coc.value(edge_between(a, b), prec) for a, b in zip(path, path[1:])]
-    E = max((s for _, s, _ in vals), default=0)
-    P = min([prec] + [Pe - s for _, s, Pe in vals]) + E
-    total = zip([0] * (coc.k + 1), *(stack_values(p, [v], E)[0] for v in vals))
-    return [sum(col) % p ** max(P, 0) for col in total], E, P
+    edges = [edge_between(a, b) for a, b in zip(path, path[1:])]
+    out = []
+    for coc in basis:
+        vals = [coc.value(e, prec) for e in edges]
+        E = max((s for _, s, _ in vals), default=0)
+        P = min([prec] + [Pe - s for _, s, Pe in vals]) + E
+        total = zip([0] * (coc.k + 1), *(stack_values(p, [v], E)[0] for v in vals))
+        out.append(([sum(col) % p ** max(P, 0) for col in total], E, P))
+    return out
 
 
 def generator_lambdas(dom: FundamentalDomain, lifts, tau, n_terms: int,
@@ -100,7 +104,7 @@ def l_matrix(dom: FundamentalDomain, basis: list[HarmonicCocycle], lifts,
     gens = []
     for (x, r), lams in zip(dom.generators(),
                             generator_lambdas(dom, lifts, tau, n_terms, prec)):
-        gens.append(([psi_values(dom, c, x, r, prec) for c in basis],
+        gens.append((psi_values(dom, basis, x, r, prec),
                      gamma_action(dom, x, r, k), lams))
         checkpoint()
     E = max(v[1] for psis, act, lams in gens for v in (*psis, act, *lams))

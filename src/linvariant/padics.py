@@ -452,7 +452,10 @@ def solve_linear(p: int, E: int, A, rhs=()):
     missing power of p, so every step is exact.  Returns a solution per
     right-hand side and a kernel basis at working precision, entries
     (val, unit, prec); raises PrecisionError on a system inconsistent beyond
-    precision noise.  The time budget is checked once per pivot."""
+    precision noise.  The time budget is checked once per pivot.  A row with
+    residue 0 in the pivot column (f = 0) is skipped when no precision would
+    drop, to Pf + v(y) or P(y) + v(f), below its highest: residues are kept
+    reduced modulo their precisions, so then none of them moves either."""
     nrows, ncols = len(A), len(A[0][0]) if A else 0
     P0 = A[0][1][0] - E if nrows and ncols else 0
     zero = (P0, 0, P0)
@@ -487,10 +490,13 @@ def solve_linear(p: int, E: int, A, rhs=()):
             pw = [p**i for i in range(len(pw) + d)]
         prow, Qp, pwn = M[pi], Q[pi], pw[wn]
         uinv = pow(prow[pj] // pwn, -1, pw[-1])
+        vymin, Qpmin = min(vy), min(Qp)
         for i in range(nrows):
             if i != pi:
                 # f = a / pivot, of valuation vf and precision Pf
                 vf, Pf = va[i] - wn, min(Q[i][pj] - wn, Qp[pj] - 2 * wn + va[i])
+                if not M[i][pj] and min(Pf + vymin, Qpmin + vf) >= max(Q[i]):
+                    continue
                 Q[i] = [min(q, Pf + v, qy + vf) for q, v, qy in zip(Q[i], vy, Qp)]
                 fa = M[i][pj] * uinv
                 M[i] = [(m - fa * y // pwn) % pw[max(q, 0)]

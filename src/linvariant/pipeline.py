@@ -168,28 +168,12 @@ SIZING_SPLIT_PREC = 60
 SIZING_BASIS_PREC = 40
 
 
-def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
-    """Choose scale, truncation and iteration counts for M output digits.
-
-    basis0 is the weight-k harmonic basis of ctx, of at least
-    SIZING_BASIS_PREC digits.  No basis precision is sized: the basis of an
-    attempt carries the digits of its splitting, at p^split_prec, and
-    `make_lift` checks that they determine the moments 0..k to p^W under
-    the scale p^t.  The time budget is checked after the covering of each
-    generator.
-
-    The series term pairing moment i has valuation at least
-    (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
-    scale p^-t.  Truncation, iteration count and working modulus are chosen so
-    that every term is correct modulo p^(M + margin).
-
-    M is the working precision.  The sizing does not account for the negative
-    valuations of the resulting L-matrix; `compute_l_result` makes up for them
-    by calling this again with a larger M when the invariants read off the
-    matrix are not determined (see its docstring)."""
+def row_scales(ctx: Context, k: int, basis0) -> tuple[int, int]:
+    """(halfD, t) of `size_parameters`, once per row from the sizing context
+    and its weight-k basis basis0 (of SIZING_BASIS_PREC digits): (k/2) times
+    the largest v(det) of a covering ball, and the lift's scale t.  The time
+    budget is checked after the covering of each generator."""
     p = ctx.p
-    margin = 6 + (1 if p == 2 else 0)
-    Mt = M + margin
     maxD = 0
     for x, r in ctx.dom.generators():
         for _, dv in ball_matrices(ctx.dom, x, r):
@@ -203,8 +187,30 @@ def size_parameters(ctx: Context, k: int, M: int, basis0) -> Sizing:
                     minv = min(minv, val_int(a, p) - e)
     a_s = max(val_int(len(st), p) if len(st) % p == 0 else 0
               for st in ctx.dom.edge_stabs)
-    t_sc = max(0, -minv) + a_s + k // 2 + 1
-    halfD = (k // 2) * maxD
+    return (k // 2) * maxD, max(0, -minv) + a_s + k // 2 + 1
+
+
+def size_parameters(ctx: Context, k: int, M: int, scales) -> Sizing:
+    """Choose scale, truncation and iteration counts for M output digits.
+
+    scales are the row's `row_scales`.  No basis precision is sized: the
+    basis of an attempt carries the digits of its splitting, at
+    p^split_prec, and `make_lift` checks that they determine the moments
+    0..k to p^W under the scale p^t.
+
+    The series term pairing moment i has valuation at least
+    (i-k) - floor(log_p i) - (k/2)*maxD + v(moment); moments carry the global
+    scale p^-t.  Truncation, iteration count and working modulus are chosen so
+    that every term is correct modulo p^(M + margin).
+
+    M is the working precision.  The sizing does not account for the negative
+    valuations of the resulting L-matrix; `compute_l_result` makes up for them
+    by calling this again with a larger M when the invariants read off the
+    matrix are not determined (see its docstring)."""
+    p = ctx.p
+    margin = 6 + (1 if p == 2 else 0)
+    Mt = M + margin
+    halfD, t_sc = scales
     i = 1
     while max(i - k, 0) - halfD - t_sc - ilog(i, p) < Mt:
         i += 1
@@ -318,10 +324,11 @@ def compute_l_result(p: int, nminus: int, nplus: int, weight: int, M: int,
     basis0 = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     if not basis0:
         return LResult(p, nminus, nplus, weight, M, 0)
+    scales = row_scales(ctx, k, basis0)
     Mw = M
     retries = 0
     while True:
-        sz = size_parameters(ctx, k, Mw, basis0)
+        sz = size_parameters(ctx, k, Mw, scales)
         actx = resplit(ctx, sz.split_prec, variant=split_variant)
         basis = harmonic_basis(actx.dom, k, SIZING_BASIS_PREC)
         d = len(basis)

@@ -280,20 +280,27 @@ def bareiss(G: list[list[int]]) -> list[list[int]]:
     return A
 
 
+_OTHERS = [tuple(j for j in range(4) if j != i) for i in range(4)]
+
+
+def _minor3(M, r: int, c: int) -> int:
+    """The minor of the 4x4 matrix M without row r and column c, directly."""
+    (h, i, l), (j, k, m) = _OTHERS[r], _OTHERS[c]
+    a, b, d = M[h], M[i], M[l]
+    return (a[j] * (b[k] * d[m] - b[m] * d[k]) - a[k] * (b[j] * d[m] - b[m] * d[j])
+            + a[m] * (b[j] * d[k] - b[k] * d[j]))
+
+
 def det(M: list[list[int]]) -> int:
-    """Determinant of a small integer matrix, by cofactor expansion."""
-    if len(M) == 1:
-        return M[0][0]
-    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
-               for j in range(len(M)) if M[0][j])
+    """Determinant of a 4x4 integer matrix, by 3x3 minors (no recursion)."""
+    return sum((-1) ** j * M[0][j] * _minor3(M, 0, j) for j in range(4) if M[0][j])
 
 
 def _adjugate(M: list[list[int]]) -> list[list[int]]:
-    """adj(M), with M adj(M) = det(M) I."""
-    n = len(M)
-    return [[(-1) ** (i + j) * det([row[:i] + row[i + 1:]
-                                    for t, row in enumerate(M) if t != j])
-             for j in range(n)] for i in range(n)]
+    """adj(M) of a 4x4 integer matrix, with M adj(M) = det(M) I: each of
+    its 16 cofactors is one 3x3 minor, computed directly."""
+    return [[(-1) ** (i + j) * _minor3(M, j, i) for j in range(4)]
+            for i in range(4)]
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +330,7 @@ class Order:
     @cached_property
     def _inverse(self):
         """(adj(B), det(B)) for B = rows, with B adj(B) = det(B) I."""
-        adj = _adjugate(self.rows)
-        return adj, sum(self.rows[0][j] * adj[j][0] for j in range(4))
+        return _adjugate(self.rows), det(self.rows)
 
     def _solve(self, v, vden: int):
         """The coordinates of (v on 1, i, j, k) / vden in this basis, or None
@@ -366,12 +372,15 @@ class Order:
         """den x on (1, i, j, k) for the element x with coordinates c."""
         return [sum(map(mul, c, col)) for col in zip(*self.rows)]
 
+    @cached_property
+    def _mul_forms(self):
+        """Per coordinate t of a product, table[m][n][t] in the order m, n."""
+        return [[Tmn[t] for Tm in self.table for Tmn in Tm] for t in range(4)]
+
     def mul(self, x, y) -> tuple:
-        """The coordinates of x y."""
-        T = self.table
-        return tuple(sum(xm * yn * Tmn[t] for xm, Tm in zip(x, T) if xm
-                         for yn, Tmn in zip(y, Tm) if yn)
-                     for t in range(4))
+        """The coordinates of x y, each the x_m y_n dotted with a form."""
+        xy = [xm * yn for xm in x for yn in y]
+        return tuple(sum(map(mul, xy, form)) for form in self._mul_forms)
 
     def conj(self, x) -> tuple:
         """The coordinates of conj(x) = trd(x) - x."""
@@ -379,14 +388,17 @@ class Order:
         return tuple(t * o - c for o, c in zip(self.one, x))
 
     def nrd(self, c) -> int:
-        """The reduced norm of the element with coordinates c."""
-        return sum(ci * gij * cj for ci, row in zip(c, self.gram)
-                   for gij, cj in zip(row, c)) // 2
+        """The reduced norm of the element with coordinates c: c (G c) / 2."""
+        return sum(map(mul, c, [sum(map(mul, row, c)) for row in self.gram])) // 2
 
     def trd(self, c) -> int:
         """The reduced trace of the element with coordinates c: twice its
         coordinate on 1."""
-        return 2 * sum(ci * row[0] for ci, row in zip(c, self.rows)) // self.den
+        return sum(map(mul, c, self._trace_form)) // self.den
+
+    @cached_property
+    def _trace_form(self) -> list[int]:
+        return [2 * row[0] for row in self.rows]
 
     def reduced_discriminant(self) -> int:
         """sqrt(det) of the trace form trd(x conj(y)) = 2 (B/den) diag(1, -a,
@@ -418,23 +430,23 @@ def _enlarge_at(order: Order, q: int):
     """An order strictly containing this one with index q, or None: the
     lattice spanned by the order and x = sum_m c_m b_m / q, for the first c
     in [0, q)^4 with x integral over Z (trd and nrd in Z) for which that
-    lattice is larger, multiplicatively closed and holds 1."""
-    a, b = order.algebra.a, order.algebra.b
+    lattice is larger (its Hermite diagonal has a product below q^4
+    |det(rows)|), multiplicatively closed and holds 1."""
+    ab = a, b = order.algebra.a, order.algebra.b
     D = order.den * q
     scaled = [[q * x for x in row] for row in order.rows]
-    rd = order.reduced_discriminant()
-    for c in itertools.product(range(q), repeat=4):
-        if not any(c):
-            continue
+    vol = q**4 * abs(order._inverse[1])
+    for c in itertools.product(range(q), repeat=4):  # c = 0: the same lattice
         v = order.element(c)  # x = v / D
         if (2 * v[0] % D
                 or (v[0]**2 - a * v[1]**2 - b * v[2]**2 + a * b * v[3]**2) % D**2):
             continue
-        cand = Order(order.algebra, *_lowest_terms(hermite_rows(scaled + [v]), D))
-        if cand.reduced_discriminant() == rd:
+        H = hermite_rows(scaled + [v])
+        if H[0][0] * H[1][1] * H[2][2] * H[3][3] == vol:
             continue  # same lattice
-        if cand.one is not None and all(t is not None for row in cand.table
-                                        for t in row):
+        cand = Order(order.algebra, *_lowest_terms(H, D))
+        if cand.one and all(cand._solve(qmul(ab, x, y), cand.den**2)
+                            for x in cand.rows for y in cand.rows):
             return cand
     return None
 

@@ -26,7 +26,7 @@ The images are stored as integer matrices modulo p^prec.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .padics import PrecisionError, sqrt_mod_ppow, val_int
 from .quaternions import Order, det, qmul
@@ -47,12 +47,16 @@ class SplittingMap:
     p: int
     prec: int
     images: list[tuple]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def image(self, c) -> tuple:
-        """iota(sum_m c_m b_m) modulo p^prec for integer coordinates c."""
-        mod = self.p**self.prec
-        return tuple(sum(cm * im[t] for cm, im in zip(c, self.images)) % mod
-                     for t in range(4))
+        """iota(sum_m c_m b_m) modulo p^prec for integer coordinates c,
+        computed once per coordinate tuple."""
+        if (c := tuple(c)) not in self.memo:
+            mod = self.p**self.prec
+            self.memo[c] = tuple(sum(cm * im[t] for cm, im in zip(c, self.images))
+                                 % mod for t in range(4))
+        return self.memo[c]
 
 
 def _lattice_basis(mats, p, K):

@@ -10,8 +10,8 @@ g(Z_p) under the Mobius action.
 
 All matrices are 4-tuples (a, b, c, d), row-major.  The normal forms are
 integer arithmetic; a matrix with Fraction entries is first scaled to
-integers (see `_integral`).  Only the center of an edge, its canonical key,
-is a Fraction.
+integers (see `_integral`; a matrix of ints passes on exact type tests).
+Only the center of an edge, its canonical key, is a Fraction.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ def mat_adj(m: Mat) -> Mat:
 def _integral(m: Mat) -> Mat:
     """m with integer entries: a matrix with Fraction entries is scaled by
     the lcm of their denominators, a scalar, which changes neither its
-    vertex nor its edge."""
-    if not any(isinstance(x, Fraction) for x in m):
+    vertex nor its edge.  Ints pass on an exact type test, much cheaper
+    than isinstance against Fraction, an ABCMeta class."""
+    if all(type(x) is int for x in m):
         return m
     s = lcm(*(Fraction(x).denominator for x in m))
     return tuple(int(x * s) for x in m)

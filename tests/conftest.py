@@ -14,6 +14,7 @@ from linvariant.pipeline import (
     SIZING_SPLIT_PREC,
     build_context,
     resplit,
+    row_scales,
     size_parameters,
 )
 
@@ -30,8 +31,8 @@ def as_padics(p, vec):
 
 
 def psis(dom, coc, x, r, prec):
-    """psi_values as a list of PadicNumber."""
-    return as_padics(dom.p, psi_values(dom, coc, x, r, prec))
+    """psi_values of one cocycle as a list of PadicNumber."""
+    return as_padics(dom.p, psi_values(dom, [coc], x, r, prec)[0])
 
 
 def lambdas(dom, lifts, x, r, tau, n_terms, prec):
@@ -131,8 +132,8 @@ def _row(p, nminus, k, M):
     production path: the sizing context and probe basis, the resplit
     context, its basis, the lifts of the whole basis and the base point."""
     ctx = build_context(p, nminus, 1, SIZING_SPLIT_PREC)
-    sz = size_parameters(ctx, k, M,
-                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    sz = size_parameters(ctx, k, M, row_scales(
+        ctx, k, harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)))
     ctx = resplit(ctx, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     lifts = make_lift(ctx.dom, basis, sz.lift)

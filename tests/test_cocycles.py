@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linvariant import cocycles
+from linvariant import cocycles, domain, tree
 from linvariant.cocycles import (
     act_on,
     harmonic_basis,
@@ -223,6 +223,19 @@ class TestConditions:
         k = 2
         harmonic_basis(dom, k, PREC)
         assert sizes == [(pairs + len(dom.vertices)) * (k + 1)]
+
+    def test_stars_read_from_the_domain(self, monkeypatch):
+        """The harmonicity blocks read the vertex stars the domain search
+        recorded: on a built domain the basis calls tree.star zero times."""
+        dom = build_context(3, 13, 1, 40).dom
+        assert list(dom.stars) == dom.vertices
+        calls, orig = [], tree.star
+        for mod in (tree, domain, cocycles):
+            if getattr(mod, "star", None) is orig:
+                monkeypatch.setattr(mod, "star",
+                                    lambda v: calls.append(v) or orig(v))
+        assert harmonic_basis(dom, 4, PREC)
+        assert calls == []
 
 
 class TestSplittingPrecision:

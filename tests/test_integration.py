@@ -24,7 +24,8 @@ from linvariant.integration import (
 from linvariant.lifting import sigma_series_matrix
 from linvariant.padics import (PadicNumber, PrecisionError, UnramifiedField,
                                ilog, val_cap, val_int)
-from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
+from linvariant.pipeline import (SIZING_BASIS_PREC, resplit, row_scales,
+                                 size_parameters)
 from linvariant.tree import (
     base_vertex,
     edges_leaving_geodesic,
@@ -671,8 +672,8 @@ class TestChangeOfVariables:
 def _sized_domain(ctx, k, M):
     """The resplit domain and sizing of ctx at weight k + 2 and working
     precision M, as `compute_l_result` builds them."""
-    sz = size_parameters(ctx, k, M, harmonic_basis(ctx.dom, k,
-                                                    SIZING_BASIS_PREC))
+    sz = size_parameters(ctx, k, M, row_scales(
+        ctx, k, harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)))
     return resplit(ctx, sz.split_prec).dom, sz
 
 

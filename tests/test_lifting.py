@@ -17,7 +17,8 @@ from linvariant.lifting import (LiftParams, _field_width, _pack,
                                 _sweep_lifts, _unpack, _up_sweep, make_lift,
                                 sigma_series_matrix)
 from linvariant.padics import inv_mod, val_int
-from linvariant.pipeline import SIZING_BASIS_PREC, resplit, size_parameters
+from linvariant.pipeline import (SIZING_BASIS_PREC, resplit, row_scales,
+                                 size_parameters)
 from linvariant.tree import mat_adj, mat_det, mat_mul
 
 
@@ -374,8 +375,8 @@ def test_basis_lift_equals_each_member_lift(ctx27):
     """The lifts of a whole basis ((2,7,1), weight 4, two cocycles) are the
     one-cocycle lifts of its members."""
     k = 2
-    sz = size_parameters(ctx27, k, 4,
-                         harmonic_basis(ctx27.dom, k, SIZING_BASIS_PREC))
+    sz = size_parameters(ctx27, k, 4, row_scales(
+        ctx27, k, harmonic_basis(ctx27.dom, k, SIZING_BASIS_PREC)))
     ctx = resplit(ctx27, sz.split_prec)
     basis = harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)
     assert len(basis) == 2

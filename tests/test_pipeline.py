@@ -21,6 +21,7 @@ from linvariant.pipeline import (
     build_context,
     compute_l_result,
     resplit,
+    row_scales,
     size_parameters,
 )
 
@@ -31,9 +32,9 @@ def _record_working_precisions(monkeypatch):
     seen = []
     sizing = pipeline.size_parameters
 
-    def recording(ctx, k, M, basis0):
+    def recording(ctx, k, M, scales):
         seen.append(M)
-        return sizing(ctx, k, M, basis0)
+        return sizing(ctx, k, M, scales)
 
     monkeypatch.setattr(pipeline, "size_parameters", recording)
     return seen
@@ -98,8 +99,8 @@ def test_basis_precision_covers_moment_scale():
     P - e + t >= W."""
     k = 22
     ctx = build_context(2, 3, 1, SIZING_SPLIT_PREC)
-    sz = size_parameters(ctx, k, 8,
-                         harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC))
+    sz = size_parameters(ctx, k, 8, row_scales(
+        ctx, k, harmonic_basis(ctx.dom, k, SIZING_BASIS_PREC)))
     dom = resplit(ctx, sz.split_prec).dom
     moments = [(e, P) for c in harmonic_basis(dom, k, SIZING_BASIS_PREC)
                for _, e, P in _phi_scaled(dom, c, k)]
@@ -153,8 +154,15 @@ def test_each_artefact_once_per_row(monkeypatch):
     sizes and lifts each attempt once.  The action of each (x, r, k) is
     built once per domain: a domain under a new splitting starts without the
     actions but shares the located edges.  The invariants restrict the L-matrix once to each
-    nonempty W_N eigenspace."""
+    nonempty W_N eigenspace.  What does not depend on the working
+    precision runs once per row: the coverings and moments the sizing reads
+    and the searches for the two normalizing elements; psi builds one
+    geodesic per generator and attempt, for the whole basis."""
     domains = _count_calls(monkeypatch, pipeline, "compute_fundamental_domain")
+    coverings = _count_calls(monkeypatch, pipeline, "ball_matrices")
+    moments = _count_calls(monkeypatch, pipeline, "_phi_scaled")
+    norm_searches = _count_calls(monkeypatch, cocycles, "enumerate_norm")
+    paths = _count_calls(monkeypatch, loperator, "geodesic")
     bases = _count_calls(monkeypatch, pipeline, "harmonic_basis")
     sizings = _count_calls(monkeypatch, pipeline, "size_parameters")
     lifts = _count_calls(monkeypatch, pipeline, "make_lift")
@@ -196,8 +204,14 @@ def test_each_artefact_once_per_row(monkeypatch):
     assert basis_solves == [1] * len(bases)
     assert len(sizings) == len(attempts)
     assert len(lifts) == len(attempts)
-    # every attempt sizes with the one probe basis
+    # every attempt sizes with the scales of the one probe basis
     assert sizings[0][3] is sizings[1][3]
+    gens = doms[0].generators()
+    assert len(coverings) == len(gens)
+    assert len(moments) == res.dim
+    targets = [target for _, target in norm_searches]
+    assert targets and len(set(targets)) == len(targets)
+    assert len(paths) == len(attempts) * len(gens)
     assert len(doms) == 1 + len(attempts)
     assert len(actions) == sum(len(dom.actions) for dom in doms) > 0
     # d = 1: one nonempty eigenspace, whose simple slope is also Hensel-lifted
@@ -224,12 +238,16 @@ DOMAIN_FIELDS = ("vertices", "geo_edges", "pairings", "edge_stabs",
 
 def test_resplit_keeps_domain_and_located_edges(ctx32):
     """A more precise splitting agrees with the sizing one modulo its
-    precision, so the domain's exact data and the located edges carry over."""
+    precision, so the domain's exact data, the located edges and the
+    recorded vertex stars carry over."""
     ctx = pipeline.resplit(ctx32, 90)
     assert ctx.dom.spl.prec == 90
     assert ctx.dom.vertices is ctx32.dom.vertices
     assert ctx.dom.edge_stabs is ctx32.dom.edge_stabs
     assert ctx.dom.located is ctx32.dom.located
+    assert ctx.dom.stars is ctx32.dom.stars
+    # the images depend on the splitting: the copy memoizes its own
+    assert ctx.dom.spl.memo is not ctx32.dom.spl.memo
     fresh = pipeline.build_context(3, 2, 1, 90)
     assert fresh.dom.spl.images == ctx.dom.spl.images
     for field in DOMAIN_FIELDS:

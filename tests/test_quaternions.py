@@ -20,8 +20,10 @@ from linvariant.quaternions import (
     PRIME_BOUND,
     Order,
     QuaternionAlgebra,
+    _adjugate,
     build_algebra,
     congruence_kernel,
+    det,
     eichler_order,
     enumerate_norm,
     factorint,
@@ -471,6 +473,26 @@ class TestLattices:
         assert congruence_kernel([[0] * n] * 2, modulus) == \
             [[int(i == j) for j in range(n)] for i in range(n)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_adjugate_cofactors(self, data):
+        """M adj(M) = adj(M) M = det(M) I on 4x4 integer matrices with
+        entries up to 2^100 in size, half of them singular (the last row a
+        combination of two others), and det equals sympy's."""
+        entry = st.integers(-2**100, 2**100) | st.integers(-3, 3)
+        M = data.draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                               min_size=4, max_size=4))
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+            M[3] = [a * x + b * y for x, y in zip(M[0], M[1])]
+        A, d = _adjugate(M), det(M)
+        scalar = [[d * (i == j) for j in range(4)] for i in range(4)]
+        assert [[sum(M[i][t] * A[t][j] for t in range(4)) for j in range(4)]
+                for i in range(4)] == scalar
+        assert [[sum(A[i][t] * M[t][j] for t in range(4)) for j in range(4)]
+                for i in range(4)] == scalar
+        assert d == Matrix(M).det()
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_hnf_basis_equals_reference(self, data):
@@ -633,6 +655,10 @@ class TestSplitting:
             cy = [rng.randrange(-4, 5) for _ in range(4)]
             mx, my = spl.image(cx), spl.image(cy)
             assert all(0 <= t < mod for t in mx)
+            # memoized per coordinate tuple: the direct formula, every call
+            assert mx == spl.image(tuple(cx)) == tuple(
+                sum(c * im[t] for c, im in zip(cx, spl.images)) % mod
+                for t in range(4))
             mxy = spl.image(O.mul(cx, cy))
             assert all((a - b) % mod == 0
                        for a, b in zip(mat_mul(mx, my), mxy))
