@@ -1,7 +1,7 @@
 """Fundamental domain of Gamma = R[1/p]^x_1 acting on the Bruhat-Tits tree.
 
 Gamma is the group of reduced-norm-1 units of R[1/p], acting through the
-splitting iota at p.  Equivalence of two vertices/edges under Gamma reduces to
+splitting iota at p.  Equivalence of two vertices under Gamma reduces to
 finding x in R with nrd(x) = p^(2r) satisfying congruence conditions that cut
 out a finite-index sublattice of R; candidates are found by integer
 Fincke-Pohst enumeration on that sublattice, whose basis is a Hermite form
@@ -20,36 +20,41 @@ representatives found so far: the breadth-first search takes an edge as a
 new representative only when nothing matches, and every match it finds is
 kept for the harmonic basis and the U_p table (`reduce_matrix`).
 
-The searches stop at proven bounds.  For primitive x, iota(x) has
-elementary divisors (1, p^2r), so gamma = x/p^r moves the base vertex by
-exactly 2r; if gamma carries a vertex at distance d(u) from the base to one
-at distance d(w), then 2r <= d(u) + d(w), and if it carries a directed edge
-at distance d_f (that of its nearer end) to one at d_e, then
-2r <= d_e + d_f + 1.  A vertex stabilizer is searched to r <= d, a pairing
-to r <= (d(u) + d(w)) // 2 and an edge to r <= (d_e + d_f + 1) // 2.
+Only vertex stabilizers and pairings need a lattice search, and only while
+the domain is built.  The searches stop at proven bounds.  For primitive x,
+iota(x) has elementary divisors (1, p^2r), so gamma = x/p^r moves the base
+vertex by exactly 2r; if gamma carries a vertex at distance d(u) from the
+base to one at distance d(w), then 2r <= d(u) + d(w).  A vertex stabilizer
+is searched to r <= d and a pairing to r <= (d(u) + d(w)) // 2.
 
 `FundamentalDomain.search` returns, among the elements x/p^r carrying one
-object to the other, the one with the smallest r and, among those, the
+vertex to the other, the one with the smallest r and, among those, the
 smallest (c_3, c_2, c_1, c_0) in lexicographic order (`search_order`):
 `congruence_kernel` gives a lower-triangular basis with a positive
 diagonal, so the order in which `enumerate_norm` visits kernel coordinates
 is this order on c.  Its lists of all solutions are sorted the same way.
 
-Only vertex stabilizers and pairings need a lattice search.  Let
-f = (a -> b) be a directed representative, v the vertex representative of
-a's orbit and g the element carrying a to v (g = 1 when a = v).  An edge
+Let f = (a -> b) be a directed representative, v the vertex representative
+of a's orbit and g the element carrying a to v (g = 1 when a = v).  An edge
 e = (v -> u) is equivalent to f exactly when u lies in the Stab(v)-orbit of
 g.b, so the domain records, for each (v, u) of that orbit (`star_reps`),
-f and one element gamma_0 = s g (s in Stab(v)) with gamma_0.f = e.  The
-elements carrying f to e are the coset gamma_0 Stab(f), and `locate`
+f and one element gamma_0 = s g (s in Stab(v)) with gamma_0.f = e, and for
+each f the element carrying b to a vertex representative (`rep_targets`).
+The stabilizer of a new representative (v -> u) is the part of Stab(v)
+that fixes u, in `search_order`.
+
+A vertex representative is carried to itself by 1 and any other vertex a
+to one along the geodesic from the base vertex (`walk`): if h carries the
+current vertex c to vertices[iw], the next one n gives the edge
+h.(c -> n) = gamma_0.f_j out of vertices[iw], and k gamma_0^-1 h carries n
+to vertices[iw'] for the record (iw', k) of the target of f_j, with
+(x/p^r)^-1 = conj(x)/p^r.  If h.a = vertices[iw] and h.e = gamma_0.f_j for
+e = (a -> b), the elements carrying f_j to e are the coset
+h^-1 gamma_0 Stab(f_j), whichever h and gamma_0 were taken, and `locate`
 returns its least element under `search_order`, formed by exact products
-(`compose`): what the search would return.  The stabilizer of a new
-representative (v -> u) is the part of Stab(v) that fixes u, in the same
-order.  An edge out of any other vertex is searched against every
-representative in turn.  The searches read the domain's own order and
-splitting, so a copy of the domain under another splitting searches with
-that one.  Every search checks the active time budget once per exponent r,
-and the breadth-first search once per star edge (see `budget`).
+(`compose`): what a search would return.  Every search checks the active
+time budget once per exponent r, the breadth-first search once per star
+edge and the walk once per step (see `budget`).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .tree import (
     Edge,
     Vertex,
     base_vertex,
+    geodesic,
     mat_adj,
     mat_det,
     mat_mul,
@@ -72,10 +78,6 @@ from .tree import (
     normalize_vertex,
     star,
 )
-
-
-def _edge_dist(e: Edge) -> int:
-    return min(e.source().dist_to_base(), e.target().dist_to_base())
 
 
 def search_order(g):
@@ -118,15 +120,15 @@ class FundamentalDomain:
     pairings: list[Pairing] = field(default_factory=list)
     edge_stabs: list[list] = field(default_factory=list)  # per geometric edge
     vertex_stabs: list[list] = field(default_factory=list)
-    # the matrix and the distance to the base of each directed
-    # representative, extended with geo_edges as the search adds them
+    # per directed representative, extended with geo_edges as the search
+    # adds them: its matrix, and (iw, k) with k . target = vertices[iw]
     rep_mats: list = field(default_factory=list, compare=False, repr=False)
-    rep_dists: list = field(default_factory=list, compare=False, repr=False)
+    rep_targets: list = field(default_factory=list, compare=False, repr=False)
     # (v, u) -> (j, gamma_0) for a vertex representative v and a neighbour
     # u with gamma_0 . directed_reps()[j] = (v -> u)
     star_reps: dict = field(default_factory=dict, compare=False, repr=False)
     # edge -> (j, x, r) with iota(x/p^r) . directed_reps()[j] = edge, filled
-    # by the domain search and locate; star(v) per vertex representative;
+    # by locate; star(v) per vertex representative;
     # `cocycles.normalizing_element` per (norm, parity).  Exact, so a copy of
     # the domain under a splitting that agrees with this one shares them
     located: dict = field(default_factory=dict, compare=False, repr=False)
@@ -156,10 +158,10 @@ class FundamentalDomain:
                 rows[t][midx] = z[t] % mod
         return rows
 
-    def search(self, m1, m2, kind: str, rmax: int, all_solutions: bool = False):
-        """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r).(m1-object)
-        equal to the m2-object (vertex class or directed edge); x is given by
-        its integer coordinates, a tuple.
+    def search(self, m1, m2, rmax: int, all_solutions: bool = False):
+        """Find x in R, nrd = p^(2r), r <= rmax, with iota(x/p^r) carrying
+        the vertex of m1 to that of m2; x is given by its integer
+        coordinates, a tuple.  Only `compute_fundamental_domain` searches.
 
         Returns the first (x, r) in `search_order` or None; with
         all_solutions=True, the list in that order of all (x, r) with x
@@ -175,44 +177,29 @@ class FundamentalDomain:
             if V % 2:
                 continue
             s = V // 2
-            if s < 0:
-                continue
-            if kind == "edge":
-                modulus = p ** (s + 1)
-                assert s + 1 + 4 <= self.spl.prec
-                rows = [
-                    [p * forms[0][m] % modulus for m in range(4)],
-                    [p * forms[1][m] % modulus for m in range(4)],
-                    [forms[2][m] % modulus for m in range(4)],
-                    [p * forms[3][m] % modulus for m in range(4)],
-                ]
-            else:
-                modulus = p**s
-                assert s + 4 <= self.spl.prec
-                rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
+            modulus = p**s
+            assert s + 4 <= self.spl.prec
+            rows = [[forms[t][m] % modulus for m in range(4)] for t in range(4)]
             K = congruence_kernel(rows, modulus)
             KG = [[sum(a * b for a, b in zip(ki, col))
                    for col in zip(*self.order.gram)] for ki in K]
             GK = [[sum(a * b for a, b in zip(kgi, kj)) for kj in K] for kgi in KG]
-            target = 2 * p ** (2 * r)  # the Gram form is 2 nrd
-            for cvec in enumerate_norm(GK, target):
+            for cvec in enumerate_norm(GK, 2 * p ** (2 * r)):  # 2 nrd
                 c = tuple(sum(kj[m] * cj for kj, cj in zip(K, cvec))
                           for m in range(4))
                 if r > 0 and all(ci % p == 0 for ci in c):
                     continue  # imprimitive: already seen at smaller r
                 assert self.order.nrd(c) == p ** (2 * r)
-                if all_solutions:
-                    found.append((c, r))
-                else:
+                if not all_solutions:
                     return (c, r)
+                found.append((c, r))
         return found if all_solutions else None
 
     def vertex_stabilizer(self, v: Vertex):
         """All gamma in Gamma fixing the vertex v (includes +-1), in
         `search_order`: r <= d(v) (see the module docstring)."""
         m = v.matrix()
-        return self.search(m, m, "vertex", v.dist_to_base(),
-                           all_solutions=True)
+        return self.search(m, m, v.dist_to_base(), all_solutions=True)
 
     def compose(self, g, h):
         """The product g h of g = x/p^r and h = y/p^s as the search gives
@@ -299,30 +286,44 @@ class FundamentalDomain:
         for scalars."""
         return abs(self.order.trd(x)) == 2 * self.p**r
 
+    def _star_record(self, iw: int, h, n: Vertex):
+        """The `star_reps` record of h.(c -> n) for h.c = vertices[iw], or
+        None; residues decide h.n while 2r + d(n) + d(h.n) + 2 <= 2 prec."""
+        b = n if self.is_pm_one(*h) else gamma_vertex(self, *h, n)
+        assert 2 * (h[1] + 1) + n.dist_to_base() + b.dist_to_base() \
+            <= 2 * self.spl.prec
+        return self.star_reps.get((self.vertices[iw], b))
+
+    def walk(self, a: Vertex):
+        """(iw, h) with h . a = vertices[iw]: (i, 1) for a = vertices[i],
+        else h carried along the geodesic from the base vertex to a (see the
+        module docstring)."""
+        if a in self.vertices:
+            return self.vertices.index(a), (self.order.one, 0)
+        iw, h = 0, (self.order.one, 0)
+        for n in geodesic(self.vertices[0], a)[1:]:
+            checkpoint()
+            j, (x, r) = self._star_record(iw, h, n)
+            iw, k = self.rep_targets[j]
+            h = self.compose(k, self.compose((self.order.conj(x), r), h))
+        return iw, h
+
     def locate(self, e: Edge):
         """(j, x, r) with iota(x/p^r) . directed_reps()[j] = e, cached by
         canonical edge in `located`; None when e is equivalent to no
         representative yet, which on a complete domain does not happen.
 
-        No two representatives are equivalent.  An edge out of a vertex
-        representative is located from its `star_reps` record, if any, by
-        exact products; any other edge by a search against every
-        representative in turn, which finds the element the record would
-        give (see the module docstring)."""
+        No two representatives are equivalent.  x/p^r is the least element
+        of the coset that `walk` gives, by exact products (see the module
+        docstring)."""
         if e not in self.located:
-            if (v := e.source()) in self.vertices:
-                if (rec := self.star_reps.get((v, e.target()))) is not None:
-                    j, g = rec
-                    self.located[e] = (j, *min(
-                        (self.compose(g, t) for t in self.edge_stabs[j // 2]),
-                        key=search_order))
-            else:
-                m, d_e = e.matrix(), _edge_dist(e)
-                for j, (B, d) in enumerate(zip(self.rep_mats, self.rep_dists)):
-                    res = self.search(B, m, "edge", (d_e + d + 1) // 2)
-                    if res is not None:
-                        self.located[e] = (j, *res)
-                        break
+            iw, h = self.walk(e.source())
+            if (rec := self._star_record(iw, h, e.target())) is not None:
+                j, g = rec
+                g = self.compose((self.order.conj(h[0]), h[1]), g)
+                self.located[e] = (j, *min(
+                    (self.compose(g, t) for t in self.edge_stabs[j // 2]),
+                    key=search_order))
         return self.located.get(e)
 
     def reduce_matrix(self, g, det_val: int) -> EdgeReduction:
@@ -378,7 +379,7 @@ def compute_fundamental_domain(order: Order,
     """The domain by breadth-first search from the base vertex: a star edge
     that `locate` matches to no representative so far becomes one, located
     by the first element of its stabilizer (see the module docstring)."""
-    p = spl.p
+    p, one = spl.p, (order.one, 0)
     dom = FundamentalDomain(p, order, spl)
     dom.vertices.append(base_vertex(p))
     dom.vertex_stabs.append(dom.vertex_stabilizer(dom.vertices[0]))
@@ -387,7 +388,7 @@ def compute_fundamental_domain(order: Order,
             checkpoint()
             if dom.locate(e) is not None:
                 continue
-            j, d, u = len(dom.rep_mats), _edge_dist(e), e.target()
+            j, u = len(dom.rep_mats), e.target()
             images = [(s, gamma_vertex(dom, *s, u))
                       for s in dom.vertex_stabs[i]]
             stab = [s for s, b in images if b == u]  # Stab(e) in Stab(v)
@@ -397,30 +398,29 @@ def compute_fundamental_domain(order: Order,
             dom.located[e] = (j, *stab[0])
             dom.geo_edges.append(e)
             dom.rep_mats += [e.matrix(), e.opposite().matrix()]
-            dom.rep_dists += [d] * 2
             for iw, w in enumerate(dom.vertices):
-                g = dom.search(u.matrix(), w.matrix(), "vertex",
+                g = dom.search(u.matrix(), w.matrix(),
                                (u.dist_to_base() + w.dist_to_base()) // 2)
                 if g is not None:
                     dom.pairings.append(Pairing(u, iw, *g))
-                    t = gamma_vertex(dom, *g, v)
                     break
             else:
-                iw, t, g = len(dom.vertices), v, None
+                iw, g = len(dom.vertices), one
                 dom.vertices.append(u)
                 if len(dom.vertices) > MAX_VERTICES:
                     raise DomainTooLarge(
                         f"the fundamental domain has more than {MAX_VERTICES} "
                         "vertex orbits")
                 dom.vertex_stabs.append(dom.vertex_stabilizer(u))
+            dom.rep_targets += [(iw, g), (i, one)]
             # s . e and s g . e.opposite() for s in the stabilizers of the
             # vertex representatives v and w = g.u
-            w = dom.vertices[iw]
             for s, b in images:
                 dom.star_reps[v, b] = (j, s)
+            t = gamma_vertex(dom, *g, v)
             for s in dom.vertex_stabs[iw]:
-                dom.star_reps[w, gamma_vertex(dom, *s, t)] = (
-                    j + 1, s if g is None else dom.compose(s, g))
+                dom.star_reps[dom.vertices[iw], gamma_vertex(dom, *s, t)] = (
+                    j + 1, dom.compose(s, g))
     return dom
 
 

@@ -140,7 +140,7 @@ def resplit(ctx: Context, split_prec: int, variant: int = 0) -> Context:
     only on the order and p, so it carries over when the new splitting
     agrees with the old one to the old precision; otherwise the domain is
     computed afresh.  The actions of group elements depend on the splitting, so the new domain
-    starts without them, and its searches use the new splitting."""
+    starts without them, and its walks use the new splitting."""
     dom = ctx.dom
     spl = splitting_map(dom.order, ctx.p, split_prec, variant=variant)
     mod = ctx.p ** min(split_prec, dom.spl.prec)

@@ -14,10 +14,11 @@ from sympy import factorint
 import linvariant
 from linvariant.budget import Budget, BudgetExceeded
 from linvariant.cocycles import harmonic_basis
-from linvariant.domain import (FundamentalDomain, _edge_dist, build_up_table,
-                               gamma_matrix, gamma_vertex)
+from linvariant import pipeline
+from linvariant.domain import (FundamentalDomain, build_up_table, gamma_matrix,
+                               gamma_vertex)
 from linvariant.padics import val_int
-from linvariant.pipeline import build_context
+from linvariant.pipeline import build_context, compute_l_result
 from linvariant.quaternions import Order
 from linvariant.tree import (
     base_vertex,
@@ -28,19 +29,21 @@ from linvariant.tree import (
     star,
 )
 
-from domain_reference import compute_fundamental_domain as reference_domain
+from domain_reference import (compute_fundamental_domain as reference_domain,
+                              scan_locate)
 
 BENCHMARK = os.path.join(os.path.dirname(__file__), "..", "benchmark")
 
 
 def _spy_searches(monkeypatch):
-    """The (kind, all_solutions) of every `FundamentalDomain.search` call
-    from now on, in a list that grows as they run."""
+    """The (all_solutions, m1 == m2) of every `FundamentalDomain.search`
+    call from now on, in a list that grows as they run: (True, True) for a
+    vertex stabilizer, (False, False) for a pairing."""
     search, calls = FundamentalDomain.search, []
 
-    def spy(self, m1, m2, kind, rmax, all_solutions=False):
-        calls.append((kind, all_solutions))
-        return search(self, m1, m2, kind, rmax, all_solutions)
+    def spy(self, m1, m2, rmax, all_solutions=False):
+        calls.append((all_solutions, m1 == m2))
+        return search(self, m1, m2, rmax, all_solutions)
 
     monkeypatch.setattr(FundamentalDomain, "search", spy)
     return calls
@@ -313,12 +316,12 @@ class TestEdgeReducer:
                 assert ent.sigma[3] % dom.p != 0
 
     def test_locate_cache_hit(self, ctx23, monkeypatch):
-        """Repeated location of the same edge does no new search."""
+        """Repeated location of the same edge does no new walk."""
         dom = ctx23.dom
         e = dom.directed_reps()[0]
         found = dom.locate(e)
         n0 = len(dom.located)
-        monkeypatch.setattr(dom, "search", None)  # a search would fail
+        monkeypatch.setattr(dom, "walk", None)  # a walk would fail
         assert dom.locate(e) == found
         assert len(dom.located) == n0
 
@@ -327,8 +330,9 @@ class TestEdgeReducer:
         weight 2 built at 40/25 digits, every edge located by the domain
         search, the basis, the U_p table and the stars of the vertices
         within distance 2 (for p = 13, 1) of the base gives the same
-        (j, x, r) as a search that rebuilds each representative's distance
-        on every call, as locate did before it cached them."""
+        (j, x, r) as the reference's edge search against every
+        representative in turn, to the loose bound (`scan_locate`); each
+        representative's target record carries it to its vertex."""
         for p, nminus, w, depth in [(2, 13, 8, 2), (13, 2, 2, 1)]:
             dom = build_context(p, nminus, 1, 40).dom
             harmonic_basis(dom, w - 2, 25)
@@ -341,20 +345,16 @@ class TestEdgeReducer:
                         dom.locate(e)
             assert len(dom.located) > 3 * len(dom.rep_mats)
             assert dom.rep_mats == [f.matrix() for f in dom.directed_reps()]
-            assert dom.rep_dists == [_edge_dist(f)
-                                     for f in dom.directed_reps()]
+            assert [gamma_vertex(dom, *k, f.target()) for f, (_, k)
+                    in zip(dom.directed_reps(), dom.rep_targets)] \
+                == [dom.vertices[iw] for iw, _ in dom.rep_targets]
             for e, found in dom.located.items():
-                d_e = _edge_dist(e)
-                for j, f in enumerate(dom.directed_reps()):
-                    res = dom.search(f.matrix(), e.matrix(), "edge",
-                                     d_e + _edge_dist(f) + 1)
-                    if res is not None:
-                        break
-                assert found == (j, *res)
+                assert found == scan_locate(dom, e)
 
     def test_locate_checks_the_budget(self, ctx23):
-        """Locating an edge not yet located searches, and the search stops
-        once the active budget has run out."""
+        """Locating an edge not yet located walks its source to a vertex
+        representative, and the walk stops once the active budget has run
+        out."""
         dom = ctx23.dom
         e = next(f for f in (normalize_edge((2**6, a, 0, 1), 2)
                              for a in range(1, 64, 2))
@@ -420,7 +420,7 @@ def test_domain_equals_the_linear_scan_reference(p, nminus, nplus, variant):
     dom = build_context(p, nminus, nplus, 40, variant=variant).dom
     ref = reference_domain(dom.order, dom.spl)
     for name in ["vertices", "geo_edges", "pairings", "vertex_stabs",
-                 "edge_stabs", "rep_mats", "rep_dists"]:
+                 "edge_stabs", "rep_mats"]:
         assert getattr(dom, name) == getattr(ref, name), name
     edges = [e for v in dom.vertices for e in star(v)]
     assert all(ref.locate(e) is not None for e in edges)
@@ -439,7 +439,7 @@ def test_vertex_searches_stop_at_the_proven_bound(p, nminus, nplus, variant):
     dom = build_context(p, nminus, nplus, 40, variant=variant).dom
 
     def old(u, w, all_solutions=False):
-        return dom.search(u.matrix(), w.matrix(), "vertex",
+        return dom.search(u.matrix(), w.matrix(),
                           u.dist_to_base() + w.dist_to_base() + 1,
                           all_solutions)
 
@@ -454,15 +454,17 @@ def test_vertex_searches_stop_at_the_proven_bound(p, nminus, nplus, variant):
 
 def test_domain_search_runs_no_edge_search_that_misses(monkeypatch):
     """Building the context of (2, 61) runs no edge search that misses,
-    nor any other edge or edge-stabilizer search: its star edges are
-    located by exact products (while `locate` searched every
+    nor any other edge or edge-stabilizer search, only one stabilizer
+    search per vertex representative and pairing searches: its star edges
+    are located by exact products (while `locate` searched every
     representative in turn, 435 edge searches missed) and each edge
     stabilizer is read off a vertex stabilizer, whose first element
     locates the new representative."""
     calls = _spy_searches(monkeypatch)
     dom = build_context(2, 61, 1, 60).dom
     assert calls
-    assert not [kind for kind, _ in calls if kind == "edge"]
+    assert calls.count((True, True)) == len(dom.vertices)
+    assert set(calls) == {(True, True), (False, False)}
     assert len(dom.located) > len(dom.geo_edges)
     for e, stab in zip(dom.geo_edges, dom.edge_stabs):
         assert dom.located[e][1:] == stab[0]
@@ -473,7 +475,8 @@ def test_dims_survey_searches_only_vertex_stabilizers_and_pairings(
     """Building every space of the benchmark's `dims-survey` workload, as
     its seed-0 round does (the domain at 40 digits, then the basis), runs
     no edge search and exactly one vertex-stabilizer search per vertex
-    representative; every other search is a pairing search."""
+    representative; every other search is a pairing search, between two
+    distinct vertices."""
     monkeypatch.syspath_prepend(BENCHMARK)
     workloads = importlib.import_module("workloads")
     calls = _spy_searches(monkeypatch)
@@ -483,5 +486,51 @@ def test_dims_survey_searches_only_vertex_stabilizers_and_pairings(
                             workloads.DIMS_SPLIT_PREC,
                             variant=space.split_variant).dom
         harmonic_basis(dom, space.weight - 2, workloads.DIMS_BASIS_PREC)
-        assert calls.count(("vertex", True)) == len(dom.vertices)
-        assert {kind for kind, _ in calls} == {"vertex"}
+        assert calls.count((True, True)) == len(dom.vertices)
+        assert set(calls) == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("p, nminus, nplus, variant", REFERENCE_LEVELS)
+def test_locate_off_the_representatives_equals_the_linear_scan(
+        p, nminus, nplus, variant):
+    """Every edge out of the vertices within distance 3 of the base (2 for
+    p <= 7, 1 beyond), most of them out of no vertex representative, is
+    located as the reference's `locate` locates it: the walk of its
+    source and the coset of exact products give the element the search
+    against every representative in turn finds."""
+    dom = build_context(p, nminus, nplus, 40, variant=variant).dom
+    ref = reference_domain(dom.order, dom.spl)
+    ring, edges = [base_vertex(p)], []
+    for _ in range(3 if p <= 3 else 2 if p <= 7 else 1):
+        ring = [u for v in ring for u in neighbors(v)]
+        edges += [e for v in ring for e in star(v)]
+    assert any(e.source() not in dom.vertices for e in edges)
+    assert [dom.locate(e) for e in edges] == [ref.locate(e) for e in edges]
+
+
+def test_no_search_after_the_domain_is_built(monkeypatch):
+    """A cold (2, 7, 1, 8, 12) row, which takes two attempts, searches only
+    inside `compute_fundamental_domain`: the basis, the U_p table, the
+    coverings and the values of the cocycles locate every edge by exact
+    products."""
+    searches, inside = _spy_searches(monkeypatch), []
+    build = pipeline.compute_fundamental_domain
+
+    def spy_build(*args):
+        n = len(searches)
+        dom = build(*args)
+        inside.append(len(searches) - n)
+        return dom
+
+    size = pipeline.size_parameters
+    attempts = []
+
+    def spy_size(*args):
+        attempts.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(pipeline, "compute_fundamental_domain", spy_build)
+    monkeypatch.setattr(pipeline, "size_parameters", spy_size)
+    res = compute_l_result(2, 7, 1, 8, 12)
+    assert res.dim > 0 and len(attempts) == 2
+    assert inside and sum(inside) == len(searches) > 0

@@ -602,6 +602,93 @@ class TestKernelSeries:
                 assert (x - y).is_zero()
 
 
+def _geodesic_edges(p: int, X):
+    """The edges leaving the geodesic from the base vertex to X.v0."""
+    v0 = base_vertex(p)
+    return edges_leaving_geodesic(v0, normalize_vertex(
+        mat_mul(tuple(Fraction(t) for t in X), v0.matrix()), p))
+
+
+def _undecidable_by_h(hx, H: int, z1, z2, p: int) -> bool:
+    """Whether hx, h times a unit, shows a quantity that
+    `log_kernel_series` splits into p^v times a unit to be O(p^H):
+    p^e (a - c tau) or p^e (d tau - b) for a base point
+    tau = p^-e (A + B w) known modulo p^P, so known modulo
+    p^(P + e + v(c)) or p^(P + e + v(d)).  H digits of h then cannot tell
+    it from zero, and a PrecisionError on the h side is right."""
+    a, b, c, d = hx
+    for za, zb, e, P in (z1, z2):
+        pe = p**e
+        for pair, w in (((a * pe - c * za, -c * zb), c),
+                        ((d * za - b * pe, d * zb), d)):
+            known = P + e + val_cap(w, p, math.inf)
+            if min(val_cap(t, p, known) for t in pair) >= H:
+                return True
+    return False
+
+
+def _pulled_back_pairing_agrees(p, variant, half_k, extra, H, X, i, sigma,
+                                seed) -> bool:
+    """For the covering-ball matrix g of edge i of `_geodesic_edges`, an
+    Iwahori sigma of unit determinant and h = g sigma^-1 (residues modulo
+    p^H), pairing the kernel series and weight rows of g with the moments
+    T_sigma mu equals det(sigma)^(k/2) times pairing those of h with mu, as
+    row i of T_sigma is x^i |_k sigma^-1.  Both sides are truncated to
+    their first n_terms moments, and every kernel coefficient c_n, n >= 1,
+    has valuation at least n - log_p(n), so they agree modulo the lower
+    claimed precision and the truncation bound
+    n_terms - k - log_p(n_terms - k).  Returns False, having compared
+    nothing, when the h side raises a PrecisionError that the exact h
+    shows to be right (`_undecidable_by_h`)."""
+    k = 2 * half_k
+    n_terms = k + extra
+    cap, Wm = 40, 80
+    K = UnramifiedField(p, cap)
+    z1 = base_point(p, cap, variant)
+    z2 = _mobius(X, z1, K)
+    g = _geodesic_edges(p, X)[i].matrix()
+    a, b, c, d = sigma
+    det = a * d - b * c
+    # h = g adj(sigma) / det(sigma), modulo p^H; hx is det(sigma) h, exact
+    hx = mat_mul(g, (d, -b, -c, a))
+    dinv = pow(det, -1, p**H)
+    h = tuple(e * dinv % p**H for e in hx)
+    rng = random.Random(seed)
+    L = n_terms + 10
+    mu = [rng.randrange(p**Wm) for _ in range(L)]
+    T = sigma_series_matrix(sigma, k, L - 1, p, Wm, n_terms, det)
+    t_mu = [sum(map(mul, row, mu)) % p**Wm for row in T]
+
+    def pairing(mat, prec, moments):
+        series = log_kernel_series(K, CoveringBall(mat, prec, 0, None),
+                                   z1, z2, n_terms)
+        W = [[e % p**prec if prec < math.inf else e for e in row]
+             for row in exact_weight_rows(mat, k)]
+        moms = [(moments, [val_cap(m, p, Wm) for m in moments],
+                 [Wm] * n_terms)]
+        [per_co] = _pairing(series, W, moms, p, 0, cap)
+        # the weight rows of a residue matrix cap every total
+        return series[0], [[(S, min(P, prec - series[0])) for S, P in rows]
+                           for rows in per_co]
+
+    s_g, on_g = pairing(g, math.inf, t_mu)
+    try:
+        s_h, on_h = pairing(h, H, mu[:n_terms])
+    except PrecisionError:
+        if _undecidable_by_h(hx, H, z1, z2, p):
+            return False
+        raise
+    E = max(s_g, s_h)
+    fac = pow(det, half_k, p ** (cap + 2 * E + Wm))
+    trunc = n_terms - k - ilog(n_terms - k, p)
+    for rows_g, rows_h in zip(on_g, on_h, strict=True):
+        for (S, P), (S_h, P_h) in zip(rows_g, rows_h, strict=True):
+            bound = min(P, P_h, trunc)
+            diff = S * p ** (E - s_g) - fac * S_h * p ** (E - s_h)
+            assert diff % p ** max(bound + E, 0) == 0
+    return True
+
+
 class TestChangeOfVariables:
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), variant=st.sampled_from([0, 1]),
@@ -609,64 +696,32 @@ class TestChangeOfVariables:
            H=st.integers(5, 60), data=st.data())
     def test_pulled_back_kernel_pairs_raw_moments(self, p, variant, half_k,
                                                   extra, H, data):
-        """For a covering-ball matrix g, an Iwahori sigma of unit determinant
-        and h = g sigma^-1 (residues modulo p^H), pairing the kernel series
-        and weight rows of g with the moments T_sigma mu equals
-        det(sigma)^(k/2) times pairing those of h with mu, as row i of T_sigma
-        is x^i |_k sigma^-1.  Both sides are truncated to their first n_terms
-        moments, and every kernel coefficient c_n, n >= 1, has valuation at
-        least n - log_p(n), so they agree modulo the lower claimed precision
-        and the truncation bound n_terms - k - log_p(n_terms - k)."""
-        k = 2 * half_k
-        n_terms = k + extra
-        cap, Wm = 40, 80
+        """`_pulled_back_pairing_agrees` for a matrix X with entries up to
+        p^3, any edge of its geodesic and sigma with diagonal entries up to
+        p^4.  A PrecisionError on the h side passes only where the exact h
+        shows the refused quantity to be O(p^H)."""
         entry = st.integers(-p**3, p**3)
         X = tuple(data.draw(entry) for _ in range(4))
         assume(X[0] * X[3] != X[1] * X[2])
-        K = UnramifiedField(p, cap)
-        z1 = base_point(p, cap, variant)
-        z2 = _mobius(X, z1, K)
-        v0 = base_vertex(p)
-        w = normalize_vertex(mat_mul(tuple(Fraction(t) for t in X),
-                                     v0.matrix()), p)
-        edges = edges_leaving_geodesic(v0, w)
-        g = edges[data.draw(st.integers(0, len(edges) - 1))].matrix()
+        i = data.draw(st.integers(0, len(_geodesic_edges(p, X)) - 1))
         unit = st.integers(1, p**4).filter(lambda a: a % p)
         a, d = data.draw(unit), data.draw(unit)
         b, c = data.draw(st.integers(-p**4, p**4)), p * data.draw(entry)
-        det = a * d - b * c
-        # h = g adj(sigma) / det(sigma), modulo p^H
-        dinv = pow(det, -1, p**H)
-        h = tuple(e * dinv % p**H for e in mat_mul(g, (d, -b, -c, a)))
-        rng = random.Random(data.draw(st.integers(0, 2**32)))
-        L = n_terms + 10
-        mu = [rng.randrange(p**Wm) for _ in range(L)]
-        T = sigma_series_matrix((a, b, c, d), k, L - 1, p, Wm, n_terms,
-                                det)
-        t_mu = [sum(map(mul, row, mu)) % p**Wm for row in T]
+        _pulled_back_pairing_agrees(p, variant, half_k, extra, H, X, i,
+                                    (a, b, c, d),
+                                    data.draw(st.integers(0, 2**32)))
 
-        def pairing(mat, prec, moments):
-            series = log_kernel_series(K, CoveringBall(mat, prec, 0, None),
-                                       z1, z2, n_terms)
-            W = [[e % p**prec if prec < math.inf else e for e in row]
-                 for row in exact_weight_rows(mat, k)]
-            moms = [(moments, [val_cap(m, p, Wm) for m in moments],
-                     [Wm] * n_terms)]
-            [per_co] = _pairing(series, W, moms, p, 0, cap)
-            # the weight rows of a residue matrix cap every total
-            return series[0], [[(S, min(P, prec - series[0])) for S, P in rows]
-                               for rows in per_co]
-
-        s_g, on_g = pairing(g, math.inf, t_mu)
-        s_h, on_h = pairing(h, H, mu[:n_terms])
-        E = max(s_g, s_h)
-        fac = pow(det, half_k, p ** (cap + 2 * E + Wm))
-        trunc = n_terms - k - ilog(n_terms - k, p)
-        for rows_g, rows_h in zip(on_g, on_h, strict=True):
-            for (S, P), (S_h, P_h) in zip(rows_g, rows_h, strict=True):
-                bound = min(P, P_h, trunc)
-                diff = S * p ** (E - s_g) - fac * S_h * p ** (E - s_h)
-                assert diff % p ** max(bound + E, 0) == 0
+    def test_h_at_its_own_valuation_is_refused(self):
+        """p = 2, X = (5, -2, 3, 2), edge 4 of 7 and sigma = (1, 0, 2, 1):
+        for the exact h = (-14, 15, -2, 1), a - c tau_2 has valuation 5,
+        so h modulo 2^5 cannot tell it from zero and the h side is refused,
+        while modulo 2^6 it pairs as g does."""
+        X, sigma = (5, -2, 3, 2), (1, 0, 2, 1)
+        assert len(_geodesic_edges(2, X)) == 7
+        g = _geodesic_edges(2, X)[4].matrix()
+        assert mat_mul(g, (1, 0, -2, 1)) == (-14, 15, -2, 1)
+        assert not _pulled_back_pairing_agrees(2, 0, 0, 8, 5, X, 4, sigma, 0)
+        assert _pulled_back_pairing_agrees(2, 0, 0, 8, 6, X, 4, sigma, 0)
 
 
 def _sized_domain(ctx, k, M):
